@@ -26,7 +26,7 @@ import numpy as np
 from .errors import HighOrderAccuracyWarning, InputError
 from .extrapolation import ExtrapolationResult, fit_power_tail, limit_with_rate
 from .increments import IncrementDistribution
-from .oracle import Barrier, SurvivalProfile, TauStatistics, survival_profile, tau_statistics
+from .oracle import Barrier, TauStatistics, tau_statistics
 
 DEFAULT_KMAX = 4096
 DEFAULT_U_MAX = 30
@@ -98,15 +98,15 @@ def b_fit(dist: IncrementDistribution, h: int, l_max: int, kmax: int = DEFAULT_K
 
 def u1_tabulate(dist: IncrementDistribution, u_max: int = DEFAULT_U_MAX,
                 n_max: int = DEFAULT_KMAX, barrier=Barrier.STRICT,
-                profile: SurvivalProfile | None = None) -> dict[int, ExtrapolationResult]:
+                stats: TauStatistics | None = None) -> dict[int, ExtrapolationResult]:
     """U1(u) = lim (n+1)^{3/2} P(S_n = u, tau > n), per-column extrapolation."""
     barrier = Barrier.parse(barrier)
-    if profile is None:
-        profile = survival_profile(dist, n_max, barrier, u_max=u_max)
+    if stats is None:
+        stats = tau_statistics(dist, n_max, barrier, hmax=0, u_max=u_max)
     out: dict[int, ExtrapolationResult] = {}
-    ns = np.arange(1, profile.nmax + 1, dtype=float)
-    for u in range(barrier.floor, min(u_max, profile.u_max) + 1):
-        col = profile.column(u)
+    ns = np.arange(1, stats.kmax + 1, dtype=float)
+    for u in range(barrier.floor, min(u_max, stats.u_max) + 1):
+        col = stats.column(u)
         seq = list(zip(ns + 1.0, (ns + 1.0) ** 1.5 * col))
         out[u] = limit_with_rate(seq)
     return out
@@ -201,16 +201,15 @@ def _prov(res: ExtrapolationResult) -> dict:
 
 def compute_constants(dist: IncrementDistribution, barrier=Barrier.STRICT,
                       kmax: int = DEFAULT_KMAX, hmax: int = 3, lmax: int = 1,
-                      u_max: int = DEFAULT_U_MAX, u1_nmax: int | None = None) -> ConstantSet:
-    """One tau sweep + one survival sweep, then all fits.
+                      u_max: int = DEFAULT_U_MAX) -> ConstantSet:
+    """One oracle sweep, then all fits.
 
     ``hmax``/``lmax`` must cover every (l, h) pair the target expansion order
     needs (h <= r - 1 and l <= (r - 1)/2 suffice for order r).
     """
     barrier = Barrier.parse(barrier)
     hmax = max(hmax, 1)  # theta1 is always part of the set
-    stats = tau_statistics(dist, kmax, barrier, hmax=hmax)
-    prof = survival_profile(dist, u1_nmax or kmax, barrier, u_max=u_max)
+    stats = tau_statistics(dist, kmax, barrier, hmax=hmax, u_max=u_max)
 
     t0 = theta0_by_limit(dist, kmax, barrier, stats=stats)
     t1 = theta1_by_limit(dist, kmax, barrier, stats=stats)
@@ -225,7 +224,7 @@ def compute_constants(dist: IncrementDistribution, barrier=Barrier.STRICT,
                 b[(l, h)] = res.limit
                 prov[f"b_{l}_{h}"] = _prov(res)
 
-    u1 = u1_tabulate(dist, u_max, prof.nmax, barrier, profile=prof)
+    u1 = u1_tabulate(dist, u_max, kmax, barrier, stats=stats)
     u1_values = {u: r.limit for u, r in u1.items()}
     for u, r in u1.items():
         prov[f"u1_{u}"] = _prov(r)

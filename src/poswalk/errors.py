@@ -53,9 +53,5 @@ class QuadratureNonconvergence(PoswalkError):
     """Adaptive quadrature failed to reach its target accuracy."""
 
 
-class CacheFormatError(PoswalkError):
-    """Binary table cache is malformed or does not match the request."""
-
-
 class HighOrderAccuracyWarning(UserWarning):
     """Fitted coefficients beyond the first correction are unvalidated."""

@@ -261,10 +261,6 @@ def expansion_polys(dist: IncrementDistribution, r: int, barrier=Barrier.STRICT,
                         constants=constants, lclt=lclt)
 
 
-def evaluate(expansion: ExpansionSet, n: int, x: int) -> float:
-    return expansion.evaluate(n, x)
-
-
 def placeholder_polys(*, sigma: Fraction, m3: Fraction, theta0: Fraction,
                       theta1: Fraction, r: int = 2) -> dict[int, Poly]:
     """Exact-rational assembly of P_2..P_{r+1} with placeholder constants.

@@ -1,31 +1,34 @@
 """Exact dynamic-programming oracle for the killed walk.
 
-The walk starts at 0.  A step is applied, then the killed region is zeroed:
+The walk starts at 0.  A step is applied, then the killed region is cut off:
 positions <= 0 for the strict barrier (first-passage time tau), positions
 < 0 for the weak barrier (tau-bar).  Survivor rows are dense arrays over the
 reachable lattice window, so one step is |support| shifted adds -- O(n^2 *
 |support|) work for a horizon-n table.
 
-Two coefficient types share the same sweep code: exact ``Fraction`` lists
-(reference, capped horizon) and float64 numpy arrays.  Float accumulation
-uses numpy's pairwise summation and a fixed support order, so results are
-deterministic and independent of threading.
+There is one sweep, the generator ``_sweep``, and every public function is a
+short collector over the ``(k, survivors, killed)`` it yields.  Its single
+step serves both arithmetic modes: rows are float64 arrays, or ``object``
+arrays of ``Fraction`` (exact reference, capped horizon).
+
+Float results are deterministic and byte-stable.  Each step adds the shifted
+rows in the fixed support order.  Each float reduction (row sums, tau
+moments) is numpy's pairwise sum over the nonzero cells only, in position
+order.  Pairwise summation rounds differently when the element count
+changes, so a reduction that summed zero cells too, or in another order,
+would change the CLI artifacts' bytes.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import CacheFormatError, DegenerateConditioning, HorizonTooLarge, InputError
+from .errors import DegenerateConditioning, HorizonTooLarge, InputError
 from .increments import IncrementDistribution
 
 EXACT_HORIZON_CAP = 64
@@ -57,94 +60,69 @@ class _Row:
 
     __slots__ = ("offset", "values")
 
-    def __init__(self, offset: int, values):
+    def __init__(self, offset: int, values: np.ndarray):
         self.offset = offset
         self.values = values
 
-    def get(self, pos: int):
-        i = pos - self.offset
-        if 0 <= i < len(self.values):
-            return self.values[i]
-        return 0
-
-    def items(self):
-        for i, v in enumerate(self.values):
-            if isinstance(v, float):
-                if v != 0.0:
-                    yield self.offset + i, v
-            elif v != 0:
-                yield self.offset + i, v
+    def nonzero(self) -> dict[int, object]:
+        """The nonzero cells as {position: mass}, in position order."""
+        return {self.offset + i: v for i, v in enumerate(self.values.tolist()) if v}
 
 
-def _step_exact(row: _Row, dist: IncrementDistribution) -> _Row:
-    lo = row.offset + dist.min_step
-    width = len(row.values) + dist.max_step - dist.min_step
-    out = [Fraction(0)] * width
-    for x, p in zip(dist.support, dist.probs):
-        base = row.offset + x - lo
-        for i, v in enumerate(row.values):
-            if v:
-                out[base + i] += v * p
-    return _Row(lo, out)
+def _split_killed(row: _Row, barrier: Barrier) -> tuple[_Row, dict[int, object]]:
+    """Cut a freshly stepped row at the barrier floor: (survivors, killed cells).
+
+    Every law has a negative step, so a stepped row starts below the floor
+    and the survivors start exactly at it.
+    """
+    cut = barrier.floor - row.offset  # first surviving index, >= 1
+    return _Row(barrier.floor, row.values[cut:]), _Row(row.offset, row.values[:cut]).nonzero()
 
 
-def _step_float(row: _Row, dist: IncrementDistribution) -> _Row:
-    lo = row.offset + dist.min_step
-    width = len(row.values) + dist.max_step - dist.min_step
-    out = np.zeros(width)
-    for x, p in zip(dist.support, dist.probs_float()):
-        base = row.offset + x - lo
-        out[base : base + len(row.values)] += p * row.values
-    return _Row(lo, out)
+def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: str,
+           horizon_cap: int):
+    """Step the walk from 0 and yield (k, survivors, killed) for k = 1..n.
 
-
-def _initial_row(mode: str) -> _Row:
-    if mode == "exact-rational":
-        return _Row(0, [Fraction(1)])
-    return _Row(0, np.array([1.0]))
-
-
-def _check_mode(mode: str, n: int, horizon_cap: int) -> None:
+    ``barrier=None`` is the free walk: nothing is killed.
+    """
+    if n < 1:
+        raise InputError("horizon must be >= 1")
     if mode not in ("exact-rational", "float64"):
         raise InputError(f"unknown arithmetic mode {mode!r}")
-    if mode == "exact-rational" and n > horizon_cap:
+    exact = mode == "exact-rational"
+    if exact and n > horizon_cap:
         raise HorizonTooLarge(
             f"exact mode capped at n={horizon_cap} (requested {n}); use float64 or raise the cap"
         )
+    probs = dist.probs if exact else dist.probs_float()
+    shifts = [(x - dist.min_step, p) for x, p in zip(dist.support, probs)]
+    spread = dist.max_step - dist.min_step
+    row = _Row(0, np.array([Fraction(1)], dtype=object) if exact else np.ones(1))
+    for k in range(1, n + 1):
+        width = len(row.values)
+        out = np.zeros(width + spread, dtype=row.values.dtype)
+        for s, p in shifts:
+            out[s : s + width] += p * row.values
+        row, killed = _Row(row.offset + dist.min_step, out), {}
+        if barrier is not None:
+            row, killed = _split_killed(row, barrier)
+        yield k, row, killed
+
+
+def _total(values, mode: str):
+    """Sum of masses: exact in rational mode, numpy's pairwise sum in float64."""
+    vals = list(values)
+    if mode == "exact-rational":
+        return sum(vals, Fraction(0))
+    return float(np.sum(np.array(vals))) if vals else 0.0
 
 
 def free_pmf(dist: IncrementDistribution, n: int, mode: str = "float64",
              horizon_cap: int = EXACT_HORIZON_CAP) -> dict[int, object]:
     """Exact n-fold convolution of the increment law: map position -> P(S_n = x)."""
-    if n < 1:
-        raise InputError("n must be >= 1")
-    _check_mode(mode, n, horizon_cap)
-    row = _initial_row(mode)
-    step = _step_exact if mode == "exact-rational" else _step_float
-    for _ in range(n):
-        row = step(row, dist)
-    return dict(row.items())
-
-
-def _split_killed(row: _Row, barrier: Barrier, mode: str) -> tuple[_Row, dict[int, object]]:
-    """Zero the killed region of a freshly stepped row; return (survivors, killed)."""
-    floor = barrier.floor
-    cut = floor - row.offset  # first surviving index
-    killed: dict[int, object] = {}
-    if cut <= 0:
-        return row, killed
-    head = row.values[:cut]
-    if mode == "exact-rational":
-        for i, v in enumerate(head):
-            if v:
-                killed[row.offset + i] = v
-        surv = _Row(floor, list(row.values[cut:]))
-    else:
-        for i, v in enumerate(head):
-            if v != 0.0:
-                killed[row.offset + i] = float(v)
-        surv = _Row(floor, np.array(row.values[cut:]))
-    return surv, killed
+    for _, row, _ in _sweep(dist, n, None, mode, horizon_cap):
+        pass
+    return row.nonzero()
 
 
 @dataclass
@@ -167,45 +145,21 @@ class KilledWalkTable:
 
     def survival(self, k: int):
         """P(tau > k)."""
-        vals = list(self.rows[k].values())
-        if self.mode == "float64":
-            return float(np.sum(np.array(vals))) if vals else 0.0
-        return sum(vals, Fraction(0))
+        return _total(self.rows[k].values(), self.mode)
 
     def tau_mass(self, k: int):
         """P(tau = k)."""
-        vals = list(self.killed[k].values())
-        if self.mode == "float64":
-            return float(np.sum(np.array(vals))) if vals else 0.0
-        return sum(vals, Fraction(0))
-
-    def row_array(self, k: int) -> tuple[int, np.ndarray]:
-        """(offset, dense float array) view of a survivor row."""
-        row = self.rows[k]
-        if not row:
-            return 0, np.zeros(0)
-        lo, hi = min(row), max(row)
-        out = np.zeros(hi - lo + 1)
-        for y, v in row.items():
-            out[y - lo] = float(v)
-        return lo, out
+        return _total(self.killed[k].values(), self.mode)
 
 
 def killed_table(dist: IncrementDistribution, n: int, barrier=Barrier.STRICT,
                  mode: str = "float64", horizon_cap: int = EXACT_HORIZON_CAP) -> KilledWalkTable:
     """Forward DP table of the killed walk up to horizon n (all rows kept)."""
-    if n < 1:
-        raise InputError("n must be >= 1")
     barrier = Barrier.parse(barrier)
-    _check_mode(mode, n, horizon_cap)
-    step = _step_exact if mode == "exact-rational" else _step_float
-    row = _initial_row(mode)
     rows: dict[int, dict[int, object]] = {}
     killed: dict[int, dict[int, object]] = {}
-    for k in range(1, n + 1):
-        row = step(row, dist)
-        row, dead = _split_killed(row, barrier, mode)
-        rows[k] = dict(row.items())
+    for k, row, dead in _sweep(dist, n, barrier, mode, horizon_cap):
+        rows[k] = row.nonzero()
         killed[k] = dead
     return KilledWalkTable(dist=dist, barrier=barrier, n=n, mode=mode, rows=rows, killed=killed)
 
@@ -214,21 +168,12 @@ def killed_rows_at(dist: IncrementDistribution, ns: list[int], barrier=Barrier.S
                    mode: str = "float64",
                    horizon_cap: int = EXACT_HORIZON_CAP) -> dict[int, dict[int, object]]:
     """Survivor rows at selected horizons only (one sweep, low memory)."""
-    if not ns or any(n < 1 for n in ns):
+    if not ns or min(ns) < 1:
         raise InputError("horizons must be >= 1")
-    barrier = Barrier.parse(barrier)
-    nmax = max(ns)
-    _check_mode(mode, nmax, horizon_cap)
     wanted = set(ns)
-    step = _step_exact if mode == "exact-rational" else _step_float
-    row = _initial_row(mode)
-    out: dict[int, dict[int, object]] = {}
-    for k in range(1, nmax + 1):
-        row = step(row, dist)
-        row, _ = _split_killed(row, barrier, mode)
-        if k in wanted:
-            out[k] = dict(row.items())
-    return out
+    return {k: row.nonzero()
+            for k, row, _ in _sweep(dist, max(ns), Barrier.parse(barrier), mode, horizon_cap)
+            if k in wanted}
 
 
 @dataclass
@@ -238,6 +183,8 @@ class TauStatistics:
     ``theta[h][k-1]`` is the h-th overshoot moment in units of sigma,
     sum_y (y/sigma)^h P(S_k = -y, tau = k); h = 0 recovers P(tau = k) and
     sigma * theta[1] is the overshoot mean E[-S_tau; tau = k].
+    ``columns[i][k-1]`` is the low-lattice survivor mass
+    P(S_k = floor + i, tau > k) for floor + i <= u_max.
     """
 
     dist: IncrementDistribution
@@ -246,26 +193,33 @@ class TauStatistics:
     p_tau: np.ndarray
     overshoot_mean: np.ndarray
     theta: dict[int, np.ndarray]
+    u_max: int
+    columns: np.ndarray
 
     def survival(self) -> np.ndarray:
         """P(tau > k) for k = 1..kmax."""
         return 1.0 - np.cumsum(self.p_tau)
 
+    def column(self, u: int) -> np.ndarray:
+        """P(S_k = u, tau > k) for k = 1..kmax."""
+        return self.columns[u - self.barrier.floor]
+
 
 def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRICT,
-                   hmax: int = 3) -> TauStatistics:
-    """Float sweep accumulating P(tau = k) and overshoot moments."""
+                   hmax: int = 3, u_max: int = 30) -> TauStatistics:
+    """Float sweep accumulating P(tau = k), overshoot moments and survivor columns."""
     if kmax < 1:
         raise InputError("kmax must be >= 1")
     barrier = Barrier.parse(barrier)
+    floor = barrier.floor
+    if u_max < floor:
+        raise InputError("u_max below the barrier floor")
     sigma = dist.sigma()
     p_tau = np.zeros(kmax)
     over = np.zeros(kmax)
     theta = {h: np.zeros(kmax) for h in range(hmax + 1)}
-    row = _initial_row("float64")
-    for k in range(1, kmax + 1):
-        row = _step_float(row, dist)
-        row, dead = _split_killed(row, barrier, "float64")
+    cols = np.zeros((u_max - floor + 1, kmax))
+    for k, row, dead in _sweep(dist, kmax, barrier, "float64", EXACT_HORIZON_CAP):
         if dead:
             ys = np.array([-pos for pos in dead], dtype=float)  # overshoot values
             ms = np.array(list(dead.values()))
@@ -273,49 +227,10 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
             over[k - 1] = float((ys * ms).sum())
             for h in range(hmax + 1):
                 theta[h][k - 1] = float((((ys / sigma) ** h) * ms).sum())
-    return TauStatistics(dist=dist, barrier=barrier, kmax=kmax,
-                         p_tau=p_tau, overshoot_mean=over, theta=theta)
-
-
-@dataclass
-class SurvivalProfile:
-    """Low-lattice survivor columns P(S_n = u, tau > n) plus survival masses."""
-
-    dist: IncrementDistribution
-    barrier: Barrier
-    nmax: int
-    u_max: int
-    columns: np.ndarray  # shape (u_max - floor + 1, nmax); row i is u = floor + i
-    survival: np.ndarray  # P(tau > n), n = 1..nmax
-
-    def column(self, u: int) -> np.ndarray:
-        return self.columns[u - self.barrier.floor]
-
-
-def survival_profile(dist: IncrementDistribution, nmax: int, barrier=Barrier.STRICT,
-                     u_max: int = 30) -> SurvivalProfile:
-    """One float sweep collecting P(S_n = u, tau > n) for all small u."""
-    barrier = Barrier.parse(barrier)
-    floor = barrier.floor
-    if u_max < floor:
-        raise InputError("u_max below the barrier floor")
-    cols = np.zeros((u_max - floor + 1, nmax))
-    surv = np.zeros(nmax)
-    row = _initial_row("float64")
-    alive = 1.0
-    for k in range(1, nmax + 1):
-        row = _step_float(row, dist)
-        row, dead = _split_killed(row, barrier, "float64")
-        alive -= float(np.sum(np.array(list(dead.values())))) if dead else 0.0
-        surv[k - 1] = alive
-        lo = row.offset
-        vals = row.values
-        for u in range(floor, u_max + 1):
-            i = u - lo
-            if 0 <= i < len(vals):
-                cols[u - floor, k - 1] = vals[i]
-    return SurvivalProfile(dist=dist, barrier=barrier, nmax=nmax, u_max=u_max,
-                           columns=cols, survival=surv)
+        low = row.values[: u_max + 1 - floor]  # survivor rows start at the floor
+        cols[: len(low), k - 1] = low
+    return TauStatistics(dist=dist, barrier=barrier, kmax=kmax, p_tau=p_tau,
+                         overshoot_mean=over, theta=theta, u_max=u_max, columns=cols)
 
 
 def conditioned_interval_prob(dist: IncrementDistribution, n: int, u: float, v: float,
@@ -330,112 +245,7 @@ def conditioned_interval_prob(dist: IncrementDistribution, n: int, u: float, v: 
     scale = dist.sigma() * math.sqrt(n)
     lo = math.ceil(u * scale)
     hi = math.floor(v * scale)
-    total = sum(row.values(), Fraction(0)) if mode == "exact-rational" else float(
-        np.sum(np.array(list(row.values()))))
+    total = _total(row.values(), mode)
     if total == 0:
         raise DegenerateConditioning(f"P(tau > {n}) = 0")
-    part_vals = [w for y, w in row.items() if lo <= y <= hi]
-    if mode == "exact-rational":
-        part = sum(part_vals, Fraction(0))
-    else:
-        part = float(np.sum(np.array(part_vals))) if part_vals else 0.0
-    return part / total
-
-
-# ---------------------------------------------------------------------------
-# Binary cache + CSV export
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"KWT1"
-_VERSION = 1
-
-
-def save_table(table: KilledWalkTable, path) -> None:
-    """Versioned binary cache: header + per-row payload.
-
-    Float rows are raw little-endian float64; exact rows are JSON "num/den"
-    strings.  Killed rows are stored the same way so a reload reproduces the
-    table byte for byte.
-    """
-    mode_code = 0 if table.mode == "float64" else 1
-    barrier_code = 0 if table.barrier is Barrier.STRICT else 1
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HBB", _VERSION, barrier_code, mode_code))
-        fh.write(struct.pack("<I", table.n))
-        fh.write(table.dist.digest())
-        for k in range(1, table.n + 1):
-            for payload in (table.rows[k], table.killed[k]):
-                _write_row(fh, payload, table.mode)
-
-
-def _write_row(fh, row: dict[int, object], mode: str) -> None:
-    items = sorted(row.items())
-    if not items:
-        fh.write(struct.pack("<qQ", 0, 0))
-        return
-    lo = items[0][0]
-    hi = items[-1][0]
-    width = hi - lo + 1
-    fh.write(struct.pack("<qQ", lo, width))
-    if mode == "float64":
-        dense = np.zeros(width)
-        for y, v in items:
-            dense[y - lo] = v
-        fh.write(dense.astype("<f8").tobytes())
-    else:
-        dense = ["0"] * width
-        for y, v in items:
-            dense[y - lo] = str(v)
-        blob = json.dumps(dense).encode()
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-
-
-def load_table(path, dist: IncrementDistribution) -> KilledWalkTable:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise CacheFormatError("bad magic")
-        version, barrier_code, mode_code = struct.unpack("<HBB", fh.read(4))
-        if version != _VERSION:
-            raise CacheFormatError(f"unsupported cache version {version}")
-        n = struct.unpack("<I", fh.read(4))[0]
-        digest = fh.read(32)
-        if digest != dist.digest():
-            raise CacheFormatError("cache was built for a different distribution")
-        mode = "float64" if mode_code == 0 else "exact-rational"
-        barrier = Barrier.STRICT if barrier_code == 0 else Barrier.WEAK
-        rows: dict[int, dict[int, object]] = {}
-        killed: dict[int, dict[int, object]] = {}
-        for k in range(1, n + 1):
-            rows[k] = _read_row(fh, mode)
-            killed[k] = _read_row(fh, mode)
-    return KilledWalkTable(dist=dist, barrier=barrier, n=n, mode=mode, rows=rows, killed=killed)
-
-
-def _read_row(fh, mode: str) -> dict[int, object]:
-    lo, width = struct.unpack("<qQ", fh.read(16))
-    if width == 0:
-        return {}
-    if mode == "float64":
-        dense = np.frombuffer(fh.read(8 * width), dtype="<f8")
-        return {lo + i: float(v) for i, v in enumerate(dense) if v != 0.0}
-    blob_len = struct.unpack("<Q", fh.read(8))[0]
-    dense = json.loads(fh.read(blob_len).decode())
-    return {lo + i: Fraction(s) for i, s in enumerate(dense) if s != "0"}
-
-
-def export_csv(table: KilledWalkTable, ks: list[int], path=None) -> str:
-    """CSV slice of survivor rows: columns k, y, prob ('.'-decimal, no locale)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "y", "prob"])
-    for k in ks:
-        for y in sorted(table.rows[k]):
-            v = table.rows[k][y]
-            writer.writerow([k, y, repr(float(v)) if table.mode == "float64" else str(v)])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+    return _total((w for y, w in row.items() if lo <= y <= hi), mode) / total

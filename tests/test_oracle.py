@@ -6,7 +6,8 @@ import pytest
 
 from conftest import brute_force_killed
 from poswalk import oracle as oc
-from poswalk.errors import DegenerateConditioning, HorizonTooLarge, CacheFormatError, InputError
+from poswalk.constants import compute_constants
+from poswalk.errors import DegenerateConditioning, HorizonTooLarge, InputError
 
 
 def test_free_pmf_n1_is_increment(tri):
@@ -156,38 +157,27 @@ def test_degenerate_conditioning_guard(tri):
         oc.conditioned_interval_prob(tri, 5, 0.5, 1.5, "strict", row={})
 
 
-@pytest.mark.parametrize("mode", ["float64", "exact-rational"])
-def test_cache_roundtrip(tmp_path, asym, mode):
-    t = oc.killed_table(asym, 12, "weak", mode=mode)
-    path = tmp_path / "table.kwt"
-    oc.save_table(t, path)
-    back = oc.load_table(path, asym)
-    assert back.n == t.n and back.mode == t.mode and back.barrier == t.barrier
-    assert back.rows == t.rows
-    assert back.killed == t.killed
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+def test_tau_statistics_survivor_columns(tri, asym, rich, barrier):
+    # the U1 columns ride along the tau sweep; they must be the table's cells
+    floor = oc.Barrier.parse(barrier).floor
+    for dist in (tri, asym, rich):
+        stats = oc.tau_statistics(dist, 64, barrier)
+        table = oc.killed_table(dist, 64, barrier, mode="float64")
+        for u in range(floor, stats.u_max + 1):
+            expected = [table.rows[k].get(u, 0.0) for k in range(1, 65)]
+            assert stats.column(u).tolist() == expected
 
 
-def test_cache_rejects_other_distribution(tmp_path, tri, asym):
-    t = oc.killed_table(tri, 5, "strict")
-    path = tmp_path / "table.kwt"
-    oc.save_table(t, path)
-    with pytest.raises(CacheFormatError):
-        oc.load_table(path, asym)
+def test_compute_constants_is_one_sweep(tri, monkeypatch):
+    # theta, b and U1 all come from one sweep: one kill step per horizon
+    calls = []
+    split = oc._split_killed
 
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return split(*args, **kwargs)
 
-def test_cache_rejects_bad_magic(tmp_path, tri):
-    path = tmp_path / "table.kwt"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(CacheFormatError):
-        oc.load_table(path, tri)
-
-
-def test_csv_export(tmp_path, tri):
-    t = oc.killed_table(tri, 3, "strict", mode="exact-rational")
-    text = oc.export_csv(t, [1, 3])
-    lines = text.strip().split("\n")
-    assert lines[0] == "k,y,prob"
-    assert lines[1] == "1,1,3/10"
-    path = tmp_path / "slice.csv"
-    oc.export_csv(t, [2], path)
-    assert path.read_text().startswith("k,y,prob\n2,")
+    monkeypatch.setattr(oc, "_split_killed", counting)
+    compute_constants(tri, kmax=256)
+    assert len(calls) == 256
