@@ -9,10 +9,14 @@ All constants are limits of exactly computed oracle sequences:
   and theta1 coincide with b[0,0] and b[0,1],
 * U1(u)  = lim (n+1)^{3/2} P(S_n = u, tau > n) for small u.
 
-Two independent pipelines must agree: the sequence limits above, and the
-renewal-type sums  theta0 = sum_u U1(u) P(step from u is killed), theta1 =
-(1/sigma) sum_u U1(u) E[overshoot from u].  Finite support truncates the
-sums exactly.
+The renewal identity P(tau = n+1) = sum_u P(S_n = u, tau > n) P(kill from u)
+gives a second route: theta0 = sum_u U1(u) P(step from u is killed) and
+theta1 = (1/sigma) sum_u U1(u) E[overshoot from u], where finite support
+truncates the sums exactly.  Both routes fit the same sweep with a linear
+fit, so they agree to rounding (relative 5e-16 to 4e-14 on the test walks):
+the check catches errors in the kill and overshoot bookkeeping, not the
+extrapolation error.  The Spitzer-Baxter series for theta0, which needs no
+killed sweep and no tail fit, is the independent route (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -37,28 +41,6 @@ def _scaled_theta_seq(stats: TauStatistics, h: int):
     return list(zip(ks, ks**1.5 * stats.theta[h]))
 
 
-def theta0_by_limit(dist: IncrementDistribution, kmax: int = DEFAULT_KMAX,
-                    barrier=Barrier.STRICT,
-                    stats: TauStatistics | None = None) -> ExtrapolationResult:
-    """Extrapolated limit of k^{3/2} P(tau = k)."""
-    if stats is None:
-        stats = tau_statistics(dist, kmax, barrier, hmax=1)
-    return limit_with_rate(_scaled_theta_seq(stats, 0))
-
-
-def theta1_by_limit(dist: IncrementDistribution, kmax: int = DEFAULT_KMAX,
-                    barrier=Barrier.STRICT,
-                    stats: TauStatistics | None = None) -> ExtrapolationResult:
-    """Extrapolated limit of k^{3/2} E[-S_tau/sigma; tau = k].
-
-    The overshoot is measured in units of sigma so the value equals b[0, 1]
-    and enters the expansion polynomials directly.
-    """
-    if stats is None:
-        stats = tau_statistics(dist, kmax, barrier, hmax=1)
-    return limit_with_rate(_scaled_theta_seq(stats, 1))
-
-
 def b_fit(dist: IncrementDistribution, h: int, l_max: int, kmax: int = DEFAULT_KMAX,
           barrier=Barrier.STRICT,
           stats: TauStatistics | None = None) -> dict[int, ExtrapolationResult]:
@@ -76,76 +58,35 @@ def b_fit(dist: IncrementDistribution, h: int, l_max: int, kmax: int = DEFAULT_K
         stats = tau_statistics(dist, kmax, barrier, hmax=h)
     if h not in stats.theta:
         raise InputError(f"statistics sweep lacks overshoot order h={h}")
-    seq = _scaled_theta_seq(stats, h)
-    exps = list(range(l_max + 2))
-    fit = fit_power_tail(seq, exps)
-    lo, hi = fit.window
-    lo2 = max(1.0, lo - 0.10 * (hi - 1.0))
-    fit2 = fit_power_tail(seq, exps, window=(lo2, hi))
+    fit = fit_power_tail(_scaled_theta_seq(stats, h), range(l_max + 2))
     coefs = (fit.limit,) + fit.coefficients
-    coefs2 = (fit2.limit,) + fit2.coefficients
-    out: dict[int, ExtrapolationResult] = {}
-    for l in range(l_max + 1):
-        out[l] = ExtrapolationResult(
-            limit=coefs[l],
-            coefficients=(),
-            window=fit.window,
-            error_estimate=abs(coefs[l] - coefs2[l]),
-            model=fit.model,
-        )
-    return out
+    errors = (fit.error_estimate,) + fit.coefficient_errors
+    return {l: ExtrapolationResult(limit=coefs[l], coefficients=(), coefficient_errors=(),
+                                   window=fit.window, error_estimate=errors[l],
+                                   model=fit.model)
+            for l in range(l_max + 1)}
 
 
-def u1_tabulate(dist: IncrementDistribution, u_max: int = DEFAULT_U_MAX,
-                n_max: int = DEFAULT_KMAX, barrier=Barrier.STRICT,
-                stats: TauStatistics | None = None) -> dict[int, ExtrapolationResult]:
+def u1_tabulate(stats: TauStatistics) -> dict[int, ExtrapolationResult]:
     """U1(u) = lim (n+1)^{3/2} P(S_n = u, tau > n), per-column extrapolation."""
-    barrier = Barrier.parse(barrier)
-    if stats is None:
-        stats = tau_statistics(dist, n_max, barrier, hmax=0, u_max=u_max)
-    out: dict[int, ExtrapolationResult] = {}
-    ns = np.arange(1, stats.kmax + 1, dtype=float)
-    for u in range(barrier.floor, min(u_max, stats.u_max) + 1):
-        col = stats.column(u)
-        seq = list(zip(ns + 1.0, (ns + 1.0) ** 1.5 * col))
-        out[u] = limit_with_rate(seq)
-    return out
+    ns = np.arange(1, stats.kmax + 1, dtype=float) + 1.0
+    return {u: limit_with_rate(list(zip(ns, ns**1.5 * stats.column(u))))
+            for u in range(stats.barrier.floor, stats.u_max + 1)}
 
 
-def kill_probability(dist: IncrementDistribution, u: int, barrier: Barrier):
-    """P(one step from height u lands in the killed region)."""
-    cutoff = -u if barrier is Barrier.STRICT else -u - 1
-    return dist.tail_leq(cutoff)
+def _renewal_sum(dist: IncrementDistribution, u1: dict[int, ExtrapolationResult],
+                 barrier: Barrier, h: int) -> float:
+    """sum_u U1(u) E[(-X - u)^h ; step from u is killed]; exact truncation.
 
-
-def overshoot_step_moment(dist: IncrementDistribution, u: int, h: int, barrier: Barrier):
-    """E[(-X - u)^h ; step from u is killed], the one-step overshoot moment."""
-    cutoff = -u if barrier is Barrier.STRICT else -u - 1
-    return dist.restricted_moment(h, u, cutoff)
-
-
-def theta0_from_u1(dist: IncrementDistribution, u1: dict[int, ExtrapolationResult],
-                   barrier=Barrier.STRICT) -> float:
-    """Renewal-sum route: theta0 = sum_u U1(u) P(kill from u); exact truncation."""
-    barrier = Barrier.parse(barrier)
+    h = 0 weights by the kill probability, h = 1 by the one-step overshoot.
+    """
     total = 0.0
     for u, res in sorted(u1.items()):
-        p = float(kill_probability(dist, u, barrier))
-        if p:
-            total += res.limit * p
-    return total
-
-
-def theta1_from_u1(dist: IncrementDistribution, u1: dict[int, ExtrapolationResult],
-                   barrier=Barrier.STRICT) -> float:
-    """Renewal-sum route: theta1 = (1/sigma) sum_u U1(u) E[overshoot from u]."""
-    barrier = Barrier.parse(barrier)
-    total = 0.0
-    for u, res in sorted(u1.items()):
-        m = float(overshoot_step_moment(dist, u, 1, barrier))
+        cutoff = -u if barrier is Barrier.STRICT else -u - 1
+        m = float(dist.restricted_moment(h, u, cutoff))
         if m:
             total += res.limit * m
-    return total / dist.sigma()
+    return total
 
 
 @dataclass
@@ -211,8 +152,8 @@ def compute_constants(dist: IncrementDistribution, barrier=Barrier.STRICT,
     hmax = max(hmax, 1)  # theta1 is always part of the set
     stats = tau_statistics(dist, kmax, barrier, hmax=hmax, u_max=u_max)
 
-    t0 = theta0_by_limit(dist, kmax, barrier, stats=stats)
-    t1 = theta1_by_limit(dist, kmax, barrier, stats=stats)
+    t0 = limit_with_rate(_scaled_theta_seq(stats, 0))
+    t1 = limit_with_rate(_scaled_theta_seq(stats, 1))
 
     b: dict[tuple[int, int], float] = {}
     prov: dict[str, dict] = {"theta0": _prov(t0), "theta1": _prov(t1)}
@@ -224,15 +165,13 @@ def compute_constants(dist: IncrementDistribution, barrier=Barrier.STRICT,
                 b[(l, h)] = res.limit
                 prov[f"b_{l}_{h}"] = _prov(res)
 
-    u1 = u1_tabulate(dist, u_max, kmax, barrier, stats=stats)
+    u1 = u1_tabulate(stats)
     u1_values = {u: r.limit for u, r in u1.items()}
     for u, r in u1.items():
         prov[f"u1_{u}"] = _prov(r)
 
-    t0x = theta0_from_u1(dist, u1, barrier)
-    t1x = theta1_from_u1(dist, u1, barrier)
-    prov["theta0_from_u1"] = {"value": t0x}
-    prov["theta1_from_u1"] = {"value": t1x}
+    prov["theta0_from_u1"] = {"value": _renewal_sum(dist, u1, barrier, 0)}
+    prov["theta1_from_u1"] = {"value": _renewal_sum(dist, u1, barrier, 1) / dist.sigma()}
 
     return ConstantSet(
         barrier=barrier,

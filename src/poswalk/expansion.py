@@ -126,13 +126,8 @@ def tuple_weight(t: IndexTuple, ahat, b, sigma):
     return a * math.comb(t.q, t.s) * sign * bval / (sigma * denom)
 
 
-def assemble_Q(eta: int, ahat, b, sigma, tol: float = CANCELLATION_TOL) -> Poly:
-    """Assemble Q_eta; negative Laurent exponents must cancel.
-
-    Raises CancellationFailure (with per-tuple diagnostics) if any negative
-    exponent keeps a coefficient above ``tol`` relative to the largest
-    polynomial coefficient.
-    """
+def _laurent_sum(eta: int, ahat, b, sigma) -> tuple[LaurentPoly, list]:
+    """Weighted q_jlm sum of Q_eta, with its nonzero (tuple, weight, q_jlm) terms."""
     contributions: list[tuple[IndexTuple, object, LaurentPoly]] = []
     total = LaurentPoly()
     for t in enumerate_tuples(eta):
@@ -142,7 +137,17 @@ def assemble_Q(eta: int, ahat, b, sigma, tol: float = CANCELLATION_TOL) -> Poly:
         base = q_jlm(t.l + 1, t.j + t.nu + t.mu, t.q - t.s + t.nu)
         contributions.append((t, w, base))
         total = total + base.scale(w)
+    return total, contributions
 
+
+def assemble_Q(eta: int, ahat, b, sigma, tol: float = CANCELLATION_TOL) -> Poly:
+    """Assemble Q_eta; negative Laurent exponents must cancel.
+
+    Raises CancellationFailure (with per-tuple diagnostics) if any negative
+    exponent keeps a coefficient above ``tol`` relative to the largest
+    polynomial coefficient.
+    """
+    total, contributions = _laurent_sum(eta, ahat, b, sigma)
     neg = total.negative_part()
     poly = total.polynomial_part()
     if neg:
@@ -163,12 +168,7 @@ def assemble_Q(eta: int, ahat, b, sigma, tol: float = CANCELLATION_TOL) -> Poly:
 
 def negative_residue(eta: int, ahat, b, sigma) -> float:
     """Largest surviving negative-exponent coefficient, relative (diagnostic)."""
-    total = LaurentPoly()
-    for t in enumerate_tuples(eta):
-        w = tuple_weight(t, ahat, b, sigma)
-        if w == 0:
-            continue
-        total = total + q_jlm(t.l + 1, t.j + t.nu + t.mu, t.q - t.s + t.nu).scale(w)
+    total, _ = _laurent_sum(eta, ahat, b, sigma)
     neg = total.negative_part()
     if not neg:
         return 0.0

@@ -23,12 +23,10 @@ COND_GUARD = 1e12
 class ExtrapolationResult:
     limit: float
     coefficients: tuple[float, ...]  # c1..c_m matching exponents[1:]
+    coefficient_errors: tuple[float, ...]  # staggered-window shift of each c1..c_m
     window: tuple[float, float]
-    error_estimate: float
+    error_estimate: float  # staggered-window shift of the limit
     model: tuple[float, ...]  # exponents used, first is 0
-
-    def value_and_error(self) -> tuple[float, float]:
-        return self.limit, self.error_estimate
 
 
 def _fit_window(ks: np.ndarray, a: np.ndarray, exponents: Sequence[float],
@@ -57,7 +55,7 @@ def fit_power_tail(seq: Sequence[tuple[float, float]], exponents: Sequence[float
 
     ``seq`` is (k, a_k) pairs.  Default window is the last third of the k
     range; the error estimate refits on a window starting 10% earlier and
-    reports the shift in the limit.
+    reports the shift in the limit (``coefficient_errors``: in each c_e).
     """
     exponents = list(exponents)
     if not exponents or exponents[0] != 0:
@@ -75,15 +73,15 @@ def fit_power_tail(seq: Sequence[tuple[float, float]], exponents: Sequence[float
     span = ks[-1] - ks[0]
     lo2 = max(ks[0], lo - 0.10 * span)
     if lo2 < lo:
-        coef2 = _fit_window(ks, a, exponents, lo2, hi)
-        err = abs(coef[0] - coef2[0])
+        shift = np.abs(coef - _fit_window(ks, a, exponents, lo2, hi))
     else:
-        err = 0.0
+        shift = np.zeros_like(coef)
     return ExtrapolationResult(
         limit=float(coef[0]),
         coefficients=tuple(float(c) for c in coef[1:]),
+        coefficient_errors=tuple(float(e) for e in shift[1:]),
         window=(float(lo), float(hi)),
-        error_estimate=float(err),
+        error_estimate=float(shift[0]),
         model=tuple(float(e) for e in exponents),
     )
 

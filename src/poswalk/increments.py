@@ -71,10 +71,6 @@ class IncrementDistribution:
     def raw_moment(self, k: int) -> Fraction:
         return sum(p * Fraction(x) ** k for x, p in zip(self.support, self.probs))
 
-    def tail_leq(self, c: int) -> Fraction:
-        """P(X <= c)."""
-        return sum(p for x, p in zip(self.support, self.probs) if x <= c)
-
     def restricted_moment(self, h: int, shift: int, cutoff: int) -> Fraction:
         """E[(-X - shift)^h ; X <= cutoff] with 0^0 = 1."""
         out = Fraction(0)

@@ -79,8 +79,7 @@ def _split_killed(row: _Row, barrier: Barrier) -> tuple[_Row, dict[int, object]]
     return _Row(barrier.floor, row.values[cut:]), _Row(row.offset, row.values[:cut]).nonzero()
 
 
-def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: str,
-           horizon_cap: int):
+def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: str):
     """Step the walk from 0 and yield (k, survivors, killed) for k = 1..n.
 
     ``barrier=None`` is the free walk: nothing is killed.
@@ -90,9 +89,9 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: s
     if mode not in ("exact-rational", "float64"):
         raise InputError(f"unknown arithmetic mode {mode!r}")
     exact = mode == "exact-rational"
-    if exact and n > horizon_cap:
+    if exact and n > EXACT_HORIZON_CAP:
         raise HorizonTooLarge(
-            f"exact mode capped at n={horizon_cap} (requested {n}); use float64 or raise the cap"
+            f"exact mode capped at n={EXACT_HORIZON_CAP} (requested {n}); use float64"
         )
     probs = dist.probs if exact else dist.probs_float()
     shifts = [(x - dist.min_step, p) for x, p in zip(dist.support, probs)]
@@ -117,10 +116,9 @@ def _total(values, mode: str):
     return float(np.sum(np.array(vals))) if vals else 0.0
 
 
-def free_pmf(dist: IncrementDistribution, n: int, mode: str = "float64",
-             horizon_cap: int = EXACT_HORIZON_CAP) -> dict[int, object]:
+def free_pmf(dist: IncrementDistribution, n: int, mode: str = "float64") -> dict[int, object]:
     """Exact n-fold convolution of the increment law: map position -> P(S_n = x)."""
-    for _, row, _ in _sweep(dist, n, None, mode, horizon_cap):
+    for _, row, _ in _sweep(dist, n, None, mode):
         pass
     return row.nonzero()
 
@@ -153,26 +151,25 @@ class KilledWalkTable:
 
 
 def killed_table(dist: IncrementDistribution, n: int, barrier=Barrier.STRICT,
-                 mode: str = "float64", horizon_cap: int = EXACT_HORIZON_CAP) -> KilledWalkTable:
+                 mode: str = "float64") -> KilledWalkTable:
     """Forward DP table of the killed walk up to horizon n (all rows kept)."""
     barrier = Barrier.parse(barrier)
     rows: dict[int, dict[int, object]] = {}
     killed: dict[int, dict[int, object]] = {}
-    for k, row, dead in _sweep(dist, n, barrier, mode, horizon_cap):
+    for k, row, dead in _sweep(dist, n, barrier, mode):
         rows[k] = row.nonzero()
         killed[k] = dead
     return KilledWalkTable(dist=dist, barrier=barrier, n=n, mode=mode, rows=rows, killed=killed)
 
 
 def killed_rows_at(dist: IncrementDistribution, ns: list[int], barrier=Barrier.STRICT,
-                   mode: str = "float64",
-                   horizon_cap: int = EXACT_HORIZON_CAP) -> dict[int, dict[int, object]]:
+                   mode: str = "float64") -> dict[int, dict[int, object]]:
     """Survivor rows at selected horizons only (one sweep, low memory)."""
     if not ns or min(ns) < 1:
         raise InputError("horizons must be >= 1")
     wanted = set(ns)
     return {k: row.nonzero()
-            for k, row, _ in _sweep(dist, max(ns), Barrier.parse(barrier), mode, horizon_cap)
+            for k, row, _ in _sweep(dist, max(ns), Barrier.parse(barrier), mode)
             if k in wanted}
 
 
@@ -196,10 +193,6 @@ class TauStatistics:
     u_max: int
     columns: np.ndarray
 
-    def survival(self) -> np.ndarray:
-        """P(tau > k) for k = 1..kmax."""
-        return 1.0 - np.cumsum(self.p_tau)
-
     def column(self, u: int) -> np.ndarray:
         """P(S_k = u, tau > k) for k = 1..kmax."""
         return self.columns[u - self.barrier.floor]
@@ -219,7 +212,7 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
     over = np.zeros(kmax)
     theta = {h: np.zeros(kmax) for h in range(hmax + 1)}
     cols = np.zeros((u_max - floor + 1, kmax))
-    for k, row, dead in _sweep(dist, kmax, barrier, "float64", EXACT_HORIZON_CAP):
+    for k, row, dead in _sweep(dist, kmax, barrier, "float64"):
         if dead:
             ys = np.array([-pos for pos in dead], dtype=float)  # overshoot values
             ms = np.array(list(dead.values()))

@@ -94,22 +94,41 @@ def test_verify_byte_identical_reruns(tri_file, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def _lattice_corrected(capsys, dist, r, out):
+    """Run verify (strict, nmax 1600); the scale and values of its
+    lattice-corrected interval deviation, as printed on stdout."""
+    run(["verify", "--dist", dist, "--r", r, "--barrier", "strict", "--nmax", "1600",
+         "--out", str(out)])
+    line = next(l for l in capsys.readouterr().out.splitlines() if "lattice-corrected" in l)
+    scale, values = re.search(r"lattice-corrected (\S+)\|p_n - R_n\| (\{.*?\})", line).groups()
+    values = ast.literal_eval(values)
+    assert list(values) == [100, 400, 1600]
+    return scale, [float(v) for v in values.values()]
+
+
 def test_verify_prints_lattice_corrected_interval_deviation(tmp_path, capsys):
     # the raw sqrt(n)|p_n - target| swings with the lattice term R_n - target;
     # without it the skewed walk's deviation is flat at its n^{-1/2} order
     # (0.126 / 0.125 / 0.131, as in acceptance criterion 10)
-    run(["verify", "--dist", str(DISTS / "skewed.json"), "--barrier", "strict",
-         "--nmax", "1600", "--out", str(tmp_path)])
-    line = next(l for l in capsys.readouterr().out.splitlines() if "lattice-corrected" in l)
-    corrected = ast.literal_eval(re.search(r"R_n\| (\{.*?\})", line).group(1))
-    assert list(corrected) == [100, 400, 1600]
-    values = [float(v) for v in corrected.values()]
+    scale, values = _lattice_corrected(capsys, str(DISTS / "skewed.json"), "2", tmp_path)
+    assert scale == "sqrt(n)"
     assert max(values) / min(values) <= 2.0
     # the correction is a stdout diagnostic; the summary keeps its fields
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
     assert set(summary) == {"schema_version", "r", "barrier", "n_list", "max_scaled_err",
                             "scaled_err_flatness", "flatness_band", "decay_exponents",
                             "be2_scaled_deviation", "be2_ratio", "pass"}
+
+
+@pytest.mark.parametrize("r", ["1", "2"])
+def test_verify_scales_interval_deviation_by_n_where_p3_vanishes(tri_file, tmp_path,
+                                                                 capsys, r):
+    # trinomial strict: P_3 = 0, so p_n - R_n is of order n^{-1}; n|p_n - R_n|
+    # is flat (0.106 / 0.112 / 0.109, as in acceptance criterion 10), where
+    # sqrt(n)|p_n - R_n| would read as decay (0.011 / 0.006 / 0.003)
+    scale, values = _lattice_corrected(capsys, tri_file, r, tmp_path)
+    assert scale == "n"
+    assert max(values) / min(values) <= 2.0
 
 
 def test_report_files(tri_file, tmp_path):
@@ -148,15 +167,11 @@ def test_numeric_failure_exit_three(tri_file, tmp_path):
     assert rc == 3
 
 
-def test_config_invariants_and_explicit_grid(tri_file):
+def test_config_invariants_and_default_grid(tri_file):
     from poswalk.cli import ExperimentConfig
     from poswalk.errors import InputError
 
     with pytest.raises(InputError):
         ExperimentConfig(dist_path=tri_file, n_list=(400, 100))
-    with pytest.raises(InputError):
-        ExperimentConfig(dist_path=tri_file, x_ratios=(0.5, -1.0))
-    cfg = ExperimentConfig(dist_path=tri_file, x_explicit=(3, 7, 11))
-    assert cfg.x_grid(sigma=1.0, n=100) == [3, 7, 11]
-    cfg2 = ExperimentConfig(dist_path=tri_file)
-    assert cfg2.x_grid(sigma=1.0, n=100) == [2, 5, 10, 15, 20, 30]
+    cfg = ExperimentConfig(dist_path=tri_file)
+    assert cfg.x_grid(sigma=1.0, n=100) == [2, 5, 10, 15, 20, 30]

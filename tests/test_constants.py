@@ -7,6 +7,7 @@ import pytest
 from conftest import constants_for
 from poswalk import constants as cn
 from poswalk.errors import HighOrderAccuracyWarning, InputError
+from poswalk.extrapolation import fit_power_tail
 from poswalk.oracle import Barrier, tau_statistics
 
 ROOT2PI = math.sqrt(2 * math.pi)
@@ -80,6 +81,19 @@ def test_two_pipeline_theta1_agreement(tri_constants_weak):
     assert cs.theta1_cross_check() == pytest.approx(cs.theta1, rel=1e-3)
 
 
+def test_renewal_route_matches_limit_route_to_rounding(rich, asym):
+    # P(tau = n+1) = sum_u P(S_n = u, tau > n) P(kill from u) holds exactly
+    # and both routes fit the same sweep linearly, so they agree to rounding
+    # wherever the walk can overshoot: the renewal route checks the kill and
+    # overshoot bookkeeping, not the extrapolation error
+    for dist, barrier in ((rich, Barrier.STRICT), (rich, Barrier.WEAK),
+                          (asym, Barrier.WEAK)):
+        cs = constants_for(dist, barrier)
+        assert cs.theta1 > 0
+        assert cs.theta1_cross_check() == pytest.approx(cs.theta1, rel=1e-10)
+        assert cs.theta0_cross_check() == pytest.approx(cs.theta0, rel=1e-10)
+
+
 def test_barrier_ordering(tri_constants_strict, tri_constants_weak,
                           asym_constants_strict, asym_constants_weak):
     assert tri_constants_weak.theta0 > tri_constants_strict.theta0
@@ -145,6 +159,25 @@ def test_b_fit_stability_under_kmax_doubling(tri):
     b4096 = cn.b_fit(tri, 0, 1, kmax=4096, barrier=Barrier.STRICT)
     assert b4096[1].limit == pytest.approx(b2048[1].limit, rel=1e-2)
     assert b4096[0].limit == pytest.approx(b2048[0].limit, rel=1e-6)
+
+
+def test_b_fit_error_estimate_is_staggered_window_shift(tri):
+    # b[l, 0]'s error estimate is the shift of c_l when the default window
+    # (last third of k = 1..kmax) starts 10% of the range earlier
+    kmax = 2048
+    stats = tau_statistics(tri, kmax, Barrier.STRICT, hmax=0)
+    fits = cn.b_fit(tri, 0, 1, barrier=Barrier.STRICT, stats=stats)
+    ks = np.arange(1, kmax + 1, dtype=float)
+    seq = list(zip(ks, ks**1.5 * stats.theta[0]))
+    default = fit_power_tail(seq, [0, 1, 2])
+    lo, hi = default.window
+    earlier = fit_power_tail(seq, [0, 1, 2], window=(lo - 0.10 * (kmax - 1), hi))
+    for l in (0, 1):
+        c_default = ((default.limit,) + default.coefficients)[l]
+        c_earlier = ((earlier.limit,) + earlier.coefficients)[l]
+        assert fits[l].limit == c_default
+        assert fits[l].error_estimate == abs(c_default - c_earlier)
+        assert fits[l].error_estimate > 0
 
 
 def test_b_fit_high_order_warns(tri):

@@ -79,6 +79,27 @@ def test_error_estimate_calibrated_under_misspecification():
     true_err = abs(res.limit - 3)
     assert res.error_estimate <= 10 * true_err
     assert true_err <= 10 * res.error_estimate
+    # the unmodelled term moves c1 between the windows too
+    assert res.coefficient_errors[0] > 0
+
+
+def test_coefficient_errors_vanish_for_exact_models():
+    # every coefficient of a correctly specified model is the same on both
+    # windows up to rounding.  The windows reach down to k = 50 (refit from
+    # k = 8): on the default last-third window the highest coefficient is
+    # pinned only to ~1e-8 relative (c2 of the three-term model shifts 1.1e-8)
+    cases = [
+        ([2.0, 3.0], None),
+        ([1.0, -2.0, 4.0], (50, KS[-1])),
+        ([1.5, -2.0, 0.25, 7.0], (50, KS[-1])),
+    ]
+    for coeffs, window in cases:
+        seq = [(k, sum(c / k**e for e, c in enumerate(coeffs))) for k in KS]
+        res = fit_power_tail(seq, range(len(coeffs)), window=window)
+        assert len(res.coefficient_errors) == len(coeffs) - 1
+        shifts = (res.error_estimate,) + res.coefficient_errors
+        for c, shift in zip(coeffs, shifts):
+            assert shift <= 1e-9 * max(1.0, abs(c))
 
 
 def test_deterministic_refit():

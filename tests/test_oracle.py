@@ -132,7 +132,6 @@ def test_reflection_identity_weak_trinomial(tri):
 def test_horizon_cap_exact_mode(tri):
     with pytest.raises(HorizonTooLarge):
         oc.killed_table(tri, 65, "strict", mode="exact-rational")
-    oc.killed_table(tri, 65, "strict", mode="exact-rational", horizon_cap=65)
 
 
 def test_conditioned_interval_total_and_empty(tri):
