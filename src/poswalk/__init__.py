@@ -6,7 +6,7 @@ from .expansion import ExpansionSet, expansion_polys
 from .extrapolation import ExtrapolationResult, fit_power_tail, limit_with_rate
 from .increments import IncrementDistribution, cumulants, moments, validate
 from .laurent import LaurentPoly, Poly, gamma_closed, gamma_recursive, q_jlm
-from .oracle import (Barrier, KilledWalkTable, TauStatistics, conditioned_interval_prob,
+from .oracle import (Barrier, KilledWalkTable, Row, TauStatistics, conditioned_interval_prob,
                      free_pmf, killed_table, tau_statistics)
 
 __version__ = "0.1.0"
@@ -21,6 +21,7 @@ __all__ = [
     "LaurentPoly",
     "LcltExpansion",
     "Poly",
+    "Row",
     "TauStatistics",
     "compute_constants",
     "conditioned_interval_prob",

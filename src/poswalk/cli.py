@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
@@ -24,34 +23,15 @@ from .errors import (CancellationFailure, HorizonTooLarge, IllConditioned, Input
                      PoswalkError, QuadratureNonconvergence)
 from .expansion import expansion_polys, required_b_indices
 from .integral import integral_check
-from .oracle import Barrier, conditioned_interval_prob, killed_rows_at
+from .oracle import conditioned_interval_prob, killed_rows_at
 
 DEFAULT_RATIOS = (0.2, 0.5, 1.0, 1.5, 2.0, 3.0)
 FLATNESS_BAND = 3.0
 INTEGRAL_TOL = 1e-8
+# the renewal sums and the limit fits read one sweep and agree to rounding
+# (measured at most 5.5e-14 relative), so a wider gap is a bookkeeping fault
+RENEWAL_AGREEMENT_TOL = 1e-10
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class ExperimentConfig:
-    dist_path: str
-    r: int = 2
-    barrier: Barrier = Barrier.STRICT
-    n_list: tuple[int, ...] = (100, 400, 1600)
-    kmax: int = 4096
-    mode: str = "float64"
-    out_dir: Path = field(default_factory=lambda: Path("out"))
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
-            raise InputError("n list must be strictly increasing")
-
-    def x_grid(self, sigma: float, n: int) -> list[int]:
-        return _snap_grid(DEFAULT_RATIOS, sigma, n)
-
-    def load_dist(self) -> increments.IncrementDistribution:
-        mode = "exact-rational" if self.mode == "exact-rational" else None
-        return increments.load(self.dist_path, mode=mode)
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -91,7 +71,7 @@ def _lattice_rayleigh(sigma: float, n: int, u: float, v: float) -> float:
 def _common(f):
     f = click.option("--dist", "dist_path", required=True, type=click.Path(exists=True),
                      help="distribution JSON file")(f)
-    f = click.option("--r", "r", type=int, default=2, show_default=True,
+    f = click.option("--r", "r", type=click.IntRange(min=1), default=2, show_default=True,
                      help="expansion order")(f)
     f = click.option("--barrier", type=click.Choice(["strict", "weak"]), default="strict",
                      show_default=True)(f)
@@ -104,20 +84,9 @@ def _common(f):
     return f
 
 
-def _config(dist_path, r, barrier, kmax, mode, out_dir, nmax=None, n_list=None) -> ExperimentConfig:
-    if n_list is None:
-        n_list = tuple(n for n in (100, 400, 1600, 6400) if nmax is None or n <= nmax)
-        if nmax is not None and not n_list:
-            n_list = (nmax,)
-    return ExperimentConfig(
-        dist_path=dist_path,
-        r=r,
-        barrier=Barrier.parse(barrier),
-        n_list=tuple(n_list),
-        kmax=kmax,
-        mode="exact-rational" if mode == "exact" else "float64",
-        out_dir=Path(out_dir),
-    )
+def _n_list(nmax: int) -> list[int]:
+    """The horizons 100, 400, 1600, 6400 up to nmax; nmax alone below 100."""
+    return [n for n in (100, 400, 1600, 6400) if n <= nmax] or [nmax]
 
 
 @click.group()
@@ -129,20 +98,20 @@ def cli():
 @_common
 def cmd_constants(dist_path, r, barrier, kmax, mode, out_dir):
     """Compute theta0, theta1, b and the U1 table; write constants.json."""
-    cfg = _config(dist_path, r, barrier, kmax, mode, out_dir)
-    dist = cfg.load_dist()
-    need = required_b_indices(cfg.r)
-    cs = compute_constants(dist, cfg.barrier, kmax=cfg.kmax,
+    dist = increments.load(dist_path, mode="exact-rational" if mode == "exact" else None)
+    need = required_b_indices(r)
+    cs = compute_constants(dist, barrier, kmax=kmax,
                            hmax=max(h for _, h in need), lmax=max(l for l, _ in need))
     t0x = cs.theta0_cross_check()
-    agree = abs(cs.theta0 - t0x) <= 1e-3 * max(abs(cs.theta0), abs(t0x))
+    agree = all(abs(a - b) <= RENEWAL_AGREEMENT_TOL * max(abs(a), abs(b))
+                for a, b in ((cs.theta0, t0x), (cs.theta1, cs.theta1_cross_check())))
     report = cs.to_json_dict()
     report["two_pipeline_agreement"] = {
         "theta0_limit": cs.theta0,
         "theta0_from_u1": t0x,
         "pass": bool(agree),
     }
-    _write_json(cfg.out_dir / "constants.json", report)
+    _write_json(out_dir / "constants.json", report)
     click.echo(f"theta0={cs.theta0!r} theta1={cs.theta1!r} "
                f"two-pipeline agreement: {'pass' if agree else 'FAIL'}")
     return 0 if agree else 1
@@ -152,11 +121,10 @@ def cmd_constants(dist_path, r, barrier, kmax, mode, out_dir):
 @_common
 def cmd_polys(dist_path, r, barrier, kmax, mode, out_dir):
     """Assemble P_2..P_{r+1}; write polys.json."""
-    cfg = _config(dist_path, r, barrier, kmax, mode, out_dir)
-    dist = cfg.load_dist()
-    es = expansion_polys(dist, cfg.r, cfg.barrier, kmax=cfg.kmax)
-    _write_json(cfg.out_dir / "polys.json", es.to_json_dict())
-    for nu in range(2, cfg.r + 2):
+    dist = increments.load(dist_path, mode="exact-rational" if mode == "exact" else None)
+    es = expansion_polys(dist, r, barrier, kmax=kmax)
+    _write_json(out_dir / "polys.json", es.to_json_dict())
+    for nu in range(2, r + 2):
         p = es.P[nu]
         click.echo(f"P_{nu}: degree {p.degree() if p else 0}, "
                    f"coeffs {[float(c) for c in p.coeffs]}")
@@ -169,16 +137,17 @@ def cmd_polys(dist_path, r, barrier, kmax, mode, out_dir):
               help="largest horizon in the n list 100,400,...")
 def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     """Exact-vs-expansion error table, decay exponents and interval check."""
-    cfg = _config(dist_path, r, barrier, kmax, mode, out_dir, nmax=nmax)
-    dist = cfg.load_dist()
-    es = expansion_polys(dist, cfg.r, cfg.barrier, kmax=cfg.kmax)
+    dist = increments.load(dist_path, mode="exact-rational" if mode == "exact" else None)
+    oracle_mode = "exact-rational" if mode == "exact" else "float64"
+    ns = _n_list(nmax)
+    es = expansion_polys(dist, r, barrier, kmax=kmax)
     sigma = es.sigma
     # constant fits always run float64; --mode exact selects exact-rational
     # oracle tables (feasible for horizons up to the exact cap)
-    rows_by_n = killed_rows_at(dist, list(cfg.n_list), cfg.barrier, mode=cfg.mode)
+    rows_by_n = killed_rows_at(dist, ns, barrier, mode=oracle_mode)
     # p_n - R_n is of the order of the first nonzero polynomial: n^{-1/2}
     # through P_3, or n^{-1} where P_3 vanishes (the constants always cover P_3)
-    p3 = (es if cfg.r >= 2 else expansion_polys(dist, 2, cfg.barrier, constants=es.constants)).P[3]
+    p3 = (es if r >= 2 else expansion_polys(dist, 2, barrier, constants=es.constants)).P[3]
     lattice_scale = "sqrt(n)" if p3 else "n"
 
     all_rows = []
@@ -186,32 +155,31 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     be2_dev = {}
     be2_lattice_dev = {}
     target = math.exp(-0.125) - math.exp(-1.125)
-    for n in cfg.n_list:
+    for n in ns:
         row = rows_by_n[n]
         table_rows = []
-        for x in cfg.x_grid(sigma, n):
+        for x in _snap_grid(DEFAULT_RATIOS, sigma, n):
             exact = float(row.get(x, 0.0))
             approx = es.evaluate(n, x)
             abs_err = abs(exact - approx)
             table_rows.append([n, x, exact, approx, abs_err,
-                               abs_err * n ** ((cfg.r + 2) / 2.0)])
+                               abs_err * n ** ((r + 2) / 2.0)])
         all_rows.extend(table_rows)
         max_scaled[n] = max(entry[5] for entry in table_rows)
-        be2 = float(conditioned_interval_prob(dist, n, 0.5, 1.5, cfg.barrier,
-                                              mode=cfg.mode, row=row))
+        be2 = float(conditioned_interval_prob(dist, n, 0.5, 1.5, barrier, mode=oracle_mode,
+                                              row=row))
         be2_dev[n] = abs(be2 - target) * math.sqrt(n)
         # be2_dev swings with the lattice term R_n - target, which comes from
         # the limit law alone; the stdout line also shows p_n - R_n
         order = math.sqrt(n) if p3 else n
         be2_lattice_dev[n] = abs(be2 - _lattice_rayleigh(sigma, n, 0.5, 1.5)) * order
-    _write_csv(cfg.out_dir / "error_table.csv",
+    _write_csv(out_dir / "error_table.csv",
                ["n", "x", "exact", "approx", "abs_err", "scaled_err"], all_rows)
 
-    ns = list(cfg.n_list)
     decay = {}
     for a, b in zip(ns, ns[1:]):
-        ea = max_scaled[a] / a ** ((cfg.r + 2) / 2.0)
-        eb = max_scaled[b] / b ** ((cfg.r + 2) / 2.0)
+        ea = max_scaled[a] / a ** ((r + 2) / 2.0)
+        eb = max_scaled[b] / b ** ((r + 2) / 2.0)
         decay[f"{a}->{b}"] = math.log(ea / eb) / math.log(b / a) if eb > 0 else float("inf")
     flat = max(max_scaled.values()) / min(max_scaled.values()) if min(max_scaled.values()) > 0 else float("inf")
     be2_ratio = (max(be2_dev.values()) / min(be2_dev.values())
@@ -222,8 +190,8 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     ok = flat <= FLATNESS_BAND
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "r": cfg.r,
-        "barrier": cfg.barrier.value,
+        "r": r,
+        "barrier": barrier,
         "n_list": ns,
         "max_scaled_err": {str(n): max_scaled[n] for n in ns},
         "scaled_err_flatness": flat,
@@ -233,7 +201,7 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
         "be2_ratio": be2_ratio,
         "pass": bool(ok),
     }
-    _write_json(cfg.out_dir / "verify_summary.json", summary)
+    _write_json(out_dir / "verify_summary.json", summary)
     click.echo(f"max scaled err per n: { {n: f'{v:.4e}' for n, v in max_scaled.items()} }")
     click.echo(f"decay exponents: { {k: f'{v:.3f}' for k, v in decay.items()} }")
     click.echo(f"flatness {flat:.2f} (band {FLATNESS_BAND}), "
@@ -263,40 +231,41 @@ def cmd_integral_check(out_dir):
 @click.option("--nmax", type=int, default=1600, show_default=True)
 def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     """Plot-ready data: profiles per n, scaled-error curves, U1 table."""
-    cfg = _config(dist_path, r, barrier, kmax, mode, out_dir, nmax=nmax)
-    dist = cfg.load_dist()
-    es = expansion_polys(dist, cfg.r, cfg.barrier, kmax=cfg.kmax)
+    dist = increments.load(dist_path, mode="exact-rational" if mode == "exact" else None)
+    oracle_mode = "exact-rational" if mode == "exact" else "float64"
+    ns = _n_list(nmax)
+    es = expansion_polys(dist, r, barrier, kmax=kmax)
     sigma = es.sigma
-    rows_by_n = killed_rows_at(dist, list(cfg.n_list), cfg.barrier, mode=cfg.mode)
+    rows_by_n = killed_rows_at(dist, ns, barrier, mode=oracle_mode)
 
-    for n in cfg.n_list:
+    for n in ns:
         row = rows_by_n[n]
         prof = []
         hi = int(3.5 * sigma * math.sqrt(n))
         for x in range(1, hi + 1):
             exact = float(row.get(x, 0.0))
             prof.append([x / (sigma * math.sqrt(n)), exact, es.evaluate(n, x)])
-        _write_csv(cfg.out_dir / f"report_profile_n{n}.csv",
+        _write_csv(out_dir / f"report_profile_n{n}.csv",
                    ["t", "exact", "approx"], prof)
 
     curves = []
-    for r_cur in range(1, cfg.r + 1):
-        es_r = expansion_polys(dist, r_cur, cfg.barrier, constants=es.constants)
-        for n in cfg.n_list:
+    for r_cur in range(1, r + 1):
+        es_r = expansion_polys(dist, r_cur, barrier, constants=es.constants)
+        for n in ns:
             row = rows_by_n[n]
             lo = max(1, int(0.2 * sigma * math.sqrt(n)))
             hi = int(3.0 * sigma * math.sqrt(n))
             err = max(abs(float(row.get(x, 0.0)) - es_r.evaluate(n, x))
                       for x in range(lo, hi + 1))
             curves.append([r_cur, n, err, err * n ** ((r_cur + 2) / 2.0)])
-    _write_csv(cfg.out_dir / "report_scaled_err.csv",
+    _write_csv(out_dir / "report_scaled_err.csv",
                ["r", "n", "max_abs_err", "max_scaled_err"], curves)
 
     # U1 grows linearly with slope 2 theta0 / sigma^2 (oracle-validated)
     slope = 2.0 * es.constants.theta0 / sigma**2
     u1_rows = [[u, v, slope * u] for u, v in sorted(es.constants.u1_table.items())]
-    _write_csv(cfg.out_dir / "report_u1.csv", ["u", "u1", "linear_ref"], u1_rows)
-    click.echo(f"wrote report files to {cfg.out_dir}")
+    _write_csv(out_dir / "report_u1.csv", ["u", "u1", "linear_ref"], u1_rows)
+    click.echo(f"wrote report files to {out_dir}")
     return 0
 
 

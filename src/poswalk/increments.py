@@ -172,9 +172,6 @@ class MomentVector:
     def m(self, k: int):
         return self.raw_moments[k]
 
-    def kappa(self, k: int):
-        return self.cumulants[k]
-
 
 def moments(dist: IncrementDistribution, order: int) -> MomentVector:
     """All raw moments and cumulants up to ``order`` (exact Fractions)."""

@@ -51,10 +51,6 @@ class LaurentPoly:
     def zero(cls) -> "LaurentPoly":
         return cls()
 
-    @classmethod
-    def term(cls, exponent: int, coeff=Fraction(1)) -> "LaurentPoly":
-        return cls({exponent: coeff})
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

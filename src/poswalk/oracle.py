@@ -9,10 +9,11 @@ reachable lattice window, so one step is |support| shifted adds -- O(n^2 *
 There is one sweep, the generator ``_sweep``, and every public function is a
 short collector over the ``(k, survivors, killed)`` it yields.  Its single
 step serves both arithmetic modes: rows are float64 arrays, or ``object``
-arrays of ``Fraction`` (exact reference, capped horizon).
+arrays of ``Fraction`` (exact reference, capped horizon).  Its ``Row``, an
+offset plus a dense array, is the one row type every collector returns.
 
 Float results are deterministic and byte-stable.  Each step adds the shifted
-rows in the fixed support order.  Each float reduction (row sums, tau
+rows in the fixed support order.  Each float reduction (``Row.total``, tau
 moments) is numpy's pairwise sum over the nonzero cells only, in position
 order.  Pairwise summation rounds differently when the element count
 changes, so a reduction that summed zero cells too, or in another order,
@@ -55,8 +56,8 @@ class Barrier(enum.Enum):
             raise InputError(f"unknown barrier {value!r}") from None
 
 
-class _Row:
-    """Dense row of masses over [offset, offset + len)."""
+class Row:
+    """Dense row of masses over positions [offset, offset + len(values))."""
 
     __slots__ = ("offset", "values")
 
@@ -64,25 +65,37 @@ class _Row:
         self.offset = offset
         self.values = values
 
+    def get(self, y: int, default=0):
+        """Mass at position y; ``default`` outside the row."""
+        i = y - self.offset
+        return self.values.item(i) if 0 <= i < len(self.values) else default
+
+    def total(self, lo: int | None = None, hi: int | None = None):
+        """Sum of the nonzero cells at positions lo..hi (default: all), in position order."""
+        start = 0 if lo is None else max(lo - self.offset, 0)
+        stop = len(self.values) if hi is None else max(hi - self.offset + 1, 0)
+        cells = self.values[start:stop]
+        return cells[cells != 0].sum(keepdims=True).item()  # a Python float or Fraction
+
     def nonzero(self) -> dict[int, object]:
         """The nonzero cells as {position: mass}, in position order."""
         return {self.offset + i: v for i, v in enumerate(self.values.tolist()) if v}
 
 
-def _split_killed(row: _Row, barrier: Barrier) -> tuple[_Row, dict[int, object]]:
+def _split_killed(row: Row, barrier: Barrier) -> tuple[Row, Row]:
     """Cut a freshly stepped row at the barrier floor: (survivors, killed cells).
 
     Every law has a negative step, so a stepped row starts below the floor
     and the survivors start exactly at it.
     """
     cut = barrier.floor - row.offset  # first surviving index, >= 1
-    return _Row(barrier.floor, row.values[cut:]), _Row(row.offset, row.values[:cut]).nonzero()
+    return Row(barrier.floor, row.values[cut:]), Row(row.offset, row.values[:cut])
 
 
 def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: str):
     """Step the walk from 0 and yield (k, survivors, killed) for k = 1..n.
 
-    ``barrier=None`` is the free walk: nothing is killed.
+    ``barrier=None`` is the free walk: nothing is killed (``killed`` is None).
     """
     if n < 1:
         raise InputError("horizon must be >= 1")
@@ -96,79 +109,65 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: s
     probs = dist.probs if exact else dist.probs_float()
     shifts = [(x - dist.min_step, p) for x, p in zip(dist.support, probs)]
     spread = dist.max_step - dist.min_step
-    row = _Row(0, np.array([Fraction(1)], dtype=object) if exact else np.ones(1))
+    row = Row(0, np.array([Fraction(1)], dtype=object) if exact else np.ones(1))
     for k in range(1, n + 1):
         width = len(row.values)
         out = np.zeros(width + spread, dtype=row.values.dtype)
         for s, p in shifts:
             out[s : s + width] += p * row.values
-        row, killed = _Row(row.offset + dist.min_step, out), {}
+        row, killed = Row(row.offset + dist.min_step, out), None
         if barrier is not None:
             row, killed = _split_killed(row, barrier)
         yield k, row, killed
 
 
-def _total(values, mode: str):
-    """Sum of masses: exact in rational mode, numpy's pairwise sum in float64."""
-    vals = list(values)
-    if mode == "exact-rational":
-        return sum(vals, Fraction(0))
-    return float(np.sum(np.array(vals))) if vals else 0.0
-
-
-def free_pmf(dist: IncrementDistribution, n: int, mode: str = "float64") -> dict[int, object]:
-    """Exact n-fold convolution of the increment law: map position -> P(S_n = x)."""
+def free_pmf(dist: IncrementDistribution, n: int, mode: str = "float64") -> Row:
+    """Exact n-fold convolution of the increment law: the row of P(S_n = x)."""
     for _, row, _ in _sweep(dist, n, None, mode):
         pass
-    return row.nonzero()
+    return row
 
 
 @dataclass
 class KilledWalkTable:
     """Survivor masses P(S_k = y, tau > k) for 1 <= k <= n, plus killed mass.
 
-    ``rows[k]`` maps surviving positions to probability; ``killed[k]`` maps
-    killed positions (<= 0 strict, < 0 weak) to the mass absorbed at step k.
+    ``rows[k]`` is the survivor row at step k; ``killed[k]`` is the row of
+    killed positions (<= 0 strict, < 0 weak) with the mass absorbed at step k.
     """
 
     dist: IncrementDistribution
     barrier: Barrier
     n: int
-    mode: str
-    rows: dict[int, dict[int, object]] = field(repr=False)
-    killed: dict[int, dict[int, object]] = field(repr=False)
-
-    def prob(self, k: int, y: int):
-        return self.rows[k].get(y, 0)
+    rows: dict[int, Row] = field(repr=False)
+    killed: dict[int, Row] = field(repr=False)
 
     def survival(self, k: int):
         """P(tau > k)."""
-        return _total(self.rows[k].values(), self.mode)
+        return self.rows[k].total()
 
     def tau_mass(self, k: int):
         """P(tau = k)."""
-        return _total(self.killed[k].values(), self.mode)
+        return self.killed[k].total()
 
 
 def killed_table(dist: IncrementDistribution, n: int, barrier=Barrier.STRICT,
                  mode: str = "float64") -> KilledWalkTable:
     """Forward DP table of the killed walk up to horizon n (all rows kept)."""
     barrier = Barrier.parse(barrier)
-    rows: dict[int, dict[int, object]] = {}
-    killed: dict[int, dict[int, object]] = {}
+    rows, killed = {}, {}
     for k, row, dead in _sweep(dist, n, barrier, mode):
-        rows[k] = row.nonzero()
-        killed[k] = dead
-    return KilledWalkTable(dist=dist, barrier=barrier, n=n, mode=mode, rows=rows, killed=killed)
+        rows[k], killed[k] = row, dead
+    return KilledWalkTable(dist=dist, barrier=barrier, n=n, rows=rows, killed=killed)
 
 
 def killed_rows_at(dist: IncrementDistribution, ns: list[int], barrier=Barrier.STRICT,
-                   mode: str = "float64") -> dict[int, dict[int, object]]:
+                   mode: str = "float64") -> dict[int, Row]:
     """Survivor rows at selected horizons only (one sweep, low memory)."""
     if not ns or min(ns) < 1:
         raise InputError("horizons must be >= 1")
     wanted = set(ns)
-    return {k: row.nonzero()
+    return {k: row
             for k, row, _ in _sweep(dist, max(ns), Barrier.parse(barrier), mode)
             if k in wanted}
 
@@ -213,9 +212,10 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
     theta = {h: np.zeros(kmax) for h in range(hmax + 1)}
     cols = np.zeros((u_max - floor + 1, kmax))
     for k, row, dead in _sweep(dist, kmax, barrier, "float64"):
-        if dead:
-            ys = np.array([-pos for pos in dead], dtype=float)  # overshoot values
-            ms = np.array(list(dead.values()))
+        hit = np.flatnonzero(dead.values)
+        if len(hit):
+            ys = (-(dead.offset + hit)).astype(float)  # overshoot values
+            ms = dead.values[hit]
             p_tau[k - 1] = ms.sum()
             over[k - 1] = float((ys * ms).sum())
             for h in range(hmax + 1):
@@ -228,17 +228,16 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
 
 def conditioned_interval_prob(dist: IncrementDistribution, n: int, u: float, v: float,
                               barrier=Barrier.STRICT, mode: str = "float64",
-                              row: dict[int, object] | None = None):
+                              row: Row | None = None):
     """P(S_n / (sigma sqrt n) in [u, v] | tau > n), exact ratio of row sums."""
     if not (0 < u < v):
         raise InputError("need 0 < u < v")
-    barrier = Barrier.parse(barrier)
     if row is None:
         row = killed_rows_at(dist, [n], barrier, mode)[n]
     scale = dist.sigma() * math.sqrt(n)
     lo = math.ceil(u * scale)
     hi = math.floor(v * scale)
-    total = _total(row.values(), mode)
+    total = row.total()
     if total == 0:
         raise DegenerateConditioning(f"P(tau > {n}) = 0")
-    return _total((w for y, w in row.items() if lo <= y <= hi), mode) / total
+    return row.total(lo, hi) / total

@@ -65,7 +65,7 @@ def brute_force_killed(dist, n: int, barrier: Barrier):
     """Path enumeration over all |support|^n trajectories (exact rationals).
 
     Returns (rows, killed): rows[k][y] = P(S_k = y, tau > k) and
-    killed[k][z] = P(S_k = z, tau = k), matching the DP table layout.
+    killed[k][z] = P(S_k = z, tau = k), matching the DP rows' ``nonzero()``.
     """
     barrier = Barrier.parse(barrier)
     floor = barrier.floor

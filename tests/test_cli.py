@@ -167,11 +167,32 @@ def test_numeric_failure_exit_three(tri_file, tmp_path):
     assert rc == 3
 
 
-def test_config_invariants_and_default_grid(tri_file):
-    from poswalk.cli import ExperimentConfig
-    from poswalk.errors import InputError
+def test_config_invariants_and_default_grid():
+    from poswalk.cli import DEFAULT_RATIOS, _n_list, _snap_grid
 
-    with pytest.raises(InputError):
-        ExperimentConfig(dist_path=tri_file, n_list=(400, 100))
-    cfg = ExperimentConfig(dist_path=tri_file)
-    assert cfg.x_grid(sigma=1.0, n=100) == [2, 5, 10, 15, 20, 30]
+    assert _n_list(1600) == [100, 400, 1600] and _n_list(64) == [64]
+    assert _snap_grid(DEFAULT_RATIOS, sigma=1.0, n=100) == [2, 5, 10, 15, 20, 30]
+
+
+def test_expansion_order_below_one_exit_two(tri_file, tmp_path):
+    out = tmp_path / "out"
+    for command in ("constants", "polys", "verify", "report"):
+        assert run([command, "--dist", tri_file, "--r", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("h", [0, 1])
+def test_renewal_gate_fails_on_bookkeeping_error(tmp_path, monkeypatch, h):
+    # the renewal sums and the limit fits read one sweep and agree to rounding,
+    # so a 1e-6 relative error in either renewal sum (theta0 or theta1) must fail
+    from poswalk import constants
+
+    renewal = constants._renewal_sum
+    monkeypatch.setattr(constants, "_renewal_sum", lambda dist, u1, barrier, hh:
+                        renewal(dist, u1, barrier, hh) * (1 + 1e-6 if hh == h else 1))
+    # weak barrier: the overshoot, and so theta1, is nonzero on this walk
+    rc = run(["constants", "--dist", str(DISTS / "skewed.json"), "--barrier", "weak",
+              "--kmax", "1024", "--out", str(tmp_path)])
+    assert rc == 1
+    blob = json.loads((tmp_path / "constants.json").read_text())
+    assert blob["two_pipeline_agreement"]["pass"] is False

@@ -98,7 +98,7 @@ def test_first_correction_measured_from_oracle(asym):
 
     def peeled(n, x):
         z = x / sigma
-        val = oc.free_pmf(asym, n)[x]
+        val = oc.free_pmf(asym, n).get(x)
         return (val * math.exp(z * z / (2 * n)) - p0 / math.sqrt(n)) * n**1.5
 
     for x in (0, 3, 6):

@@ -12,31 +12,31 @@ from poswalk.errors import DegenerateConditioning, HorizonTooLarge, InputError
 
 def test_free_pmf_n1_is_increment(tri):
     pmf = oc.free_pmf(tri, 1, mode="exact-rational")
-    assert pmf == tri.prob_map()
+    assert pmf.nonzero() == tri.prob_map()
 
 
 def test_free_pmf_two_steps(tri):
     pmf = oc.free_pmf(tri, 2, mode="exact-rational")
-    assert pmf[0] == F(17, 50)  # 0.4^2 + 2 * 0.3^2
+    assert pmf.get(0) == F(17, 50)  # 0.4^2 + 2 * 0.3^2
 
 
 def test_free_pmf_normalizes(asym):
     pmf = oc.free_pmf(asym, 12, mode="exact-rational")
-    assert sum(pmf.values()) == 1
-    lo, hi = min(pmf), max(pmf)
+    assert pmf.total() == 1
+    lo, hi = min(pmf.nonzero()), max(pmf.nonzero())
     assert lo >= 12 * asym.min_step and hi <= 12 * asym.max_step
 
 
 def test_killed_single_step(tri):
     t = oc.killed_table(tri, 1, "strict", mode="exact-rational")
-    assert t.prob(1, 1) == F(3, 10)
+    assert t.rows[1].get(1) == F(3, 10)
 
 
 def test_killed_two_steps_strict_vs_weak(tri):
     strict = oc.killed_table(tri, 2, "strict", mode="exact-rational")
     weak = oc.killed_table(tri, 2, "weak", mode="exact-rational")
-    assert strict.prob(2, 1) == F(3, 25)  # only 0 -> 1 -> 1
-    assert weak.prob(2, 1) == F(6, 25)  # also 0 -> 0 -> 1
+    assert strict.rows[2].get(1) == F(3, 25)  # only 0 -> 1 -> 1
+    assert weak.rows[2].get(1) == F(6, 25)  # also 0 -> 0 -> 1
 
 
 def test_tau_pinned_values(tri):
@@ -62,8 +62,8 @@ def test_brute_force_agreement(tri, asym, rich, barrier):
         table = oc.killed_table(dist, n, barrier, mode="exact-rational")
         rows, killed = brute_force_killed(dist, n, barrier)
         for k in range(1, n + 1):
-            assert table.rows[k] == rows[k]
-            assert table.killed[k] == killed[k]
+            assert table.rows[k].nonzero() == rows[k]
+            assert table.killed[k].nonzero() == killed[k]
 
 
 def test_mass_conservation_exact(tri, asym, rich):
@@ -81,15 +81,15 @@ def test_first_passage_decomposition_exact(tri, asym, rich, barrier):
         n = 20
         t = oc.killed_table(dist, n, barrier, mode="exact-rational")
         free = {k: oc.free_pmf(dist, k, mode="exact-rational") for k in range(1, n + 1)}
-        for y in list(free[n]):
+        for y, want in free[n].nonzero().items():
             total = t.rows[n].get(y, F(0))
             for j in range(1, n + 1):
-                for z, mass in t.killed[j].items():
+                for z, mass in t.killed[j].nonzero().items():
                     if j == n:
                         total += mass if z == y else 0
                     else:
                         total += mass * free[n - j].get(y - z, F(0))
-            assert total == free[n][y]
+            assert total == want
 
 
 def test_weak_survives_at_least_strict(tri, asym):
@@ -105,7 +105,7 @@ def test_float_matches_rational_to_1e10(tri, asym, rich):
         exact = oc.killed_table(dist, 64, "strict", mode="exact-rational")
         fl = oc.killed_table(dist, 64, "strict", mode="float64")
         for k in (1, 2, 16, 33, 64):
-            for y, v in exact.rows[k].items():
+            for y, v in exact.rows[k].nonzero().items():
                 ref = float(v)
                 assert abs(fl.rows[k].get(y, 0.0) - ref) <= 1e-10 * ref
 
@@ -114,9 +114,9 @@ def test_ballot_identity_trinomial(tri):
     # max step +1: exactly x of n cyclic shifts of a path to x stay positive
     n = 16
     t = oc.killed_table(tri, n, "strict", mode="exact-rational")
-    free = oc.free_pmf(tri, n, mode="exact-rational")
+    free = oc.free_pmf(tri, n, mode="exact-rational").nonzero()
     for x in range(1, n + 1):
-        assert t.prob(n, x) == F(x, n) * free[x]
+        assert t.rows[n].get(x) == F(x, n) * free[x]
 
 
 def test_reflection_identity_weak_trinomial(tri):
@@ -124,9 +124,9 @@ def test_reflection_identity_weak_trinomial(tri):
     # ending at x with a free path ending at -2-x
     n = 16
     t = oc.killed_table(tri, n, "weak", mode="exact-rational")
-    free = oc.free_pmf(tri, n, mode="exact-rational")
+    free = oc.free_pmf(tri, n, mode="exact-rational").nonzero()
     for x in range(0, n + 1):
-        assert t.prob(n, x) == free[x] - free.get(-x - 2, F(0))
+        assert t.rows[n].get(x) == free[x] - free.get(-x - 2, F(0))
 
 
 def test_horizon_cap_exact_mode(tri):
@@ -153,7 +153,23 @@ def test_conditioned_interval_requires_valid_band(tri):
 
 def test_degenerate_conditioning_guard(tri):
     with pytest.raises(DegenerateConditioning):
-        oc.conditioned_interval_prob(tri, 5, 0.5, 1.5, "strict", row={})
+        oc.conditioned_interval_prob(tri, 5, 0.5, 1.5, "strict", row=oc.Row(1, np.zeros(6)))
+
+
+def test_row_get_and_total(asym, rich):
+    row = oc.Row(3, np.array([0.0, 0.25, 0.0, 0.5]))
+    assert row.get(2, -1.0) == -1.0 and row.get(7) == 0 and row.get(4) == 0.25
+    assert row.total(-10, 4) == 0.25 and row.total(5, 99) == 0.5 and row.total() == 0.75
+    assert row.total(7, 9) == 0 and row.total(-5, 2) == 0 and row.total(5, 4) == 0
+    # float totals are the numpy pairwise sum over the nonzero cells, bit for bit
+    for dist in (asym, rich):
+        for barrier in ("strict", "weak"):
+            row = oc.killed_rows_at(dist, [4096], barrier)[4096]
+            cells = row.nonzero()
+            assert row.total().hex() == float(np.sum(np.array(list(cells.values())))).hex()
+            lo, hi = 60, 180
+            band = [v for y, v in cells.items() if lo <= y <= hi]
+            assert row.total(lo, hi).hex() == float(np.sum(np.array(band))).hex()
 
 
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
