@@ -5,9 +5,17 @@ All constants are limits of exactly computed oracle sequences:
 * theta0 = lim k^{3/2} P(tau = k),
 * theta1 = lim k^{3/2} E[-S_tau / sigma; tau = k]   (overshoot in sigma units),
 * b[l, h] = the 1/k^l correction coefficients of k^{3/2} * Theta_k^(h),
-  where Theta_k^(h) is the h-th sigma-normalized overshoot moment; theta0
-  and theta1 coincide with b[0,0] and b[0,1],
+  where Theta_k^(h) is the h-th sigma-normalized overshoot moment, from
+  one fit per h over {k^0, ..., k^-(lmax+1)},
 * U1(u)  = lim (n+1)^{3/2} P(S_n = u, tau > n) for small u.
+
+theta0 and theta1 have the same limits as b[0,0] and b[0,1] but are separate
+fits over {k^0, ..., k^-3}, and P_2/P_3 are assembled from b[0,h], not from
+theta0/theta1.  With few terms the b fit is much less accurate: on the
+trinomial walk at kmax 1024 with lmax 0 (orders r <= 2), b[0,0] is off by
+6.0e-7 (strict) and 1.5e-6 (weak) relative to the closed form, theta0 by
+1.1e-12 and 2.2e-12.  The b[0,0] error estimate is then 0.18x the true
+error (0.29x at lmax 1).
 
 The renewal identity P(tau = n+1) = sum_u P(S_n = u, tau > n) P(kill from u)
 gives a second route: theta0 = sum_u U1(u) P(step from u is killed) and
@@ -21,13 +29,11 @@ killed sweep and no tail fit, is the independent route (ROADMAP item 4).
 
 from __future__ import annotations
 
-import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HighOrderAccuracyWarning, InputError
+from .errors import InputError
 from .extrapolation import ExtrapolationResult, fit_power_tail, limit_with_rate
 from .increments import IncrementDistribution
 from .oracle import Barrier, TauStatistics, tau_statistics
@@ -36,41 +42,10 @@ DEFAULT_KMAX = 4096
 DEFAULT_U_MAX = 30
 
 
-def _scaled_theta_seq(stats: TauStatistics, h: int):
-    ks = np.arange(1, stats.kmax + 1, dtype=float)
-    return list(zip(ks, ks**1.5 * stats.theta[h]))
-
-
-def b_fit(dist: IncrementDistribution, h: int, l_max: int, kmax: int = DEFAULT_KMAX,
-          barrier=Barrier.STRICT,
-          stats: TauStatistics | None = None) -> dict[int, ExtrapolationResult]:
-    """Correction coefficients b[l, h], l = 0..l_max, of k^{3/2} Theta^(h).
-
-    Fits the basis {k^0, ..., k^-(l_max+1)}; coefficient of k^-l is b[l, h].
-    Accuracy beyond l = 1 is unvalidated territory and warns.
-    """
-    if l_max < 0:
-        raise InputError("l_max must be >= 0")
-    if l_max >= 2:
-        warnings.warn("b coefficients with l >= 2 carry unvalidated accuracy",
-                      HighOrderAccuracyWarning, stacklevel=2)
-    if stats is None:
-        stats = tau_statistics(dist, kmax, barrier, hmax=h)
-    if h not in stats.theta:
-        raise InputError(f"statistics sweep lacks overshoot order h={h}")
-    fit = fit_power_tail(_scaled_theta_seq(stats, h), range(l_max + 2))
-    coefs = (fit.limit,) + fit.coefficients
-    errors = (fit.error_estimate,) + fit.coefficient_errors
-    return {l: ExtrapolationResult(limit=coefs[l], coefficients=(), coefficient_errors=(),
-                                   window=fit.window, error_estimate=errors[l],
-                                   model=fit.model)
-            for l in range(l_max + 1)}
-
-
 def u1_tabulate(stats: TauStatistics) -> dict[int, ExtrapolationResult]:
     """U1(u) = lim (n+1)^{3/2} P(S_n = u, tau > n), per-column extrapolation."""
     ns = np.arange(1, stats.kmax + 1, dtype=float) + 1.0
-    return {u: limit_with_rate(list(zip(ns, ns**1.5 * stats.column(u))))
+    return {u: limit_with_rate(ns, ns**1.5 * stats.column(u))
             for u in range(stats.barrier.floor, stats.u_max + 1)}
 
 
@@ -127,16 +102,14 @@ class ConstantSet:
             "provenance": self.provenance,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
-
-def _prov(res: ExtrapolationResult) -> dict:
+def _prov(fit: ExtrapolationResult, l: int = 0) -> dict:
+    """Provenance of the k^-l coefficient of ``fit`` (l = 0: the limit)."""
     return {
-        "value": res.limit,
-        "error_estimate": res.error_estimate,
-        "window": list(res.window),
-        "model": list(res.model),
+        "value": ((fit.limit,) + fit.coefficients)[l],
+        "error_estimate": ((fit.error_estimate,) + fit.coefficient_errors)[l],
+        "window": list(fit.window),
+        "model": list(fit.model),
     }
 
 
@@ -148,22 +121,25 @@ def compute_constants(dist: IncrementDistribution, barrier=Barrier.STRICT,
     ``hmax``/``lmax`` must cover every (l, h) pair the target expansion order
     needs (h <= r - 1 and l <= (r - 1)/2 suffice for order r).
     """
+    if lmax < 0:
+        raise InputError("lmax must be >= 0")
     barrier = Barrier.parse(barrier)
     hmax = max(hmax, 1)  # theta1 is always part of the set
     stats = tau_statistics(dist, kmax, barrier, hmax=hmax, u_max=u_max)
+    ks = np.arange(1, kmax + 1, dtype=float)
+    scaled = {h: ks**1.5 * stats.theta[h] for h in range(hmax + 1)}
 
-    t0 = limit_with_rate(_scaled_theta_seq(stats, 0))
-    t1 = limit_with_rate(_scaled_theta_seq(stats, 1))
+    t0 = limit_with_rate(ks, scaled[0])
+    t1 = limit_with_rate(ks, scaled[1])
 
     b: dict[tuple[int, int], float] = {}
     prov: dict[str, dict] = {"theta0": _prov(t0), "theta1": _prov(t1)}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HighOrderAccuracyWarning)
-        for h in range(hmax + 1):
-            fits = b_fit(dist, h, lmax, kmax, barrier, stats=stats)
-            for l, res in fits.items():
-                b[(l, h)] = res.limit
-                prov[f"b_{l}_{h}"] = _prov(res)
+    for h in range(hmax + 1):
+        # the coefficient of k^-l is b[l, h]
+        fit = fit_power_tail(ks, scaled[h], range(lmax + 2))
+        for l in range(lmax + 1):
+            prov[f"b_{l}_{h}"] = _prov(fit, l)
+            b[(l, h)] = prov[f"b_{l}_{h}"]["value"]
 
     u1 = u1_tabulate(stats)
     u1_values = {u: r.limit for u, r in u1.items()}

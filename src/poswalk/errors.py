@@ -51,7 +51,3 @@ class MissingOrder(PoswalkError):
 
 class QuadratureNonconvergence(PoswalkError):
     """Adaptive quadrature failed to reach its target accuracy."""
-
-
-class HighOrderAccuracyWarning(UserWarning):
-    """Fitted coefficients beyond the first correction are unvalidated."""

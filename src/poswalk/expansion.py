@@ -29,7 +29,6 @@ and reflection identities).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -215,9 +214,6 @@ class ExpansionSet:
             "Q": {str(nu): coeffs(p) for nu, p in sorted(self.Q.items())},
             "constants": self.constants.to_json_dict(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def expansion_polys(dist: IncrementDistribution, r: int, barrier=Barrier.STRICT,

@@ -49,28 +49,31 @@ def _fit_window(ks: np.ndarray, a: np.ndarray, exponents: Sequence[float],
     return coef / norms
 
 
-def fit_power_tail(seq: Sequence[tuple[float, float]], exponents: Sequence[float],
+def fit_power_tail(ks: np.ndarray, a: np.ndarray, exponents: Sequence[float],
                    window: tuple[float, float] | None = None) -> ExtrapolationResult:
     """Fit c_e over the basis {k^-e}; the e = 0 coefficient is the limit.
 
-    ``seq`` is (k, a_k) pairs.  Default window is the last third of the k
-    range; the error estimate refits on a window starting 10% earlier and
-    reports the shift in the limit (``coefficient_errors``: in each c_e).
+    ``ks`` (strictly increasing) and ``a`` are equal-length arrays of the
+    sequence.  Default window is the last third of the k range; the error
+    estimate refits on a window starting 10% earlier and reports the shift
+    in the limit (``coefficient_errors``: in each c_e).
     """
     exponents = list(exponents)
     if not exponents or exponents[0] != 0:
         raise ValueError("exponents must start with 0 (the limit term)")
-    if any(b <= a for a, b in zip(exponents, exponents[1:])):
+    if any(e1 <= e0 for e0, e1 in zip(exponents, exponents[1:])):
         raise ValueError("exponents must be strictly increasing")
-    pairs = sorted(seq)
-    ks = np.array([k for k, _ in pairs], dtype=float)
-    a = np.array([v for _, v in pairs], dtype=float)
+    ks = np.asarray(ks, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if ks.ndim != 1 or ks.shape != a.shape or not ks.size:
+        raise ValueError("ks and a must be nonempty 1-d arrays of equal length")
+    if np.any(np.diff(ks) <= 0):
+        raise ValueError("ks must be strictly increasing")
+    span = ks[-1] - ks[0]
     if window is None:
-        span = ks[-1] - ks[0]
         window = (ks[-1] - span / 3.0, ks[-1])
     lo, hi = window
     coef = _fit_window(ks, a, exponents, lo, hi)
-    span = ks[-1] - ks[0]
     lo2 = max(ks[0], lo - 0.10 * span)
     if lo2 < lo:
         shift = np.abs(coef - _fit_window(ks, a, exponents, lo2, hi))
@@ -86,8 +89,6 @@ def fit_power_tail(seq: Sequence[tuple[float, float]], exponents: Sequence[float
     )
 
 
-def limit_with_rate(seq: Sequence[tuple[float, float]], leading_power: float = 1.0,
-                    window: tuple[float, float] | None = None) -> ExtrapolationResult:
-    """Convenience fit with exponents {0, p, p+1, p+2} for known leading power p."""
-    p = float(leading_power)
-    return fit_power_tail(seq, [0.0, p, p + 1.0, p + 2.0], window=window)
+def limit_with_rate(ks: np.ndarray, a: np.ndarray) -> ExtrapolationResult:
+    """Fit with exponents {0, 1, 2, 3}: a limit approached at rate 1/k."""
+    return fit_power_tail(ks, a, [0.0, 1.0, 2.0, 3.0])

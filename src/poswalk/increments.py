@@ -86,7 +86,7 @@ class IncrementDistribution:
         }
 
     def digest(self) -> bytes:
-        """Stable hash of the rationalized distribution (cache keys)."""
+        """Stable hash of the rationalized distribution."""
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).digest()
 

@@ -47,10 +47,6 @@ class LaurentPoly:
                 if c != 0:
                     self.coeffs[int(e)] = c
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -58,9 +54,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
@@ -74,18 +67,6 @@ class LaurentPoly:
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + other.scale(-1)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(out)
 
     def scale(self, factor) -> "LaurentPoly":
         if factor == 0:
@@ -176,15 +157,6 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly([self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
-            return Poly([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
 
     def scale(self, factor) -> "Poly":
         return Poly([c * factor for c in self.coeffs])

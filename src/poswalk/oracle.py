@@ -13,11 +13,17 @@ arrays of ``Fraction`` (exact reference, capped horizon).  Its ``Row``, an
 offset plus a dense array, is the one row type every collector returns.
 
 Float results are deterministic and byte-stable.  Each step adds the shifted
-rows in the fixed support order.  Each float reduction (``Row.total``, tau
-moments) is numpy's pairwise sum over the nonzero cells only, in position
-order.  Pairwise summation rounds differently when the element count
-changes, so a reduction that summed zero cells too, or in another order,
-would change the CLI artifacts' bytes.
+rows in the fixed support order.  ``Row.total`` is numpy's pairwise sum over
+the nonzero cells only, in position order.  Pairwise summation rounds
+differently when the element count changes, so a total that summed zero
+cells too, or in another order, would change the CLI artifacts' bytes.
+
+``tau_statistics`` copies each step's killed cells, right-aligned, into one
+``(kmax, floor - min_step)`` block and reduces the overshoot moments once,
+row by row, after the sweep.  numpy sums a run of fewer than 8 cells in a
+plain loop, so a block row of at most 7 cells (strict ``|min_step| <= 6``,
+weak ``|min_step| <= 7``) gives the per-step sum over its nonzero cells bit
+for bit; wider rows are summed pairwise and the last bit may differ.
 """
 
 from __future__ import annotations
@@ -186,8 +192,6 @@ class TauStatistics:
     dist: IncrementDistribution
     barrier: Barrier
     kmax: int
-    p_tau: np.ndarray
-    overshoot_mean: np.ndarray
     theta: dict[int, np.ndarray]
     u_max: int
     columns: np.ndarray
@@ -199,31 +203,24 @@ class TauStatistics:
 
 def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRICT,
                    hmax: int = 3, u_max: int = 30) -> TauStatistics:
-    """Float sweep accumulating P(tau = k), overshoot moments and survivor columns."""
+    """Float sweep collecting the killed cells and survivor columns, then the moments."""
     if kmax < 1:
         raise InputError("kmax must be >= 1")
     barrier = Barrier.parse(barrier)
     floor = barrier.floor
     if u_max < floor:
         raise InputError("u_max below the barrier floor")
-    sigma = dist.sigma()
-    p_tau = np.zeros(kmax)
-    over = np.zeros(kmax)
-    theta = {h: np.zeros(kmax) for h in range(hmax + 1)}
+    width = floor - dist.min_step  # killed positions min_step .. floor-1
+    block = np.zeros((kmax, width))
     cols = np.zeros((u_max - floor + 1, kmax))
     for k, row, dead in _sweep(dist, kmax, barrier, "float64"):
-        hit = np.flatnonzero(dead.values)
-        if len(hit):
-            ys = (-(dead.offset + hit)).astype(float)  # overshoot values
-            ms = dead.values[hit]
-            p_tau[k - 1] = ms.sum()
-            over[k - 1] = float((ys * ms).sum())
-            for h in range(hmax + 1):
-                theta[h][k - 1] = float((((ys / sigma) ** h) * ms).sum())
+        block[k - 1, width - len(dead.values):] = dead.values  # rows end at floor-1
         low = row.values[: u_max + 1 - floor]  # survivor rows start at the floor
         cols[: len(low), k - 1] = low
-    return TauStatistics(dist=dist, barrier=barrier, kmax=kmax, p_tau=p_tau,
-                         overshoot_mean=over, theta=theta, u_max=u_max, columns=cols)
+    ys = -np.arange(dist.min_step, floor, dtype=float) / dist.sigma()  # overshoots in sigma units
+    theta = {h: (ys**h * block).sum(axis=1) for h in range(hmax + 1)}
+    return TauStatistics(dist=dist, barrier=barrier, kmax=kmax, theta=theta,
+                         u_max=u_max, columns=cols)
 
 
 def conditioned_interval_prob(dist: IncrementDistribution, n: int, u: float, v: float,

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import constants_for
 from poswalk import constants as cn
-from poswalk.errors import HighOrderAccuracyWarning, InputError
+from poswalk.cli import _write_json
+from poswalk.errors import InputError
 from poswalk.extrapolation import fit_power_tail
 from poswalk.oracle import Barrier, tau_statistics
 
@@ -134,7 +135,7 @@ def test_b1_prediction_for_ballot_walk(ballot_walk):
     assert cs.b_value(0, 1) == pytest.approx(-cs.theta0 * m3 / (3 * sigma**3), rel=1e-6)
 
 
-def test_b1_closed_forms_trinomial(tri):
+def test_b1_closed_forms_trinomial(tri, tri_constants_strict, tri_constants_weak):
     # subleading coefficients via the free-walk series through order m^{-5/2}:
     # strict from the ballot identity, weak from reflection
     s = tri.sigma()
@@ -149,41 +150,36 @@ def test_b1_closed_forms_trinomial(tri):
                              + p1_const * z2 * z2 / 2 - a0 * z2**4 / 8
                              + 1.5 * 2 * a0 / s**2),
     }
-    for barrier, want in pred.items():
-        fits = cn.b_fit(tri, 0, 1, kmax=4096, barrier=barrier)
-        assert fits[1].limit == pytest.approx(want, rel=1e-5)
+    for cs in (tri_constants_strict, tri_constants_weak):
+        assert cs.b_value(1, 0) == pytest.approx(pred[cs.barrier], rel=1e-5)
 
 
-def test_b_fit_stability_under_kmax_doubling(tri):
-    b2048 = cn.b_fit(tri, 0, 1, kmax=2048, barrier=Barrier.STRICT)
-    b4096 = cn.b_fit(tri, 0, 1, kmax=4096, barrier=Barrier.STRICT)
-    assert b4096[1].limit == pytest.approx(b2048[1].limit, rel=1e-2)
-    assert b4096[0].limit == pytest.approx(b2048[0].limit, rel=1e-6)
+def test_b_fit_stability_under_kmax_doubling(tri, tri_constants_strict):
+    b2048 = cn.compute_constants(tri, Barrier.STRICT, kmax=2048, lmax=1).b
+    b4096 = tri_constants_strict.b
+    assert b4096[(1, 0)] == pytest.approx(b2048[(1, 0)], rel=1e-2)
+    assert b4096[(0, 0)] == pytest.approx(b2048[(0, 0)], rel=1e-6)
 
 
 def test_b_fit_error_estimate_is_staggered_window_shift(tri):
     # b[l, 0]'s error estimate is the shift of c_l when the default window
     # (last third of k = 1..kmax) starts 10% of the range earlier
     kmax = 2048
+    cs = cn.compute_constants(tri, Barrier.STRICT, kmax=kmax, hmax=1, lmax=1)
     stats = tau_statistics(tri, kmax, Barrier.STRICT, hmax=0)
-    fits = cn.b_fit(tri, 0, 1, barrier=Barrier.STRICT, stats=stats)
     ks = np.arange(1, kmax + 1, dtype=float)
-    seq = list(zip(ks, ks**1.5 * stats.theta[0]))
-    default = fit_power_tail(seq, [0, 1, 2])
+    a = ks**1.5 * stats.theta[0]
+    default = fit_power_tail(ks, a, [0, 1, 2])
     lo, hi = default.window
-    earlier = fit_power_tail(seq, [0, 1, 2], window=(lo - 0.10 * (kmax - 1), hi))
+    earlier = fit_power_tail(ks, a, [0, 1, 2], window=(lo - 0.10 * (kmax - 1), hi))
     for l in (0, 1):
         c_default = ((default.limit,) + default.coefficients)[l]
         c_earlier = ((earlier.limit,) + earlier.coefficients)[l]
-        assert fits[l].limit == c_default
-        assert fits[l].error_estimate == abs(c_default - c_earlier)
-        assert fits[l].error_estimate > 0
-
-
-def test_b_fit_high_order_warns(tri):
-    stats = tau_statistics(tri, 512, Barrier.STRICT, hmax=0)
-    with pytest.warns(HighOrderAccuracyWarning):
-        cn.b_fit(tri, 0, 2, kmax=512, barrier=Barrier.STRICT, stats=stats)
+        prov = cs.provenance[f"b_{l}_0"]
+        assert cs.b[(l, 0)] == prov["value"] == c_default
+        assert prov["error_estimate"] == abs(c_default - c_earlier)
+        assert prov["error_estimate"] > 0
+        assert prov["window"] == [lo, hi]
 
 
 def test_constants_reproducible_bit_identical(tri):
@@ -198,11 +194,15 @@ def test_missing_b_index_raises(tri_constants_strict):
         tri_constants_strict.b_value(0, 9)
 
 
-def test_json_export_schema(tri_constants_strict):
-    blob = json.loads(tri_constants_strict.to_json())
+def test_json_export_schema(tri_constants_strict, tmp_path):
+    # written through the CLI's JSON writer, as constants.json is
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    _write_json(first, tri_constants_strict.to_json_dict())
+    blob = json.loads(first.read_text())
     assert blob["schema_version"] == 1
     assert blob["barrier"] == "strict"
     assert "theta0" in blob and "b" in blob and "u1" in blob
     assert "window" in blob["provenance"]["theta0"]
     # deterministic serialization
-    assert blob == json.loads(tri_constants_strict.to_json())
+    _write_json(again, tri_constants_strict.to_json_dict())
+    assert first.read_bytes() == again.read_bytes()

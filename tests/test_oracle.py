@@ -44,15 +44,30 @@ def test_tau_pinned_values(tri):
     assert t.tau_mass(1) == F(7, 10)
     assert t.tau_mass(2) == F(9, 100)
     stats = oc.tau_statistics(tri, 2, "strict")
-    assert stats.p_tau[0] == pytest.approx(0.7)
-    assert stats.overshoot_mean[0] == pytest.approx(0.3)  # only X = -1 overshoots
-    assert stats.p_tau[1] == pytest.approx(0.09)
+    assert stats.theta[0][0] == pytest.approx(0.7)
+    assert tri.sigma() * stats.theta[1][0] == pytest.approx(0.3)  # only X = -1 overshoots
+    assert stats.theta[0][1] == pytest.approx(0.09)
 
 
-def test_theta0_column_is_p_tau(asym):
-    stats = oc.tau_statistics(asym, 50, "strict", hmax=2)
-    assert np.allclose(stats.theta[0], stats.p_tau)
-    assert np.allclose(stats.overshoot_mean, asym.sigma() * stats.theta[1])
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+def test_tau_statistics_theta_matches_killed_cells(tri, asym, rich, ballot_walk, barrier):
+    # the moments reduced from the killed-cell block after the sweep equal the
+    # per-step sum over each killed row's nonzero cells in position order, bit
+    # for bit: these laws' block rows hold at most 7 cells, which numpy sums
+    # in a plain loop
+    kmax = 256
+    for dist in (tri, asym, rich, ballot_walk):
+        stats = oc.tau_statistics(dist, kmax, barrier, hmax=3)
+        table = oc.killed_table(dist, kmax, barrier, mode="float64")
+        sigma = dist.sigma()
+        for k in range(1, kmax + 1):
+            cells = table.killed[k].nonzero()
+            ys = -np.array(list(cells), dtype=float)  # overshoots
+            ms = np.array(list(cells.values()), dtype=float)
+            for h in range(4):
+                want = float((((ys / sigma) ** h) * ms).sum())
+                assert stats.theta[h][k - 1].hex() == want.hex()
+            assert stats.theta[0][k - 1] == table.tau_mass(k)
 
 
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
