@@ -22,7 +22,6 @@ from .constants import compute_constants
 from .errors import (CancellationFailure, HorizonTooLarge, IllConditioned, InputError,
                      PoswalkError, QuadratureNonconvergence)
 from .expansion import expansion_polys, required_b_indices
-from .integral import integral_check
 from .oracle import conditioned_interval_prob, killed_rows_at
 
 DEFAULT_RATIOS = (0.2, 0.5, 1.0, 1.5, 2.0, 3.0)
@@ -149,6 +148,9 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     # through P_3, or n^{-1} where P_3 vanishes (the constants always cover P_3)
     p3 = (es if r >= 2 else expansion_polys(dist, 2, barrier, constants=es.constants)).P[3]
     lattice_scale = "sqrt(n)" if p3 else "n"
+    # the error beyond P_{r+1} is of order n^{-(r+2)/2}, or n^{-2} at r = 1
+    # where P_3 vanishes; r >= 2 would need constants beyond those computed
+    power = 2.0 if r == 1 and not p3 else (r + 2) / 2.0
 
     all_rows = []
     max_scaled = {}
@@ -162,8 +164,7 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
             exact = float(row.get(x, 0.0))
             approx = es.evaluate(n, x)
             abs_err = abs(exact - approx)
-            table_rows.append([n, x, exact, approx, abs_err,
-                               abs_err * n ** ((r + 2) / 2.0)])
+            table_rows.append([n, x, exact, approx, abs_err, abs_err * n ** power])
         all_rows.extend(table_rows)
         max_scaled[n] = max(entry[5] for entry in table_rows)
         be2 = float(conditioned_interval_prob(dist, n, 0.5, 1.5, barrier, mode=oracle_mode,
@@ -178,8 +179,8 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
 
     decay = {}
     for a, b in zip(ns, ns[1:]):
-        ea = max_scaled[a] / a ** ((r + 2) / 2.0)
-        eb = max_scaled[b] / b ** ((r + 2) / 2.0)
+        ea = max_scaled[a] / a ** power
+        eb = max_scaled[b] / b ** power
         decay[f"{a}->{b}"] = math.log(ea / eb) / math.log(b / a) if eb > 0 else float("inf")
     flat = max(max_scaled.values()) / min(max_scaled.values()) if min(max_scaled.values()) > 0 else float("inf")
     be2_ratio = (max(be2_dev.values()) / min(be2_dev.values())
@@ -217,6 +218,8 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
               show_default=True)
 def cmd_integral_check(out_dir):
     """Quadrature vs closed form for the half-line Gaussian-tail integral."""
+    from .integral import integral_check  # scipy loads here, for this command only
+
     rows = integral_check()
     out = [[r.b, r.z, r.closed, r.quadrature, r.rel_error] for r in rows]
     _write_csv(Path(out_dir) / "integral_check.csv",

@@ -3,8 +3,25 @@
 The walk starts at 0.  A step is applied, then the killed region is cut off:
 positions <= 0 for the strict barrier (first-passage time tau), positions
 < 0 for the weak barrier (tau-bar).  Survivor rows are dense arrays over the
-reachable lattice window, so one step is |support| shifted adds -- O(n^2 *
-|support|) work for a horizon-n table.
+live window: from the floor to the last nonzero cell.  Each step drops the
+row's trailing exact zeros, so once the far tail underflows (k of a few
+hundred) a float row holds about 40 sigma sqrt(k) cells instead of the
+k * max_step reachable ones, and a horizon-n sweep costs O(n^1.5 * |support|)
+instead of O(n^2 * |support|).  The cells that remain are bit for bit those
+of the untrimmed rows: a dropped cell only ever added +0.0.
+
+A step allocates one array, its output row, because collectors keep the
+rows it yields.  The first shift's product is written straight into that
+row; every further product goes to one scratch buffer allocated once per
+sweep.  A fresh temporary per product, once rows pass the allocator's mmap
+threshold, is a fresh mapping whose pages fault on first touch, and those
+faults, not the arithmetic, used to dominate a deep sweep.  What the trim
+cannot drop is the subnormal band at the far tail, cells below 2.2e-308
+that have not yet rounded to zero: about 90-135 cells at k = 16384 for the
+walks in ``dists/``, but a plateau that keeps widening for some laws
+(about 2840 cells at k = 16384 for (2, 3, 1, 3, 2)/11).  Subnormal
+arithmetic is slow, yet flushing those cells would change ``Row.total``'s
+pairwise-sum bits, so they stay.
 
 There is one sweep, the generator ``_sweep``, and every public function is a
 short collector over the ``(k, survivors, killed)`` it yields.  Its single
@@ -98,6 +115,19 @@ def _split_killed(row: Row, barrier: Barrier) -> tuple[Row, Row]:
     return Row(barrier.floor, row.values[cut:]), Row(row.offset, row.values[:cut])
 
 
+def _trim_zeros(values: np.ndarray, tail: int) -> np.ndarray:
+    """``values`` without its trailing exact-zero cells.
+
+    Only the last ``tail`` cells are scanned, unless all of them are zero.
+    """
+    start = max(len(values) - tail, 0)
+    live = np.flatnonzero(values[start:])
+    if not len(live):
+        live = np.flatnonzero(values[:start])
+        start = 0
+    return values[: start + live[-1] + 1] if len(live) else values[:0]
+
+
 def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: str):
     """Step the walk from 0 and yield (k, survivors, killed) for k = 1..n.
 
@@ -113,17 +143,27 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: s
             f"exact mode capped at n={EXACT_HORIZON_CAP} (requested {n}); use float64"
         )
     probs = dist.probs if exact else dist.probs_float()
-    shifts = [(x - dist.min_step, p) for x, p in zip(dist.support, probs)]
+    p0, *rest = probs  # the support is sorted, so shift 0 comes first
+    shifts = [(x - dist.min_step, p) for x, p in zip(dist.support[1:], rest)]
     spread = dist.max_step - dist.min_step
-    row = Row(0, np.array([Fraction(1)], dtype=object) if exact else np.ones(1))
+    dtype = object if exact else np.float64
+    row = Row(0, np.array([Fraction(1)] if exact else [1.0], dtype=dtype))
+    tmp = np.empty(1 + (n - 1) * spread, dtype=dtype)  # input rows never grow past this
     for k in range(1, n + 1):
-        width = len(row.values)
-        out = np.zeros(width + spread, dtype=row.values.dtype)
-        for s, p in shifts:
-            out[s : s + width] += p * row.values
+        v = row.values
+        width = len(v)
+        out = np.empty(width + spread, dtype=dtype)
+        np.multiply(p0, v, out=out[:width])  # exactly the dense step's 0 + p0 * v
+        out[width:] = 0
+        prod = tmp[:width]
+        for s, p in shifts:  # then product and add per shift, in support order
+            seg = out[s : s + width]
+            np.multiply(p, v, out=prod)
+            np.add(seg, prod, out=seg)
         row, killed = Row(row.offset + dist.min_step, out), None
         if barrier is not None:
             row, killed = _split_killed(row, barrier)
+        row.values = _trim_zeros(row.values, 2 * spread)
         yield k, row, killed
 
 

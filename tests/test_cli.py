@@ -1,7 +1,10 @@
 import ast
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,15 +153,59 @@ def test_usage_error_exit_two():
     assert run(["no-such-command"]) == 2
 
 
-def test_verify_threshold_failure_exit_one(tri_file, tmp_path):
-    # strict barrier, r = 1: the order-3 polynomial vanishes for this walk,
-    # so the r = 1 scaled error decays instead of staying flat
-    rc = run(["verify", "--dist", tri_file, "--r", "1", "--barrier", "strict",
+def test_verify_threshold_failure_exit_one(tri_file, tmp_path, monkeypatch):
+    # a 1e-3 relative error in b[0,0] puts an n^{-1} term into P_2's error,
+    # so the r = 2 error scaled by n^2 grows like n and leaves the band
+    from poswalk.constants import ConstantSet
+
+    b_value = ConstantSet.b_value
+    monkeypatch.setattr(ConstantSet, "b_value", lambda self, l, h:
+                        b_value(self, l, h) * (1 + 1e-3 if (l, h) == (0, 0) else 1))
+    rc = run(["verify", "--dist", tri_file, "--r", "2", "--barrier", "strict",
               "--kmax", "512", "--nmax", "1600", "--out", str(tmp_path)])
     assert rc == 1
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
     assert summary["pass"] is False
     assert summary["scaled_err_flatness"] > 3.0
+
+
+def test_verify_scales_r1_error_by_n2_where_p3_vanishes(tri_file, tmp_path):
+    # trinomial strict: P_3 = 0, so the r = 1 error is of order n^{-2}, not
+    # n^{-3/2}; scaled by n^2 it is flat (5.86e-2 / 5.87e-2 / 5.87e-2) where
+    # n^{3/2} would read flatness 3.99 and fail a correct pipeline
+    rc = run(["verify", "--dist", tri_file, "--r", "1", "--barrier", "strict",
+              "--kmax", "512", "--nmax", "1600", "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    assert summary["pass"] is True
+    assert summary["scaled_err_flatness"] < 1.1
+    assert all(abs(e - 2.0) < 0.01 for e in summary["decay_exponents"].values())
+    table = (tmp_path / "error_table.csv").read_text().strip().split("\n")[1:]
+    for line in table:
+        n, _, _, _, abs_err, scaled = line.split(",")
+        assert float(scaled) == float(abs_err) * int(n) ** 2.0
+
+
+def test_verify_keeps_n32_scale_where_p3_is_nonzero(tmp_path):
+    # skewed strict: P_3 != 0, so r = 1 keeps the n^{3/2} scale
+    rc = run(["verify", "--dist", str(DISTS / "skewed.json"), "--r", "1",
+              "--barrier", "strict", "--kmax", "512", "--nmax", "400", "--out", str(tmp_path)])
+    assert rc == 0
+    table = (tmp_path / "error_table.csv").read_text().strip().split("\n")[1:]
+    for line in table:
+        n, _, _, _, abs_err, scaled = line.split(",")
+        assert float(scaled) == float(abs_err) * int(n) ** 1.5
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only integral-check needs scipy; every other command starts without it
+    code = "import sys, poswalk, poswalk.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_numeric_failure_exit_three(tri_file, tmp_path):

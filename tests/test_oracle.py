@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import brute_force_killed
+from conftest import brute_force_killed, upskip_narrow
+from poswalk import increments
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
 from poswalk.errors import DegenerateConditioning, HorizonTooLarge, InputError
@@ -68,6 +69,55 @@ def test_tau_statistics_theta_matches_killed_cells(tri, asym, rich, ballot_walk,
                 want = float((((ys / sigma) ** h) * ms).sum())
                 assert stats.theta[h][k - 1].hex() == want.hex()
             assert stats.theta[0][k - 1] == table.tau_mass(k)
+
+
+def _dense_reference(dist, n, barrier, mode):
+    """The untrimmed step the sweep replaced: a fresh np.zeros row per step and
+    ``out[s:s+w] += p * v`` per support point.  Yields (survivors, killed)."""
+    exact = mode == "exact-rational"
+    probs = dist.probs if exact else dist.probs_float()
+    spread = dist.max_step - dist.min_step
+    floor = oc.Barrier.parse(barrier).floor
+    values = np.array([F(1)], dtype=object) if exact else np.ones(1)
+    offset = 0
+    for _ in range(n):
+        out = np.zeros(len(values) + spread, dtype=values.dtype)
+        for x, p in zip(dist.support, probs):
+            s = x - dist.min_step
+            out[s : s + len(values)] += p * values
+        cut = floor - (offset + dist.min_step)
+        values, offset = out[cut:], floor
+        yield values, out[:cut]
+
+
+def _plateau_law():
+    """(2,3,1,3,2)/11 on -2..2: at k = 4096 its rows end in about 114 subnormal cells."""
+    return increments.validate([-2, -1, 0, 1, 2], ["2/11", "3/11", "1/11", "3/11", "2/11"])
+
+
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+@pytest.mark.parametrize("mode,n", [("float64", 4096), ("exact-rational", 64)])
+def test_sweep_matches_dense_reference(tri, asym, rich, ballot_walk, barrier, mode, n):
+    # the sweep writes the first product into the fresh row, reuses one product
+    # buffer and trims trailing zeros; its cells are the dense step's bit for
+    # bit, through the far tail's underflow to zero and its subnormal cells
+    laws = [tri, asym, rich, ballot_walk, upskip_narrow()]
+    if mode == "float64":
+        laws.append(_plateau_law())
+    for dist in laws:
+        ref = _dense_reference(dist, n, barrier, mode)
+        for (k, row, dead), (want, want_dead) in zip(
+                oc._sweep(dist, n, oc.Barrier.parse(barrier), mode), ref):
+            w = len(row.values)
+            assert w and row.values[-1] != 0
+            assert not want[w:].any()
+            if mode == "float64":
+                assert row.values.tobytes() == want[:w].tobytes()
+                assert dead.values.tobytes() == want_dead.tobytes()
+            else:
+                assert row.values.tolist() == want[:w].tolist()
+                assert dead.values.tolist() == want_dead.tolist()
+        assert k == n
 
 
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
