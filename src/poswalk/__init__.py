@@ -3,7 +3,7 @@
 from .constants import ConstantSet, compute_constants
 from .edgeworth import LcltExpansion, lclt_coefficients, lclt_evaluate
 from .expansion import ExpansionSet, expansion_polys
-from .extrapolation import ExtrapolationResult, fit_power_tail, limit_with_rate
+from .extrapolation import ExtrapolationResult, fit_power_tail
 from .increments import IncrementDistribution, cumulants, moments, validate
 from .laurent import LaurentPoly, Poly, gamma_closed, gamma_recursive, q_jlm
 from .oracle import (Barrier, KilledWalkTable, Row, TauStatistics, conditioned_interval_prob,
@@ -34,7 +34,6 @@ __all__ = [
     "killed_table",
     "lclt_coefficients",
     "lclt_evaluate",
-    "limit_with_rate",
     "moments",
     "q_jlm",
     "tau_statistics",

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification-threshold failure, 2 input error,
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -253,7 +254,8 @@ def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
 
     curves = []
     for r_cur in range(1, r + 1):
-        es_r = expansion_polys(dist, r_cur, barrier, constants=es.constants)
+        # P_nu does not depend on the order: Q_eta reads only a_{q,j} with 2j - q <= eta - 2
+        es_r = dataclasses.replace(es, r=r_cur)
         for n in ns:
             row = rows_by_n[n]
             lo = max(1, int(0.2 * sigma * math.sqrt(n)))

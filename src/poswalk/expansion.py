@@ -22,9 +22,9 @@ the sum.  The assembled closed forms at the lowest orders are
     P_3(t) = (theta0 m3 / (3 sigma^4)) (t^4 - 5 t^2 + 2)
              + (2 theta1 / sigma) (1 - t^2),
 
-with theta0 = b[0,0] and theta1 = b[0,1]; both were validated against the
-oracle through walks with closed-form survival probabilities (ballot-type
-and reflection identities).
+where theta0 and theta1 are b[0,0] and b[0,1] themselves (one fit each);
+both were validated against the oracle through walks with closed-form
+survival probabilities (ballot-type and reflection identities).
 """
 
 from __future__ import annotations

@@ -87,8 +87,3 @@ def fit_power_tail(ks: np.ndarray, a: np.ndarray, exponents: Sequence[float],
         error_estimate=float(shift[0]),
         model=tuple(float(e) for e in exponents),
     )
-
-
-def limit_with_rate(ks: np.ndarray, a: np.ndarray) -> ExtrapolationResult:
-    """Fit with exponents {0, 1, 2, 3}: a limit approached at rate 1/k."""
-    return fit_power_tail(ks, a, [0.0, 1.0, 2.0, 3.0])

@@ -238,8 +238,7 @@ def _constant_consistency(barrier) -> tuple[bool, str]:
         t0x = cs.theta0_cross_check()
         rel = abs(cs.theta0 - t0x) / abs(cs.theta0)
         ok &= rel <= 1e-3
-        ok &= abs(cs.b_value(0, 0) - cs.theta0) <= 1e-3 * abs(cs.theta0)
-        ok &= abs(cs.b_value(0, 1) - cs.theta1) <= 1e-3 * max(abs(cs.theta1), 1e-9)
+        ok &= cs.b_value(0, 0) == cs.theta0 and cs.b_value(0, 1) == cs.theta1
         details.append(f"{dist.support}: two-pipeline rel {rel:.1e}")
     return ok, "; ".join(details)
 

@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import os
 import re
@@ -71,6 +72,35 @@ def test_polys_r1_gives_only_p2(tri_file, tmp_path):
     assert rc == 0
     blob = json.loads((tmp_path / "polys.json").read_text())
     assert set(blob["P"]) == {"2"}
+
+
+def test_polys_p2_slope_is_reported_theta0(tmp_path):
+    # --r 2 fits b with lmax 0; P_2(t) = (2 theta0 / sigma) t must be built
+    # from the theta0 that polys.json reports, not from a second fit
+    rc = run(["polys", "--dist", str(DISTS / "skewed.json"), "--r", "2", "--kmax", "1024",
+              "--out", str(tmp_path)])
+    assert rc == 0
+    blob = json.loads((tmp_path / "polys.json").read_text())
+    theta0 = blob["constants"]["theta0"]
+    assert theta0 == blob["constants"]["b"]["0,0"]
+    assert blob["P"]["2"][1] == 2 * theta0 / blob["sigma"]
+
+
+def test_verify_exact_mode_matches_float(tri_file, tmp_path):
+    # --mode exact swaps the oracle rows for exact rationals and keeps the
+    # float64 constant fits, so the series column cannot move; the float
+    # oracle sits within its rounding floor (3.8e-15 relative at n = 64)
+    tables = {}
+    for mode in ("float", "exact"):
+        rc = run(["verify", "--dist", tri_file, "--mode", mode, "--nmax", "64",
+                  "--kmax", "512", "--out", str(tmp_path / mode)])
+        assert rc == 0
+        with open(tmp_path / mode / "error_table.csv", newline="") as fh:
+            tables[mode] = list(csv.DictReader(fh))
+    assert len(tables["exact"]) == len(tables["float"]) > 0
+    for f, e in zip(tables["float"], tables["exact"]):
+        assert (f["n"], f["x"], f["approx"]) == (e["n"], e["x"], e["approx"])
+        assert float(f["exact"]) == pytest.approx(float(e["exact"]), rel=1e-14)
 
 
 def test_verify_outputs_and_exit(tri_file, tmp_path):

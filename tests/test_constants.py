@@ -59,8 +59,8 @@ def test_theta0_positive_everywhere(tri_constants_strict, tri_constants_weak,
 
 def test_b00_matches_theta0(tri_constants_strict, asym_constants_weak):
     for cs in (tri_constants_strict, asym_constants_weak):
-        assert cs.b_value(0, 0) == pytest.approx(cs.theta0, rel=1e-6)
-        assert cs.b_value(0, 1) == pytest.approx(cs.theta1, abs=1e-6)
+        assert cs.b_value(0, 0) == cs.theta0
+        assert cs.b_value(0, 1) == cs.theta1
 
 
 def test_overshoot_bounded_by_survival(tri_constants_strict):
@@ -151,7 +151,19 @@ def test_b1_closed_forms_trinomial(tri, tri_constants_strict, tri_constants_weak
                              + 1.5 * 2 * a0 / s**2),
     }
     for cs in (tri_constants_strict, tri_constants_weak):
-        assert cs.b_value(1, 0) == pytest.approx(pred[cs.barrier], rel=1e-5)
+        assert cs.b_value(1, 0) == pytest.approx(pred[cs.barrier], rel=1e-8)
+
+
+def test_b00_keeps_four_terms_at_lmax_zero(tri):
+    # orders r <= 2 need lmax 0 only; the fit still spans {k^0..k^-3}, so
+    # b[0,0] = theta0 keeps its closed-form accuracy (4e-14 here, where a
+    # fit over {k^0, k^-1} is 3.7e-8 strict and 9.4e-8 weak off)
+    sigma = tri.sigma()
+    closed = {Barrier.STRICT: sigma / (2 * ROOT2PI), Barrier.WEAK: 1 / (sigma * ROOT2PI)}
+    for barrier, want in closed.items():
+        cs = cn.compute_constants(tri, barrier, kmax=4096, hmax=1, lmax=0)
+        assert cs.theta0 == cs.b[(0, 0)] and cs.theta1 == cs.b[(0, 1)]
+        assert cs.b[(0, 0)] == pytest.approx(want, rel=1e-12)
 
 
 def test_b_fit_stability_under_kmax_doubling(tri, tri_constants_strict):
@@ -169,9 +181,9 @@ def test_b_fit_error_estimate_is_staggered_window_shift(tri):
     stats = tau_statistics(tri, kmax, Barrier.STRICT, hmax=0)
     ks = np.arange(1, kmax + 1, dtype=float)
     a = ks**1.5 * stats.theta[0]
-    default = fit_power_tail(ks, a, [0, 1, 2])
+    default = fit_power_tail(ks, a, [0, 1, 2, 3])
     lo, hi = default.window
-    earlier = fit_power_tail(ks, a, [0, 1, 2], window=(lo - 0.10 * (kmax - 1), hi))
+    earlier = fit_power_tail(ks, a, [0, 1, 2, 3], window=(lo - 0.10 * (kmax - 1), hi))
     for l in (0, 1):
         c_default = ((default.limit,) + default.coefficients)[l]
         c_earlier = ((earlier.limit,) + earlier.coefficients)[l]
@@ -180,6 +192,7 @@ def test_b_fit_error_estimate_is_staggered_window_shift(tri):
         assert prov["error_estimate"] == abs(c_default - c_earlier)
         assert prov["error_estimate"] > 0
         assert prov["window"] == [lo, hi]
+        assert prov["model"] == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_constants_reproducible_bit_identical(tri):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -154,6 +155,23 @@ def test_full_order_decay_at_cap(ballot_walk):
                         for x in range(lo, hi + 1)))
     exponent = math.log(errs[0] / errs[1], 4)
     assert 2.5 <= exponent <= 3.5
+
+
+def test_polys_do_not_depend_on_order(tri, asym):
+    # Q_eta reads only a_{q,j} with 2j - q <= eta - 2, so assembling to order
+    # 4 leaves every lower P_nu as it is, and `report` evaluates the orders
+    # 1..r by truncating one assembly
+    for dist in (tri, asym):
+        for barrier in Barrier:
+            cs = constants_for(dist, barrier)
+            es4 = expansion_polys(dist, 4, barrier, constants=cs)
+            for r in range(1, 5):
+                es = expansion_polys(dist, r, barrier, constants=cs)
+                cut = dataclasses.replace(es4, r=r)
+                assert es.P == {nu: es4.P[nu] for nu in range(2, r + 2)}
+                for n in (100, 400, 1600, 6400):
+                    for x in range(1, int(3.5 * es.sigma * math.sqrt(n)) + 1):
+                        assert cut.evaluate(n, x) == es.evaluate(n, x)
 
 
 def test_evaluate_decay_weak_trinomial(tri, tri_constants_weak):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poswalk.errors import IllConditioned, InsufficientPoints
-from poswalk.extrapolation import fit_power_tail, limit_with_rate
+from poswalk.extrapolation import fit_power_tail
 
 KS = np.arange(8, 1500, dtype=float)
 
@@ -33,7 +33,7 @@ def test_constant_sequence():
 
 
 def test_log_contamination_degraded_tolerance():
-    res = limit_with_rate(KS, 1 + np.log(KS) / KS**2)
+    res = fit_power_tail(KS, 1 + np.log(KS) / KS**2, [0, 1, 2, 3])
     assert abs(res.limit - 1) < 1e-4
     assert res.model == (0.0, 1.0, 2.0, 3.0)
 
