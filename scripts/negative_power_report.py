@@ -9,7 +9,6 @@ useful when changing anything in the gamma/weight machinery.
 Usage: python scripts/negative_power_report.py
 """
 
-import math
 import sys
 from pathlib import Path
 
@@ -36,14 +35,9 @@ def main():
     dist = increments.validate([-2, -1, 0, 1], ["1/10", "1/5", "3/10", "2/5"])
     cs = compute_constants(dist, "strict", kmax=4096, hmax=4, lmax=1)
     es = expansion_polys(dist, 4, "strict", constants=cs)
-    root = math.sqrt(2 * math.pi)
-
-    def ahat(q, j):
-        return es.lclt.a_coef(q, j) * es.sigma * root
-
     print("\nassembled residues (relative to the polynomial scale):")
     for eta in range(2, 6):
-        res = negative_residue(eta, ahat, cs.b_value, es.sigma)
+        res = negative_residue(eta, es.ahat, cs.b_value, es.sigma)
         print(f"  order {eta}: {res:.3e}")
 
 

@@ -4,8 +4,8 @@ from .constants import ConstantSet, compute_constants
 from .edgeworth import LcltExpansion, lclt_coefficients, lclt_evaluate
 from .expansion import ExpansionSet, expansion_polys
 from .extrapolation import ExtrapolationResult, fit_power_tail
-from .increments import IncrementDistribution, cumulants, moments, validate
-from .laurent import LaurentPoly, Poly, gamma_closed, gamma_recursive, q_jlm
+from .increments import IncrementDistribution, cumulants, validate
+from .laurent import Poly, gamma_closed, gamma_recursive, q_jlm
 from .oracle import (Barrier, KilledWalkTable, Row, TauStatistics, conditioned_interval_prob,
                      free_pmf, killed_table, tau_statistics)
 
@@ -18,7 +18,6 @@ __all__ = [
     "ExtrapolationResult",
     "IncrementDistribution",
     "KilledWalkTable",
-    "LaurentPoly",
     "LcltExpansion",
     "Poly",
     "Row",
@@ -34,7 +33,6 @@ __all__ = [
     "killed_table",
     "lclt_coefficients",
     "lclt_evaluate",
-    "moments",
     "q_jlm",
     "tau_statistics",
     "validate",

@@ -168,8 +168,7 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
             table_rows.append([n, x, exact, approx, abs_err, abs_err * n ** power])
         all_rows.extend(table_rows)
         max_scaled[n] = max(entry[5] for entry in table_rows)
-        be2 = float(conditioned_interval_prob(dist, n, 0.5, 1.5, barrier, mode=oracle_mode,
-                                              row=row))
+        be2 = float(conditioned_interval_prob(dist, n, 0.5, 1.5, row))
         be2_dev[n] = abs(be2 - target) * math.sqrt(n)
         # be2_dev swings with the lattice term R_n - target, which comes from
         # the limit law alone; the stdout line also shows p_n - R_n

@@ -10,8 +10,10 @@ All constants are limits of exactly computed oracle sequences:
 
 Each sequence is fitted once (``_tail_fit``) over {k^0, ..., k^-m} with
 m = max(lmax + 1, 3): one fit per h gives b[0..lmax, h].  Each error estimate
-is its coefficient's shift when the fit window starts 10% earlier; for theta0
-on the lazy simple walk at kmax 1024 it is 0.33-0.37x the true error.
+is its coefficient's shift when the fit window starts 10% earlier.  On the
+lazy simple walk it understates the true error: 0.33-0.37x for theta0 at
+kmax 1024, and for b[1,0] (read by P_4 and P_5) 0.25x strict / 0.28x weak at
+kmax 1024 and 0.38x weak at kmax 4096.  It is a scale, not a bound.
 
 The renewal identity P(tau = n+1) = sum_u P(S_n = u, tau > n) P(kill from u)
 gives a second route: theta0 = sum_u U1(u) P(step from u is killed) and

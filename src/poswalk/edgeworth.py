@@ -40,7 +40,7 @@ def hermite(m: int) -> Poly:
     if m == 1:
         return Poly([0, 1])
     prev, cur = hermite(m - 2), hermite(m - 1)
-    return cur.shift_up(1) - prev.scale(m - 1)
+    return cur.shift(1) - prev.scale(m - 1)
 
 
 def h_even_at_zero(mu: int) -> Fraction:
@@ -80,7 +80,7 @@ def ghat(lambdas, nu: int) -> Poly:
     """
     if len(lambdas) < nu:
         raise InputError(f"need lambda_1..lambda_{nu}")
-    out = Poly.zero()
+    out = Poly()
     for ks in partitions(nu):
         s = sum(ks)
         weight = 1
@@ -96,7 +96,7 @@ def ghat(lambdas, nu: int) -> Poly:
 def q_poly(dist: IncrementDistribution, nu: int) -> Poly:
     """Float correction polynomial qhat_nu (with the 1/sqrt(2 pi) included)."""
     lam = cumulant_ratios(dist, nu)
-    return ghat(lam, nu).as_float().scale(1.0 / math.sqrt(2 * math.pi))
+    return ghat(lam, nu).scale(1.0 / math.sqrt(2 * math.pi))
 
 
 def scaled_a_table(lambdas, nu_max: int) -> dict[tuple[int, int], object]:
@@ -156,9 +156,8 @@ def lclt_coefficients(dist: IncrementDistribution, r: int) -> LcltExpansion:
             coeffs.append(float(c) / (sigma * root))
         poly = Poly(coeffs)
         polys.append(poly)
-        for q, c in enumerate(poly.coeffs):
-            if c != 0.0:
-                amap[(q, j)] = c
+        for q, c in poly.terms.items():
+            amap[(q, j)] = c
     return LcltExpansion(r=r, sigma=sigma, p0_polys=polys, a=amap)
 
 

@@ -38,7 +38,7 @@ from .constants import ConstantSet, compute_constants
 from .edgeworth import LcltExpansion, lclt_coefficients, scaled_a, scaled_a_table
 from .errors import CancellationFailure, InputError, MissingOrder
 from .increments import IncrementDistribution
-from .laurent import LaurentPoly, Poly, q_jlm
+from .laurent import Poly, q_jlm
 from .oracle import Barrier
 
 DEFAULT_R_CAP = 4
@@ -125,10 +125,10 @@ def tuple_weight(t: IndexTuple, ahat, b, sigma):
     return a * math.comb(t.q, t.s) * sign * bval / (sigma * denom)
 
 
-def _laurent_sum(eta: int, ahat, b, sigma) -> tuple[LaurentPoly, list]:
+def _laurent_sum(eta: int, ahat, b, sigma) -> tuple[Poly, list]:
     """Weighted q_jlm sum of Q_eta, with its nonzero (tuple, weight, q_jlm) terms."""
-    contributions: list[tuple[IndexTuple, object, LaurentPoly]] = []
-    total = LaurentPoly()
+    contributions: list[tuple[IndexTuple, object, Poly]] = []
+    total = Poly()
     for t in enumerate_tuples(eta):
         w = tuple_weight(t, ahat, b, sigma)
         if w == 0:
@@ -150,8 +150,8 @@ def assemble_Q(eta: int, ahat, b, sigma, tol: float = CANCELLATION_TOL) -> Poly:
     neg = total.negative_part()
     poly = total.polynomial_part()
     if neg:
-        scale = max((abs(float(c)) for c in poly.coeffs.values()), default=0.0)
-        worst = max(abs(float(c)) for c in neg.coeffs.values())
+        scale = max((abs(float(c)) for c in poly.terms.values()), default=0.0)
+        worst = max(abs(float(c)) for c in neg.terms.values())
         if worst > tol * max(scale, 1e-300):
             lines = [
                 f"eta={eta}: negative exponents survive assembly "
@@ -162,7 +162,7 @@ def assemble_Q(eta: int, ahat, b, sigma, tol: float = CANCELLATION_TOL) -> Poly:
                     lines.append(f"  tuple {t} weight {float(w):.6e} "
                                  f"min exponent {base.min_exponent()}")
             raise CancellationFailure("\n".join(lines))
-    return poly.to_poly()
+    return poly
 
 
 def negative_residue(eta: int, ahat, b, sigma) -> float:
@@ -172,8 +172,8 @@ def negative_residue(eta: int, ahat, b, sigma) -> float:
     if not neg:
         return 0.0
     poly = total.polynomial_part()
-    scale = max((abs(float(c)) for c in poly.coeffs.values()), default=1e-300)
-    return max(abs(float(c)) for c in neg.coeffs.values()) / scale
+    scale = max((abs(float(c)) for c in poly.terms.values()), default=1e-300)
+    return max(abs(float(c)) for c in neg.terms.values()) / scale
 
 
 @dataclass
@@ -187,6 +187,10 @@ class ExpansionSet:
     Q: dict[int, Poly]
     constants: ConstantSet
     lclt: LcltExpansion
+
+    def ahat(self, q: int, j: int) -> float:
+        """sigma * sqrt(2 pi) * a_{q,j}, the free-walk weight the Q_eta sum reads."""
+        return self.lclt.a_coef(q, j) * self.sigma * math.sqrt(2 * math.pi)
 
     def evaluate(self, n: int, x: int) -> float:
         """Truncated series value for P(S_n = x, tau > n); may go <= 0 in tails."""
@@ -218,8 +222,7 @@ class ExpansionSet:
 
 def expansion_polys(dist: IncrementDistribution, r: int, barrier=Barrier.STRICT,
                     constants: ConstantSet | None = None,
-                    kmax: int | None = None,
-                    tol: float = CANCELLATION_TOL) -> ExpansionSet:
+                    kmax: int | None = None) -> ExpansionSet:
     """Compute P_nu = -2 Q_nu for nu = 2..r+1 with numeric constants."""
     if r < 1:
         raise InputError("r must be >= 1")
@@ -237,24 +240,12 @@ def expansion_polys(dist: IncrementDistribution, r: int, barrier=Barrier.STRICT,
     if missing:
         raise InputError(f"constant set lacks b indices {missing}; recompute with "
                          f"hmax >= {hmax}, lmax >= {lmax}")
-    lclt = lclt_coefficients(dist, r)
-    sigma = dist.sigma()
-    root = math.sqrt(2 * math.pi)
-
-    def ahat(q: int, j: int) -> float:
-        return lclt.a_coef(q, j) * sigma * root
-
-    def b(l: int, h: int) -> float:
-        return constants.b_value(l, h)
-
-    P: dict[int, Poly] = {}
-    Q: dict[int, Poly] = {}
+    es = ExpansionSet(r=r, barrier=barrier, sigma=dist.sigma(), P={}, Q={},
+                      constants=constants, lclt=lclt_coefficients(dist, r))
     for eta in range(2, r + 2):
-        qpoly = assemble_Q(eta, ahat, b, sigma, tol=tol)
-        Q[eta] = qpoly
-        P[eta] = qpoly.scale(-2.0)
-    return ExpansionSet(r=r, barrier=barrier, sigma=sigma, P=P, Q=Q,
-                        constants=constants, lclt=lclt)
+        es.Q[eta] = assemble_Q(eta, es.ahat, constants.b_value, es.sigma)
+        es.P[eta] = es.Q[eta].scale(-2.0)
+    return es
 
 
 def placeholder_polys(*, sigma: Fraction, m3: Fraction, theta0: Fraction,

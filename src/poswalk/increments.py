@@ -156,37 +156,6 @@ def load(path, mode: str | None = None) -> IncrementDistribution:
     return from_json_dict(obj, mode=mode)
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """Raw/central moments and cumulants up to a given order (mean zero)."""
-
-    order: int
-    raw_moments: tuple  # index k -> E X^k, k = 0..order
-    cumulants: tuple  # index k -> kappa_k, k = 0..order (entries 0,1 unused)
-    sigma: float
-
-    @property
-    def central_moments(self) -> tuple:
-        return self.raw_moments  # mean zero: central == raw
-
-    def m(self, k: int):
-        return self.raw_moments[k]
-
-
-def moments(dist: IncrementDistribution, order: int) -> MomentVector:
-    """All raw moments and cumulants up to ``order`` (exact Fractions)."""
-    if order < 2:
-        raise InputError("order must be >= 2")
-    raw = [dist.raw_moment(k) for k in range(order + 1)]
-    kap = _cumulants_from_raw(raw)
-    return MomentVector(
-        order=order,
-        raw_moments=tuple(raw),
-        cumulants=tuple(kap),
-        sigma=math.sqrt(float(raw[2])),
-    )
-
-
 def _cumulants_from_raw(raw: list[Fraction]) -> list[Fraction]:
     """Moment->cumulant recursion; raw[1] = 0 keeps raw == central."""
     n = len(raw) - 1
@@ -200,16 +169,15 @@ def _cumulants_from_raw(raw: list[Fraction]) -> list[Fraction]:
 
 
 def cumulants(dist: IncrementDistribution, order: int) -> list[Fraction]:
-    """Cumulants gamma_2..gamma_order as a list (index 0 -> gamma_2)."""
-    mv = moments(dist, order)
-    return [mv.cumulants[k] for k in range(2, order + 1)]
+    """Cumulants gamma_2..gamma_order as a list (index 0 -> gamma_2), exact."""
+    if order < 2:
+        raise InputError("order must be >= 2")
+    return _cumulants_from_raw([dist.raw_moment(k) for k in range(order + 1)])[2:]
 
 
 def cumulant_ratios(dist: IncrementDistribution, count: int) -> list[float]:
     """lambda_m = gamma_{m+2} / ((m+2)! sigma^{m+2}) for m = 1..count, floats."""
-    mv = moments(dist, count + 2)
-    sigma = mv.sigma
-    out = []
-    for m in range(1, count + 1):
-        out.append(float(mv.cumulants[m + 2]) / (math.factorial(m + 2) * sigma ** (m + 2)))
-    return out
+    gam = cumulants(dist, count + 2)
+    sigma = dist.sigma()
+    return [float(gam[m]) / (math.factorial(m + 2) * sigma ** (m + 2))
+            for m in range(1, count + 1)]

@@ -21,8 +21,9 @@ from scipy.integrate import quad
 from .errors import QuadratureNonconvergence
 from .laurent import double_factorial
 
-DEFAULT_BS = (0, 1, 2, 3)
-DEFAULT_ZS = (0.5, 1.0, 2.0, 4.0)
+BS = (0, 1, 2, 3)
+ZS = (0.5, 1.0, 2.0, 4.0)
+TARGET_ABS = 1e-10  # absolute error target of the quadrature
 
 
 def closed_form(b: int, z: float) -> float:
@@ -35,7 +36,7 @@ def closed_form(b: int, z: float) -> float:
     return math.copysign(1.0, z) * math.sqrt(2 * math.pi) * math.exp(-z * z / 2.0) * s
 
 
-def quadrature(b: int, z: float, target_abs: float = 1e-10) -> float:
+def quadrature(b: int, z: float) -> float:
     """Adaptive quadrature of the integral with endpoint substitutions."""
     if b < 0:
         raise ValueError("b must be >= 0")
@@ -58,11 +59,11 @@ def quadrature(b: int, z: float, target_abs: float = 1e-10) -> float:
         return 2.0 * u ** (-b - 1.5) * math.exp(-z2 / (2.0 * u))
 
     half = math.sqrt(0.5)
-    v1, e1 = quad(lower_piece, 0.0, half, epsabs=target_abs / 4, epsrel=1e-12, limit=200)
-    v2, e2 = quad(upper_piece, 0.0, half, epsabs=target_abs / 4, epsrel=1e-12, limit=200)
+    v1, e1 = quad(lower_piece, 0.0, half, epsabs=TARGET_ABS / 4, epsrel=1e-12, limit=200)
+    v2, e2 = quad(upper_piece, 0.0, half, epsabs=TARGET_ABS / 4, epsrel=1e-12, limit=200)
     value = v1 + v2
     err = e1 + e2
-    if err > max(target_abs, 1e-10 * abs(value)):
+    if err > max(TARGET_ABS, 1e-10 * abs(value)):
         raise QuadratureNonconvergence(
             f"b={b}, z={z}: error estimate {err:.3e} above target")
     return value
@@ -77,11 +78,11 @@ class IntegralCheckRow:
     rel_error: float
 
 
-def integral_check(bs=DEFAULT_BS, zs=DEFAULT_ZS) -> list[IntegralCheckRow]:
-    """Compare closed form against quadrature over a (b, z) grid."""
+def integral_check() -> list[IntegralCheckRow]:
+    """Compare closed form against quadrature over the (BS, ZS) grid."""
     rows = []
-    for b in bs:
-        for z in zs:
+    for b in BS:
+        for z in ZS:
             c = closed_form(b, z)
             q = quadrature(b, z)
             rel = abs(c - q) / max(abs(c), abs(q), 1e-300)

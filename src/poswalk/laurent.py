@@ -1,8 +1,11 @@
 """Exact Laurent-polynomial arithmetic and the gamma/Q coefficient family.
 
-Everything here is exact: coefficients are ``fractions.Fraction`` unless a
-caller deliberately feeds floats (the containers are agnostic, they only
-need ``+`` and ``*``).  The two coefficient families are
+``Poly`` is the one polynomial type of the package: the exact Laurent blocks,
+their weighted sums, the Hermite and free-walk polynomials and the assembled
+Q_eta and P_nu are all instances.  It stores exponent -> coefficient and only
+needs ``+`` and ``*`` of its coefficients, so ``fractions.Fraction`` keeps it
+exact and floats run the numeric pipeline through the same code.  The two
+coefficient families are
 
 * ``gamma(q, j, l)`` -- rationals produced either by a closed-form sum over
   ascending subsets of ``{1..j}`` or by a two-term recursion; the two routes
@@ -31,157 +34,109 @@ def double_factorial(k: int) -> int:
     return out
 
 
-class LaurentPoly:
-    """Laurent polynomial: map integer exponent -> coefficient.
+class Poly:
+    """Laurent polynomial in t: a map exponent -> coefficient, zeros never stored.
 
-    Zero coefficients are never stored.  Immutable by convention (all
-    operations return fresh objects).
+    Built from a dense list ``Poly([c0, c1, ...])`` (the coefficients of
+    t^0, t^1, ...) or from a map ``Poly({e: c})`` whose exponents may be
+    negative.  Immutable by convention (all operations return fresh objects).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms", "_dense")
 
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c != 0:
-                    self.coeffs[int(e)] = c
+    def __init__(self, coeffs=()):
+        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+        self.terms = {int(e): c for e, c in items if c != 0}
+        self._dense = None
+
+    @property
+    def coeffs(self) -> list:
+        """Dense coefficients of t^0..t^degree, built once.
+
+        The gaps hold 0.0 in a float polynomial (Horner then adds float to
+        float, not the slower float to int) and int 0 otherwise.
+        """
+        if self._dense is None:
+            if self.terms and min(self.terms) < 0:
+                raise ValueError("negative exponents have no dense form")
+            zero = 0.0 if any(isinstance(c, float) for c in self.terms.values()) else 0
+            dense = [zero] * (max(self.terms) + 1 if self.terms else 0)
+            for e, c in self.terms.items():
+                dense[e] = c
+            self._dense = dense
+        return self._dense
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.terms == other.terms
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+    def __add__(self, other: "Poly") -> "Poly":
+        out = dict(self.terms)
+        for e, c in other.terms.items():
             s = out.get(e, 0) + c
             if s == 0:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return LaurentPoly(out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "LaurentPoly":
-        if factor == 0:
-            return LaurentPoly()
-        return LaurentPoly({e: c * factor for e, c in self.coeffs.items()})
-
-    def term_shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k (exponent shift)."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.coeffs)
-
-    def min_exponent(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
-
-    def negative_part(self) -> "LaurentPoly":
-        return LaurentPoly({e: c for e, c in self.coeffs.items() if e < 0})
-
-    def polynomial_part(self) -> "LaurentPoly":
-        return LaurentPoly({e: c for e, c in self.coeffs.items() if e >= 0})
-
-    def to_poly(self) -> "Poly":
-        """Dense conversion; requires no negative exponents."""
-        if any(e < 0 for e in self.coeffs):
-            raise ValueError("negative exponents present")
-        if not self.coeffs:
-            return Poly([])
-        out = [0] * (self.degree() + 1)
-        for e, c in self.coeffs.items():
-            out[e] = c
         return Poly(out)
 
-    def __call__(self, t):
-        return sum(c * t**e for e, c in self.coeffs.items())
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "LaurentPoly(0)"
-        parts = [f"{c}*t^{e}" for e, c in sorted(self.coeffs.items())]
-        return "LaurentPoly(" + " + ".join(parts) + ")"
-
-
-class Poly:
-    """Dense polynomial, coefficients ascending by degree, trailing zeros trimmed."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls([])
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
-
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self + other.scale(-1)
 
     def scale(self, factor) -> "Poly":
-        return Poly([c * factor for c in self.coeffs])
+        if factor == 0:
+            return Poly()
+        return Poly({e: c * factor for e, c in self.terms.items()})
 
-    def shift_up(self, k: int) -> "Poly":
+    def shift(self, k: int) -> "Poly":
         """Multiply by t^k."""
-        if not self.coeffs:
-            return Poly([])
-        return Poly([0] * k + self.coeffs)
+        return Poly({e + k: c for e, c in self.terms.items()})
 
-    def __call__(self, t):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * t + c
-        return out
+    def degree(self) -> int:
+        if not self.terms:
+            raise ValueError("zero polynomial has no degree")
+        return max(self.terms)
+
+    def min_exponent(self) -> int:
+        if not self.terms:
+            raise ValueError("zero polynomial has no exponents")
+        return min(self.terms)
+
+    def coeff(self, k: int):
+        return self.terms.get(k, 0)
+
+    def negative_part(self) -> "Poly":
+        return Poly({e: c for e, c in self.terms.items() if e < 0})
+
+    def polynomial_part(self) -> "Poly":
+        return Poly({e: c for e, c in self.terms.items() if e >= 0})
 
     def parity_powers(self):
         """Set of exponent parities carried by nonzero coefficients."""
-        return {i % 2 for i, c in enumerate(self.coeffs) if c != 0}
+        return {e % 2 for e in self.terms}
 
-    def as_float(self) -> "Poly":
-        return Poly([float(c) for c in self.coeffs])
+    def __call__(self, t):
+        # plain loops only: a generator here would make t a closure cell and
+        # slow every Horner step (about 5% of ExpansionSet.evaluate)
+        dense = self._dense
+        if dense is None:
+            if self.terms and min(self.terms) < 0:  # negative exponents: plain sum
+                out = 0
+                for e, c in self.terms.items():
+                    out = out + c * t**e
+                return out
+            dense = self.coeffs
+        out = 0
+        for c in reversed(dense):  # Horner over the cached dense list
+            out = out * t + c
+        return out
 
     def __repr__(self) -> str:
-        return f"Poly({self.coeffs})"
+        return f"Poly({dict(sorted(self.terms.items()))})"
 
 
 def gamma_closed(q: int, j: int, l: int) -> Fraction:
@@ -223,7 +178,7 @@ def gamma_recursive(q: int, j: int, l: int) -> Fraction:
     return a - gamma_recursive(q - 1, j - 1, l + 2) / (2 * (j - half))
 
 
-def q_jlm(j: int, l: int, m: int) -> LaurentPoly:
+def q_jlm(j: int, l: int, m: int) -> Poly:
     """The Laurent polynomial t^m * sum_q gamma(q,j,l) t^{2q} * S_q(1/t).
 
     S_q(1/t) = sum_{k=0}^{l+j+q-1} (2k-1)!! C(l+j+q-1, k) / t^{2k+1}.
@@ -233,19 +188,19 @@ def q_jlm(j: int, l: int, m: int) -> LaurentPoly:
         raise ValueError("indices must be nonnegative")
     if j + l < 1:
         raise ValueError("need j + l >= 1")
-    out = LaurentPoly()
+    out = Poly()
     for q in range(j + 1):
         g = gamma_closed(q, j, l)
         if g == 0:
             continue
         top = l + j + q - 1
-        inner = LaurentPoly(
+        inner = Poly(
             {
                 -(2 * k + 1): Fraction(double_factorial(2 * k - 1) * comb(top, k))
                 for k in range(top + 1)
             }
         )
-        out = out + inner.scale(g).term_shift(m + 2 * q)
+        out = out + inner.scale(g).shift(m + 2 * q)
     return out
 
 

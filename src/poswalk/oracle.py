@@ -264,13 +264,11 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
 
 
 def conditioned_interval_prob(dist: IncrementDistribution, n: int, u: float, v: float,
-                              barrier=Barrier.STRICT, mode: str = "float64",
-                              row: Row | None = None):
-    """P(S_n / (sigma sqrt n) in [u, v] | tau > n), exact ratio of row sums."""
+                              row: Row):
+    """P(S_n / (sigma sqrt n) in [u, v] | tau > n), exact ratio of sums of ``row``,
+    the survivor row at step n."""
     if not (0 < u < v):
         raise InputError("need 0 < u < v")
-    if row is None:
-        row = killed_rows_at(dist, [n], barrier, mode)[n]
     scale = dist.sigma() * math.sqrt(n)
     lo = math.ceil(u * scale)
     hi = math.floor(v * scale)

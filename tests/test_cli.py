@@ -86,6 +86,19 @@ def test_polys_p2_slope_is_reported_theta0(tmp_path):
     assert blob["P"]["2"][1] == 2 * theta0 / blob["sigma"]
 
 
+def test_polys_json_has_no_negative_zero(tmp_path):
+    # P = -2 Q scales only the stored coefficients, so the structural zeros of
+    # P (the parity gaps) are written as 0.0, never as 0 * -2.0 = -0.0
+    rc = run(["polys", "--dist", str(DISTS / "skewed.json"), "--r", "4", "--kmax", "1024",
+              "--out", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "polys.json").read_text()
+    assert not re.search(r"-0\.0\b", text)
+    blob = json.loads(text)
+    zeros = [c for p in blob["P"].values() for c in p if c == 0]
+    assert zeros and all(str(c) == "0.0" for c in zeros)
+
+
 def test_verify_exact_mode_matches_float(tri_file, tmp_path):
     # --mode exact swaps the oracle rows for exact rationals and keeps the
     # float64 constant fits, so the series column cannot move; the float

@@ -85,13 +85,8 @@ def test_parity_of_p2_p3(asym, asym_constants_strict):
 def test_negative_power_cancellation(asym):
     cs = constants_for(asym, Barrier.STRICT, hmax=4, lmax=1)
     es = expansion_polys(asym, 4, Barrier.STRICT, constants=cs)
-    sigma = es.sigma
-
-    def ahat(q, j):
-        return es.lclt.a_coef(q, j) * sigma * ROOT2PI
-
     for eta in range(2, 6):
-        assert negative_residue(eta, ahat, cs.b_value, sigma) <= 1e-9
+        assert negative_residue(eta, es.ahat, cs.b_value, es.sigma) <= 1e-9
 
 
 def test_cancellation_failure_diagnoses_corrupted_coefficients(asym, asym_constants_strict):
@@ -102,7 +97,7 @@ def test_cancellation_failure_diagnoses_corrupted_coefficients(asym, asym_consta
     sigma = es.sigma
 
     def bad_ahat(q, j):
-        a = es.lclt.a_coef(q, j) * sigma * ROOT2PI
+        a = es.ahat(q, j)
         return 2.0 * a if (q, j) == (0, 1) else a
 
     with pytest.raises(CancellationFailure) as err:
@@ -124,7 +119,7 @@ def test_ballot_walk_expansion_matches_free_coefficients(ballot_walk):
     es = expansion_polys(ballot_walk, 3, Barrier.STRICT, constants=cs)
     sigma = es.sigma
     for nu in range(2, 5):
-        want = Poly.zero()
+        want = Poly()
         for j in range(0, 2 * nu):
             q = 2 * j + 2 - nu
             if q < 0:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poswalk.laurent import (LaurentPoly, Poly, double_factorial, gamma_closed,
-                             gamma_recursive, negative_residue_survey, q_jlm)
+from poswalk.expansion import expansion_polys
+from poswalk.laurent import (Poly, double_factorial, gamma_closed, gamma_recursive,
+                             negative_residue_survey, q_jlm)
 
 
 def test_double_factorial():
@@ -46,9 +47,9 @@ def test_gamma_closed_equals_recursive_full_grid():
 
 
 def test_q_jlm_pinned():
-    assert q_jlm(1, 0, 0) == LaurentPoly({1: F(-1)})
-    assert q_jlm(1, 1, 1) == LaurentPoly({0: F(1), 2: F(-1)})
-    assert q_jlm(1, 2, 3) == LaurentPoly({0: F(1), 2: F(2), 4: F(-1)})
+    assert q_jlm(1, 0, 0) == Poly({1: F(-1)})
+    assert q_jlm(1, 1, 1) == Poly({0: F(1), 2: F(-1)})
+    assert q_jlm(1, 2, 3) == Poly({0: F(1), 2: F(2), 4: F(-1)})
 
 
 def test_q_jlm_pinned_cases_cancel_negative_powers():
@@ -78,7 +79,8 @@ def test_negative_residue_survey_is_observational():
 
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-laurents = st.dictionaries(st.integers(-4, 4), coeff, max_size=5).map(LaurentPoly)
+laurents = (st.dictionaries(st.integers(-4, 4), coeff, max_size=5).map(Poly)
+            | st.lists(coeff, max_size=5).map(Poly))
 
 
 @given(laurents, laurents, laurents)
@@ -94,30 +96,42 @@ def test_laurent_ring_laws(a, b, c):
 @settings(max_examples=40, deadline=None)
 def test_laurent_split_reassembles(a):
     assert a.negative_part() + a.polynomial_part() == a
-    assert all(e < 0 for e in a.negative_part().coeffs)
+    assert all(e < 0 for e in a.negative_part().terms)
 
 
 def test_laurent_no_zero_coeffs_stored():
-    p = LaurentPoly({0: F(1), 2: F(0), -1: F(3)})
-    assert 2 not in p.coeffs
-    q = p + LaurentPoly({-1: F(-3)})
-    assert -1 not in q.coeffs
+    p = Poly({0: F(1), 2: F(0), -1: F(3)})
+    assert 2 not in p.terms
+    q = p + Poly({-1: F(-3)})
+    assert -1 not in q.terms
 
 
 def test_laurent_evaluation():
-    p = LaurentPoly({-1: F(2), 1: F(1)})
+    p = Poly({-1: F(2), 1: F(1)})
     assert p(F(2)) == F(3)
 
 
-def test_to_poly_requires_nonnegative_exponents():
+def test_dense_coeffs_require_nonnegative_exponents():
     with pytest.raises(ValueError):
-        LaurentPoly({-1: F(1)}).to_poly()
-    assert LaurentPoly({0: F(2), 3: F(1)}).to_poly() == Poly([2, 0, 0, 1])
+        Poly({-1: F(1)}).coeffs
+    assert Poly({0: 2, 3: 1}).coeffs == [2, 0, 0, 1]
 
 
 def test_poly_basic_algebra():
-    p = Poly([1, 2]).shift_up(1) + Poly([5])
+    p = Poly([1, 2]).shift(1) + Poly([5])
     assert p == Poly([5, 1, 2])
     assert p(F(1)) == 8
     assert Poly([1, 0, 0]).coeffs == [1]  # trailing zeros trimmed
-    assert Poly([0, 1]).shift_up(2) == Poly([0, 0, 0, 1])
+    assert Poly([0, 1]).shift(2) == Poly([0, 0, 0, 1])
+
+
+def test_dense_and_map_construction_mix():
+    p = Poly([1, 2]) + Poly({-1: F(3)})
+    assert p.min_exponent() == -1
+    assert p.negative_part() == Poly({-1: F(3)})
+    assert p.polynomial_part() == Poly([1, 2])
+
+
+def test_blocks_and_assembled_polys_share_one_type(asym, asym_constants_strict):
+    es = expansion_polys(asym, 2, "strict", constants=asym_constants_strict)
+    assert type(q_jlm(1, 2, 3)) is type(es.P[3]) is Poly

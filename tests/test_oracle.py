@@ -200,25 +200,27 @@ def test_horizon_cap_exact_mode(tri):
 
 
 def test_conditioned_interval_total_and_empty(tri):
-    full = oc.conditioned_interval_prob(tri, 30, 1e-9, 1e9, "strict", mode="exact-rational")
+    rows = oc.killed_rows_at(tri, [4, 30], "strict", mode="exact-rational")
+    full = oc.conditioned_interval_prob(tri, 30, 1e-9, 1e9, rows[30])
     assert full == 1
-    none = oc.conditioned_interval_prob(tri, 4, 5.0, 6.0, "strict", mode="exact-rational")
+    none = oc.conditioned_interval_prob(tri, 4, 5.0, 6.0, rows[4])
     assert none == 0
 
 
 def test_conditioned_interval_near_gaussian(tri):
-    p = oc.conditioned_interval_prob(tri, 100, 0.5, 1.5, "strict")
+    row = oc.killed_rows_at(tri, [100], "strict")[100]
+    p = oc.conditioned_interval_prob(tri, 100, 0.5, 1.5, row)
     assert abs(p - (math.exp(-0.125) - math.exp(-1.125))) < 0.2
 
 
 def test_conditioned_interval_requires_valid_band(tri):
     with pytest.raises(InputError):
-        oc.conditioned_interval_prob(tri, 10, 1.5, 0.5)
+        oc.conditioned_interval_prob(tri, 10, 1.5, 0.5, oc.killed_rows_at(tri, [10])[10])
 
 
 def test_degenerate_conditioning_guard(tri):
     with pytest.raises(DegenerateConditioning):
-        oc.conditioned_interval_prob(tri, 5, 0.5, 1.5, "strict", row=oc.Row(1, np.zeros(6)))
+        oc.conditioned_interval_prob(tri, 5, 0.5, 1.5, oc.Row(1, np.zeros(6)))
 
 
 def test_row_get_and_total(asym, rich):
