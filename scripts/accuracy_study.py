@@ -29,8 +29,10 @@ WALKS = {
 
 
 def study(name, dist, barrier, rs, ns, kmax):
-    cs = compute_constants(dist, barrier, kmax=kmax, hmax=4, lmax=1)
-    rows = oc.killed_rows_at(dist, ns, barrier)
+    # one sweep to max(kmax, ns) feeds both the constant fits and the rows
+    stats = oc.tau_statistics(dist, kmax, barrier, hmax=4, rows_at=ns)
+    cs = compute_constants(dist, barrier, kmax=kmax, hmax=4, lmax=1, stats=stats)
+    rows = stats.rows
     sigma = dist.sigma()
     for r in rs:
         es = expansion_polys(dist, r, barrier, constants=cs)

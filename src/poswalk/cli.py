@@ -22,8 +22,8 @@ from . import increments
 from .constants import compute_constants
 from .errors import (CancellationFailure, HorizonTooLarge, IllConditioned, InputError,
                      PoswalkError, QuadratureNonconvergence)
-from .expansion import expansion_polys, required_b_indices
-from .oracle import conditioned_interval_prob, killed_rows_at
+from .expansion import ExpansionSet, expansion_polys, required_b_indices
+from .oracle import Row, conditioned_interval_prob, killed_rows_at, tau_statistics
 
 DEFAULT_RATIOS = (0.2, 0.5, 1.0, 1.5, 2.0, 3.0)
 FLATNESS_BAND = 3.0
@@ -89,6 +89,29 @@ def _n_list(nmax: int) -> list[int]:
     return [n for n in (100, 400, 1600, 6400) if n <= nmax] or [nmax]
 
 
+def _b_range(r: int) -> tuple[int, int]:
+    """(hmax, lmax) covering every b[l, h] that Q_2..Q_{r+1} read."""
+    need = required_b_indices(r)
+    return max(h for _, h in need), max(l for l, _ in need)
+
+
+def _polys_and_rows(dist, r: int, barrier: str, kmax: int, mode: str,
+                    ns: list[int]) -> tuple[ExpansionSet, dict[int, Row]]:
+    """P_2..P_{r+1} and the survivor rows at ``ns``, from one float sweep.
+
+    The constant fits always run float64.  In float mode the sweep to kmax
+    runs on to max(ns) and keeps the rows; --mode exact reads exact-rational
+    rows from a sweep of their own (feasible up to the exact cap).
+    """
+    exact = mode == "exact"
+    hmax, lmax = _b_range(r)
+    stats = tau_statistics(dist, kmax, barrier, hmax=max(hmax, 1),
+                           rows_at=() if exact else ns)
+    cs = compute_constants(dist, barrier, kmax=kmax, hmax=hmax, lmax=lmax, stats=stats)
+    rows = killed_rows_at(dist, ns, barrier, mode="exact-rational") if exact else stats.rows
+    return expansion_polys(dist, r, barrier, constants=cs), rows
+
+
 @click.group()
 def cli():
     """Expansion polynomials for walks conditioned to stay positive."""
@@ -99,9 +122,8 @@ def cli():
 def cmd_constants(dist_path, r, barrier, kmax, mode, out_dir):
     """Compute theta0, theta1, b and the U1 table; write constants.json."""
     dist = increments.load(dist_path, mode="exact-rational" if mode == "exact" else None)
-    need = required_b_indices(r)
-    cs = compute_constants(dist, barrier, kmax=kmax,
-                           hmax=max(h for _, h in need), lmax=max(l for l, _ in need))
+    hmax, lmax = _b_range(r)
+    cs = compute_constants(dist, barrier, kmax=kmax, hmax=hmax, lmax=lmax)
     t0x = cs.theta0_cross_check()
     agree = all(abs(a - b) <= RENEWAL_AGREEMENT_TOL * max(abs(a), abs(b))
                 for a, b in ((cs.theta0, t0x), (cs.theta1, cs.theta1_cross_check())))
@@ -138,13 +160,9 @@ def cmd_polys(dist_path, r, barrier, kmax, mode, out_dir):
 def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     """Exact-vs-expansion error table, decay exponents and interval check."""
     dist = increments.load(dist_path, mode="exact-rational" if mode == "exact" else None)
-    oracle_mode = "exact-rational" if mode == "exact" else "float64"
     ns = _n_list(nmax)
-    es = expansion_polys(dist, r, barrier, kmax=kmax)
+    es, rows_by_n = _polys_and_rows(dist, r, barrier, kmax, mode, ns)
     sigma = es.sigma
-    # constant fits always run float64; --mode exact selects exact-rational
-    # oracle tables (feasible for horizons up to the exact cap)
-    rows_by_n = killed_rows_at(dist, ns, barrier, mode=oracle_mode)
     # p_n - R_n is of the order of the first nonzero polynomial: n^{-1/2}
     # through P_3, or n^{-1} where P_3 vanishes (the constants always cover P_3)
     p3 = (es if r >= 2 else expansion_polys(dist, 2, barrier, constants=es.constants)).P[3]
@@ -235,11 +253,9 @@ def cmd_integral_check(out_dir):
 def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     """Plot-ready data: profiles per n, scaled-error curves, U1 table."""
     dist = increments.load(dist_path, mode="exact-rational" if mode == "exact" else None)
-    oracle_mode = "exact-rational" if mode == "exact" else "float64"
     ns = _n_list(nmax)
-    es = expansion_polys(dist, r, barrier, kmax=kmax)
+    es, rows_by_n = _polys_and_rows(dist, r, barrier, kmax, mode, ns)
     sigma = es.sigma
-    rows_by_n = killed_rows_at(dist, ns, barrier, mode=oracle_mode)
 
     for n in ns:
         row = rows_by_n[n]

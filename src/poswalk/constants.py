@@ -124,17 +124,24 @@ def _prov(fit: ExtrapolationResult, l: int = 0) -> dict:
 
 def compute_constants(dist: IncrementDistribution, barrier=Barrier.STRICT,
                       kmax: int = DEFAULT_KMAX, hmax: int = 3, lmax: int = 1,
-                      u_max: int = DEFAULT_U_MAX) -> ConstantSet:
+                      u_max: int = DEFAULT_U_MAX,
+                      stats: TauStatistics | None = None) -> ConstantSet:
     """One oracle sweep, then all fits.
 
     ``hmax``/``lmax`` must cover every (l, h) pair the target expansion order
-    needs (h <= r - 1 and l <= (r - 1)/2 suffice for order r).
+    needs (h <= r - 1 and l <= (r - 1)/2 suffice for order r).  ``stats`` is
+    that sweep when the caller ran it already (to keep its survivor rows); it
+    must match dist, barrier, kmax and u_max and hold theta up to hmax.
     """
     if lmax < 0:
         raise InputError("lmax must be >= 0")
     barrier = Barrier.parse(barrier)
     hmax = max(hmax, 1)  # theta1 is always part of the set
-    stats = tau_statistics(dist, kmax, barrier, hmax=hmax, u_max=u_max)
+    if stats is None:
+        stats = tau_statistics(dist, kmax, barrier, hmax=hmax, u_max=u_max)
+    elif ((stats.dist, stats.barrier, stats.kmax, stats.u_max) != (dist, barrier, kmax, u_max)
+          or max(stats.theta) < hmax):
+        raise InputError("tau statistics do not match the requested constants")
     ks = np.arange(1, kmax + 1, dtype=float)
 
     b: dict[tuple[int, int], float] = {}

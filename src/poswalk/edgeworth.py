@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError
@@ -41,13 +40,6 @@ def hermite(m: int) -> Poly:
         return Poly([0, 1])
     prev, cur = hermite(m - 2), hermite(m - 1)
     return cur.shift(1) - prev.scale(m - 1)
-
-
-def h_even_at_zero(mu: int) -> Fraction:
-    """Value at 0 of the even Gaussian derivative polynomial: (-1)^mu (2 mu)! / (2^mu mu!)."""
-    if mu < 0:
-        raise InputError("mu must be >= 0")
-    return Fraction((-1) ** mu * math.factorial(2 * mu), 2**mu * math.factorial(mu))
 
 
 def partitions(nu: int) -> list[tuple[int, ...]]:
@@ -91,12 +83,6 @@ def ghat(lambdas, nu: int) -> Poly:
             continue
         out = out + hermite(nu + 2 * s).scale(weight)
     return out
-
-
-def q_poly(dist: IncrementDistribution, nu: int) -> Poly:
-    """Float correction polynomial qhat_nu (with the 1/sqrt(2 pi) included)."""
-    lam = cumulant_ratios(dist, nu)
-    return ghat(lam, nu).scale(1.0 / math.sqrt(2 * math.pi))
 
 
 def scaled_a_table(lambdas, nu_max: int) -> dict[tuple[int, int], object]:

@@ -234,7 +234,7 @@ def expansion_polys(dist: IncrementDistribution, r: int, barrier=Barrier.STRICT,
     hmax = max((h for _, h in need), default=0)
     lmax = max((l for l, _ in need), default=0)
     if constants is None:
-        kwargs = {"kmax": kmax} if kmax else {}
+        kwargs = {"kmax": kmax} if kmax is not None else {}
         constants = compute_constants(dist, barrier, hmax=hmax, lmax=lmax, **kwargs)
     missing = [(l, h) for (l, h) in sorted(need) if (l, h) not in constants.b]
     if missing:

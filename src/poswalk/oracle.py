@@ -29,6 +29,12 @@ step serves both arithmetic modes: rows are float64 arrays, or ``object``
 arrays of ``Fraction`` (exact reference, capped horizon).  Its ``Row``, an
 offset plus a dense array, is the one row type every collector returns.
 
+A command sweeps each walk once.  Row k never depends on later steps, so
+the constants (steps up to kmax) and the checked rows (horizons up to nmax)
+are prefixes of one float sweep to max(kmax, nmax): ``tau_statistics``
+collects the killed cells and survivor columns to kmax and keeps the rows
+named in ``rows_at`` on the way.  Only exact rows need a sweep of their own.
+
 Float results are deterministic and byte-stable.  Each step adds the shifted
 rows in the fixed support order.  ``Row.total`` is numpy's pairwise sum over
 the nonzero cells only, in position order.  Pairwise summation rounds
@@ -121,11 +127,13 @@ def _trim_zeros(values: np.ndarray, tail: int) -> np.ndarray:
     Only the last ``tail`` cells are scanned, unless all of them are zero.
     """
     start = max(len(values) - tail, 0)
-    live = np.flatnonzero(values[start:])
-    if not len(live):
-        live = np.flatnonzero(values[:start])
-        start = 0
-    return values[: start + live[-1] + 1] if len(live) else values[:0]
+    cells = values[start:].tolist()  # a few Python scalars: cheaper than a numpy scan
+    while cells and not cells[-1]:
+        cells.pop()
+    if cells:
+        return values[: start + len(cells)]
+    live = np.flatnonzero(values[:start])
+    return values[: live[-1] + 1] if len(live) else values[:0]
 
 
 def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: str):
@@ -144,8 +152,9 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: s
         )
     probs = dist.probs if exact else dist.probs_float()
     p0, *rest = probs  # the support is sorted, so shift 0 comes first
-    shifts = [(x - dist.min_step, p) for x, p in zip(dist.support[1:], rest)]
-    spread = dist.max_step - dist.min_step
+    step = dist.min_step
+    shifts = [(x - step, p) for x, p in zip(dist.support[1:], rest)]
+    spread = dist.max_step - step
     dtype = object if exact else np.float64
     row = Row(0, np.array([Fraction(1)] if exact else [1.0], dtype=dtype))
     tmp = np.empty(1 + (n - 1) * spread, dtype=dtype)  # input rows never grow past this
@@ -160,7 +169,7 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: s
             seg = out[s : s + width]
             np.multiply(p, v, out=prod)
             np.add(seg, prod, out=seg)
-        row, killed = Row(row.offset + dist.min_step, out), None
+        row, killed = Row(row.offset + step, out), None
         if barrier is not None:
             row, killed = _split_killed(row, barrier)
         row.values = _trim_zeros(row.values, 2 * spread)
@@ -227,6 +236,8 @@ class TauStatistics:
     sigma * theta[1] is the overshoot mean E[-S_tau; tau = k].
     ``columns[i][k-1]`` is the low-lattice survivor mass
     P(S_k = floor + i, tau > k) for floor + i <= u_max.
+    ``rows[n]`` is the survivor row at each horizon n the sweep was asked to
+    keep, below or beyond kmax.
     """
 
     dist: IncrementDistribution
@@ -235,6 +246,7 @@ class TauStatistics:
     theta: dict[int, np.ndarray]
     u_max: int
     columns: np.ndarray
+    rows: dict[int, Row] = field(default_factory=dict, repr=False)
 
     def column(self, u: int) -> np.ndarray:
         """P(S_k = u, tau > k) for k = 1..kmax."""
@@ -242,10 +254,17 @@ class TauStatistics:
 
 
 def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRICT,
-                   hmax: int = 3, u_max: int = 30) -> TauStatistics:
-    """Float sweep collecting the killed cells and survivor columns, then the moments."""
+                   hmax: int = 3, u_max: int = 30, rows_at=()) -> TauStatistics:
+    """Float sweep collecting the killed cells and survivor columns, then the moments.
+
+    The sweep runs on to the largest horizon in ``rows_at`` and keeps the
+    survivor rows there, so one sweep serves the constants and the rows.
+    """
     if kmax < 1:
         raise InputError("kmax must be >= 1")
+    wanted = set(rows_at)
+    if wanted and min(wanted) < 1:
+        raise InputError("horizons must be >= 1")
     barrier = Barrier.parse(barrier)
     floor = barrier.floor
     if u_max < floor:
@@ -253,14 +272,18 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
     width = floor - dist.min_step  # killed positions min_step .. floor-1
     block = np.zeros((kmax, width))
     cols = np.zeros((u_max - floor + 1, kmax))
-    for k, row, dead in _sweep(dist, kmax, barrier, "float64"):
-        block[k - 1, width - len(dead.values):] = dead.values  # rows end at floor-1
-        low = row.values[: u_max + 1 - floor]  # survivor rows start at the floor
-        cols[: len(low), k - 1] = low
+    rows = {}
+    for k, row, dead in _sweep(dist, max(wanted | {kmax}), barrier, "float64"):
+        if k <= kmax:
+            block[k - 1, width - len(dead.values):] = dead.values  # rows end at floor-1
+            low = row.values[: u_max + 1 - floor]  # survivor rows start at the floor
+            cols[: len(low), k - 1] = low
+        if k in wanted:
+            rows[k] = row
     ys = -np.arange(dist.min_step, floor, dtype=float) / dist.sigma()  # overshoots in sigma units
     theta = {h: (ys**h * block).sum(axis=1) for h in range(hmax + 1)}
     return TauStatistics(dist=dist, barrier=barrier, kmax=kmax, theta=theta,
-                         u_max=u_max, columns=cols)
+                         u_max=u_max, columns=cols, rows=rows)
 
 
 def conditioned_interval_prob(dist: IncrementDistribution, n: int, u: float, v: float,

@@ -191,6 +191,49 @@ def test_report_files(tri_file, tmp_path):
     assert abs(float(v) - float(ref)) < 0.1 * float(ref)
 
 
+def _kill_steps(monkeypatch):
+    """Count the sweep's kill steps: (float steps, exact steps)."""
+    from poswalk import oracle as oc
+
+    steps = {False: 0, True: 0}
+    split = oc._split_killed
+
+    def counting(row, barrier):
+        steps[row.values.dtype == object] += 1
+        return split(row, barrier)
+
+    monkeypatch.setattr(oc, "_split_killed", counting)
+    return steps
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("kmax", [256, 512])
+def test_float_verify_and_report_sweep_once(tri_file, tmp_path, monkeypatch, command, kmax):
+    # the constants (steps <= kmax) and the rows (n <= nmax) share one sweep,
+    # whichever horizon is the larger
+    steps = _kill_steps(monkeypatch)
+    rc = run([command, "--dist", tri_file, "--r", "1", "--kmax", str(kmax), "--nmax", "400",
+              "--out", str(tmp_path)])
+    assert rc == 0
+    assert steps == {False: max(kmax, 400), True: 0}
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_exact_verify_and_report_sweep_rows_apart(tri_file, tmp_path, monkeypatch, command):
+    # exact rows cannot share the constants' float sweep
+    steps = _kill_steps(monkeypatch)
+    rc = run([command, "--dist", tri_file, "--r", "1", "--mode", "exact", "--kmax", "256",
+              "--nmax", "48", "--out", str(tmp_path)])
+    assert rc == 0
+    assert steps == {False: 256, True: 48}
+
+
+@pytest.mark.parametrize("command", ["polys", "verify", "report"])
+def test_kmax_below_one_exit_two(tri_file, tmp_path, command):
+    # --kmax 0 is an input error in every command, not the default horizon
+    assert run([command, "--dist", tri_file, "--kmax", "0", "--out", str(tmp_path)]) == 2
+
+
 def test_usage_error_exit_two():
     assert run(["verify"]) == 2  # missing --dist
     assert run(["no-such-command"]) == 2

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from poswalk import oracle as oc
-from poswalk.edgeworth import (ghat, h_even_at_zero, hermite, lclt_coefficients,
-                               lclt_evaluate, partitions, q_poly)
+from poswalk.edgeworth import ghat, hermite, lclt_coefficients, lclt_evaluate, partitions
+from poswalk.increments import cumulant_ratios
 from poswalk.laurent import Poly
 
 ROOT2PI = math.sqrt(2 * math.pi)
@@ -27,13 +27,11 @@ def test_hermite_parity_and_degree():
 
 
 def test_h_even_at_zero():
-    assert h_even_at_zero(0) == 1
-    assert h_even_at_zero(1) == -1
-    assert h_even_at_zero(2) == 3
-    assert h_even_at_zero(3) == -15
-    # matches the constant terms of the even Hermite polynomials
+    # H_{2 mu}(0) = (-1)^mu (2 mu)! / (2^mu mu!)
+    assert [hermite(2 * mu).coeff(0) for mu in range(4)] == [1, -1, 3, -15]
     for mu in range(5):
-        assert h_even_at_zero(mu) == hermite(2 * mu).coeff(0)
+        assert hermite(2 * mu).coeff(0) == F((-1) ** mu * math.factorial(2 * mu),
+                                             2**mu * math.factorial(mu))
 
 
 def test_partition_enumeration():
@@ -49,25 +47,30 @@ def test_ghat1_closed_form():
     assert g == Poly([0, -3 * lam1, 0, lam1])
 
 
+def ghat_of(dist, nu):
+    """sqrt(2 pi) times the free-walk correction polynomial qhat_nu of ``dist``."""
+    return ghat(cumulant_ratios(dist, nu), nu)
+
+
 def test_q_poly_first_correction(asym):
-    # q_1 = m3 / (6 sqrt(2 pi) sigma^3) * (t^3 - 3 t)
+    # sqrt(2 pi) q_1 = m3 / (6 sigma^3) * (t^3 - 3 t)
     sigma = asym.sigma()
     m3 = float(asym.raw_moment(3))
-    lead = m3 / (6 * ROOT2PI * sigma**3)
-    q1 = q_poly(asym, 1)
-    assert q1.coeff(3) == pytest.approx(lead)
-    assert q1.coeff(1) == pytest.approx(-3 * lead)
+    lead = m3 / (6 * sigma**3)
+    g1 = ghat_of(asym, 1)
+    assert g1.coeff(3) == pytest.approx(lead)
+    assert g1.coeff(1) == pytest.approx(-3 * lead)
 
 
 def test_q_poly_symmetric_walk_vanishes(tri):
-    assert not q_poly(tri, 1)
+    assert not ghat_of(tri, 1)
 
 
 def test_q_poly_degree_and_parity(asym):
     for nu in range(1, 5):
-        q = q_poly(asym, nu)
-        assert q.degree() == 3 * nu
-        assert q.parity_powers() <= {nu % 2}
+        g = ghat_of(asym, nu)
+        assert g.degree() == 3 * nu
+        assert g.parity_powers() <= {nu % 2}
 
 
 def test_lclt_pinned_coefficients(asym):

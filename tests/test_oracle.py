@@ -263,3 +263,68 @@ def test_compute_constants_is_one_sweep(tri, monkeypatch):
     monkeypatch.setattr(oc, "_split_killed", counting)
     compute_constants(tri, kmax=256)
     assert len(calls) == 256
+
+
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+def test_tau_statistics_keeps_the_rows_of_its_sweep(tri, asym, rich, barrier):
+    # the constants' sweep runs on past kmax and keeps the survivor rows:
+    # they are the cells a sweep of their own gives, below and above kmax
+    ns = [10, 64, 100, 150]
+    for dist in (tri, asym, rich):
+        stats = oc.tau_statistics(dist, 64, barrier, rows_at=ns)
+        alone = oc.killed_rows_at(dist, ns, barrier)
+        assert sorted(stats.rows) == ns
+        for n in ns:
+            assert stats.rows[n].offset == alone[n].offset
+            assert stats.rows[n].values.tobytes() == alone[n].values.tobytes()
+        # the constants block stops at kmax, wherever the rows end
+        bare = oc.tau_statistics(dist, 64, barrier)
+        assert not bare.rows
+        assert stats.columns.tobytes() == bare.columns.tobytes()
+        for h in bare.theta:
+            assert stats.theta[h].tobytes() == bare.theta[h].tobytes()
+
+
+def test_tau_statistics_rejects_horizons_below_one(tri):
+    with pytest.raises(InputError):
+        oc.tau_statistics(tri, 16, rows_at=[0, 8])
+
+
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+def test_compute_constants_from_given_statistics(tri, asym, barrier):
+    for dist in (tri, asym):
+        stats = oc.tau_statistics(dist, 256, barrier, rows_at=[400])
+        given = compute_constants(dist, barrier, kmax=256, stats=stats)
+        assert given.to_json_dict() == compute_constants(dist, barrier, kmax=256).to_json_dict()
+
+
+def test_compute_constants_rejects_mismatched_statistics(tri, asym):
+    stats = oc.tau_statistics(tri, 128, "strict", hmax=1)
+    for kwargs in ({"kmax": 256}, {"barrier": "weak"}, {"u_max": 20}, {"hmax": 2}):
+        call = {"barrier": "strict", "kmax": 128, "hmax": 1, **kwargs}
+        with pytest.raises(InputError):
+            compute_constants(tri, stats=stats, **call)
+    with pytest.raises(InputError):
+        compute_constants(asym, "strict", kmax=128, hmax=1, stats=stats)
+
+
+@pytest.mark.parametrize("cells,tail,kept", [
+    ([], 4, 0),                              # an empty row
+    ([0.0, 0.0, 0.0], 2, 0),                 # all zeros
+    ([1.0, 2.0, 0.0, 0.0, 0.0], 2, 2),       # zero tail: the scan falls back to the head
+    ([1.0, 0.0, 3.0, 0.0], 1, 3),            # nonzero cell just before the tail
+    ([0.0, 0.0, 5e-324], 2, 3),              # a nonzero last cell, here subnormal
+    ([0.5, 0.25], 8, 2),                     # tail longer than the row
+])
+def test_trim_zeros_edge_cases(cells, tail, kept):
+    values = np.array(cells, dtype=float)
+    out = oc._trim_zeros(values, tail)
+    assert out.tolist() == cells[:kept]
+    assert out.base is values  # a view: the trim copies no cells
+
+
+def test_trim_zeros_fraction_row():
+    values = np.array([F(1, 3), F(0), F(2, 7), F(0), F(0)], dtype=object)
+    assert oc._trim_zeros(values, 2).tolist() == [F(1, 3), F(0), F(2, 7)]
+    assert oc._trim_zeros(values, 3).tolist() == [F(1, 3), F(0), F(2, 7)]
+    assert oc._trim_zeros(np.array([F(0)] * 3, dtype=object), 1).tolist() == []
