@@ -23,6 +23,7 @@ from .constants import compute_constants
 from .errors import (CancellationFailure, HorizonTooLarge, IllConditioned, InputError,
                      PoswalkError, QuadratureNonconvergence)
 from .expansion import ExpansionSet, expansion_polys, required_b_indices
+from .integral import integral_check
 from .oracle import Row, conditioned_interval_prob, killed_rows_at, tau_statistics
 
 DEFAULT_RATIOS = (0.2, 0.5, 1.0, 1.5, 2.0, 3.0)
@@ -236,8 +237,6 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
               show_default=True)
 def cmd_integral_check(out_dir):
     """Quadrature vs closed form for the half-line Gaussian-tail integral."""
-    from .integral import integral_check  # scipy loads here, for this command only
-
     rows = integral_check()
     out = [[r.b, r.z, r.closed, r.quadrature, r.rel_error] for r in rows]
     _write_csv(Path(out_dir) / "integral_check.csv",

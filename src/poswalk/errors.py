@@ -50,4 +50,4 @@ class MissingOrder(PoswalkError):
 
 
 class QuadratureNonconvergence(PoswalkError):
-    """Adaptive quadrature failed to reach its target accuracy."""
+    """Quadrature error estimate above its target accuracy."""

@@ -6,8 +6,14 @@ For integer b >= 0 and z != 0,
             = sgn(z) sqrt(2 pi) e^{-z^2/2} sum_{k=0}^{b} (2k-1)!! C(b,k) / z^{2k+1},
 
 with the convention (-1)!! = 1.  The quadrature side substitutes u = s^2
-near 0 and 1 - u = s^2 near 1 to remove the endpoint singularities, then
-integrates each smooth piece adaptively.
+on (0, 1/2] and 1 - u = s^2 on [1/2, 1), removing the endpoint singularities,
+and integrates the sum of the two smooth pieces over s in (0, sqrt(1/2)) by
+one fixed composite Gauss-Legendre rule: 32 nodes per panel, panel edges 0,
+sqrt(1/2) 2^-12, sqrt(1/2) 2^-11, ..., sqrt(1/2) (dense near s = 0, where the
+Gaussian factor turns on); 16 nodes on the same panels give the error
+estimate.  Against the closed form: 2.0e-16 relative on the (BS, ZS) grid,
+within 1.3e-14 for b <= 22, z in [0.02, 16]; beyond that (z -> 0, or b >~ 25
+at small z) the estimate misses its target and `quadrature` raises.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import math
 from dataclasses import dataclass
 from math import comb
 
-from scipy.integrate import quad
+import numpy as np
 
 from .errors import QuadratureNonconvergence
 from .laurent import double_factorial
@@ -24,6 +30,17 @@ from .laurent import double_factorial
 BS = (0, 1, 2, 3)
 ZS = (0.5, 1.0, 2.0, 4.0)
 TARGET_ABS = 1e-10  # absolute error target of the quadrature
+PANEL_EDGES = np.array([0.0] + [math.sqrt(0.5) * 2.0 ** -k for k in range(12, -1, -1)])
+
+
+def _composite_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # s, weights, 1 - s^2
+    x, w = np.polynomial.legendre.leggauss(n)
+    lo, hi = PANEL_EDGES[:-1, None], PANEL_EDGES[1:, None]
+    s = ((hi - lo) / 2 * x + (hi + lo) / 2).ravel()
+    return s, ((hi - lo) / 2 * w).ravel(), 1.0 - s * s
+
+
+RULES = (_composite_rule(32), _composite_rule(16))  # value, then error estimate
 
 
 def closed_form(b: int, z: float) -> float:
@@ -37,33 +54,17 @@ def closed_form(b: int, z: float) -> float:
 
 
 def quadrature(b: int, z: float) -> float:
-    """Adaptive quadrature of the integral with endpoint substitutions."""
-    if b < 0:
-        raise ValueError("b must be >= 0")
-    z2 = z * z
-
-    def lower_piece(s: float) -> float:
-        # u = s^2 on (0, 1/2]: du = 2 s ds kills one power of the singularity,
-        # the Gaussian factor kills the rest as s -> 0
-        u = s * s
-        if u == 0.0:
-            return 0.0
-        val = math.exp(-z2 / (2.0 * u))
-        if val == 0.0:
-            return 0.0
-        return 2.0 * val * s ** (-2 * b - 2) / math.sqrt(1.0 - u)
-
-    def upper_piece(s: float) -> float:
-        # 1 - u = s^2 on [1/2, 1): integrand becomes smooth in s
-        u = 1.0 - s * s
-        return 2.0 * u ** (-b - 1.5) * math.exp(-z2 / (2.0 * u))
-
-    half = math.sqrt(0.5)
-    v1, e1 = quad(lower_piece, 0.0, half, epsabs=TARGET_ABS / 4, epsrel=1e-12, limit=200)
-    v2, e2 = quad(upper_piece, 0.0, half, epsabs=TARGET_ABS / 4, epsrel=1e-12, limit=200)
-    value = v1 + v2
-    err = e1 + e2
-    if err > max(TARGET_ABS, 1e-10 * abs(value)):
+    """The integral by the fixed composite Gauss-Legendre rule."""
+    if b < 0 or z == 0:
+        raise ValueError("b must be >= 0 and z nonzero")
+    h = z * z / 2.0
+    # both substitutions give du = 2 s ds; the lower piece keeps s^{-2b-2} in the
+    # exponent, since alone it overflows at the smallest node for b >= 23
+    value, coarse = (2.0 * float(w @ (np.exp(-h / (s * s) - (2 * b + 2) * np.log(s)) / np.sqrt(u)
+                                      + u ** (-b - 1.5) * np.exp(-h / u)))
+                     for s, w, u in RULES)
+    err = abs(value - coarse)
+    if not err <= max(TARGET_ABS, 1e-10 * abs(value)):  # a NaN raises too
         raise QuadratureNonconvergence(
             f"b={b}, z={z}: error estimate {err:.3e} above target")
     return value

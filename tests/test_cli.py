@@ -283,15 +283,20 @@ def test_verify_keeps_n32_scale_where_p3_is_nonzero(tmp_path):
         assert float(scaled) == float(abs_err) * int(n) ** 1.5
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only integral-check needs scipy; every other command starts without it
-    code = "import sys, poswalk, poswalk.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # nothing needs scipy: with it blocked, integral-check still runs and passes
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from poswalk.cli import main\n"
+            f"rc = main(['integral-check', '--out', {str(tmp_path)!r}])\n"
+            "print(rc, any(m.split('.')[0] == 'scipy' and sys.modules[m] for m in sys.modules))")
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip().split("\n")[-1] == "0 False"
+    lines = (tmp_path / "integral_check.csv").read_text().strip().split("\n")
+    assert len(lines) == 17  # header and 16 cases
 
 
 def test_numeric_failure_exit_three(tri_file, tmp_path):

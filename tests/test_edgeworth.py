@@ -52,7 +52,7 @@ def ghat_of(dist, nu):
     return ghat(cumulant_ratios(dist, nu), nu)
 
 
-def test_q_poly_first_correction(asym):
+def test_ghat_first_correction(asym):
     # sqrt(2 pi) q_1 = m3 / (6 sigma^3) * (t^3 - 3 t)
     sigma = asym.sigma()
     m3 = float(asym.raw_moment(3))
@@ -62,11 +62,11 @@ def test_q_poly_first_correction(asym):
     assert g1.coeff(1) == pytest.approx(-3 * lead)
 
 
-def test_q_poly_symmetric_walk_vanishes(tri):
+def test_ghat_symmetric_walk_vanishes(tri):
     assert not ghat_of(tri, 1)
 
 
-def test_q_poly_degree_and_parity(asym):
+def test_ghat_degree_and_parity(asym):
     for nu in range(1, 5):
         g = ghat_of(asym, nu)
         assert g.degree() == 3 * nu

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from poswalk.errors import QuadratureNonconvergence
 from poswalk.integral import closed_form, integral_check, quadrature
 
 ROOT2PI = math.sqrt(2 * math.pi)
@@ -28,6 +29,7 @@ def test_quadrature_matches_closed_form_grid():
     rows = integral_check()
     assert len(rows) == 16
     assert max(r.rel_error for r in rows) < 1e-8
+    assert max(r.rel_error for r in rows) <= 1e-14
 
 
 def test_large_z_ratio_stays_tight():
@@ -36,6 +38,22 @@ def test_large_z_ratio_stays_tight():
         q = quadrature(1, z)
         assert c == pytest.approx(q, rel=1e-6)
         assert c < 1e-7  # both sides nearly zero
+
+
+def test_fixed_rule_reach():
+    # the fixed rule's reach: rounding-level agreement well off the grid
+    for b in (0, 4, 8, 12):
+        for z in (0.05, 0.5, 2.0, 8.0):
+            assert quadrature(b, z) == pytest.approx(closed_form(b, z), rel=1e-14, abs=0)
+
+
+def test_out_of_reach_raises():
+    # z -> 0: the 32-node value is off by 7e-2 and the estimate says so
+    with pytest.raises(QuadratureNonconvergence):
+        quadrature(3, 1e-5)
+    # large b: an error estimate, not a NaN from an overflowing power
+    with pytest.raises(QuadratureNonconvergence):
+        quadrature(40, 0.5)
 
 
 def test_grid_runs_fast():
@@ -49,3 +67,7 @@ def test_input_validation():
         closed_form(-1, 1.0)
     with pytest.raises(ValueError):
         closed_form(0, 0.0)
+    with pytest.raises(ValueError):
+        quadrature(-1, 1.0)
+    with pytest.raises(ValueError):
+        quadrature(0, 0.0)  # the integral diverges
