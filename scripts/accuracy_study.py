@@ -31,11 +31,11 @@ WALKS = {
 def study(name, dist, barrier, rs, ns, kmax):
     # one sweep to max(kmax, ns) feeds both the constant fits and the rows
     stats = oc.tau_statistics(dist, kmax, barrier, hmax=4, rows_at=ns)
-    cs = compute_constants(dist, barrier, kmax=kmax, hmax=4, lmax=1, stats=stats)
+    cs = compute_constants(stats, lmax=1)
     rows = stats.rows
     sigma = dist.sigma()
     for r in rs:
-        es = expansion_polys(dist, r, barrier, constants=cs)
+        es = expansion_polys(dist, r, cs)
         errs = []
         for n in ns:
             lo = max(1, int(0.2 * sigma * math.sqrt(n)))

@@ -22,7 +22,7 @@ from . import increments
 from .constants import compute_constants
 from .errors import (CancellationFailure, HorizonTooLarge, IllConditioned, InputError,
                      PoswalkError, QuadratureNonconvergence)
-from .expansion import ExpansionSet, expansion_polys, required_b_indices
+from .expansion import ExpansionSet, b_range, expansion_polys
 from .integral import integral_check
 from .oracle import Row, conditioned_interval_prob, killed_rows_at, tau_statistics
 
@@ -78,11 +78,13 @@ def _common(f):
                      show_default=True)(f)
     f = click.option("--kmax", type=int, default=4096, show_default=True,
                      help="horizon for constant fits")(f)
-    f = click.option("--mode", type=click.Choice(["exact", "float"]), default="float",
-                     show_default=True)(f)
     f = click.option("--out", "out_dir", type=click.Path(path_type=Path), default=Path("out"),
                      show_default=True)(f)
     return f
+
+
+_mode = click.option("--mode", type=click.Choice(["exact", "float"]), default="float",
+                     show_default=True, help="arithmetic of the oracle rows")
 
 
 def _n_list(nmax: int) -> list[int]:
@@ -90,27 +92,19 @@ def _n_list(nmax: int) -> list[int]:
     return [n for n in (100, 400, 1600, 6400) if n <= nmax] or [nmax]
 
 
-def _b_range(r: int) -> tuple[int, int]:
-    """(hmax, lmax) covering every b[l, h] that Q_2..Q_{r+1} read."""
-    need = required_b_indices(r)
-    return max(h for _, h in need), max(l for l, _ in need)
-
-
-def _polys_and_rows(dist, r: int, barrier: str, kmax: int, mode: str,
-                    ns: list[int]) -> tuple[ExpansionSet, dict[int, Row]]:
-    """P_2..P_{r+1} and the survivor rows at ``ns``, from one float sweep.
+def _polys_and_rows(dist, r: int, barrier: str, kmax: int, mode: str = "float",
+                    ns=()) -> tuple[ExpansionSet, dict[int, Row]]:
+    """P_2..P_{r+1} and the survivor rows at ``ns``: sweep, fits, assembly.
 
     The constant fits always run float64.  In float mode the sweep to kmax
     runs on to max(ns) and keeps the rows; --mode exact reads exact-rational
     rows from a sweep of their own (feasible up to the exact cap).
     """
     exact = mode == "exact"
-    hmax, lmax = _b_range(r)
-    stats = tau_statistics(dist, kmax, barrier, hmax=max(hmax, 1),
-                           rows_at=() if exact else ns)
-    cs = compute_constants(dist, barrier, kmax=kmax, hmax=hmax, lmax=lmax, stats=stats)
+    hmax, lmax = b_range(r)
+    stats = tau_statistics(dist, kmax, barrier, hmax=hmax, rows_at=() if exact else ns)
     rows = killed_rows_at(dist, ns, barrier, mode="exact-rational") if exact else stats.rows
-    return expansion_polys(dist, r, barrier, constants=cs), rows
+    return expansion_polys(dist, r, compute_constants(stats, lmax)), rows
 
 
 @click.group()
@@ -120,11 +114,11 @@ def cli():
 
 @cli.command("constants")
 @_common
-def cmd_constants(dist_path, r, barrier, kmax, mode, out_dir):
+def cmd_constants(dist_path, r, barrier, kmax, out_dir):
     """Compute theta0, theta1, b and the U1 table; write constants.json."""
-    dist = increments.load(dist_path, mode="exact-rational" if mode == "exact" else None)
-    hmax, lmax = _b_range(r)
-    cs = compute_constants(dist, barrier, kmax=kmax, hmax=hmax, lmax=lmax)
+    dist = increments.load(dist_path)
+    hmax, lmax = b_range(r)
+    cs = compute_constants(tau_statistics(dist, kmax, barrier, hmax=hmax), lmax)
     t0x = cs.theta0_cross_check()
     agree = all(abs(a - b) <= RENEWAL_AGREEMENT_TOL * max(abs(a), abs(b))
                 for a, b in ((cs.theta0, t0x), (cs.theta1, cs.theta1_cross_check())))
@@ -142,10 +136,9 @@ def cmd_constants(dist_path, r, barrier, kmax, mode, out_dir):
 
 @cli.command("polys")
 @_common
-def cmd_polys(dist_path, r, barrier, kmax, mode, out_dir):
+def cmd_polys(dist_path, r, barrier, kmax, out_dir):
     """Assemble P_2..P_{r+1}; write polys.json."""
-    dist = increments.load(dist_path, mode="exact-rational" if mode == "exact" else None)
-    es = expansion_polys(dist, r, barrier, kmax=kmax)
+    es, _ = _polys_and_rows(increments.load(dist_path), r, barrier, kmax)
     _write_json(out_dir / "polys.json", es.to_json_dict())
     for nu in range(2, r + 2):
         p = es.P[nu]
@@ -156,6 +149,7 @@ def cmd_polys(dist_path, r, barrier, kmax, mode, out_dir):
 
 @cli.command("verify")
 @_common
+@_mode
 @click.option("--nmax", type=int, default=1600, show_default=True,
               help="largest horizon in the n list 100,400,...")
 def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
@@ -166,7 +160,7 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     sigma = es.sigma
     # p_n - R_n is of the order of the first nonzero polynomial: n^{-1/2}
     # through P_3, or n^{-1} where P_3 vanishes (the constants always cover P_3)
-    p3 = (es if r >= 2 else expansion_polys(dist, 2, barrier, constants=es.constants)).P[3]
+    p3 = (es if r >= 2 else expansion_polys(dist, 2, es.constants)).P[3]
     lattice_scale = "sqrt(n)" if p3 else "n"
     # the error beyond P_{r+1} is of order n^{-(r+2)/2}, or n^{-2} at r = 1
     # where P_3 vanishes; r >= 2 would need constants beyond those computed
@@ -248,6 +242,7 @@ def cmd_integral_check(out_dir):
 
 @cli.command("report")
 @_common
+@_mode
 @click.option("--nmax", type=int, default=1600, show_default=True)
 def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     """Plot-ready data: profiles per n, scaled-error curves, U1 table."""

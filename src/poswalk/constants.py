@@ -21,8 +21,9 @@ theta1 = (1/sigma) sum_u U1(u) E[overshoot from u], where finite support
 truncates the sums exactly.  Both routes fit the same sweep with a linear
 fit, so they agree to rounding (relative 5e-16 to 4e-14 on the test walks):
 the check catches errors in the kill and overshoot bookkeeping, not the
-extrapolation error.  The Spitzer-Baxter series for theta0, which needs no
-killed sweep and no tail fit, is the independent route (ROADMAP item 4).
+extrapolation error.  The kernel-method closed forms for theta0, theta1 and
+U1, which need no killed sweep and no tail fit, are the independent route
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -34,10 +35,7 @@ import numpy as np
 from .errors import InputError
 from .extrapolation import ExtrapolationResult, fit_power_tail
 from .increments import IncrementDistribution
-from .oracle import Barrier, TauStatistics, tau_statistics
-
-DEFAULT_KMAX = 4096
-DEFAULT_U_MAX = 30
+from .oracle import U_MAX, Barrier, TauStatistics
 
 
 def _tail_fit(ks: np.ndarray, a: np.ndarray, lmax: int = 0) -> ExtrapolationResult:
@@ -49,7 +47,7 @@ def u1_tabulate(stats: TauStatistics) -> dict[int, ExtrapolationResult]:
     """U1(u) = lim (n+1)^{3/2} P(S_n = u, tau > n), per-column extrapolation."""
     ns = np.arange(1, stats.kmax + 1, dtype=float) + 1.0
     return {u: _tail_fit(ns, ns**1.5 * stats.column(u))
-            for u in range(stats.barrier.floor, stats.u_max + 1)}
+            for u in range(stats.barrier.floor, U_MAX + 1)}
 
 
 def _renewal_sum(dist: IncrementDistribution, u1: dict[int, ExtrapolationResult],
@@ -122,33 +120,24 @@ def _prov(fit: ExtrapolationResult, l: int = 0) -> dict:
     }
 
 
-def compute_constants(dist: IncrementDistribution, barrier=Barrier.STRICT,
-                      kmax: int = DEFAULT_KMAX, hmax: int = 3, lmax: int = 1,
-                      u_max: int = DEFAULT_U_MAX,
-                      stats: TauStatistics | None = None) -> ConstantSet:
-    """One oracle sweep, then all fits.
+def compute_constants(stats: TauStatistics, lmax: int = 1) -> ConstantSet:
+    """All fits from one sweep: b[0..lmax, h] for every h the sweep holds, and U1.
 
-    ``hmax``/``lmax`` must cover every (l, h) pair the target expansion order
-    needs (h <= r - 1 and l <= (r - 1)/2 suffice for order r).  ``stats`` is
-    that sweep when the caller ran it already (to keep its survivor rows); it
-    must match dist, barrier, kmax and u_max and hold theta up to hmax.
+    The sweep's hmax and ``lmax`` must cover every (l, h) pair the target
+    expansion order reads: ``expansion.b_range(r)`` gives both for order r.
     """
     if lmax < 0:
         raise InputError("lmax must be >= 0")
-    barrier = Barrier.parse(barrier)
-    hmax = max(hmax, 1)  # theta1 is always part of the set
-    if stats is None:
-        stats = tau_statistics(dist, kmax, barrier, hmax=hmax, u_max=u_max)
-    elif ((stats.dist, stats.barrier, stats.kmax, stats.u_max) != (dist, barrier, kmax, u_max)
-          or max(stats.theta) < hmax):
-        raise InputError("tau statistics do not match the requested constants")
+    if 1 not in stats.theta:
+        raise InputError("theta1 = b[0,1] needs a sweep with hmax >= 1")
+    dist, barrier, kmax = stats.dist, stats.barrier, stats.kmax
     ks = np.arange(1, kmax + 1, dtype=float)
 
     b: dict[tuple[int, int], float] = {}
     prov: dict[str, dict] = {}
-    for h in range(hmax + 1):
+    for h, theta in stats.theta.items():
         # the coefficient of k^-l is b[l, h]
-        fit = _tail_fit(ks, ks**1.5 * stats.theta[h], lmax)
+        fit = _tail_fit(ks, ks**1.5 * theta, lmax)
         for l in range(lmax + 1):
             prov[f"b_{l}_{h}"] = _prov(fit, l)
             b[(l, h)] = prov[f"b_{l}_{h}"]["value"]

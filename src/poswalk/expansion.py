@@ -34,7 +34,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constants import ConstantSet, compute_constants
+from .constants import ConstantSet
 from .edgeworth import LcltExpansion, lclt_coefficients, scaled_a, scaled_a_table
 from .errors import CancellationFailure, InputError, MissingOrder
 from .increments import IncrementDistribution
@@ -105,6 +105,16 @@ def required_b_indices(r: int) -> set[tuple[int, int]]:
         for t in enumerate_tuples(eta):
             need.add((t.l, t.h))
     return need
+
+
+def b_range(r: int) -> tuple[int, int]:
+    """(hmax, lmax) of the sweep and fits behind order r.
+
+    They cover every b[l, h] that Q_2..Q_{r+1} read, and hmax >= 1 always:
+    theta1 = b[0,1] is part of every constant set.
+    """
+    need = required_b_indices(r)
+    return max(1, *(h for _, h in need)), max(l for l, _ in need)
 
 
 def tuple_weight(t: IndexTuple, ahat, b, sigma):
@@ -220,27 +230,19 @@ class ExpansionSet:
         }
 
 
-def expansion_polys(dist: IncrementDistribution, r: int, barrier=Barrier.STRICT,
-                    constants: ConstantSet | None = None,
-                    kmax: int | None = None) -> ExpansionSet:
-    """Compute P_nu = -2 Q_nu for nu = 2..r+1 with numeric constants."""
+def expansion_polys(dist: IncrementDistribution, r: int,
+                    constants: ConstantSet) -> ExpansionSet:
+    """Compute P_nu = -2 Q_nu for nu = 2..r+1 from the walk's constant set.
+
+    ``constants`` must hold the b[l, h] that ``b_range(r)`` covers; reading a
+    missing one raises InputError (``ConstantSet.b_value``).
+    """
     if r < 1:
         raise InputError("r must be >= 1")
     if r > DEFAULT_R_CAP:
         warnings.warn(f"r={r} above the validated range (r <= {DEFAULT_R_CAP})",
                       stacklevel=2)
-    barrier = Barrier.parse(barrier)
-    need = required_b_indices(r)
-    hmax = max((h for _, h in need), default=0)
-    lmax = max((l for l, _ in need), default=0)
-    if constants is None:
-        kwargs = {"kmax": kmax} if kmax is not None else {}
-        constants = compute_constants(dist, barrier, hmax=hmax, lmax=lmax, **kwargs)
-    missing = [(l, h) for (l, h) in sorted(need) if (l, h) not in constants.b]
-    if missing:
-        raise InputError(f"constant set lacks b indices {missing}; recompute with "
-                         f"hmax >= {hmax}, lmax >= {lmax}")
-    es = ExpansionSet(r=r, barrier=barrier, sigma=dist.sigma(), P={}, Q={},
+    es = ExpansionSet(r=r, barrier=constants.barrier, sigma=dist.sigma(), P={}, Q={},
                       constants=constants, lclt=lclt_coefficients(dist, r))
     for eta in range(2, r + 2):
         es.Q[eta] = assemble_Q(eta, es.ahat, constants.b_value, es.sigma)

@@ -62,6 +62,7 @@ from .errors import DegenerateConditioning, HorizonTooLarge, InputError
 from .increments import IncrementDistribution
 
 EXACT_HORIZON_CAP = 64
+U_MAX = 30  # tau_statistics keeps the survivor columns floor..U_MAX, U1's lattice points
 
 
 class Barrier(enum.Enum):
@@ -235,7 +236,7 @@ class TauStatistics:
     sum_y (y/sigma)^h P(S_k = -y, tau = k); h = 0 recovers P(tau = k) and
     sigma * theta[1] is the overshoot mean E[-S_tau; tau = k].
     ``columns[i][k-1]`` is the low-lattice survivor mass
-    P(S_k = floor + i, tau > k) for floor + i <= u_max.
+    P(S_k = floor + i, tau > k) for floor + i <= U_MAX.
     ``rows[n]`` is the survivor row at each horizon n the sweep was asked to
     keep, below or beyond kmax.
     """
@@ -244,7 +245,6 @@ class TauStatistics:
     barrier: Barrier
     kmax: int
     theta: dict[int, np.ndarray]
-    u_max: int
     columns: np.ndarray
     rows: dict[int, Row] = field(default_factory=dict, repr=False)
 
@@ -254,7 +254,7 @@ class TauStatistics:
 
 
 def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRICT,
-                   hmax: int = 3, u_max: int = 30, rows_at=()) -> TauStatistics:
+                   hmax: int = 3, rows_at=()) -> TauStatistics:
     """Float sweep collecting the killed cells and survivor columns, then the moments.
 
     The sweep runs on to the largest horizon in ``rows_at`` and keeps the
@@ -267,23 +267,21 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
         raise InputError("horizons must be >= 1")
     barrier = Barrier.parse(barrier)
     floor = barrier.floor
-    if u_max < floor:
-        raise InputError("u_max below the barrier floor")
     width = floor - dist.min_step  # killed positions min_step .. floor-1
     block = np.zeros((kmax, width))
-    cols = np.zeros((u_max - floor + 1, kmax))
+    cols = np.zeros((U_MAX - floor + 1, kmax))
     rows = {}
     for k, row, dead in _sweep(dist, max(wanted | {kmax}), barrier, "float64"):
         if k <= kmax:
             block[k - 1, width - len(dead.values):] = dead.values  # rows end at floor-1
-            low = row.values[: u_max + 1 - floor]  # survivor rows start at the floor
+            low = row.values[: U_MAX + 1 - floor]  # survivor rows start at the floor
             cols[: len(low), k - 1] = low
         if k in wanted:
             rows[k] = row
     ys = -np.arange(dist.min_step, floor, dtype=float) / dist.sigma()  # overshoots in sigma units
     theta = {h: (ys**h * block).sum(axis=1) for h in range(hmax + 1)}
     return TauStatistics(dist=dist, barrier=barrier, kmax=kmax, theta=theta,
-                         u_max=u_max, columns=cols, rows=rows)
+                         columns=cols, rows=rows)
 
 
 def conditioned_interval_prob(dist: IncrementDistribution, n: int, u: float, v: float,

@@ -9,7 +9,7 @@ import pytest
 
 from poswalk import increments
 from poswalk.constants import compute_constants
-from poswalk.oracle import Barrier
+from poswalk.oracle import Barrier, tau_statistics
 
 
 def trinomial():
@@ -93,8 +93,8 @@ _CONSTANT_CACHE: dict = {}
 def constants_for(dist, barrier, kmax=4096, hmax=3, lmax=1):
     key = (dist.digest(), Barrier.parse(barrier).value, kmax, hmax, lmax)
     if key not in _CONSTANT_CACHE:
-        _CONSTANT_CACHE[key] = compute_constants(dist, barrier, kmax=kmax,
-                                                 hmax=hmax, lmax=lmax)
+        _CONSTANT_CACHE[key] = compute_constants(tau_statistics(dist, kmax, barrier,
+                                                                hmax=hmax), lmax)
     return _CONSTANT_CACHE[key]
 
 

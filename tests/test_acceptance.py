@@ -135,7 +135,7 @@ def _identity_residues(**form) -> tuple[float, float]:
         if form:
             have = _quoted_p3(sigma, m3, cs.theta0, cs.theta1, **form)
         else:
-            have = expansion_polys(dist, 2, barrier, constants=cs).P[3]
+            have = expansion_polys(dist, 2, cs).P[3]
         out.append(_residue(have, want(sigma, m3)))
     return tuple(out)
 
@@ -170,7 +170,7 @@ def test_criterion_03b_quoted_p3_reproduced():
 def test_criterion_04_degree_law():
     asym = skewed()
     cs = constants_for(asym, Barrier.STRICT, hmax=4, lmax=1)
-    es = expansion_polys(asym, 4, Barrier.STRICT, constants=cs)
+    es = expansion_polys(asym, 4, cs)
     degrees = {}
     for nu in range(2, 6):
         coeffs = es.P[nu].coeffs
@@ -184,7 +184,7 @@ def test_criterion_04_degree_law():
 
 def _max_residue(dist, barrier, r=4):
     cs = constants_for(dist, barrier, hmax=4, lmax=1)
-    es = expansion_polys(dist, r, barrier, constants=cs)
+    es = expansion_polys(dist, r, cs)
     return max(negative_residue(eta, es.ahat, cs.b_value, es.sigma)
                for eta in range(2, r + 2))
 
@@ -248,7 +248,7 @@ def test_criterion_07_constant_consistency():
 
 def _decay_exponents(dist, barrier, r, ns=(100, 400, 1600)):
     cs = constants_for(dist, barrier)
-    es = expansion_polys(dist, r, barrier, constants=cs)
+    es = expansion_polys(dist, r, cs)
     rows = oc.killed_rows_at(dist, list(ns), barrier)
     sigma = es.sigma
     errs = []
@@ -269,7 +269,7 @@ STRICT_WALKS = ((trinomial, True), (skewed, False), (downskip, False))
 
 def _p3_norm(dist, barrier) -> float:
     cs = constants_for(dist, barrier)
-    p3 = expansion_polys(dist, 2, barrier, constants=cs).P[3]
+    p3 = expansion_polys(dist, 2, cs).P[3]
     return max((abs(c) for c in p3.coeffs), default=0.0)
 
 

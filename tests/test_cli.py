@@ -218,6 +218,15 @@ def test_float_verify_and_report_sweep_once(tri_file, tmp_path, monkeypatch, com
     assert steps == {False: max(kmax, 400), True: 0}
 
 
+@pytest.mark.parametrize("command", ["constants", "polys"])
+def test_constants_and_polys_sweep_once(tri_file, tmp_path, monkeypatch, command):
+    # the fits read one float sweep to kmax, whatever the order
+    steps = _kill_steps(monkeypatch)
+    rc = run([command, "--dist", tri_file, "--r", "3", "--kmax", "256", "--out", str(tmp_path)])
+    assert rc == 0
+    assert steps == {False: 256, True: 0}
+
+
 @pytest.mark.parametrize("command", ["verify", "report"])
 def test_exact_verify_and_report_sweep_rows_apart(tri_file, tmp_path, monkeypatch, command):
     # exact rows cannot share the constants' float sweep
@@ -234,9 +243,13 @@ def test_kmax_below_one_exit_two(tri_file, tmp_path, command):
     assert run([command, "--dist", tri_file, "--kmax", "0", "--out", str(tmp_path)]) == 2
 
 
-def test_usage_error_exit_two():
+def test_usage_error_exit_two(tmp_path):
     assert run(["verify"]) == 2  # missing --dist
     assert run(["no-such-command"]) == 2
+    # --mode selects the rows of verify and report; constants and polys have none
+    for command in ("constants", "polys"):
+        assert run([command, "--dist", str(DISTS / "trinomial.json"), "--mode", "exact",
+                    "--out", str(tmp_path)]) == 2
 
 
 def test_verify_threshold_failure_exit_one(tri_file, tmp_path, monkeypatch):

@@ -161,13 +161,13 @@ def test_b00_keeps_four_terms_at_lmax_zero(tri):
     sigma = tri.sigma()
     closed = {Barrier.STRICT: sigma / (2 * ROOT2PI), Barrier.WEAK: 1 / (sigma * ROOT2PI)}
     for barrier, want in closed.items():
-        cs = cn.compute_constants(tri, barrier, kmax=4096, hmax=1, lmax=0)
+        cs = cn.compute_constants(tau_statistics(tri, 4096, barrier, hmax=1), lmax=0)
         assert cs.theta0 == cs.b[(0, 0)] and cs.theta1 == cs.b[(0, 1)]
         assert cs.b[(0, 0)] == pytest.approx(want, rel=1e-12)
 
 
 def test_b_fit_stability_under_kmax_doubling(tri, tri_constants_strict):
-    b2048 = cn.compute_constants(tri, Barrier.STRICT, kmax=2048, lmax=1).b
+    b2048 = cn.compute_constants(tau_statistics(tri, 2048, Barrier.STRICT)).b
     b4096 = tri_constants_strict.b
     assert b4096[(1, 0)] == pytest.approx(b2048[(1, 0)], rel=1e-2)
     assert b4096[(0, 0)] == pytest.approx(b2048[(0, 0)], rel=1e-6)
@@ -177,8 +177,8 @@ def test_b_fit_error_estimate_is_staggered_window_shift(tri):
     # b[l, 0]'s error estimate is the shift of c_l when the default window
     # (last third of k = 1..kmax) starts 10% of the range earlier
     kmax = 2048
-    cs = cn.compute_constants(tri, Barrier.STRICT, kmax=kmax, hmax=1, lmax=1)
-    stats = tau_statistics(tri, kmax, Barrier.STRICT, hmax=0)
+    stats = tau_statistics(tri, kmax, Barrier.STRICT, hmax=1)
+    cs = cn.compute_constants(stats, lmax=1)
     ks = np.arange(1, kmax + 1, dtype=float)
     a = ks**1.5 * stats.theta[0]
     default = fit_power_tail(ks, a, [0, 1, 2, 3])
@@ -196,8 +196,8 @@ def test_b_fit_error_estimate_is_staggered_window_shift(tri):
 
 
 def test_constants_reproducible_bit_identical(tri):
-    a = cn.compute_constants(tri, Barrier.STRICT, kmax=512, hmax=1, lmax=1, u_max=5)
-    b = cn.compute_constants(tri, Barrier.STRICT, kmax=512, hmax=1, lmax=1, u_max=5)
+    a = cn.compute_constants(tau_statistics(tri, 512, Barrier.STRICT, hmax=1))
+    b = cn.compute_constants(tau_statistics(tri, 512, Barrier.STRICT, hmax=1))
     assert a.theta0 == b.theta0 and a.theta1 == b.theta1
     assert a.b == b.b and a.u1_table == b.u1_table
 

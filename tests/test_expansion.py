@@ -6,9 +6,10 @@ import pytest
 
 from conftest import constants_for
 from poswalk import oracle as oc
-from poswalk.errors import CancellationFailure, MissingOrder
+from poswalk.constants import compute_constants
+from poswalk.errors import CancellationFailure, InputError, MissingOrder
 from poswalk.expansion import (IndexTuple, assemble_Q, closed_form_p2, closed_form_p3,
-                               enumerate_tuples, expansion_polys, negative_residue,
+                               b_range, enumerate_tuples, expansion_polys, negative_residue,
                                placeholder_polys, required_b_indices, tuple_weight,
                                uj_polynomial_part)
 from poswalk.laurent import Poly
@@ -38,6 +39,21 @@ def test_enumerated_tuples_satisfy_constraint():
 
 def test_required_b_indices_r4():
     assert required_b_indices(4) == {(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1)}
+    # the sweep behind an order: hmax >= 1 even where Q_2 alone reads b[0,0] only
+    assert b_range(4) == (3, 1)
+    assert b_range(1) == (1, 0)
+
+
+def test_expansion_takes_the_barrier_of_its_constants(tri, tri_constants_weak):
+    blob = expansion_polys(tri, 1, tri_constants_weak).to_json_dict()
+    assert blob["barrier"] == blob["constants"]["barrier"] == "weak"
+
+
+def test_expansion_rejects_constants_short_of_its_order(asym):
+    # b_range(3) == (2, 1): a set fitted to h <= 1, l = 0 lacks b[0,2] and b[1,0]
+    cs = compute_constants(oc.tau_statistics(asym, 256, hmax=1), lmax=0)
+    with pytest.raises(InputError, match="not computed"):
+        expansion_polys(asym, 3, cs)
 
 
 def test_placeholder_assembly_matches_closed_forms():
@@ -55,7 +71,7 @@ def test_placeholder_assembly_symmetric_case():
 
 def test_numeric_p2_p3_match_closed_forms(asym, asym_constants_strict):
     # closed forms built from the same fitted b values the assembly consumes
-    es = expansion_polys(asym, 2, Barrier.STRICT, constants=asym_constants_strict)
+    es = expansion_polys(asym, 2, asym_constants_strict)
     cs = asym_constants_strict
     p2 = closed_form_p2(sigma=cs.sigma, theta0=cs.b_value(0, 0))
     p3 = closed_form_p3(sigma=cs.sigma, m3=float(asym.raw_moment(3)),
@@ -68,7 +84,7 @@ def test_numeric_p2_p3_match_closed_forms(asym, asym_constants_strict):
 
 def test_degree_law_asymmetric_walk(asym, asym_constants_strict):
     cs = constants_for(asym, Barrier.STRICT, hmax=4, lmax=1)
-    es = expansion_polys(asym, 4, Barrier.STRICT, constants=cs)
+    es = expansion_polys(asym, 4, cs)
     for nu in range(2, 6):
         coeffs = es.P[nu].coeffs
         top = max(abs(c) for c in coeffs)
@@ -77,14 +93,14 @@ def test_degree_law_asymmetric_walk(asym, asym_constants_strict):
 
 
 def test_parity_of_p2_p3(asym, asym_constants_strict):
-    es = expansion_polys(asym, 2, Barrier.STRICT, constants=asym_constants_strict)
+    es = expansion_polys(asym, 2, asym_constants_strict)
     assert es.P[2].parity_powers() <= {1}
     assert es.P[3].parity_powers() <= {0}
 
 
 def test_negative_power_cancellation(asym):
     cs = constants_for(asym, Barrier.STRICT, hmax=4, lmax=1)
-    es = expansion_polys(asym, 4, Barrier.STRICT, constants=cs)
+    es = expansion_polys(asym, 4, cs)
     for eta in range(2, 6):
         assert negative_residue(eta, es.ahat, cs.b_value, es.sigma) <= 1e-9
 
@@ -92,7 +108,7 @@ def test_negative_power_cancellation(asym):
 def test_cancellation_failure_diagnoses_corrupted_coefficients(asym, asym_constants_strict):
     # the eta = 4 balance ties the free-walk coefficients together across
     # four Laurent blocks; poisoning one of them must be caught and reported
-    es = expansion_polys(asym, 2, Barrier.STRICT, constants=asym_constants_strict)
+    es = expansion_polys(asym, 2, asym_constants_strict)
     cs = asym_constants_strict
     sigma = es.sigma
 
@@ -116,7 +132,7 @@ def test_ballot_walk_expansion_matches_free_coefficients(ballot_walk):
     # identity, so P_nu(t) = sigma * sum_{2j+2-q=nu} a_{q,j} t^{q+1}; this
     # pins every piece of the assembly (signs, sigma powers, b wiring)
     cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4, lmax=1)
-    es = expansion_polys(ballot_walk, 3, Barrier.STRICT, constants=cs)
+    es = expansion_polys(ballot_walk, 3, cs)
     sigma = es.sigma
     for nu in range(2, 5):
         want = Poly()
@@ -139,7 +155,7 @@ def test_full_order_decay_at_cap(ballot_walk):
     # r = 4, the default cap: quadrupling n must shrink the window error by
     # about 4^3, exercising every constant the assembly can consume
     cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4, lmax=1)
-    es = expansion_polys(ballot_walk, 4, Barrier.STRICT, constants=cs)
+    es = expansion_polys(ballot_walk, 4, cs)
     rows = oc.killed_rows_at(ballot_walk, [100, 400], Barrier.STRICT)
     sigma = es.sigma
     errs = []
@@ -159,9 +175,9 @@ def test_polys_do_not_depend_on_order(tri, asym):
     for dist in (tri, asym):
         for barrier in Barrier:
             cs = constants_for(dist, barrier)
-            es4 = expansion_polys(dist, 4, barrier, constants=cs)
+            es4 = expansion_polys(dist, 4, cs)
             for r in range(1, 5):
-                es = expansion_polys(dist, r, barrier, constants=cs)
+                es = expansion_polys(dist, r, cs)
                 cut = dataclasses.replace(es4, r=r)
                 assert es.P == {nu: es4.P[nu] for nu in range(2, r + 2)}
                 for n in (100, 400, 1600, 6400):
@@ -170,8 +186,8 @@ def test_polys_do_not_depend_on_order(tri, asym):
 
 
 def test_evaluate_decay_weak_trinomial(tri, tri_constants_weak):
-    es1 = expansion_polys(tri, 1, Barrier.WEAK, constants=tri_constants_weak)
-    es2 = expansion_polys(tri, 2, Barrier.WEAK, constants=tri_constants_weak)
+    es1 = expansion_polys(tri, 1, tri_constants_weak)
+    es2 = expansion_polys(tri, 2, tri_constants_weak)
     rows = oc.killed_rows_at(tri, [100, 400], Barrier.WEAK)
     sigma = tri.sigma()
 
@@ -197,7 +213,7 @@ def test_error_decay_band_both_walks(tri, asym, tri_constants_strict,
         rows = oc.killed_rows_at(dist, [100, 400], barrier)
         sigma = dist.sigma()
         for r in (1, 2):
-            es = expansion_polys(dist, r, barrier, constants=cs)
+            es = expansion_polys(dist, r, cs)
             errs = []
             for n in (100, 400):
                 lo = max(1, int(0.2 * sigma * math.sqrt(n)))
@@ -210,7 +226,7 @@ def test_error_decay_band_both_walks(tri, asym, tri_constants_strict,
 
 
 def test_evaluate_relative_error_at_sigma_sqrt_n(tri, tri_constants_strict):
-    es = expansion_polys(tri, 2, Barrier.STRICT, constants=tri_constants_strict)
+    es = expansion_polys(tri, 2, tri_constants_strict)
     n = 400
     row = oc.killed_rows_at(tri, [n], Barrier.STRICT)[n]
     x = round(tri.sigma() * math.sqrt(n))
@@ -219,7 +235,7 @@ def test_evaluate_relative_error_at_sigma_sqrt_n(tri, tri_constants_strict):
 
 
 def test_evaluate_at_origin_uses_p3_constant(tri, tri_constants_weak):
-    es = expansion_polys(tri, 2, Barrier.WEAK, constants=tri_constants_weak)
+    es = expansion_polys(tri, 2, tri_constants_weak)
     # P_2 is odd so the x = 0 value is the P_3 constant term over n^{3/2}
     n = 256
     want = es.P[3].coeff(0) / n**1.5
@@ -227,14 +243,14 @@ def test_evaluate_at_origin_uses_p3_constant(tri, tri_constants_weak):
 
 
 def test_evaluate_far_tail_is_finite(asym, asym_constants_strict):
-    es = expansion_polys(asym, 2, Barrier.STRICT, constants=asym_constants_strict)
+    es = expansion_polys(asym, 2, asym_constants_strict)
     v = es.evaluate(100, 10**5)
     assert math.isfinite(v)
     assert abs(v) < 1e-300
 
 
 def test_uj_polynomial_part_slope(asym, asym_constants_strict):
-    es = expansion_polys(asym, 2, Barrier.STRICT, constants=asym_constants_strict)
+    es = expansion_polys(asym, 2, asym_constants_strict)
     w1 = uj_polynomial_part(es, 1)
     assert w1.degree() == 1
     assert w1.coeff(1) == pytest.approx(2 * es.constants.theta0 / es.sigma**2, rel=1e-9)
@@ -243,7 +259,7 @@ def test_uj_polynomial_part_slope(asym, asym_constants_strict):
 
 
 def test_uj_polynomial_part_matches_u1_growth(asym, asym_constants_strict):
-    es = expansion_polys(asym, 2, Barrier.STRICT, constants=asym_constants_strict)
+    es = expansion_polys(asym, 2, asym_constants_strict)
     w1 = uj_polynomial_part(es, 1)
     u1 = es.constants.u1_table
     u_hi = max(u1)
@@ -253,7 +269,7 @@ def test_uj_polynomial_part_matches_u1_growth(asym, asym_constants_strict):
 def test_uj_polynomial_closed_form_weak_trinomial(tri, tri_constants_weak):
     # reflection gives W_1(u) = (2u + 2) / (sigma^3 sqrt(2 pi)) exactly;
     # both assembled coefficients must land on it
-    es = expansion_polys(tri, 2, Barrier.WEAK, constants=tri_constants_weak)
+    es = expansion_polys(tri, 2, tri_constants_weak)
     w1 = uj_polynomial_part(es, 1)
     want = 2.0 / (es.sigma**3 * ROOT2PI)
     assert w1.coeff(0) == pytest.approx(want, rel=1e-8)
@@ -261,13 +277,13 @@ def test_uj_polynomial_closed_form_weak_trinomial(tri, tri_constants_weak):
 
 
 def test_uj_requires_enough_orders(asym, asym_constants_strict):
-    es = expansion_polys(asym, 1, Barrier.STRICT, constants=asym_constants_strict)
+    es = expansion_polys(asym, 1, asym_constants_strict)
     with pytest.raises(MissingOrder):
         uj_polynomial_part(es, 1)
 
 
 def test_expansion_json_export(asym, asym_constants_strict):
-    es = expansion_polys(asym, 2, Barrier.STRICT, constants=asym_constants_strict)
+    es = expansion_polys(asym, 2, asym_constants_strict)
     blob = es.to_json_dict()
     assert blob["schema_version"] == 1
     assert set(blob["P"]) == {"2", "3"}
@@ -277,6 +293,6 @@ def test_expansion_json_export(asym, asym_constants_strict):
 def test_r_above_validated_range_warns(tri, tri_constants_strict):
     with pytest.warns(UserWarning, match="validated range"):
         try:
-            expansion_polys(tri, 5, Barrier.STRICT, constants=tri_constants_strict)
+            expansion_polys(tri, 5, tri_constants_strict)
         except Exception:
             pass

@@ -133,5 +133,5 @@ def test_dense_and_map_construction_mix():
 
 
 def test_blocks_and_assembled_polys_share_one_type(asym, asym_constants_strict):
-    es = expansion_polys(asym, 2, "strict", constants=asym_constants_strict)
+    es = expansion_polys(asym, 2, asym_constants_strict)
     assert type(q_jlm(1, 2, 3)) is type(es.P[3]) is Poly

@@ -246,7 +246,7 @@ def test_tau_statistics_survivor_columns(tri, asym, rich, barrier):
     for dist in (tri, asym, rich):
         stats = oc.tau_statistics(dist, 64, barrier)
         table = oc.killed_table(dist, 64, barrier, mode="float64")
-        for u in range(floor, stats.u_max + 1):
+        for u in range(floor, oc.U_MAX + 1):
             expected = [table.rows[k].get(u, 0.0) for k in range(1, 65)]
             assert stats.column(u).tolist() == expected
 
@@ -261,7 +261,7 @@ def test_compute_constants_is_one_sweep(tri, monkeypatch):
         return split(*args, **kwargs)
 
     monkeypatch.setattr(oc, "_split_killed", counting)
-    compute_constants(tri, kmax=256)
+    compute_constants(oc.tau_statistics(tri, 256))
     assert len(calls) == 256
 
 
@@ -294,18 +294,15 @@ def test_tau_statistics_rejects_horizons_below_one(tri):
 def test_compute_constants_from_given_statistics(tri, asym, barrier):
     for dist in (tri, asym):
         stats = oc.tau_statistics(dist, 256, barrier, rows_at=[400])
-        given = compute_constants(dist, barrier, kmax=256, stats=stats)
-        assert given.to_json_dict() == compute_constants(dist, barrier, kmax=256).to_json_dict()
+        bare = oc.tau_statistics(dist, 256, barrier)
+        assert compute_constants(stats).to_json_dict() == compute_constants(bare).to_json_dict()
 
 
-def test_compute_constants_rejects_mismatched_statistics(tri, asym):
-    stats = oc.tau_statistics(tri, 128, "strict", hmax=1)
-    for kwargs in ({"kmax": 256}, {"barrier": "weak"}, {"u_max": 20}, {"hmax": 2}):
-        call = {"barrier": "strict", "kmax": 128, "hmax": 1, **kwargs}
-        with pytest.raises(InputError):
-            compute_constants(tri, stats=stats, **call)
-    with pytest.raises(InputError):
-        compute_constants(asym, "strict", kmax=128, hmax=1, stats=stats)
+def test_compute_constants_needs_theta1(tri):
+    # theta1 = b[0,1] is part of every constant set: a sweep without the
+    # first overshoot moment is an input error, not a KeyError
+    with pytest.raises(InputError, match="hmax >= 1"):
+        compute_constants(oc.tau_statistics(tri, 64, hmax=0))
 
 
 @pytest.mark.parametrize("cells,tail,kept", [
