@@ -24,6 +24,7 @@ from .errors import (CancellationFailure, HorizonTooLarge, IllConditioned, Input
                      PoswalkError, QuadratureNonconvergence)
 from .expansion import ExpansionSet, b_range, expansion_polys
 from .integral import integral_check
+from .laurent import Poly
 from .oracle import Row, conditioned_interval_prob, killed_rows_at, tau_statistics
 
 DEFAULT_RATIOS = (0.2, 0.5, 1.0, 1.5, 2.0, 3.0)
@@ -107,6 +108,17 @@ def _polys_and_rows(dist, r: int, barrier: str, kmax: int, mode: str = "float",
     return expansion_polys(dist, r, compute_constants(stats, lmax)), rows
 
 
+def _p3_and_power(dist, es: ExpansionSet, r: int) -> tuple[Poly, float]:
+    """P_3 and the power of n that makes the order-r error flat.
+
+    The error beyond P_{r+1} is of order n^{-(r+2)/2}, or n^{-2} at r = 1
+    where P_3 vanishes.  Order 1 assembles P_3 from the same constants (they
+    always cover it); r >= 2 would need constants beyond those computed.
+    """
+    p3 = (es if es.r >= 2 else expansion_polys(dist, 2, es.constants)).P[3]
+    return p3, 2.0 if r == 1 and not p3 else (r + 2) / 2.0
+
+
 @click.group()
 def cli():
     """Expansion polynomials for walks conditioned to stay positive."""
@@ -158,13 +170,10 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     ns = _n_list(nmax)
     es, rows_by_n = _polys_and_rows(dist, r, barrier, kmax, mode, ns)
     sigma = es.sigma
+    p3, power = _p3_and_power(dist, es, r)
     # p_n - R_n is of the order of the first nonzero polynomial: n^{-1/2}
-    # through P_3, or n^{-1} where P_3 vanishes (the constants always cover P_3)
-    p3 = (es if r >= 2 else expansion_polys(dist, 2, es.constants)).P[3]
+    # through P_3, or n^{-1} where P_3 vanishes
     lattice_scale = "sqrt(n)" if p3 else "n"
-    # the error beyond P_{r+1} is of order n^{-(r+2)/2}, or n^{-2} at r = 1
-    # where P_3 vanishes; r >= 2 would need constants beyond those computed
-    power = 2.0 if r == 1 and not p3 else (r + 2) / 2.0
 
     all_rows = []
     max_scaled = {}
@@ -265,13 +274,14 @@ def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     for r_cur in range(1, r + 1):
         # P_nu does not depend on the order: Q_eta reads only a_{q,j} with 2j - q <= eta - 2
         es_r = dataclasses.replace(es, r=r_cur)
+        _, power = _p3_and_power(dist, es, r_cur)
         for n in ns:
             row = rows_by_n[n]
             lo = max(1, int(0.2 * sigma * math.sqrt(n)))
             hi = int(3.0 * sigma * math.sqrt(n))
             err = max(abs(float(row.get(x, 0.0)) - es_r.evaluate(n, x))
                       for x in range(lo, hi + 1))
-            curves.append([r_cur, n, err, err * n ** ((r_cur + 2) / 2.0)])
+            curves.append([r_cur, n, err, err * n ** power])
     _write_csv(out_dir / "report_scaled_err.csv",
                ["r", "n", "max_abs_err", "max_scaled_err"], curves)
 

@@ -58,8 +58,6 @@ def partitions(nu: int) -> list[tuple[int, ...]]:
         for k in range(remaining // m, -1, -1):
             descend(m + 1, remaining - m * k, acc + [k])
 
-    if nu == 1:
-        return [(1,)]
     descend(1, nu, [])
     return out
 
@@ -118,33 +116,21 @@ class LcltExpansion:
 
     r: int
     sigma: float
-    p0_polys: list[Poly]  # j = 0..2r+2, polynomial in z = x/sigma
-    a: dict[tuple[int, int], float]  # (q, j) -> a_{q,j}
-
-    def a_coef(self, q: int, j: int) -> float:
-        return self.a.get((q, j), 0.0)
+    p0_polys: list[Poly]  # j = 0..2r+2, polynomial in z = x/sigma; a_{q,j} = [z^q] P0_j
 
 
 def lclt_coefficients(dist: IncrementDistribution, r: int) -> LcltExpansion:
-    """Assemble P0_0..P0_{2r+2} and the a_{q,j} map for a concrete walk."""
+    """Assemble P0_0..P0_{2r+2} for a concrete walk."""
     if r < 1:
         raise InputError("r must be >= 1")
     sigma = dist.sigma()
     lam = cumulant_ratios(dist, r + 1)
     table = scaled_a_table(lam, r + 1)
     root = math.sqrt(2 * math.pi)
-    polys: list[Poly] = []
-    amap: dict[tuple[int, int], float] = {}
-    for j in range(0, 2 * r + 3):
-        coeffs = []
-        for q in range(0, (3 * j) // 2 + 1):
-            c = scaled_a(table, q, j, r)
-            coeffs.append(float(c) / (sigma * root))
-        poly = Poly(coeffs)
-        polys.append(poly)
-        for q, c in poly.terms.items():
-            amap[(q, j)] = c
-    return LcltExpansion(r=r, sigma=sigma, p0_polys=polys, a=amap)
+    polys = [Poly([float(scaled_a(table, q, j, r)) / (sigma * root)
+                   for q in range(0, (3 * j) // 2 + 1)])
+             for j in range(0, 2 * r + 3)]
+    return LcltExpansion(r=r, sigma=sigma, p0_polys=polys)
 
 
 def lclt_evaluate(expansion: LcltExpansion, n: int, x: int) -> float:

@@ -61,10 +61,6 @@ class IndexTuple:
         """Overshoot-moment order this tuple consumes."""
         return self.s + self.nu + 2 * self.mu
 
-    def constraint_value(self) -> int:
-        """2 (j + mu + l) + nu + s - q; equals eta - 2 for members of Q_eta."""
-        return 2 * (self.j + self.mu + self.l) + self.nu + self.s - self.q
-
 
 def enumerate_tuples(eta: int) -> list[IndexTuple]:
     """All tuples contributing to Q_eta, duplicate-free, deterministic order.
@@ -149,6 +145,16 @@ def _laurent_sum(eta: int, ahat, b, sigma) -> tuple[Poly, list]:
     return total, contributions
 
 
+def _residue(total: Poly) -> float:
+    """Largest negative-exponent coefficient of ``total`` relative to its
+    largest polynomial coefficient; 0.0 when every negative exponent cancelled."""
+    neg = total.negative_part()
+    if not neg:
+        return 0.0
+    scale = max((abs(float(c)) for c in total.polynomial_part().terms.values()), default=0.0)
+    return max(abs(float(c)) for c in neg.terms.values()) / max(scale, 1e-300)
+
+
 def assemble_Q(eta: int, ahat, b, sigma, tol: float = CANCELLATION_TOL) -> Poly:
     """Assemble Q_eta; negative Laurent exponents must cancel.
 
@@ -157,33 +163,21 @@ def assemble_Q(eta: int, ahat, b, sigma, tol: float = CANCELLATION_TOL) -> Poly:
     polynomial coefficient.
     """
     total, contributions = _laurent_sum(eta, ahat, b, sigma)
-    neg = total.negative_part()
-    poly = total.polynomial_part()
-    if neg:
-        scale = max((abs(float(c)) for c in poly.terms.values()), default=0.0)
-        worst = max(abs(float(c)) for c in neg.terms.values())
-        if worst > tol * max(scale, 1e-300):
-            lines = [
-                f"eta={eta}: negative exponents survive assembly "
-                f"(max |coeff| {worst:.3e} vs polynomial scale {scale:.3e})"
-            ]
-            for t, w, base in contributions:
-                if base.negative_part():
-                    lines.append(f"  tuple {t} weight {float(w):.6e} "
-                                 f"min exponent {base.min_exponent()}")
-            raise CancellationFailure("\n".join(lines))
-    return poly
+    residue = _residue(total)
+    if residue > tol:
+        lines = [f"eta={eta}: negative exponents survive assembly "
+                 f"(relative residue {residue:.3e}, tolerance {tol:.0e})"]
+        for t, w, base in contributions:
+            if base.negative_part():
+                lines.append(f"  tuple {t} weight {float(w):.6e} "
+                             f"min exponent {base.min_exponent()}")
+        raise CancellationFailure("\n".join(lines))
+    return total.polynomial_part()
 
 
 def negative_residue(eta: int, ahat, b, sigma) -> float:
     """Largest surviving negative-exponent coefficient, relative (diagnostic)."""
-    total, _ = _laurent_sum(eta, ahat, b, sigma)
-    neg = total.negative_part()
-    if not neg:
-        return 0.0
-    poly = total.polynomial_part()
-    scale = max((abs(float(c)) for c in poly.terms.values()), default=1e-300)
-    return max(abs(float(c)) for c in neg.terms.values()) / scale
+    return _residue(_laurent_sum(eta, ahat, b, sigma)[0])
 
 
 @dataclass
@@ -193,14 +187,13 @@ class ExpansionSet:
     r: int
     barrier: Barrier
     sigma: float
-    P: dict[int, Poly]
-    Q: dict[int, Poly]
+    P: dict[int, Poly]  # P_nu = -2 Q_nu
     constants: ConstantSet
     lclt: LcltExpansion
 
     def ahat(self, q: int, j: int) -> float:
         """sigma * sqrt(2 pi) * a_{q,j}, the free-walk weight the Q_eta sum reads."""
-        return self.lclt.a_coef(q, j) * self.sigma * math.sqrt(2 * math.pi)
+        return self.lclt.p0_polys[j].coeff(q) * self.sigma * math.sqrt(2 * math.pi)
 
     def evaluate(self, n: int, x: int) -> float:
         """Truncated series value for P(S_n = x, tau > n); may go <= 0 in tails."""
@@ -225,7 +218,7 @@ class ExpansionSet:
             "barrier": self.barrier.value,
             "sigma": self.sigma,
             "P": {str(nu): coeffs(p) for nu, p in sorted(self.P.items())},
-            "Q": {str(nu): coeffs(p) for nu, p in sorted(self.Q.items())},
+            "Q": {str(nu): coeffs(p.scale(-0.5)) for nu, p in sorted(self.P.items())},
             "constants": self.constants.to_json_dict(),
         }
 
@@ -242,11 +235,10 @@ def expansion_polys(dist: IncrementDistribution, r: int,
     if r > DEFAULT_R_CAP:
         warnings.warn(f"r={r} above the validated range (r <= {DEFAULT_R_CAP})",
                       stacklevel=2)
-    es = ExpansionSet(r=r, barrier=constants.barrier, sigma=dist.sigma(), P={}, Q={},
+    es = ExpansionSet(r=r, barrier=constants.barrier, sigma=dist.sigma(), P={},
                       constants=constants, lclt=lclt_coefficients(dist, r))
     for eta in range(2, r + 2):
-        es.Q[eta] = assemble_Q(eta, es.ahat, constants.b_value, es.sigma)
-        es.P[eta] = es.Q[eta].scale(-2.0)
+        es.P[eta] = assemble_Q(eta, es.ahat, constants.b_value, es.sigma).scale(-2.0)
     return es
 
 

@@ -41,11 +41,10 @@ def _fit_window(ks: np.ndarray, a: np.ndarray, exponents: Sequence[float],
     aw = a[mask]
     design = np.column_stack([kw ** (-e) for e in exponents])
     norms = np.linalg.norm(design, axis=0)
-    scaled = design / norms
-    cond = np.linalg.cond(scaled)
+    coef, _, _, sv = np.linalg.lstsq(design / norms, aw, rcond=None)
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf  # the 2-norm condition number
     if cond > COND_GUARD:
         raise IllConditioned(f"condition number {cond:.3e} exceeds {COND_GUARD:.0e}")
-    coef, *_ = np.linalg.lstsq(scaled, aw, rcond=None)
     return coef / norms
 
 

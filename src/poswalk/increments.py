@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -46,10 +46,6 @@ class IncrementDistribution:
     support: tuple[int, ...]
     probs: tuple[Fraction, ...]
     arithmetic_mode: str  # "exact-rational" | "float64"
-    name: str = field(default="", compare=False)
-
-    def prob_map(self) -> dict[int, Fraction]:
-        return dict(zip(self.support, self.probs))
 
     def probs_float(self) -> list[float]:
         return [float(p) for p in self.probs]
@@ -89,11 +85,6 @@ class IncrementDistribution:
         """Stable hash of the rationalized distribution."""
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).digest()
-
-    def __str__(self) -> str:
-        label = self.name or "dist"
-        pts = ", ".join(f"{x}:{p}" for x, p in zip(self.support, self.probs))
-        return f"{label}({pts})"
 
 
 def validate(support: Sequence[int], probs: Sequence, mode: str | None = None) -> IncrementDistribution:

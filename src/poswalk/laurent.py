@@ -115,10 +115,6 @@ class Poly:
     def polynomial_part(self) -> "Poly":
         return Poly({e: c for e, c in self.terms.items() if e >= 0})
 
-    def parity_powers(self):
-        """Set of exponent parities carried by nonzero coefficients."""
-        return {e % 2 for e in self.terms}
-
     def __call__(self, t):
         # plain loops only: a generator here would make t a closure cell and
         # slow every Horner step (about 5% of ExpansionSet.evaluate)

@@ -184,37 +184,19 @@ def free_pmf(dist: IncrementDistribution, n: int, mode: str = "float64") -> Row:
     return row
 
 
-@dataclass
-class KilledWalkTable:
-    """Survivor masses P(S_k = y, tau > k) for 1 <= k <= n, plus killed mass.
-
-    ``rows[k]`` is the survivor row at step k; ``killed[k]`` is the row of
-    killed positions (<= 0 strict, < 0 weak) with the mass absorbed at step k.
-    """
-
-    dist: IncrementDistribution
-    barrier: Barrier
-    n: int
-    rows: dict[int, Row] = field(repr=False)
-    killed: dict[int, Row] = field(repr=False)
-
-    def survival(self, k: int):
-        """P(tau > k)."""
-        return self.rows[k].total()
-
-    def tau_mass(self, k: int):
-        """P(tau = k)."""
-        return self.killed[k].total()
-
-
 def killed_table(dist: IncrementDistribution, n: int, barrier=Barrier.STRICT,
-                 mode: str = "float64") -> KilledWalkTable:
-    """Forward DP table of the killed walk up to horizon n (all rows kept)."""
-    barrier = Barrier.parse(barrier)
+                 mode: str = "float64") -> tuple[dict[int, Row], dict[int, Row]]:
+    """Forward DP table of the killed walk up to horizon n: (rows, killed).
+
+    ``rows[k]`` is the survivor row P(S_k = y, tau > k) at step k, so
+    P(tau > k) = ``rows[k].total()``; ``killed[k]`` is the row of killed
+    positions (<= 0 strict, < 0 weak) with the mass absorbed at step k, so
+    P(tau = k) = ``killed[k].total()``.
+    """
     rows, killed = {}, {}
-    for k, row, dead in _sweep(dist, n, barrier, mode):
+    for k, row, dead in _sweep(dist, n, Barrier.parse(barrier), mode):
         rows[k], killed[k] = row, dead
-    return KilledWalkTable(dist=dist, barrier=barrier, n=n, rows=rows, killed=killed)
+    return rows, killed
 
 
 def killed_rows_at(dist: IncrementDistribution, ns: list[int], barrier=Barrier.STRICT,

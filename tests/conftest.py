@@ -71,7 +71,7 @@ def brute_force_killed(dist, n: int, barrier: Barrier):
     floor = barrier.floor
     rows = {k: {} for k in range(1, n + 1)}
     killed = {k: {} for k in range(1, n + 1)}
-    pm = dist.prob_map()
+    pm = dict(zip(dist.support, dist.probs))
     for path in itertools.product(dist.support, repeat=n):
         prob = Fraction(1)
         for x in path:

@@ -203,21 +203,21 @@ def test_criterion_06_oracle_correctness():
     dists = [trinomial(), skewed(), downskip()]
     ok = True
     for dist in dists:
-        table = oc.killed_table(dist, 8, Barrier.STRICT, mode="exact-rational")
+        dp_rows, dp_killed = oc.killed_table(dist, 8, Barrier.STRICT, mode="exact-rational")
         rows, killed = brute_force_killed(dist, 8, Barrier.STRICT)
-        ok &= all(table.rows[k].nonzero() == rows[k] and table.killed[k].nonzero() == killed[k]
+        ok &= all(dp_rows[k].nonzero() == rows[k] and dp_killed[k].nonzero() == killed[k]
                   for k in range(1, 9))
     for dist in dists:
-        t = oc.killed_table(dist, 20, Barrier.STRICT, mode="exact-rational")
-        ok &= all(t.survival(k) + sum(t.tau_mass(j) for j in range(1, k + 1)) == 1
+        rows, killed = oc.killed_table(dist, 20, Barrier.STRICT, mode="exact-rational")
+        ok &= all(rows[k].total() + sum(killed[j].total() for j in range(1, k + 1)) == 1
                   for k in range(1, 21))
     for dist in dists:
-        exact = oc.killed_table(dist, 64, Barrier.STRICT, mode="exact-rational")
-        fl = oc.killed_table(dist, 64, Barrier.STRICT, mode="float64")
+        exact, _ = oc.killed_table(dist, 64, Barrier.STRICT, mode="exact-rational")
+        fl, _ = oc.killed_table(dist, 64, Barrier.STRICT, mode="float64")
         for k in range(1, 65):
-            for y, v in exact.rows[k].nonzero().items():
+            for y, v in exact[k].nonzero().items():
                 ref = float(v)
-                ok &= abs(fl.rows[k].get(y, 0.0) - ref) <= 1e-10 * ref
+                ok &= abs(fl[k].get(y, 0.0) - ref) <= 1e-10 * ref
     elapsed = time.time() - start
     assert report("6", ok and elapsed < 60,
                   f"brute force n<=8, conservation n<=20, float agreement n<=64 "
@@ -397,19 +397,19 @@ def test_criterion_13a_weak_cancellation():
 def test_criterion_13b_weak_oracle():
     ok = True
     for dist in (trinomial(), skewed(), downskip()):
-        table = oc.killed_table(dist, 8, Barrier.WEAK, mode="exact-rational")
+        dp_rows, dp_killed = oc.killed_table(dist, 8, Barrier.WEAK, mode="exact-rational")
         rows, killed = brute_force_killed(dist, 8, Barrier.WEAK)
-        ok &= all(table.rows[k].nonzero() == rows[k] and table.killed[k].nonzero() == killed[k]
+        ok &= all(dp_rows[k].nonzero() == rows[k] and dp_killed[k].nonzero() == killed[k]
                   for k in range(1, 9))
-        t = oc.killed_table(dist, 20, Barrier.WEAK, mode="exact-rational")
-        ok &= all(t.survival(k) + sum(t.tau_mass(j) for j in range(1, k + 1)) == 1
+        rows, killed = oc.killed_table(dist, 20, Barrier.WEAK, mode="exact-rational")
+        ok &= all(rows[k].total() + sum(killed[j].total() for j in range(1, k + 1)) == 1
                   for k in range(1, 21))
-        exact = oc.killed_table(dist, 64, Barrier.WEAK, mode="exact-rational")
-        fl = oc.killed_table(dist, 64, Barrier.WEAK, mode="float64")
+        exact, _ = oc.killed_table(dist, 64, Barrier.WEAK, mode="exact-rational")
+        fl, _ = oc.killed_table(dist, 64, Barrier.WEAK, mode="float64")
         for k in range(1, 65):
-            for y, v in exact.rows[k].nonzero().items():
+            for y, v in exact[k].nonzero().items():
                 ref = float(v)
-                ok &= abs(fl.rows[k].get(y, 0.0) - ref) <= 1e-10 * ref
+                ok &= abs(fl[k].get(y, 0.0) - ref) <= 1e-10 * ref
     assert report("13b", ok, "weak-barrier oracle identities")
 
 

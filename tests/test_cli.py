@@ -99,6 +99,19 @@ def test_polys_json_has_no_negative_zero(tmp_path):
     assert zeros and all(str(c) == "0.0" for c in zeros)
 
 
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+def test_polys_json_q_is_minus_half_p(tmp_path, barrier):
+    # "Q" is written from P_nu = -2 Q_nu; halving a float is exact, so every
+    # coefficient equals -P/2 bit for bit
+    rc = run(["polys", "--dist", str(DISTS / "skewed.json"), "--r", "4", "--barrier", barrier,
+              "--kmax", "1024", "--out", str(tmp_path)])
+    assert rc == 0
+    blob = json.loads((tmp_path / "polys.json").read_text())
+    assert set(blob["Q"]) == set(blob["P"]) == {"2", "3", "4", "5"}
+    for nu, p in blob["P"].items():
+        assert blob["Q"][nu] == [-c / 2 for c in p]
+
+
 def test_verify_exact_mode_matches_float(tri_file, tmp_path):
     # --mode exact swaps the oracle rows for exact rationals and keeps the
     # float64 constant fits, so the series column cannot move; the float
@@ -296,20 +309,60 @@ def test_verify_keeps_n32_scale_where_p3_is_nonzero(tmp_path):
         assert float(scaled) == float(abs_err) * int(n) ** 1.5
 
 
-def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # nothing needs scipy: with it blocked, integral-check still runs and passes
-    code = ("import sys; sys.modules['scipy'] = None\n"
-            "from poswalk.cli import main\n"
-            f"rc = main(['integral-check', '--out', {str(tmp_path)!r}])\n"
-            "print(rc, any(m.split('.')[0] == 'scipy' and sys.modules[m] for m in sys.modules))")
+def _report_r1_curve(dist_path, tmp_path):
+    """The r = 1 rows of report_scaled_err.csv: (n, max_abs_err, max_scaled_err)."""
+    rc = run(["report", "--dist", dist_path, "--r", "2", "--barrier", "strict",
+              "--kmax", "1024", "--nmax", "1600", "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "report_scaled_err.csv", encoding="utf-8") as fh:
+        return [(int(row["n"]), float(row["max_abs_err"]), float(row["max_scaled_err"]))
+                for row in csv.DictReader(fh) if row["r"] == "1"]
+
+
+def test_report_scales_r1_curve_by_n2_where_p3_vanishes(tri_file, tmp_path):
+    # trinomial strict: P_3 = 0, so report scales its r = 1 curve as verify
+    # does, by n^2; n^{3/2} would halve it at every step (a 4x spread)
+    curve = _report_r1_curve(tri_file, tmp_path)
+    assert [n for n, _, _ in curve] == [100, 400, 1600]
+    scaled = [s for _, _, s in curve]
+    assert max(scaled) / min(scaled) < 1.1
+    assert all(s == e * n**2.0 for n, e, s in curve)
+
+
+def test_report_keeps_n32_scale_where_p3_is_nonzero(tmp_path):
+    # skewed strict: P_3 != 0, so the r = 1 curve keeps the n^{3/2} scale
+    curve = _report_r1_curve(str(DISTS / "skewed.json"), tmp_path)
+    assert len(curve) == 3
+    assert all(s == e * n**1.5 for n, e, s in curve)
+
+
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports the package from src."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # nothing needs scipy: with it blocked, integral-check still runs and passes
+    out = _fresh_python(
+        "import sys; sys.modules['scipy'] = None\n"
+        "from poswalk.cli import main\n"
+        f"rc = main(['integral-check', '--out', {str(tmp_path)!r}])\n"
+        "print(rc, any(m.split('.')[0] == 'scipy' and sys.modules[m] for m in sys.modules))")
     assert out.strip().split("\n")[-1] == "0 False"
     lines = (tmp_path / "integral_check.csv").read_text().strip().split("\n")
     assert len(lines) == 17  # header and 16 cases
+
+
+def test_submodule_import_loads_only_its_dependencies():
+    # the package re-exports nothing, so importing one layer does not pull
+    # in the oracle or the assembly
+    out = _fresh_python("import sys, poswalk.integral\n"
+                        "print('poswalk.oracle' in sys.modules, 'poswalk.expansion' in sys.modules)")
+    assert out.strip() == "False False"
 
 
 def test_numeric_failure_exit_three(tri_file, tmp_path):

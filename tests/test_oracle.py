@@ -13,7 +13,7 @@ from poswalk.errors import DegenerateConditioning, HorizonTooLarge, InputError
 
 def test_free_pmf_n1_is_increment(tri):
     pmf = oc.free_pmf(tri, 1, mode="exact-rational")
-    assert pmf.nonzero() == tri.prob_map()
+    assert pmf.nonzero() == dict(zip(tri.support, tri.probs))
 
 
 def test_free_pmf_two_steps(tri):
@@ -29,21 +29,21 @@ def test_free_pmf_normalizes(asym):
 
 
 def test_killed_single_step(tri):
-    t = oc.killed_table(tri, 1, "strict", mode="exact-rational")
-    assert t.rows[1].get(1) == F(3, 10)
+    rows, _ = oc.killed_table(tri, 1, "strict", mode="exact-rational")
+    assert rows[1].get(1) == F(3, 10)
 
 
 def test_killed_two_steps_strict_vs_weak(tri):
-    strict = oc.killed_table(tri, 2, "strict", mode="exact-rational")
-    weak = oc.killed_table(tri, 2, "weak", mode="exact-rational")
-    assert strict.rows[2].get(1) == F(3, 25)  # only 0 -> 1 -> 1
-    assert weak.rows[2].get(1) == F(6, 25)  # also 0 -> 0 -> 1
+    strict, _ = oc.killed_table(tri, 2, "strict", mode="exact-rational")
+    weak, _ = oc.killed_table(tri, 2, "weak", mode="exact-rational")
+    assert strict[2].get(1) == F(3, 25)  # only 0 -> 1 -> 1
+    assert weak[2].get(1) == F(6, 25)  # also 0 -> 0 -> 1
 
 
 def test_tau_pinned_values(tri):
-    t = oc.killed_table(tri, 2, "strict", mode="exact-rational")
-    assert t.tau_mass(1) == F(7, 10)
-    assert t.tau_mass(2) == F(9, 100)
+    _, killed = oc.killed_table(tri, 2, "strict", mode="exact-rational")
+    assert killed[1].total() == F(7, 10)
+    assert killed[2].total() == F(9, 100)
     stats = oc.tau_statistics(tri, 2, "strict")
     assert stats.theta[0][0] == pytest.approx(0.7)
     assert tri.sigma() * stats.theta[1][0] == pytest.approx(0.3)  # only X = -1 overshoots
@@ -59,16 +59,16 @@ def test_tau_statistics_theta_matches_killed_cells(tri, asym, rich, ballot_walk,
     kmax = 256
     for dist in (tri, asym, rich, ballot_walk):
         stats = oc.tau_statistics(dist, kmax, barrier, hmax=3)
-        table = oc.killed_table(dist, kmax, barrier, mode="float64")
+        _, killed = oc.killed_table(dist, kmax, barrier, mode="float64")
         sigma = dist.sigma()
         for k in range(1, kmax + 1):
-            cells = table.killed[k].nonzero()
+            cells = killed[k].nonzero()
             ys = -np.array(list(cells), dtype=float)  # overshoots
             ms = np.array(list(cells.values()), dtype=float)
             for h in range(4):
                 want = float((((ys / sigma) ** h) * ms).sum())
                 assert stats.theta[h][k - 1].hex() == want.hex()
-            assert stats.theta[0][k - 1] == table.tau_mass(k)
+            assert stats.theta[0][k - 1] == killed[k].total()
 
 
 def _dense_reference(dist, n, barrier, mode):
@@ -124,18 +124,18 @@ def test_sweep_matches_dense_reference(tri, asym, rich, ballot_walk, barrier, mo
 def test_brute_force_agreement(tri, asym, rich, barrier):
     for dist in (tri, asym, rich):
         n = 7
-        table = oc.killed_table(dist, n, barrier, mode="exact-rational")
+        dp_rows, dp_killed = oc.killed_table(dist, n, barrier, mode="exact-rational")
         rows, killed = brute_force_killed(dist, n, barrier)
         for k in range(1, n + 1):
-            assert table.rows[k].nonzero() == rows[k]
-            assert table.killed[k].nonzero() == killed[k]
+            assert dp_rows[k].nonzero() == rows[k]
+            assert dp_killed[k].nonzero() == killed[k]
 
 
 def test_mass_conservation_exact(tri, asym, rich):
     for dist in (tri, asym, rich):
-        t = oc.killed_table(dist, 20, "strict", mode="exact-rational")
+        rows, killed = oc.killed_table(dist, 20, "strict", mode="exact-rational")
         for k in range(1, 21):
-            assert t.survival(k) + sum(t.tau_mass(j) for j in range(1, k + 1)) == 1
+            assert rows[k].total() + sum(killed[j].total() for j in range(1, k + 1)) == 1
 
 
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
@@ -144,12 +144,12 @@ def test_first_passage_decomposition_exact(tri, asym, rich, barrier):
     # convolved with the free walk restarted from the killed position
     for dist in (tri, asym, rich):
         n = 20
-        t = oc.killed_table(dist, n, barrier, mode="exact-rational")
+        rows, killed = oc.killed_table(dist, n, barrier, mode="exact-rational")
         free = {k: oc.free_pmf(dist, k, mode="exact-rational") for k in range(1, n + 1)}
         for y, want in free[n].nonzero().items():
-            total = t.rows[n].get(y, F(0))
+            total = rows[n].get(y, F(0))
             for j in range(1, n + 1):
-                for z, mass in t.killed[j].nonzero().items():
+                for z, mass in killed[j].nonzero().items():
                     if j == n:
                         total += mass if z == y else 0
                     else:
@@ -159,39 +159,39 @@ def test_first_passage_decomposition_exact(tri, asym, rich, barrier):
 
 def test_weak_survives_at_least_strict(tri, asym):
     for dist in (tri, asym):
-        ts = oc.killed_table(dist, 30, "strict", mode="exact-rational")
-        tw = oc.killed_table(dist, 30, "weak", mode="exact-rational")
+        ts, _ = oc.killed_table(dist, 30, "strict", mode="exact-rational")
+        tw, _ = oc.killed_table(dist, 30, "weak", mode="exact-rational")
         for k in range(1, 31):
-            assert tw.survival(k) >= ts.survival(k)
+            assert tw[k].total() >= ts[k].total()
 
 
 def test_float_matches_rational_to_1e10(tri, asym, rich):
     for dist in (tri, asym, rich):
-        exact = oc.killed_table(dist, 64, "strict", mode="exact-rational")
-        fl = oc.killed_table(dist, 64, "strict", mode="float64")
+        exact, _ = oc.killed_table(dist, 64, "strict", mode="exact-rational")
+        fl, _ = oc.killed_table(dist, 64, "strict", mode="float64")
         for k in (1, 2, 16, 33, 64):
-            for y, v in exact.rows[k].nonzero().items():
+            for y, v in exact[k].nonzero().items():
                 ref = float(v)
-                assert abs(fl.rows[k].get(y, 0.0) - ref) <= 1e-10 * ref
+                assert abs(fl[k].get(y, 0.0) - ref) <= 1e-10 * ref
 
 
 def test_ballot_identity_trinomial(tri):
     # max step +1: exactly x of n cyclic shifts of a path to x stay positive
     n = 16
-    t = oc.killed_table(tri, n, "strict", mode="exact-rational")
+    rows, _ = oc.killed_table(tri, n, "strict", mode="exact-rational")
     free = oc.free_pmf(tri, n, mode="exact-rational").nonzero()
     for x in range(1, n + 1):
-        assert t.rows[n].get(x) == F(x, n) * free[x]
+        assert rows[n].get(x) == F(x, n) * free[x]
 
 
 def test_reflection_identity_weak_trinomial(tri):
     # +-1 steps: reflecting at the first visit to -1 pairs each killed path
     # ending at x with a free path ending at -2-x
     n = 16
-    t = oc.killed_table(tri, n, "weak", mode="exact-rational")
+    rows, _ = oc.killed_table(tri, n, "weak", mode="exact-rational")
     free = oc.free_pmf(tri, n, mode="exact-rational").nonzero()
     for x in range(0, n + 1):
-        assert t.rows[n].get(x) == free[x] - free.get(-x - 2, F(0))
+        assert rows[n].get(x) == free[x] - free.get(-x - 2, F(0))
 
 
 def test_horizon_cap_exact_mode(tri):
@@ -245,9 +245,9 @@ def test_tau_statistics_survivor_columns(tri, asym, rich, barrier):
     floor = oc.Barrier.parse(barrier).floor
     for dist in (tri, asym, rich):
         stats = oc.tau_statistics(dist, 64, barrier)
-        table = oc.killed_table(dist, 64, barrier, mode="float64")
+        rows, _ = oc.killed_table(dist, 64, barrier, mode="float64")
         for u in range(floor, oc.U_MAX + 1):
-            expected = [table.rows[k].get(u, 0.0) for k in range(1, 65)]
+            expected = [rows[k].get(u, 0.0) for k in range(1, 65)]
             assert stats.column(u).tolist() == expected
 
 
