@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from poswalk import increments  # noqa: E402
 from poswalk import oracle as oc  # noqa: E402
 from poswalk.constants import compute_constants  # noqa: E402
-from poswalk.expansion import expansion_polys  # noqa: E402
+from poswalk.expansion import b_range, expansion_polys  # noqa: E402
 
 WALKS = {
     "lazy-simple": ([-1, 0, 1], ["3/10", "2/5", "3/10"]),
@@ -30,18 +30,11 @@ WALKS = {
 
 def study(name, dist, barrier, rs, ns, kmax):
     # one sweep to max(kmax, ns) feeds both the constant fits and the rows
-    stats = oc.tau_statistics(dist, kmax, barrier, hmax=4, rows_at=ns)
-    cs = compute_constants(stats, lmax=1)
-    rows = stats.rows
-    sigma = dist.sigma()
+    stats = oc.tau_statistics(dist, kmax, barrier, hmax=b_range(max(rs)), rows_at=ns)
+    cs = compute_constants(stats)
     for r in rs:
         es = expansion_polys(dist, r, cs)
-        errs = []
-        for n in ns:
-            lo = max(1, int(0.2 * sigma * math.sqrt(n)))
-            hi = int(3.0 * sigma * math.sqrt(n))
-            errs.append(max(abs(rows[n].get(x, 0.0) - es.evaluate(n, x))
-                            for x in range(lo, hi + 1)))
+        errs = [es.window_error(stats.rows[n], n) for n in ns]
         expo = [math.log(errs[i] / errs[i + 1], ns[i + 1] / ns[i])
                 for i in range(len(errs) - 1)]
         err_str = "  ".join(f"{e:.2e}" for e in errs)

@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from poswalk import increments  # noqa: E402
 from poswalk import oracle as oc  # noqa: E402
 from poswalk.constants import compute_constants  # noqa: E402
-from poswalk.expansion import expansion_polys, negative_residue  # noqa: E402
+from poswalk.expansion import b_range, expansion_polys, negative_residue  # noqa: E402
 from poswalk.laurent import negative_residue_survey  # noqa: E402
 
 
@@ -34,7 +34,7 @@ def main():
 
     # a walk with overshoots and skewness exercises every constant type
     dist = increments.validate([-2, -1, 0, 1], ["1/10", "1/5", "3/10", "2/5"])
-    cs = compute_constants(oc.tau_statistics(dist, 4096, "strict", hmax=4), lmax=1)
+    cs = compute_constants(oc.tau_statistics(dist, 4096, "strict", hmax=b_range(4)))
     es = expansion_polys(dist, 4, cs)
     print("\nassembled residues (relative to the polynomial scale):")
     for eta in range(2, 6):

@@ -9,11 +9,13 @@ All constants are limits of exactly computed oracle sequences:
 * U1(u)  = lim (n+1)^{3/2} P(S_n = u, tau > n) for small u.
 
 Each sequence is fitted once (``_tail_fit``) over {k^0, ..., k^-m} with
-m = max(lmax + 1, 3): one fit per h gives b[0..lmax, h].  Each error estimate
-is its coefficient's shift when the fit window starts 10% earlier.  On the
-lazy simple walk it understates the true error: 0.33-0.37x for theta0 at
-kmax 1024, and for b[1,0] (read by P_4 and P_5) 0.25x strict / 0.28x weak at
-kmax 1024 and 0.38x weak at kmax 4096.  It is a scale, not a bound.
+m = max(lmax + 1, 3) and lmax = hmax // 2 for a sweep to hmax: one fit per h
+gives b[0..lmax, h], so a sweep to ``expansion.b_range(r)`` holds every
+b[l, h] that order r reads.  Each error estimate is its coefficient's shift
+when the fit window starts 10% earlier.  On the lazy simple walk it
+understates the true error: 0.33-0.37x for theta0 at kmax 1024, and for
+b[1,0] (read by P_4 and P_5) 0.25x strict / 0.28x weak at kmax 1024 and 0.38x
+weak at kmax 4096.  It is a scale, not a bound.
 
 The renewal identity P(tau = n+1) = sum_u P(S_n = u, tau > n) P(kill from u)
 gives a second route: theta0 = sum_u U1(u) P(step from u is killed) and
@@ -58,8 +60,8 @@ def _renewal_sum(dist: IncrementDistribution, u1: dict[int, ExtrapolationResult]
     """
     total = 0.0
     for u, res in sorted(u1.items()):
-        cutoff = -u if barrier is Barrier.STRICT else -u - 1
-        m = float(dist.restricted_moment(h, u, cutoff))
+        # a step X from u is killed when u + X < floor
+        m = float(dist.restricted_moment(h, u, barrier.floor - 1 - u))
         if m:
             total += res.limit * m
     return total
@@ -88,7 +90,7 @@ class ConstantSet:
         try:
             return self.b[(l, h)]
         except KeyError:
-            raise InputError(f"b[{l},{h}] not computed; raise hmax/lmax") from None
+            raise InputError(f"b[{l},{h}] not computed; raise hmax") from None
 
     def theta0_cross_check(self) -> float:
         return self.provenance["theta0_from_u1"]["value"]
@@ -120,17 +122,12 @@ def _prov(fit: ExtrapolationResult, l: int = 0) -> dict:
     }
 
 
-def compute_constants(stats: TauStatistics, lmax: int = 1) -> ConstantSet:
-    """All fits from one sweep: b[0..lmax, h] for every h the sweep holds, and U1.
-
-    The sweep's hmax and ``lmax`` must cover every (l, h) pair the target
-    expansion order reads: ``expansion.b_range(r)`` gives both for order r.
-    """
-    if lmax < 0:
-        raise InputError("lmax must be >= 0")
+def compute_constants(stats: TauStatistics) -> ConstantSet:
+    """All fits from one sweep: b[0..hmax//2, h] for every h the sweep holds, and U1."""
     if 1 not in stats.theta:
         raise InputError("theta1 = b[0,1] needs a sweep with hmax >= 1")
     dist, barrier, kmax = stats.dist, stats.barrier, stats.kmax
+    lmax = max(stats.theta) // 2
     ks = np.arange(1, kmax + 1, dtype=float)
 
     b: dict[tuple[int, int], float] = {}

@@ -19,7 +19,6 @@ the same code drives both the float pipeline and the exact placeholder tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
@@ -110,38 +109,28 @@ def scaled_a(table: dict, q: int, j: int, r: int):
     return table.get((nu, i), 0)
 
 
-@dataclass
-class LcltExpansion:
-    """Float coefficients of the free-walk local expansion at order r."""
-
-    r: int
-    sigma: float
-    p0_polys: list[Poly]  # j = 0..2r+2, polynomial in z = x/sigma; a_{q,j} = [z^q] P0_j
-
-
-def lclt_coefficients(dist: IncrementDistribution, r: int) -> LcltExpansion:
-    """Assemble P0_0..P0_{2r+2} for a concrete walk."""
+def lclt_coefficients(dist: IncrementDistribution, r: int) -> list[Poly]:
+    """P0_0..P0_{2r+2} for a concrete walk, floats in z = x/sigma; a_{q,j} = [z^q] P0_j."""
     if r < 1:
         raise InputError("r must be >= 1")
     sigma = dist.sigma()
     lam = cumulant_ratios(dist, r + 1)
     table = scaled_a_table(lam, r + 1)
     root = math.sqrt(2 * math.pi)
-    polys = [Poly([float(scaled_a(table, q, j, r)) / (sigma * root)
-                   for q in range(0, (3 * j) // 2 + 1)])
-             for j in range(0, 2 * r + 3)]
-    return LcltExpansion(r=r, sigma=sigma, p0_polys=polys)
+    return [Poly([float(scaled_a(table, q, j, r)) / (sigma * root)
+                  for q in range(0, (3 * j) // 2 + 1)])
+            for j in range(0, 2 * r + 3)]
 
 
-def lclt_evaluate(expansion: LcltExpansion, n: int, x: int) -> float:
-    """Truncated free-walk series at a lattice point."""
+def lclt_evaluate(p0_polys: list[Poly], sigma: float, n: int, x: int) -> float:
+    """Truncated free-walk series at a lattice point, from ``lclt_coefficients``."""
     if n < 1:
         raise InputError("n must be >= 1")
-    z = x / expansion.sigma
+    z = x / sigma
     gauss = math.exp(-(z * z) / (2.0 * n))
     if gauss == 0.0:
         return 0.0
     total = 0.0
-    for j, poly in enumerate(expansion.p0_polys):
+    for j, poly in enumerate(p0_polys):
         total += poly(z) / n ** (j + 0.5)
     return gauss * total

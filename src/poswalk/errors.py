@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+The two families map to the CLI's exit codes: ``InputError`` to 2 (the
+request cannot be run as given) and ``NumericFailure`` to 3 (a numeric
+guard tripped on a valid request).
+"""
 
 
 class PoswalkError(Exception):
@@ -6,48 +11,20 @@ class PoswalkError(Exception):
 
 
 class InputError(PoswalkError):
-    """Invalid user input (distribution files, CLI arguments)."""
+    """Invalid user input: distribution files, CLI arguments, horizons, orders."""
 
 
-class SumNotOne(InputError):
-    """Probabilities do not sum to one."""
+class NumericFailure(PoswalkError):
+    """A numeric guard tripped: fit windows, cancellation, quadrature."""
 
 
-class MeanNotZero(InputError):
-    """Increment distribution is not centered."""
-
-
-class SpanNotOne(InputError):
-    """gcd of support differences is not 1."""
-
-
-class EmptySide(InputError):
-    """Support has no negative or no positive point."""
-
-
-class HorizonTooLarge(PoswalkError):
-    """Requested horizon exceeds the cap for exact-rational tables."""
-
-
-class DegenerateConditioning(PoswalkError):
-    """Conditioning event has probability zero."""
-
-
-class IllConditioned(PoswalkError):
+class IllConditioned(NumericFailure):
     """Least-squares design matrix exceeds the condition-number guard."""
 
 
-class InsufficientPoints(PoswalkError):
+class InsufficientPoints(NumericFailure):
     """Fit window holds fewer points than the model needs."""
 
 
-class CancellationFailure(PoswalkError):
+class CancellationFailure(NumericFailure):
     """Negative Laurent exponents survived polynomial assembly."""
-
-
-class MissingOrder(PoswalkError):
-    """Expansion order too small for the requested derived quantity."""
-
-
-class QuadratureNonconvergence(PoswalkError):
-    """Quadrature error estimate above its target accuracy."""

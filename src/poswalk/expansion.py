@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constants import ConstantSet
-from .edgeworth import LcltExpansion, lclt_coefficients, scaled_a, scaled_a_table
-from .errors import CancellationFailure, InputError, MissingOrder
+from .edgeworth import lclt_coefficients, scaled_a, scaled_a_table
+from .errors import CancellationFailure, InputError
 from .increments import IncrementDistribution
 from .laurent import Poly, q_jlm
 from .oracle import Barrier
@@ -103,14 +103,13 @@ def required_b_indices(r: int) -> set[tuple[int, int]]:
     return need
 
 
-def b_range(r: int) -> tuple[int, int]:
-    """(hmax, lmax) of the sweep and fits behind order r.
-
-    They cover every b[l, h] that Q_2..Q_{r+1} read, and hmax >= 1 always:
-    theta1 = b[0,1] is part of every constant set.
+def b_range(r: int) -> int:
+    """The sweep's hmax behind order r: the largest h of a b[l, h] that
+    Q_2..Q_{r+1} read, and at least 1, since theta1 = b[0,1] is part of every
+    constant set.  ``compute_constants`` fits l = 0..hmax//2 for each h, which
+    covers every l that order reads.
     """
-    need = required_b_indices(r)
-    return max(1, *(h for _, h in need)), max(l for l, _ in need)
+    return max(1, *(h for _, h in required_b_indices(r)))
 
 
 def tuple_weight(t: IndexTuple, ahat, b, sigma):
@@ -189,11 +188,11 @@ class ExpansionSet:
     sigma: float
     P: dict[int, Poly]  # P_nu = -2 Q_nu
     constants: ConstantSet
-    lclt: LcltExpansion
+    p0_polys: list[Poly]  # free-walk P0_0..P0_{2r+2}, edgeworth.lclt_coefficients
 
     def ahat(self, q: int, j: int) -> float:
         """sigma * sqrt(2 pi) * a_{q,j}, the free-walk weight the Q_eta sum reads."""
-        return self.lclt.p0_polys[j].coeff(q) * self.sigma * math.sqrt(2 * math.pi)
+        return self.p0_polys[j].coeff(q) * self.sigma * math.sqrt(2 * math.pi)
 
     def evaluate(self, n: int, x: int) -> float:
         """Truncated series value for P(S_n = x, tau > n); may go <= 0 in tails."""
@@ -207,6 +206,15 @@ class ExpansionSet:
         for nu in range(2, self.r + 2):
             total += self.P[nu](t) / n ** (nu / 2.0)
         return gauss * total
+
+    def window_error(self, row, n: int) -> float:
+        """max |row - series| over the normal-deviation window: lattice x from
+        max(1, int(0.2 sigma sqrt n)) to int(3 sigma sqrt n); ``row`` is the
+        survivor row at step n."""
+        lo = max(1, int(0.2 * self.sigma * math.sqrt(n)))
+        hi = int(3.0 * self.sigma * math.sqrt(n))
+        return max(abs(float(row.get(x, 0.0)) - self.evaluate(n, x))
+                   for x in range(lo, hi + 1))
 
     def to_json_dict(self) -> dict:
         def coeffs(p: Poly) -> list:
@@ -227,8 +235,8 @@ def expansion_polys(dist: IncrementDistribution, r: int,
                     constants: ConstantSet) -> ExpansionSet:
     """Compute P_nu = -2 Q_nu for nu = 2..r+1 from the walk's constant set.
 
-    ``constants`` must hold the b[l, h] that ``b_range(r)`` covers; reading a
-    missing one raises InputError (``ConstantSet.b_value``).
+    ``constants`` must come from a sweep with hmax >= ``b_range(r)``; reading
+    a missing b[l, h] raises InputError (``ConstantSet.b_value``).
     """
     if r < 1:
         raise InputError("r must be >= 1")
@@ -236,7 +244,7 @@ def expansion_polys(dist: IncrementDistribution, r: int,
         warnings.warn(f"r={r} above the validated range (r <= {DEFAULT_R_CAP})",
                       stacklevel=2)
     es = ExpansionSet(r=r, barrier=constants.barrier, sigma=dist.sigma(), P={},
-                      constants=constants, lclt=lclt_coefficients(dist, r))
+                      constants=constants, p0_polys=lclt_coefficients(dist, r))
     for eta in range(2, r + 2):
         es.P[eta] = assemble_Q(eta, es.ahat, constants.b_value, es.sigma).scale(-2.0)
     return es
@@ -299,7 +307,7 @@ def uj_polynomial_part(expansion: ExpansionSet, j: int) -> Poly:
     if j < 1:
         raise InputError("j must be >= 1")
     if expansion.r < 2 * j:
-        raise MissingOrder(f"W_{j} polynomial part needs r >= {2 * j}")
+        raise InputError(f"W_{j} polynomial part needs r >= {2 * j}")
     coeffs = []
     for k in range(2 * j):
         acc = 0.0

@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EmptySide, InputError, MeanNotZero, SpanNotOne, SumNotOne
+from .errors import InputError
 
 FLOAT_TOL = Fraction(1, 10**12)
 
@@ -91,11 +92,14 @@ def validate(support: Sequence[int], probs: Sequence, mode: str | None = None) -
     """Validate and build an increment distribution.
 
     ``mode`` may force "exact-rational" or "float64"; by default float inputs
-    select float64 and everything else exact-rational.  Raises SumNotOne,
-    MeanNotZero, SpanNotOne or EmptySide.
+    select float64 and everything else exact-rational.  Raises InputError on
+    a non-integer support point, a sum other than 1, a nonzero mean, a span
+    other than 1 or an empty side.
     """
     if len(support) == 0 or len(support) != len(probs):
         raise InputError("support and probs must be nonempty and of equal length")
+    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in support):
+        raise InputError(f"support points must be integers, got {list(support)!r}")
     pairs = sorted(zip([int(x) for x in support], probs))
     xs = tuple(x for x, _ in pairs)
     if len(set(xs)) != len(xs):
@@ -115,18 +119,18 @@ def validate(support: Sequence[int], probs: Sequence, mode: str | None = None) -
     tol = Fraction(0) if mode == "exact-rational" else FLOAT_TOL
     total = sum(ps)
     if abs(total - 1) > tol:
-        raise SumNotOne(f"probabilities sum to {total}, not 1")
+        raise InputError(f"probabilities sum to {total}, not 1")
     if xs[0] >= 0 or xs[-1] <= 0:
-        raise EmptySide("support needs at least one negative and one positive point")
+        raise InputError("support needs at least one negative and one positive point")
     mean = sum(p * x for x, p in zip(xs, ps))
     if abs(mean) > tol:
-        raise MeanNotZero(f"mean is {mean}, not 0")
+        raise InputError(f"mean is {mean}, not 0")
 
     span = 0
     for x in xs[1:]:
         span = math.gcd(span, x - xs[0])
     if span != 1:
-        raise SpanNotOne(f"gcd of support differences is {span}, not 1")
+        raise InputError(f"gcd of support differences is {span}, not 1")
 
     return IncrementDistribution(support=xs, probs=ps, arithmetic_mode=mode)
 

@@ -24,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import QuadratureNonconvergence
+from .errors import NumericFailure
 from .laurent import double_factorial
 
 BS = (0, 1, 2, 3)
@@ -65,7 +65,7 @@ def quadrature(b: int, z: float) -> float:
                      for s, w, u in RULES)
     err = abs(value - coarse)
     if not err <= max(TARGET_ABS, 1e-10 * abs(value)):  # a NaN raises too
-        raise QuadratureNonconvergence(
+        raise NumericFailure(
             f"b={b}, z={z}: error estimate {err:.3e} above target")
     return value
 

@@ -58,7 +58,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateConditioning, HorizonTooLarge, InputError
+from .errors import InputError
 from .increments import IncrementDistribution
 
 EXACT_HORIZON_CAP = 64
@@ -148,7 +148,7 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: s
         raise InputError(f"unknown arithmetic mode {mode!r}")
     exact = mode == "exact-rational"
     if exact and n > EXACT_HORIZON_CAP:
-        raise HorizonTooLarge(
+        raise InputError(
             f"exact mode capped at n={EXACT_HORIZON_CAP} (requested {n}); use float64"
         )
     probs = dist.probs if exact else dist.probs_float()
@@ -277,5 +277,5 @@ def conditioned_interval_prob(dist: IncrementDistribution, n: int, u: float, v: 
     hi = math.floor(v * scale)
     total = row.total()
     if total == 0:
-        raise DegenerateConditioning(f"P(tau > {n}) = 0")
+        raise InputError(f"P(tau > {n}) = 0")
     return row.total(lo, hi) / total

@@ -9,6 +9,7 @@ import pytest
 
 from poswalk import increments
 from poswalk.constants import compute_constants
+from poswalk.expansion import DEFAULT_R_CAP, b_range
 from poswalk.oracle import Barrier, tau_statistics
 
 
@@ -90,11 +91,11 @@ def brute_force_killed(dist, n: int, barrier: Barrier):
 _CONSTANT_CACHE: dict = {}
 
 
-def constants_for(dist, barrier, kmax=4096, hmax=3, lmax=1):
-    key = (dist.digest(), Barrier.parse(barrier).value, kmax, hmax, lmax)
+def constants_for(dist, barrier, kmax=4096, hmax=b_range(DEFAULT_R_CAP)):
+    key = (dist.digest(), Barrier.parse(barrier).value, kmax, hmax)
     if key not in _CONSTANT_CACHE:
         _CONSTANT_CACHE[key] = compute_constants(tau_statistics(dist, kmax, barrier,
-                                                                hmax=hmax), lmax)
+                                                                hmax=hmax))
     return _CONSTANT_CACHE[key]
 
 

@@ -169,7 +169,7 @@ def test_criterion_03b_quoted_p3_reproduced():
 
 def test_criterion_04_degree_law():
     asym = skewed()
-    cs = constants_for(asym, Barrier.STRICT, hmax=4, lmax=1)
+    cs = constants_for(asym, Barrier.STRICT, hmax=4)
     es = expansion_polys(asym, 4, cs)
     degrees = {}
     for nu in range(2, 6):
@@ -183,7 +183,7 @@ def test_criterion_04_degree_law():
 # -- criterion 5: negative-power cancellation ---------------------------------
 
 def _max_residue(dist, barrier, r=4):
-    cs = constants_for(dist, barrier, hmax=4, lmax=1)
+    cs = constants_for(dist, barrier, hmax=4)
     es = expansion_polys(dist, r, cs)
     return max(negative_residue(eta, es.ahat, cs.b_value, es.sigma)
                for eta in range(2, r + 2))
@@ -250,13 +250,7 @@ def _decay_exponents(dist, barrier, r, ns=(100, 400, 1600)):
     cs = constants_for(dist, barrier)
     es = expansion_polys(dist, r, cs)
     rows = oc.killed_rows_at(dist, list(ns), barrier)
-    sigma = es.sigma
-    errs = []
-    for n in ns:
-        lo = max(1, int(0.2 * sigma * math.sqrt(n)))
-        hi = int(3.0 * sigma * math.sqrt(n))
-        errs.append(max(abs(rows[n].get(x, 0.0) - es.evaluate(n, x))
-                        for x in range(lo, hi + 1)))
+    errs = [es.window_error(rows[n], n) for n in ns]
     return [math.log(errs[i] / errs[i + 1], 4) for i in range(len(errs) - 1)]
 
 
@@ -373,12 +367,12 @@ def test_criterion_12_free_walk_envelope():
     ok = True
     details = []
     for dist in (trinomial(), skewed()):
-        ex = lclt_coefficients(dist, 1)
+        p0_polys = lclt_coefficients(dist, 1)
         env = {}
         for n in (100, 400):
             pmf = oc.free_pmf(dist, n)
             lo, hi = n * dist.min_step, n * dist.max_step
-            env[n] = max(abs(pmf.get(x, 0.0) - lclt_evaluate(ex, n, x)) * (1 + abs(x)) ** 3
+            env[n] = max(abs(pmf.get(x, 0.0) - lclt_evaluate(p0_polys, dist.sigma(), n, x)) * (1 + abs(x)) ** 3
                          for x in range(lo, hi + 1))
         ok &= env[400] <= 2.0 * env[100]
         details.append(f"{dist.support}: {env[100]:.2e} -> {env[400]:.2e}")

@@ -41,6 +41,16 @@ def test_invalid_dist_exit_two(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("support", ["[-1.5, 0, 1.5]", '["a", 0, 1]'])
+def test_non_integer_support_exit_two(tmp_path, capsys, support):
+    # -1.5 must not truncate to -1, nor "a" escape as a ValueError traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"support": {support}, "probs": ["1/4", "1/2", "1/4"]}}')
+    rc = run(["constants", "--dist", str(bad), "--kmax", "64", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("input error: support points must be integers")
+
+
 def test_missing_file_exit_two(tmp_path):
     rc = run(["constants", "--dist", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2
@@ -369,6 +379,22 @@ def test_numeric_failure_exit_three(tri_file, tmp_path):
     # kmax too small for the fit window: internal numeric failure, not input
     rc = run(["constants", "--dist", tri_file, "--kmax", "12", "--out", str(tmp_path)])
     assert rc == 3
+
+
+def test_numeric_failure_names_itself_on_stderr(tri_file, tmp_path, capsys):
+    run(["constants", "--dist", tri_file, "--kmax", "12", "--out", str(tmp_path)])
+    assert capsys.readouterr().err.startswith("numeric failure: window")
+
+
+@pytest.mark.parametrize("nmax, one_horizon", [(64, True), (400, False)])
+def test_verify_says_when_flatness_is_untested(tri_file, tmp_path, capsys, nmax, one_horizon):
+    # one horizon has flatness 1 by construction, so its pass tests nothing
+    rc = run(["verify", "--dist", tri_file, "--kmax", "512", "--nmax", str(nmax),
+              "--out", str(tmp_path)])
+    assert rc == 0
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    assert verdict.startswith("flatness ")
+    assert verdict.endswith("-> pass; one horizon: flatness not tested") == one_horizon
 
 
 def test_config_invariants_and_default_grid():

@@ -155,13 +155,13 @@ def test_b1_closed_forms_trinomial(tri, tri_constants_strict, tri_constants_weak
 
 
 def test_b00_keeps_four_terms_at_lmax_zero(tri):
-    # orders r <= 2 need lmax 0 only; the fit still spans {k^0..k^-3}, so
-    # b[0,0] = theta0 keeps its closed-form accuracy (4e-14 here, where a
-    # fit over {k^0, k^-1} is 3.7e-8 strict and 9.4e-8 weak off)
+    # orders r <= 2 sweep to hmax 1, hence lmax 0; the fit still spans
+    # {k^0..k^-3}, so b[0,0] = theta0 keeps its closed-form accuracy (4e-14
+    # here, where a fit over {k^0, k^-1} is 3.7e-8 strict and 9.4e-8 weak off)
     sigma = tri.sigma()
     closed = {Barrier.STRICT: sigma / (2 * ROOT2PI), Barrier.WEAK: 1 / (sigma * ROOT2PI)}
     for barrier, want in closed.items():
-        cs = cn.compute_constants(tau_statistics(tri, 4096, barrier, hmax=1), lmax=0)
+        cs = cn.compute_constants(tau_statistics(tri, 4096, barrier, hmax=1))
         assert cs.theta0 == cs.b[(0, 0)] and cs.theta1 == cs.b[(0, 1)]
         assert cs.b[(0, 0)] == pytest.approx(want, rel=1e-12)
 
@@ -177,8 +177,8 @@ def test_b_fit_error_estimate_is_staggered_window_shift(tri):
     # b[l, 0]'s error estimate is the shift of c_l when the default window
     # (last third of k = 1..kmax) starts 10% of the range earlier
     kmax = 2048
-    stats = tau_statistics(tri, kmax, Barrier.STRICT, hmax=1)
-    cs = cn.compute_constants(stats, lmax=1)
+    stats = tau_statistics(tri, kmax, Barrier.STRICT, hmax=2)  # lmax = 2 // 2 = 1
+    cs = cn.compute_constants(stats)
     ks = np.arange(1, kmax + 1, dtype=float)
     a = ks**1.5 * stats.theta[0]
     default = fit_power_tail(ks, a, [0, 1, 2, 3])

@@ -76,28 +76,28 @@ def test_ghat_degree_and_parity(asym):
 def test_lclt_pinned_coefficients(asym):
     # a_{0,0} is the Gaussian weight; the two third-moment entries follow
     # from the free-walk expansion (validated against the oracle below)
-    ex = lclt_coefficients(asym, 2)
+    p0_polys = lclt_coefficients(asym, 2)
     sigma = asym.sigma()
     m3 = float(asym.raw_moment(3))
-    assert ex.p0_polys[0].coeff(0) == pytest.approx(1 / (sigma * ROOT2PI))
-    assert ex.p0_polys[1].coeff(1) == pytest.approx(-m3 / (2 * ROOT2PI * sigma**4))
-    assert ex.p0_polys[2].coeff(3) == pytest.approx(m3 / (6 * ROOT2PI * sigma**4))
+    assert p0_polys[0].coeff(0) == pytest.approx(1 / (sigma * ROOT2PI))
+    assert p0_polys[1].coeff(1) == pytest.approx(-m3 / (2 * ROOT2PI * sigma**4))
+    assert p0_polys[2].coeff(3) == pytest.approx(m3 / (6 * ROOT2PI * sigma**4))
 
 
 def test_lclt_degree_bound(asym):
-    ex = lclt_coefficients(asym, 2)
-    for j, p in enumerate(ex.p0_polys):
+    p0_polys = lclt_coefficients(asym, 2)
+    for j, p in enumerate(p0_polys):
         if p:
             assert p.degree() <= (3 * j) // 2
-    assert ex.p0_polys[0] == Poly([1.0 / (asym.sigma() * ROOT2PI)])
+    assert p0_polys[0] == Poly([1.0 / (asym.sigma() * ROOT2PI)])
 
 
 def test_first_correction_measured_from_oracle(asym):
     # independent check of the n^{-3/2} coefficient polynomial: peel the
     # leading Gaussian term off the exact pmf and extrapolate in n
-    ex = lclt_coefficients(asym, 2)
+    p0_polys = lclt_coefficients(asym, 2)
     sigma = asym.sigma()
-    p0 = ex.p0_polys[0](0.0)
+    p0 = p0_polys[0](0.0)
 
     def peeled(n, x):
         z = x / sigma
@@ -107,32 +107,32 @@ def test_first_correction_measured_from_oracle(asym):
     for x in (0, 3, 6):
         d1, d2 = peeled(1024, x), peeled(4096, x)
         measured = (4 * d2 - d1) / 3  # eliminate the 1/n correction
-        assert measured == pytest.approx(ex.p0_polys[1](x / sigma), abs=2e-4)
+        assert measured == pytest.approx(p0_polys[1](x / sigma), abs=2e-4)
 
 
 def test_symmetric_walk_first_correction_is_even(tri):
     # odd cumulants vanish, so the j = 1 polynomial keeps only its constant
-    ex = lclt_coefficients(tri, 2)
-    p1 = ex.p0_polys[1]
+    p0_polys = lclt_coefficients(tri, 2)
+    p1 = p0_polys[1]
     assert {e % 2 for e in p1.terms} <= {0}
 
 
 @pytest.mark.parametrize("dist_name", ["tri", "asym"])
 def test_weighted_envelope_does_not_grow(dist_name, request):
     dist = request.getfixturevalue(dist_name)
-    ex = lclt_coefficients(dist, 1)
+    p0_polys = lclt_coefficients(dist, 1)
 
     def envelope(n):
         pmf = oc.free_pmf(dist, n)
         lo, hi = n * dist.min_step, n * dist.max_step
-        return max(abs(pmf.get(x, 0.0) - lclt_evaluate(ex, n, x)) * (1 + abs(x)) ** 3
+        return max(abs(pmf.get(x, 0.0) - lclt_evaluate(p0_polys, dist.sigma(), n, x)) * (1 + abs(x)) ** 3
                    for x in range(lo, hi + 1))
 
     assert envelope(400) <= 2.0 * envelope(100)
 
 
 def test_evaluate_far_outside_support(tri):
-    ex = lclt_coefficients(tri, 1)
-    val = lclt_evaluate(ex, 50, 2000)
+    p0_polys = lclt_coefficients(tri, 1)
+    val = lclt_evaluate(p0_polys, tri.sigma(), 50, 2000)
     assert math.isfinite(val)
     assert abs(val) < 1e-30

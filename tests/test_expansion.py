@@ -7,7 +7,7 @@ import pytest
 from conftest import constants_for
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
-from poswalk.errors import CancellationFailure, InputError, MissingOrder
+from poswalk.errors import CancellationFailure, InputError
 from poswalk.expansion import (IndexTuple, assemble_Q, closed_form_p2, closed_form_p3,
                                b_range, enumerate_tuples, expansion_polys, negative_residue,
                                placeholder_polys, required_b_indices, tuple_weight,
@@ -40,8 +40,15 @@ def test_enumerated_tuples_satisfy_constraint():
 def test_required_b_indices_r4():
     assert required_b_indices(4) == {(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1)}
     # the sweep behind an order: hmax >= 1 even where Q_2 alone reads b[0,0] only
-    assert b_range(4) == (3, 1)
-    assert b_range(1) == (1, 0)
+    assert b_range(4) == 3
+    assert b_range(1) == 1
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_sweep_to_b_range_holds_every_b_its_order_reads(tri, r):
+    # compute_constants fits l = 0..hmax//2, which b_range's hmax must cover
+    b = compute_constants(oc.tau_statistics(tri, 256, hmax=b_range(r))).b
+    assert required_b_indices(r) <= set(b)
 
 
 def test_expansion_takes_the_barrier_of_its_constants(tri, tri_constants_weak):
@@ -50,8 +57,8 @@ def test_expansion_takes_the_barrier_of_its_constants(tri, tri_constants_weak):
 
 
 def test_expansion_rejects_constants_short_of_its_order(asym):
-    # b_range(3) == (2, 1): a set fitted to h <= 1, l = 0 lacks b[0,2] and b[1,0]
-    cs = compute_constants(oc.tau_statistics(asym, 256, hmax=1), lmax=0)
+    # b_range(3) == 2: a set swept to h <= 1 (so l = 0) lacks b[0,2] and b[1,0]
+    cs = compute_constants(oc.tau_statistics(asym, 256, hmax=1))
     with pytest.raises(InputError, match="not computed"):
         expansion_polys(asym, 3, cs)
 
@@ -83,7 +90,7 @@ def test_numeric_p2_p3_match_closed_forms(asym, asym_constants_strict):
 
 
 def test_degree_law_asymmetric_walk(asym, asym_constants_strict):
-    cs = constants_for(asym, Barrier.STRICT, hmax=4, lmax=1)
+    cs = constants_for(asym, Barrier.STRICT, hmax=4)
     es = expansion_polys(asym, 4, cs)
     for nu in range(2, 6):
         coeffs = es.P[nu].coeffs
@@ -99,7 +106,7 @@ def test_parity_of_p2_p3(asym, asym_constants_strict):
 
 
 def test_negative_power_cancellation(asym):
-    cs = constants_for(asym, Barrier.STRICT, hmax=4, lmax=1)
+    cs = constants_for(asym, Barrier.STRICT, hmax=4)
     es = expansion_polys(asym, 4, cs)
     for eta in range(2, 6):
         assert negative_residue(eta, es.ahat, cs.b_value, es.sigma) <= 1e-9
@@ -131,7 +138,7 @@ def test_ballot_walk_expansion_matches_free_coefficients(ballot_walk):
     # max step +1, strict barrier: survivors satisfy an exact ballot
     # identity, so P_nu(t) = sigma * sum_{2j+2-q=nu} a_{q,j} t^{q+1}; this
     # pins every piece of the assembly (signs, sigma powers, b wiring)
-    cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4, lmax=1)
+    cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4)
     es = expansion_polys(ballot_walk, 3, cs)
     sigma = es.sigma
     for nu in range(2, 5):
@@ -140,7 +147,7 @@ def test_ballot_walk_expansion_matches_free_coefficients(ballot_walk):
             q = 2 * j + 2 - nu
             if q < 0:
                 continue
-            a = es.lclt.p0_polys[j].coeff(q)
+            a = es.p0_polys[j].coeff(q)
             if a:
                 want = want + Poly([0] * (q + 1) + [sigma * a])
         have = es.P[nu]
@@ -154,16 +161,10 @@ def test_ballot_walk_expansion_matches_free_coefficients(ballot_walk):
 def test_full_order_decay_at_cap(ballot_walk):
     # r = 4, the default cap: quadrupling n must shrink the window error by
     # about 4^3, exercising every constant the assembly can consume
-    cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4, lmax=1)
+    cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4)
     es = expansion_polys(ballot_walk, 4, cs)
     rows = oc.killed_rows_at(ballot_walk, [100, 400], Barrier.STRICT)
-    sigma = es.sigma
-    errs = []
-    for n in (100, 400):
-        lo = max(1, int(0.2 * sigma * math.sqrt(n)))
-        hi = int(3.0 * sigma * math.sqrt(n))
-        errs.append(max(abs(rows[n].get(x, 0.0) - es.evaluate(n, x))
-                        for x in range(lo, hi + 1)))
+    errs = [es.window_error(rows[n], n) for n in (100, 400)]
     exponent = math.log(errs[0] / errs[1], 4)
     assert 2.5 <= exponent <= 3.5
 
@@ -189,12 +190,9 @@ def test_evaluate_decay_weak_trinomial(tri, tri_constants_weak):
     es1 = expansion_polys(tri, 1, tri_constants_weak)
     es2 = expansion_polys(tri, 2, tri_constants_weak)
     rows = oc.killed_rows_at(tri, [100, 400], Barrier.WEAK)
-    sigma = tri.sigma()
 
     def max_err(es, n):
-        lo = max(1, int(0.2 * sigma * math.sqrt(n)))
-        hi = int(3.0 * sigma * math.sqrt(n))
-        return max(abs(rows[n].get(x, 0.0) - es.evaluate(n, x)) for x in range(lo, hi + 1))
+        return es.window_error(rows[n], n)
 
     # r = 1 error falls ~ n^{-3/2}; adding the next polynomial pushes it to ~ n^{-2}
     assert max_err(es1, 400) < max_err(es1, 100) / 5.5
@@ -211,15 +209,9 @@ def test_error_decay_band_both_walks(tri, asym, tri_constants_strict,
     ]
     for dist, barrier, cs in cases:
         rows = oc.killed_rows_at(dist, [100, 400], barrier)
-        sigma = dist.sigma()
         for r in (1, 2):
             es = expansion_polys(dist, r, cs)
-            errs = []
-            for n in (100, 400):
-                lo = max(1, int(0.2 * sigma * math.sqrt(n)))
-                hi = int(3.0 * sigma * math.sqrt(n))
-                errs.append(max(abs(rows[n].get(x, 0.0) - es.evaluate(n, x))
-                                for x in range(lo, hi + 1)))
+            errs = [es.window_error(rows[n], n) for n in (100, 400)]
             ratio = errs[0] / errs[1]
             target = 4.0 ** ((r + 2) / 2.0)
             assert target / 3.0 <= ratio <= 3.0 * target
@@ -278,7 +270,7 @@ def test_uj_polynomial_closed_form_weak_trinomial(tri, tri_constants_weak):
 
 def test_uj_requires_enough_orders(asym, asym_constants_strict):
     es = expansion_polys(asym, 1, asym_constants_strict)
-    with pytest.raises(MissingOrder):
+    with pytest.raises(InputError, match=r"W_1 polynomial part needs r >= 2"):
         uj_polynomial_part(es, 1)
 
 

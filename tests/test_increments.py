@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poswalk import increments
-from poswalk.errors import EmptySide, InputError, MeanNotZero, SpanNotOne, SumNotOne
+from poswalk.errors import InputError
 
 
 def test_valid_trinomial(tri):
@@ -17,23 +17,29 @@ def test_valid_trinomial(tri):
 
 
 def test_span_not_one_rejected():
-    with pytest.raises(SpanNotOne):
+    with pytest.raises(InputError, match="gcd of support differences is 2, not 1"):
         increments.validate([-1, 1], ["1/2", "1/2"])
 
 
 def test_empty_side_rejected():
-    with pytest.raises(EmptySide):
+    with pytest.raises(InputError, match="at least one negative and one positive point"):
         increments.validate([0, 1, 2], ["1/3", "1/3", "1/3"])
 
 
 def test_sum_not_one_rejected():
-    with pytest.raises(SumNotOne):
+    with pytest.raises(InputError, match="probabilities sum to 3/4, not 1"):
         increments.validate([-1, 0, 1], ["1/4", "1/4", "1/4"])
 
 
 def test_mean_not_zero_rejected():
-    with pytest.raises(MeanNotZero):
+    with pytest.raises(InputError, match="mean is 1/4, not 0"):
         increments.validate([-1, 0, 1], ["1/4", "1/4", "1/2"])
+
+
+@pytest.mark.parametrize("support", [[-1.5, 0, 1.5], ["a", 0, 1], [-1, 0, True]])
+def test_non_integer_support_rejected(support):
+    with pytest.raises(InputError, match="support points must be integers"):
+        increments.validate(support, ["1/4", "1/2", "1/4"])
 
 
 def test_float_inputs_select_float_mode():
@@ -44,7 +50,7 @@ def test_float_inputs_select_float_mode():
 
 
 def test_float_mode_tolerance_is_tight():
-    with pytest.raises(SumNotOne):
+    with pytest.raises(InputError, match="probabilities sum to .*, not 1"):
         increments.validate([-1, 0, 1], [0.3, 0.4, 0.3 + 1e-9])
 
 

@@ -8,7 +8,7 @@ from conftest import brute_force_killed, upskip_narrow
 from poswalk import increments
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
-from poswalk.errors import DegenerateConditioning, HorizonTooLarge, InputError
+from poswalk.errors import InputError
 
 
 def test_free_pmf_n1_is_increment(tri):
@@ -195,7 +195,7 @@ def test_reflection_identity_weak_trinomial(tri):
 
 
 def test_horizon_cap_exact_mode(tri):
-    with pytest.raises(HorizonTooLarge):
+    with pytest.raises(InputError, match="exact mode capped at n=64"):
         oc.killed_table(tri, 65, "strict", mode="exact-rational")
 
 
@@ -219,7 +219,7 @@ def test_conditioned_interval_requires_valid_band(tri):
 
 
 def test_degenerate_conditioning_guard(tri):
-    with pytest.raises(DegenerateConditioning):
+    with pytest.raises(InputError, match=r"P\(tau > 5\) = 0"):
         oc.conditioned_interval_prob(tri, 5, 0.5, 1.5, oc.Row(1, np.zeros(6)))
 
 
