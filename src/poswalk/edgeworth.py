@@ -121,16 +121,3 @@ def lclt_coefficients(dist: IncrementDistribution, r: int) -> list[Poly]:
                   for q in range(0, (3 * j) // 2 + 1)])
             for j in range(0, 2 * r + 3)]
 
-
-def lclt_evaluate(p0_polys: list[Poly], sigma: float, n: int, x: int) -> float:
-    """Truncated free-walk series at a lattice point, from ``lclt_coefficients``."""
-    if n < 1:
-        raise InputError("n must be >= 1")
-    z = x / sigma
-    gauss = math.exp(-(z * z) / (2.0 * n))
-    if gauss == 0.0:
-        return 0.0
-    total = 0.0
-    for j, poly in enumerate(p0_polys):
-        total += poly(z) / n ** (j + 0.5)
-    return gauss * total

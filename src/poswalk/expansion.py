@@ -32,10 +32,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .constants import ConstantSet
-from .edgeworth import lclt_coefficients, scaled_a, scaled_a_table
+from .edgeworth import lclt_coefficients
 from .errors import CancellationFailure, InputError
 from .increments import IncrementDistribution
 from .laurent import Poly, q_jlm
@@ -154,18 +153,18 @@ def _residue(total: Poly) -> float:
     return max(abs(float(c)) for c in neg.terms.values()) / max(scale, 1e-300)
 
 
-def assemble_Q(eta: int, ahat, b, sigma, tol: float = CANCELLATION_TOL) -> Poly:
+def assemble_Q(eta: int, ahat, b, sigma) -> Poly:
     """Assemble Q_eta; negative Laurent exponents must cancel.
 
     Raises CancellationFailure (with per-tuple diagnostics) if any negative
-    exponent keeps a coefficient above ``tol`` relative to the largest
-    polynomial coefficient.
+    exponent keeps a coefficient above ``CANCELLATION_TOL`` relative to the
+    largest polynomial coefficient.
     """
     total, contributions = _laurent_sum(eta, ahat, b, sigma)
     residue = _residue(total)
-    if residue > tol:
+    if residue > CANCELLATION_TOL:
         lines = [f"eta={eta}: negative exponents survive assembly "
-                 f"(relative residue {residue:.3e}, tolerance {tol:.0e})"]
+                 f"(relative residue {residue:.3e}, tolerance {CANCELLATION_TOL:.0e})"]
         for t, w, base in contributions:
             if base.negative_part():
                 lines.append(f"  tuple {t} weight {float(w):.6e} "
@@ -218,7 +217,7 @@ class ExpansionSet:
 
     def to_json_dict(self) -> dict:
         def coeffs(p: Poly) -> list:
-            return [str(c) if isinstance(c, Fraction) else float(c) for c in p.coeffs]
+            return [float(c) for c in p.coeffs]
 
         return {
             "schema_version": 1,
@@ -248,47 +247,6 @@ def expansion_polys(dist: IncrementDistribution, r: int,
     for eta in range(2, r + 2):
         es.P[eta] = assemble_Q(eta, es.ahat, constants.b_value, es.sigma).scale(-2.0)
     return es
-
-
-def placeholder_polys(*, sigma: Fraction, m3: Fraction, theta0: Fraction,
-                      theta1: Fraction, r: int = 2) -> dict[int, Poly]:
-    """Exact-rational assembly of P_2..P_{r+1} with placeholder constants.
-
-    Valid for r <= 2: those orders consume only b[0,0], b[0,1] and the
-    third-moment part of the free-walk coefficients, so rational
-    placeholders for (sigma, m3, theta0, theta1) keep everything exact.
-    """
-    if r > 2:
-        raise InputError("placeholder assembly supports r <= 2 only")
-    sigma = Fraction(sigma)
-    lam1 = Fraction(m3) / (6 * sigma**3)
-    # orders eta <= 3 only consume free-walk coefficients with 2j - q <= 1,
-    # so lambda_1 (the third-moment ratio) is the only ingredient needed
-    table = scaled_a_table([lam1], 1)
-    bmap = {(0, 0): Fraction(theta0), (0, 1): Fraction(theta1)}
-
-    def ahat(q: int, j: int):
-        return scaled_a(table, q, j, r)
-
-    def b(l: int, h: int):
-        return bmap.get((l, h), Fraction(0))
-
-    out: dict[int, Poly] = {}
-    for eta in range(2, r + 2):
-        out[eta] = assemble_Q(eta, ahat, b, sigma, tol=0.0).scale(Fraction(-2))
-    return out
-
-
-def closed_form_p2(*, sigma, theta0) -> Poly:
-    """P_2(t) = (2 theta0 / sigma) t."""
-    return Poly([0, 2 * theta0 / sigma])
-
-
-def closed_form_p3(*, sigma, m3, theta0, theta1) -> Poly:
-    """P_3(t) = (theta0 m3 / 3 sigma^4)(t^4 - 5 t^2 + 2) + (2 theta1 / sigma)(1 - t^2)."""
-    c = theta0 * m3 / (3 * sigma**4)
-    d = 2 * theta1 / sigma
-    return Poly([2 * c + d, 0, -5 * c - d, 0, c])
 
 
 def uj_polynomial_part(expansion: ExpansionSet, j: int) -> Poly:

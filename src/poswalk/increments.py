@@ -36,6 +36,8 @@ def _parse_prob(p) -> tuple[Fraction, bool]:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse probability {p!r}") from exc
     if isinstance(p, float):
+        if not math.isfinite(p):  # JSON NaN / Infinity
+            raise InputError(f"cannot parse probability {p!r}")
         return Fraction(p), False  # exact binary value, not decimal re-parse
     raise InputError(f"unsupported probability type {type(p).__name__}")
 
@@ -100,7 +102,7 @@ def validate(support: Sequence[int], probs: Sequence, mode: str | None = None) -
         raise InputError("support and probs must be nonempty and of equal length")
     if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in support):
         raise InputError(f"support points must be integers, got {list(support)!r}")
-    pairs = sorted(zip([int(x) for x in support], probs))
+    pairs = sorted(zip([int(x) for x in support], probs), key=lambda pair: pair[0])
     xs = tuple(x for x, _ in pairs)
     if len(set(xs)) != len(xs):
         raise InputError("support points must be distinct")
@@ -139,6 +141,8 @@ def from_json_dict(obj: dict, mode: str | None = None) -> IncrementDistribution:
     """Build from the file schema {"support": [ints], "probs": [entries]}."""
     if not isinstance(obj, dict) or "support" not in obj or "probs" not in obj:
         raise InputError('distribution file needs "support" and "probs" keys')
+    if not isinstance(obj["support"], list) or not isinstance(obj["probs"], list):
+        raise InputError('"support" and "probs" must be lists')
     return validate(obj["support"], obj["probs"], mode=mode)
 
 
@@ -146,7 +150,7 @@ def load(path, mode: str | None = None) -> IncrementDistribution:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
     return from_json_dict(obj, mode=mode)
 

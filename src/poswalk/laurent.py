@@ -7,19 +7,18 @@ needs ``+`` and ``*`` of its coefficients, so ``fractions.Fraction`` keeps it
 exact and floats run the numeric pipeline through the same code.  The two
 coefficient families are
 
-* ``gamma(q, j, l)`` -- rationals produced either by a closed-form sum over
-  ascending subsets of ``{1..j}`` or by a two-term recursion; the two routes
-  must agree exactly and are cross-checked in the tests,
+* ``gamma_closed(q, j, l)`` -- rationals given by a closed-form sum over
+  ascending subsets of ``{1..j}``; the tests hold the two-term recursion it
+  must agree with exactly,
 * ``q_jlm(j, l, m)`` -- Laurent polynomials mixing powers ``t^(m+2q)`` with
-  ``t^(-2k-1)``; for the assembled expansion their negative powers cancel.
+  ``t^(-2k-1)``; a single block may keep negative powers, but in the
+  assembled expansion they cancel (``expansion.assemble_Q`` checks it).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 
@@ -158,22 +157,6 @@ def gamma_closed(q: int, j: int, l: int) -> Fraction:
     return pref * total
 
 
-@lru_cache(maxsize=None)
-def gamma_recursive(q: int, j: int, l: int) -> Fraction:
-    """gamma via the two-term recursion in (j-1, l+1) and (j-1, l+2)."""
-    if q < 0 or j < 0 or l < 0:
-        raise ValueError("indices must be nonnegative")
-    if q > j:
-        return Fraction(0)
-    if j == 0:
-        return Fraction(1)  # q == 0 here
-    half = Fraction(1, 2)
-    a = (l + half) / (j - half) * gamma_recursive(q, j - 1, l + 1)
-    if q == 0:
-        return a
-    return a - gamma_recursive(q - 1, j - 1, l + 2) / (2 * (j - half))
-
-
 def q_jlm(j: int, l: int, m: int) -> Poly:
     """The Laurent polynomial t^m * sum_q gamma(q,j,l) t^{2q} * S_q(1/t).
 
@@ -197,41 +180,4 @@ def q_jlm(j: int, l: int, m: int) -> Poly:
             }
         )
         out = out + inner.scale(g).shift(m + 2 * q)
-    return out
-
-
-@dataclass(frozen=True)
-class ResidueReport:
-    """Whether a single q_jlm cancels its own negative powers."""
-
-    j: int
-    l: int
-    m: int
-    cancels: bool
-    min_exponent: int
-
-
-def negative_residue_survey(j_max: int, l_max: int, m_max: int) -> list[ResidueReport]:
-    """Report which individual q_jlm have no surviving negative powers.
-
-    Observational only: the assembled expansion is what must cancel, single
-    terms may or may not.  Kept as a helper for the report script.
-    """
-    out = []
-    for j in range(j_max + 1):
-        for l in range(l_max + 1):
-            if j + l < 1:
-                continue
-            for m in range(m_max + 1):
-                p = q_jlm(j, l, m)
-                neg = p.negative_part()
-                out.append(
-                    ResidueReport(
-                        j=j,
-                        l=l,
-                        m=m,
-                        cancels=not bool(neg),
-                        min_exponent=p.min_exponent() if p else 0,
-                    )
-                )
     return out

@@ -30,13 +30,14 @@ import math
 import time
 from fractions import Fraction as F
 
-from conftest import (brute_force_killed, constants_for, downskip, skewed, trinomial,
-                      upskip_narrow)
+from conftest import (CORRECTED, brute_force_killed, constants_for, downskip, gamma_recursive,
+                      lclt_evaluate, placeholder_polys, quoted_p2, quoted_p3, skewed,
+                      trinomial, upskip_narrow)
 from poswalk import oracle as oc
-from poswalk.edgeworth import lclt_coefficients, lclt_evaluate
-from poswalk.expansion import expansion_polys, negative_residue, placeholder_polys
+from poswalk.edgeworth import lclt_coefficients
+from poswalk.expansion import expansion_polys, negative_residue
 from poswalk.integral import integral_check
-from poswalk.laurent import Poly, gamma_closed, gamma_recursive, q_jlm
+from poswalk.laurent import Poly, gamma_closed, q_jlm
 from poswalk.oracle import Barrier
 
 ROOT2PI = math.sqrt(2 * math.pi)
@@ -80,36 +81,6 @@ def test_criterion_02_gamma_cross_check():
 PLACEHOLDERS = dict(sigma=F(2), m3=F(1, 3), theta0=F(3, 7), theta1=F(2, 5))
 
 
-def _quoted_p2(sigma, theta0, **_):
-    return Poly([0, 2 * theta0 / sigma])
-
-
-def _quoted_p3(sigma, m3, theta0, theta1, sigma_power=3, overshoot_sign=1):
-    # the checklist's order-3 closed form; the defaults give it verbatim:
-    # (theta0 m3 / 3 sigma^3)(t^4 - 5t^2 + 2) + (2 theta1 / sigma)(t^2 - 1)
-    c = theta0 * m3 / (3 * sigma**sigma_power)
-    d = overshoot_sign * 2 * theta1 / sigma
-    return Poly([2 * c - d, 0, -5 * c + d, 0, c])
-
-
-# The quoted form needs two corrections before it matches the assembly:
-#
-# * sigma^3 -> sigma^4 in the third-moment term.  For a strict walk with max
-#   step +1 the ballot identity P(S_n = x, tau > n) = (x/n) P(S_n = x) times
-#   the free walk's first Edgeworth term forces
-#   P_3 = (m3 / (6 sigma^3 sqrt(2 pi)))(t^4 - 3t^2), whose t^4 coefficient is
-#   theta0 m3 / (3 sigma^4) since theta0 = sigma / (2 sqrt(2 pi)).  This is not
-#   a convention: criterion 3a pins the same theta0 and sigma conventions.
-# * (t^2 - 1) -> (1 - t^2) in the overshoot term.  On the lazy simple walk
-#   under the weak barrier, reflection P(S_n = x, tau > n) = P(S_n = x)
-#   - P(S_n = -x - 2) forces P_3 = 2 (1 - t^2) / (sigma^3 sqrt(2 pi)), with
-#   theta1 = 1 / (sigma^2 sqrt(2 pi)) > 0.  Here theta1 is defined with the
-#   overshoot -S_tau >= 0.  The checklist the quote comes from is not in this
-#   repository, so whether its (t^2 - 1) stems from a theta1 defined with
-#   S_tau instead cannot be settled here.
-CORRECTED = dict(sigma_power=4, overshoot_sign=-1)
-
-
 def _residue(have: Poly, want: Poly) -> float:
     """Largest coefficient deviation, relative to the largest wanted coefficient."""
     diff = have - want
@@ -133,7 +104,7 @@ def _identity_residues(**form) -> tuple[float, float]:
         cs = constants_for(dist, barrier)
         sigma, m3 = dist.sigma(), float(dist.raw_moment(3))
         if form:
-            have = _quoted_p3(sigma, m3, cs.theta0, cs.theta1, **form)
+            have = quoted_p3(sigma, m3, cs.theta0, cs.theta1, **form)
         else:
             have = expansion_polys(dist, 2, cs).P[3]
         out.append(_residue(have, want(sigma, m3)))
@@ -142,13 +113,13 @@ def _identity_residues(**form) -> tuple[float, float]:
 
 def test_criterion_03a_quoted_p2_reproduced():
     assembled = placeholder_polys(**PLACEHOLDERS)
-    ok = assembled[2] == _quoted_p2(**PLACEHOLDERS)
+    ok = assembled[2] == quoted_p2(**PLACEHOLDERS)
     assert report("3a", ok, "P_2 == (2 theta0 / sigma) t, exact rational equality")
 
 
 def test_criterion_03b_quoted_p3_reproduced():
     assembled = placeholder_polys(**PLACEHOLDERS)
-    exact = assembled[3] == _quoted_p3(**PLACEHOLDERS, **CORRECTED)
+    exact = assembled[3] == quoted_p3(**PLACEHOLDERS, **CORRECTED)
     fitted = _identity_residues()
     verbatim = _identity_residues(sigma_power=3, overshoot_sign=1)
     # each correction on its own is forced by one identity

@@ -51,6 +51,21 @@ def test_non_integer_support_exit_two(tmp_path, capsys, support):
     assert capsys.readouterr().err.startswith("input error: support points must be integers")
 
 
+@pytest.mark.parametrize("content", [
+    b'{"support": [-1, 1, 1], "probs": ["1/2", 0.25, "1/4"]}',
+    b'{"support": 5, "probs": ["1/2", "1/2"]}',
+    b'\xff\xfe{}',
+    b'{"support": [-1, 0, 1], "probs": [NaN, 0.5, 0.25]}',
+], ids=["mixed-prob-types", "scalar-support", "not-utf8", "nan-prob"])
+def test_malformed_file_exit_two(tmp_path, capsys, content):
+    # each of these once escaped as a traceback with exit 1, the FAIL code
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    rc = run(["constants", "--dist", str(bad), "--kmax", "64", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_missing_file_exit_two(tmp_path):
     rc = run(["constants", "--dist", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2

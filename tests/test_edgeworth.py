@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import lclt_evaluate
 from poswalk import oracle as oc
-from poswalk.edgeworth import ghat, hermite, lclt_coefficients, lclt_evaluate, partitions
+from poswalk.edgeworth import ghat, hermite, lclt_coefficients, partitions
 from poswalk.increments import cumulant_ratios
 from poswalk.laurent import Poly
 

@@ -4,14 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import constants_for
+from conftest import CORRECTED, constants_for, placeholder_polys, quoted_p2, quoted_p3
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
 from poswalk.errors import CancellationFailure, InputError
-from poswalk.expansion import (IndexTuple, assemble_Q, closed_form_p2, closed_form_p3,
-                               b_range, enumerate_tuples, expansion_polys, negative_residue,
-                               placeholder_polys, required_b_indices, tuple_weight,
-                               uj_polynomial_part)
+from poswalk.expansion import (IndexTuple, assemble_Q, b_range, enumerate_tuples,
+                               expansion_polys, negative_residue, required_b_indices,
+                               tuple_weight, uj_polynomial_part)
 from poswalk.laurent import Poly
 from poswalk.oracle import Barrier
 
@@ -66,8 +65,8 @@ def test_expansion_rejects_constants_short_of_its_order(asym):
 def test_placeholder_assembly_matches_closed_forms():
     sigma, m3, t0, t1 = F(2), F(1, 3), F(3, 7), F(2, 5)
     ps = placeholder_polys(sigma=sigma, m3=m3, theta0=t0, theta1=t1)
-    assert ps[2] == closed_form_p2(sigma=sigma, theta0=t0)
-    assert ps[3] == closed_form_p3(sigma=sigma, m3=m3, theta0=t0, theta1=t1)
+    assert ps[2] == quoted_p2(sigma=sigma, theta0=t0)
+    assert ps[3] == quoted_p3(sigma=sigma, m3=m3, theta0=t0, theta1=t1, **CORRECTED)
 
 
 def test_placeholder_assembly_symmetric_case():
@@ -80,9 +79,9 @@ def test_numeric_p2_p3_match_closed_forms(asym, asym_constants_strict):
     # closed forms built from the same fitted b values the assembly consumes
     es = expansion_polys(asym, 2, asym_constants_strict)
     cs = asym_constants_strict
-    p2 = closed_form_p2(sigma=cs.sigma, theta0=cs.b_value(0, 0))
-    p3 = closed_form_p3(sigma=cs.sigma, m3=float(asym.raw_moment(3)),
-                        theta0=cs.b_value(0, 0), theta1=cs.b_value(0, 1))
+    p2 = quoted_p2(sigma=cs.sigma, theta0=cs.b_value(0, 0))
+    p3 = quoted_p3(sigma=cs.sigma, m3=float(asym.raw_moment(3)),
+                   theta0=cs.b_value(0, 0), theta1=cs.b_value(0, 1), **CORRECTED)
     for want, have in ((p2, es.P[2]), (p3, es.P[3])):
         assert len(want.coeffs) == len(have.coeffs)
         for a, b in zip(want.coeffs, have.coeffs):

@@ -149,6 +149,29 @@ def test_bad_json_rejected(tmp_path):
         increments.load(path)
 
 
+MALFORMED_FILES = {
+    # str and float probabilities once reached a sort that compared them
+    "mixed-prob-types": (b'{"support": [-1, 1, 1], "probs": ["1/2", 0.25, "1/4"]}',
+                         "support points must be distinct"),
+    "scalar-support": (b'{"support": 5, "probs": ["1/2", "1/2"]}', "must be lists"),
+    "null-probs": (b'{"support": [-1, 0, 1], "probs": null}', "must be lists"),
+    "not-utf8": (b'\xff\xfe{}', "invalid JSON"),
+    "nan-prob": (b'{"support": [-1, 0, 1], "probs": [NaN, 0.5, 0.25]}',
+                 "cannot parse probability nan"),
+    "infinite-prob": (b'{"support": [-1, 0, 1], "probs": [0.25, 0.5, Infinity]}',
+                      "cannot parse probability inf"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FILES)
+def test_malformed_file_is_an_input_error(tmp_path, name):
+    content, message = MALFORMED_FILES[name]
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(InputError, match=message):
+        increments.load(path)
+
+
 def test_order_below_two_rejected(tri):
     with pytest.raises(InputError):
         increments.cumulants(tri, 1)

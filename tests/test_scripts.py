@@ -1,7 +1,7 @@
-"""The study scripts in scripts/ run end to end.
+"""The study script in scripts/ runs end to end.
 
-Besides the CLI they are the only consumers of the oracle and constants API,
-so a change to that API must keep them running.
+Besides the CLI it is the only consumer of the oracle, constants and
+expansion API outside the tests, so a change to that API must keep it running.
 """
 
 import subprocess
@@ -25,9 +25,3 @@ def test_accuracy_study():
     assert len(lines) == 1 + 3 * 2 * 3
     assert all("E(n) =" in line and "exponents" in line for line in lines[1:])
 
-
-def test_negative_power_report():
-    lines = run_script("negative_power_report.py")
-    assert lines[0].startswith("individual blocks: ")
-    assert "non-cancelling examples (j, l, m, min exponent):" in lines
-    assert "assembled residues (relative to the polynomial scale):" in lines
