@@ -48,6 +48,8 @@ def main():
     ap.add_argument("--nmax", type=int, default=1600)
     args = ap.parse_args()
     ns = [n for n in (100, 400, 1600, 6400) if n <= args.nmax]
+    if len(ns) < 2:  # an exponent compares two horizons
+        ap.error("--nmax must be at least 400")
     print(f"# horizons {ns}, constants fitted to kmax={args.kmax}")
     for name, (sup, probs) in WALKS.items():
         dist = increments.validate(sup, probs)

@@ -102,7 +102,7 @@ def _polys_and_rows(dist, r: int, barrier: str, kmax: int, mode: str = "float",
     """
     exact = mode == "exact"
     stats = tau_statistics(dist, kmax, barrier, hmax=b_range(r), rows_at=() if exact else ns)
-    rows = killed_rows_at(dist, ns, barrier, mode="exact-rational") if exact else stats.rows
+    rows = killed_rows_at(dist, ns, barrier, mode="exact-rational")[0] if exact else stats.rows
     return expansion_polys(dist, r, compute_constants(stats)), rows
 
 
@@ -179,8 +179,11 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     target = math.exp(-0.125) - math.exp(-1.125)
     for n in ns:
         row = rows_by_n[n]
+        xs = _snap_grid(DEFAULT_RATIOS, sigma, n)
+        if not xs:
+            raise InputError(f"no lattice point x >= 1 on the grid at n={n}; use a larger --nmax")
         table_rows = []
-        for x in _snap_grid(DEFAULT_RATIOS, sigma, n):
+        for x in xs:
             exact = float(row.get(x, 0.0))
             approx = es.evaluate(n, x)
             abs_err = abs(exact - approx)

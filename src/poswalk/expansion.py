@@ -212,6 +212,8 @@ class ExpansionSet:
         survivor row at step n."""
         lo = max(1, int(0.2 * self.sigma * math.sqrt(n)))
         hi = int(3.0 * self.sigma * math.sqrt(n))
+        if hi < lo:
+            raise InputError(f"no lattice point in the window at n={n}; use a larger --nmax")
         return max(abs(float(row.get(x, 0.0)) - self.evaluate(n, x))
                    for x in range(lo, hi + 1))
 

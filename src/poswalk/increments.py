@@ -12,7 +12,6 @@ float inputs.
 from __future__ import annotations
 
 import json
-import hashlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -77,17 +76,6 @@ class IncrementDistribution:
             if x <= cutoff:
                 out += p * Fraction(-x - shift) ** h
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "support": list(self.support),
-            "probs": [str(p) for p in self.probs],
-        }
-
-    def digest(self) -> bytes:
-        """Stable hash of the rationalized distribution."""
-        blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).digest()
 
 
 def validate(support: Sequence[int], probs: Sequence, mode: str | None = None) -> IncrementDistribution:

@@ -119,12 +119,7 @@ class Poly:
         # slow every Horner step (about 5% of ExpansionSet.evaluate)
         dense = self._dense
         if dense is None:
-            if self.terms and min(self.terms) < 0:  # negative exponents: plain sum
-                out = 0
-                for e, c in self.terms.items():
-                    out = out + c * t**e
-                return out
-            dense = self.coeffs
+            dense = self.coeffs  # raises ValueError on a negative exponent
         out = 0
         for c in reversed(dense):  # Horner over the cached dense list
             out = out * t + c

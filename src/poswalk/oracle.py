@@ -23,11 +23,12 @@ walks in ``dists/``, but a plateau that keeps widening for some laws
 arithmetic is slow, yet flushing those cells would change ``Row.total``'s
 pairwise-sum bits, so they stay.
 
-There is one sweep, the generator ``_sweep``, and every public function is a
-short collector over the ``(k, survivors, killed)`` it yields.  Its single
-step serves both arithmetic modes: rows are float64 arrays, or ``object``
-arrays of ``Fraction`` (exact reference, capped horizon).  Its ``Row``, an
-offset plus a dense array, is the one row type every collector returns.
+There is one sweep, the generator ``_sweep``, and it sweeps only the killed
+walk.  Its two collectors, ``tau_statistics`` and ``killed_rows_at``, read
+the ``(k, survivors, killed)`` it yields.  Its single step serves both
+arithmetic modes: rows are float64 arrays, or ``object`` arrays of
+``Fraction`` (exact reference, capped horizon).  Its ``Row``, an offset plus
+a dense array, is the one row type every collector returns.
 
 A command sweeps each walk once.  Row k never depends on later steps, so
 the constants (steps up to kmax) and the checked rows (horizons up to nmax)
@@ -137,11 +138,8 @@ def _trim_zeros(values: np.ndarray, tail: int) -> np.ndarray:
     return values[: live[-1] + 1] if len(live) else values[:0]
 
 
-def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: str):
-    """Step the walk from 0 and yield (k, survivors, killed) for k = 1..n.
-
-    ``barrier=None`` is the free walk: nothing is killed (``killed`` is None).
-    """
+def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str):
+    """Step the walk from 0 and yield (k, survivors, killed) for k = 1..n."""
     if n < 1:
         raise InputError("horizon must be >= 1")
     if mode not in ("exact-rational", "float64"):
@@ -170,44 +168,28 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier | None, mode: s
             seg = out[s : s + width]
             np.multiply(p, v, out=prod)
             np.add(seg, prod, out=seg)
-        row, killed = Row(row.offset + step, out), None
-        if barrier is not None:
-            row, killed = _split_killed(row, barrier)
+        row, killed = _split_killed(Row(row.offset + step, out), barrier)
         row.values = _trim_zeros(row.values, 2 * spread)
         yield k, row, killed
 
 
-def free_pmf(dist: IncrementDistribution, n: int, mode: str = "float64") -> Row:
-    """Exact n-fold convolution of the increment law: the row of P(S_n = x)."""
-    for _, row, _ in _sweep(dist, n, None, mode):
-        pass
-    return row
+def killed_rows_at(dist: IncrementDistribution, ns, barrier=Barrier.STRICT,
+                   mode: str = "float64") -> tuple[dict[int, Row], dict[int, Row]]:
+    """Rows of the killed walk at the steps in ``ns``, from one sweep: (rows, killed).
 
-
-def killed_table(dist: IncrementDistribution, n: int, barrier=Barrier.STRICT,
-                 mode: str = "float64") -> tuple[dict[int, Row], dict[int, Row]]:
-    """Forward DP table of the killed walk up to horizon n: (rows, killed).
-
-    ``rows[k]`` is the survivor row P(S_k = y, tau > k) at step k, so
-    P(tau > k) = ``rows[k].total()``; ``killed[k]`` is the row of killed
-    positions (<= 0 strict, < 0 weak) with the mass absorbed at step k, so
-    P(tau = k) = ``killed[k].total()``.
+    ``rows[k]`` is the survivor row P(S_k = y, tau > k), so P(tau > k) =
+    ``rows[k].total()``; ``killed[k]`` is the row of killed positions (<= 0
+    strict, < 0 weak) with the mass absorbed at step k, so P(tau = k) =
+    ``killed[k].total()``.
     """
-    rows, killed = {}, {}
-    for k, row, dead in _sweep(dist, n, Barrier.parse(barrier), mode):
-        rows[k], killed[k] = row, dead
-    return rows, killed
-
-
-def killed_rows_at(dist: IncrementDistribution, ns: list[int], barrier=Barrier.STRICT,
-                   mode: str = "float64") -> dict[int, Row]:
-    """Survivor rows at selected horizons only (one sweep, low memory)."""
     if not ns or min(ns) < 1:
         raise InputError("horizons must be >= 1")
     wanted = set(ns)
-    return {k: row
-            for k, row, _ in _sweep(dist, max(ns), Barrier.parse(barrier), mode)
-            if k in wanted}
+    rows, killed = {}, {}
+    for k, row, dead in _sweep(dist, max(ns), Barrier.parse(barrier), mode):
+        if k in wanted:
+            rows[k], killed[k] = row, dead
+    return rows, killed
 
 
 @dataclass

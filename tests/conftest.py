@@ -1,6 +1,7 @@
 """Shared fixtures: test walks, brute-force oracles, cached constant sets, and
-the second routes the library is checked against (gamma recursion, free-walk
-series sum, exact placeholder assembly, the quoted closed forms of P_2, P_3)."""
+the second routes the library is checked against (free-walk law by
+convolution, gamma recursion, free-walk series sum, exact placeholder
+assembly, the quoted closed forms of P_2, P_3)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from poswalk import increments
@@ -17,7 +19,7 @@ from poswalk.edgeworth import scaled_a, scaled_a_table
 from poswalk.errors import InputError
 from poswalk.expansion import DEFAULT_R_CAP, assemble_Q, b_range, negative_residue
 from poswalk.laurent import Poly
-from poswalk.oracle import Barrier, tau_statistics
+from poswalk.oracle import Barrier, Row, tau_statistics
 
 
 def trinomial():
@@ -94,12 +96,28 @@ def brute_force_killed(dist, n: int, barrier: Barrier):
     return rows, killed
 
 
+def free_pmf(dist, n: int, mode: str = "float64") -> Row:
+    """The free walk's law P(S_n = x) as a row over n min_step..n max_step.
+
+    The n-fold ``np.convolve`` of the step law, independent of the oracle's
+    killed sweep; ``object`` dtype keeps the ``Fraction``s exact.
+    """
+    exact = mode == "exact-rational"
+    law = np.zeros(dist.max_step - dist.min_step + 1, dtype=object if exact else float)
+    for x, p in zip(dist.support, dist.probs):
+        law[x - dist.min_step] = p if exact else float(p)
+    values = law
+    for _ in range(n - 1):
+        values = np.convolve(values, law)
+    return Row(n * dist.min_step, values)
+
+
 # constants at full accuracy are reused by many tests; computed once per walk
 _CONSTANT_CACHE: dict = {}
 
 
 def constants_for(dist, barrier, kmax=4096, hmax=b_range(DEFAULT_R_CAP)):
-    key = (dist.digest(), Barrier.parse(barrier).value, kmax, hmax)
+    key = (dist.support, dist.probs, Barrier.parse(barrier).value, kmax, hmax)
     if key not in _CONSTANT_CACHE:
         _CONSTANT_CACHE[key] = compute_constants(tau_statistics(dist, kmax, barrier,
                                                                 hmax=hmax))

@@ -30,8 +30,8 @@ import math
 import time
 from fractions import Fraction as F
 
-from conftest import (CORRECTED, brute_force_killed, constants_for, downskip, gamma_recursive,
-                      lclt_evaluate, placeholder_polys, quoted_p2, quoted_p3, skewed,
+from conftest import (CORRECTED, brute_force_killed, constants_for, downskip, free_pmf,
+                      gamma_recursive, lclt_evaluate, placeholder_polys, quoted_p2, quoted_p3, skewed,
                       trinomial, upskip_narrow)
 from poswalk import oracle as oc
 from poswalk.edgeworth import lclt_coefficients
@@ -174,17 +174,18 @@ def test_criterion_06_oracle_correctness():
     dists = [trinomial(), skewed(), downskip()]
     ok = True
     for dist in dists:
-        dp_rows, dp_killed = oc.killed_table(dist, 8, Barrier.STRICT, mode="exact-rational")
+        dp_rows, dp_killed = oc.killed_rows_at(dist, range(1, 9), Barrier.STRICT,
+                                               mode="exact-rational")
         rows, killed = brute_force_killed(dist, 8, Barrier.STRICT)
         ok &= all(dp_rows[k].nonzero() == rows[k] and dp_killed[k].nonzero() == killed[k]
                   for k in range(1, 9))
     for dist in dists:
-        rows, killed = oc.killed_table(dist, 20, Barrier.STRICT, mode="exact-rational")
+        rows, killed = oc.killed_rows_at(dist, range(1, 21), Barrier.STRICT, mode="exact-rational")
         ok &= all(rows[k].total() + sum(killed[j].total() for j in range(1, k + 1)) == 1
                   for k in range(1, 21))
     for dist in dists:
-        exact, _ = oc.killed_table(dist, 64, Barrier.STRICT, mode="exact-rational")
-        fl, _ = oc.killed_table(dist, 64, Barrier.STRICT, mode="float64")
+        exact, _ = oc.killed_rows_at(dist, range(1, 65), Barrier.STRICT, mode="exact-rational")
+        fl, _ = oc.killed_rows_at(dist, range(1, 65), Barrier.STRICT, mode="float64")
         for k in range(1, 65):
             for y, v in exact[k].nonzero().items():
                 ref = float(v)
@@ -220,7 +221,7 @@ def test_criterion_07_constant_consistency():
 def _decay_exponents(dist, barrier, r, ns=(100, 400, 1600)):
     cs = constants_for(dist, barrier)
     es = expansion_polys(dist, r, cs)
-    rows = oc.killed_rows_at(dist, list(ns), barrier)
+    rows = oc.killed_rows_at(dist, list(ns), barrier)[0]
     errs = [es.window_error(rows[n], n) for n in ns]
     return [math.log(errs[i] / errs[i + 1], 4) for i in range(len(errs) - 1)]
 
@@ -269,7 +270,7 @@ def test_criterion_09_leading_order_ratio():
     cs = constants_for(dist, Barrier.STRICT)
     sigma = dist.sigma()
     ns = [400, 1600, 6400]
-    rows = oc.killed_rows_at(dist, ns, Barrier.STRICT)
+    rows = oc.killed_rows_at(dist, ns, Barrier.STRICT)[0]
     devs = []
     for n in ns:
         x = round(sigma * math.sqrt(n))
@@ -305,7 +306,7 @@ def test_criterion_10_interval_rate():
         dist = make()
         sigma = dist.sigma()
         raw, devs = [], []
-        rows = oc.killed_rows_at(dist, [100, 400, 1600], Barrier.STRICT)
+        rows = oc.killed_rows_at(dist, [100, 400, 1600], Barrier.STRICT)[0]
         for n in (100, 400, 1600):
             p = oc.conditioned_interval_prob(dist, n, 0.5, 1.5, rows[n])
             raw.append(abs(p - target) * math.sqrt(n))
@@ -341,7 +342,7 @@ def test_criterion_12_free_walk_envelope():
         p0_polys = lclt_coefficients(dist, 1)
         env = {}
         for n in (100, 400):
-            pmf = oc.free_pmf(dist, n)
+            pmf = free_pmf(dist, n)
             lo, hi = n * dist.min_step, n * dist.max_step
             env[n] = max(abs(pmf.get(x, 0.0) - lclt_evaluate(p0_polys, dist.sigma(), n, x)) * (1 + abs(x)) ** 3
                          for x in range(lo, hi + 1))
@@ -362,15 +363,16 @@ def test_criterion_13a_weak_cancellation():
 def test_criterion_13b_weak_oracle():
     ok = True
     for dist in (trinomial(), skewed(), downskip()):
-        dp_rows, dp_killed = oc.killed_table(dist, 8, Barrier.WEAK, mode="exact-rational")
+        dp_rows, dp_killed = oc.killed_rows_at(dist, range(1, 9), Barrier.WEAK,
+                                               mode="exact-rational")
         rows, killed = brute_force_killed(dist, 8, Barrier.WEAK)
         ok &= all(dp_rows[k].nonzero() == rows[k] and dp_killed[k].nonzero() == killed[k]
                   for k in range(1, 9))
-        rows, killed = oc.killed_table(dist, 20, Barrier.WEAK, mode="exact-rational")
+        rows, killed = oc.killed_rows_at(dist, range(1, 21), Barrier.WEAK, mode="exact-rational")
         ok &= all(rows[k].total() + sum(killed[j].total() for j in range(1, k + 1)) == 1
                   for k in range(1, 21))
-        exact, _ = oc.killed_table(dist, 64, Barrier.WEAK, mode="exact-rational")
-        fl, _ = oc.killed_table(dist, 64, Barrier.WEAK, mode="float64")
+        exact, _ = oc.killed_rows_at(dist, range(1, 65), Barrier.WEAK, mode="exact-rational")
+        fl, _ = oc.killed_rows_at(dist, range(1, 65), Barrier.WEAK, mode="float64")
         for k in range(1, 65):
             for y, v in exact[k].nonzero().items():
                 ref = float(v)

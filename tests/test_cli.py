@@ -281,6 +281,18 @@ def test_kmax_below_one_exit_two(tri_file, tmp_path, command):
     assert run([command, "--dist", tri_file, "--kmax", "0", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command, nmax", [("verify", "4"), ("report", "30")])
+def test_horizon_without_lattice_points_exit_two(tmp_path, capsys, command, nmax):
+    # sigma = 0.045: verify's grid at n = 4 and report's window at n = 30
+    # hold no lattice point x >= 1, which is an input error, not a FAIL
+    lazy = tmp_path / "lazy.json"
+    lazy.write_text('{"support": [-1, 0, 1], "probs": ["1/1000", "998/1000", "1/1000"]}')
+    rc = run([command, "--dist", str(lazy), "--nmax", nmax, "--kmax", "64",
+              "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"at n={nmax}; use a larger --nmax" in capsys.readouterr().err
+
+
 def test_usage_error_exit_two(tmp_path):
     assert run(["verify"]) == 2  # missing --dist
     assert run(["no-such-command"]) == 2

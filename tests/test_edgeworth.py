@@ -3,8 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import lclt_evaluate
-from poswalk import oracle as oc
+from conftest import free_pmf, lclt_evaluate
 from poswalk.edgeworth import ghat, hermite, lclt_coefficients, partitions
 from poswalk.increments import cumulant_ratios
 from poswalk.laurent import Poly
@@ -102,7 +101,7 @@ def test_first_correction_measured_from_oracle(asym):
 
     def peeled(n, x):
         z = x / sigma
-        val = oc.free_pmf(asym, n).get(x)
+        val = free_pmf(asym, n).get(x)
         return (val * math.exp(z * z / (2 * n)) - p0 / math.sqrt(n)) * n**1.5
 
     for x in (0, 3, 6):
@@ -124,7 +123,7 @@ def test_weighted_envelope_does_not_grow(dist_name, request):
     p0_polys = lclt_coefficients(dist, 1)
 
     def envelope(n):
-        pmf = oc.free_pmf(dist, n)
+        pmf = free_pmf(dist, n)
         lo, hi = n * dist.min_step, n * dist.max_step
         return max(abs(pmf.get(x, 0.0) - lclt_evaluate(p0_polys, dist.sigma(), n, x)) * (1 + abs(x)) ** 3
                    for x in range(lo, hi + 1))

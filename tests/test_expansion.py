@@ -162,7 +162,7 @@ def test_full_order_decay_at_cap(ballot_walk):
     # about 4^3, exercising every constant the assembly can consume
     cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4)
     es = expansion_polys(ballot_walk, 4, cs)
-    rows = oc.killed_rows_at(ballot_walk, [100, 400], Barrier.STRICT)
+    rows = oc.killed_rows_at(ballot_walk, [100, 400], Barrier.STRICT)[0]
     errs = [es.window_error(rows[n], n) for n in (100, 400)]
     exponent = math.log(errs[0] / errs[1], 4)
     assert 2.5 <= exponent <= 3.5
@@ -188,7 +188,7 @@ def test_polys_do_not_depend_on_order(tri, asym):
 def test_evaluate_decay_weak_trinomial(tri, tri_constants_weak):
     es1 = expansion_polys(tri, 1, tri_constants_weak)
     es2 = expansion_polys(tri, 2, tri_constants_weak)
-    rows = oc.killed_rows_at(tri, [100, 400], Barrier.WEAK)
+    rows = oc.killed_rows_at(tri, [100, 400], Barrier.WEAK)[0]
 
     def max_err(es, n):
         return es.window_error(rows[n], n)
@@ -207,7 +207,7 @@ def test_error_decay_band_both_walks(tri, asym, tri_constants_strict,
         (asym, Barrier.STRICT, asym_constants_strict),
     ]
     for dist, barrier, cs in cases:
-        rows = oc.killed_rows_at(dist, [100, 400], barrier)
+        rows = oc.killed_rows_at(dist, [100, 400], barrier)[0]
         for r in (1, 2):
             es = expansion_polys(dist, r, cs)
             errs = [es.window_error(rows[n], n) for n in (100, 400)]
@@ -219,7 +219,7 @@ def test_error_decay_band_both_walks(tri, asym, tri_constants_strict,
 def test_evaluate_relative_error_at_sigma_sqrt_n(tri, tri_constants_strict):
     es = expansion_polys(tri, 2, tri_constants_strict)
     n = 400
-    row = oc.killed_rows_at(tri, [n], Barrier.STRICT)[n]
+    row = oc.killed_rows_at(tri, [n], Barrier.STRICT)[0][n]
     x = round(tri.sigma() * math.sqrt(n))
     exact = row.get(x)
     assert abs(es.evaluate(n, x) - exact) / exact < 0.03

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import brute_force_killed, upskip_narrow
+from conftest import brute_force_killed, free_pmf, upskip_narrow
 from poswalk import increments
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
@@ -12,36 +12,38 @@ from poswalk.errors import InputError
 
 
 def test_free_pmf_n1_is_increment(tri):
-    pmf = oc.free_pmf(tri, 1, mode="exact-rational")
+    pmf = free_pmf(tri, 1, mode="exact-rational")
     assert pmf.nonzero() == dict(zip(tri.support, tri.probs))
 
 
 def test_free_pmf_two_steps(tri):
-    pmf = oc.free_pmf(tri, 2, mode="exact-rational")
+    pmf = free_pmf(tri, 2, mode="exact-rational")
     assert pmf.get(0) == F(17, 50)  # 0.4^2 + 2 * 0.3^2
 
 
 def test_free_pmf_normalizes(asym):
-    pmf = oc.free_pmf(asym, 12, mode="exact-rational")
+    pmf = free_pmf(asym, 12, mode="exact-rational")
     assert pmf.total() == 1
     lo, hi = min(pmf.nonzero()), max(pmf.nonzero())
     assert lo >= 12 * asym.min_step and hi <= 12 * asym.max_step
 
 
 def test_killed_single_step(tri):
-    rows, _ = oc.killed_table(tri, 1, "strict", mode="exact-rational")
+    rows, _ = oc.killed_rows_at(tri, [1], "strict", mode="exact-rational")
     assert rows[1].get(1) == F(3, 10)
 
 
 def test_killed_two_steps_strict_vs_weak(tri):
-    strict, _ = oc.killed_table(tri, 2, "strict", mode="exact-rational")
-    weak, _ = oc.killed_table(tri, 2, "weak", mode="exact-rational")
+    strict, killed = oc.killed_rows_at(tri, [2], "strict", mode="exact-rational")
+    weak, _ = oc.killed_rows_at(tri, [2], "weak", mode="exact-rational")
+    assert sorted(strict) == sorted(killed) == [2]  # only the steps asked for
+    assert killed[2].total() == F(9, 100)
     assert strict[2].get(1) == F(3, 25)  # only 0 -> 1 -> 1
     assert weak[2].get(1) == F(6, 25)  # also 0 -> 0 -> 1
 
 
 def test_tau_pinned_values(tri):
-    _, killed = oc.killed_table(tri, 2, "strict", mode="exact-rational")
+    _, killed = oc.killed_rows_at(tri, range(1, 3), "strict", mode="exact-rational")
     assert killed[1].total() == F(7, 10)
     assert killed[2].total() == F(9, 100)
     stats = oc.tau_statistics(tri, 2, "strict")
@@ -59,7 +61,7 @@ def test_tau_statistics_theta_matches_killed_cells(tri, asym, rich, ballot_walk,
     kmax = 256
     for dist in (tri, asym, rich, ballot_walk):
         stats = oc.tau_statistics(dist, kmax, barrier, hmax=3)
-        _, killed = oc.killed_table(dist, kmax, barrier, mode="float64")
+        _, killed = oc.killed_rows_at(dist, range(1, kmax + 1), barrier, mode="float64")
         sigma = dist.sigma()
         for k in range(1, kmax + 1):
             cells = killed[k].nonzero()
@@ -124,7 +126,8 @@ def test_sweep_matches_dense_reference(tri, asym, rich, ballot_walk, barrier, mo
 def test_brute_force_agreement(tri, asym, rich, barrier):
     for dist in (tri, asym, rich):
         n = 7
-        dp_rows, dp_killed = oc.killed_table(dist, n, barrier, mode="exact-rational")
+        dp_rows, dp_killed = oc.killed_rows_at(dist, range(1, n + 1), barrier,
+                                               mode="exact-rational")
         rows, killed = brute_force_killed(dist, n, barrier)
         for k in range(1, n + 1):
             assert dp_rows[k].nonzero() == rows[k]
@@ -133,7 +136,7 @@ def test_brute_force_agreement(tri, asym, rich, barrier):
 
 def test_mass_conservation_exact(tri, asym, rich):
     for dist in (tri, asym, rich):
-        rows, killed = oc.killed_table(dist, 20, "strict", mode="exact-rational")
+        rows, killed = oc.killed_rows_at(dist, range(1, 21), "strict", mode="exact-rational")
         for k in range(1, 21):
             assert rows[k].total() + sum(killed[j].total() for j in range(1, k + 1)) == 1
 
@@ -141,11 +144,12 @@ def test_mass_conservation_exact(tri, asym, rich):
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
 def test_first_passage_decomposition_exact(tri, asym, rich, barrier):
     # free pmf = survivors + sum over first-passage times of killed mass
-    # convolved with the free walk restarted from the killed position
+    # convolved with the free walk restarted from the killed position; the
+    # free law comes from the conftest convolution, not from the sweep
     for dist in (tri, asym, rich):
         n = 20
-        rows, killed = oc.killed_table(dist, n, barrier, mode="exact-rational")
-        free = {k: oc.free_pmf(dist, k, mode="exact-rational") for k in range(1, n + 1)}
+        rows, killed = oc.killed_rows_at(dist, range(1, n + 1), barrier, mode="exact-rational")
+        free = {k: free_pmf(dist, k, mode="exact-rational") for k in range(1, n + 1)}
         for y, want in free[n].nonzero().items():
             total = rows[n].get(y, F(0))
             for j in range(1, n + 1):
@@ -159,16 +163,16 @@ def test_first_passage_decomposition_exact(tri, asym, rich, barrier):
 
 def test_weak_survives_at_least_strict(tri, asym):
     for dist in (tri, asym):
-        ts, _ = oc.killed_table(dist, 30, "strict", mode="exact-rational")
-        tw, _ = oc.killed_table(dist, 30, "weak", mode="exact-rational")
+        ts, _ = oc.killed_rows_at(dist, range(1, 31), "strict", mode="exact-rational")
+        tw, _ = oc.killed_rows_at(dist, range(1, 31), "weak", mode="exact-rational")
         for k in range(1, 31):
             assert tw[k].total() >= ts[k].total()
 
 
 def test_float_matches_rational_to_1e10(tri, asym, rich):
     for dist in (tri, asym, rich):
-        exact, _ = oc.killed_table(dist, 64, "strict", mode="exact-rational")
-        fl, _ = oc.killed_table(dist, 64, "strict", mode="float64")
+        exact, _ = oc.killed_rows_at(dist, range(1, 65), "strict", mode="exact-rational")
+        fl, _ = oc.killed_rows_at(dist, range(1, 65), "strict", mode="float64")
         for k in (1, 2, 16, 33, 64):
             for y, v in exact[k].nonzero().items():
                 ref = float(v)
@@ -178,8 +182,8 @@ def test_float_matches_rational_to_1e10(tri, asym, rich):
 def test_ballot_identity_trinomial(tri):
     # max step +1: exactly x of n cyclic shifts of a path to x stay positive
     n = 16
-    rows, _ = oc.killed_table(tri, n, "strict", mode="exact-rational")
-    free = oc.free_pmf(tri, n, mode="exact-rational").nonzero()
+    rows, _ = oc.killed_rows_at(tri, range(1, n + 1), "strict", mode="exact-rational")
+    free = free_pmf(tri, n, mode="exact-rational").nonzero()
     for x in range(1, n + 1):
         assert rows[n].get(x) == F(x, n) * free[x]
 
@@ -188,19 +192,19 @@ def test_reflection_identity_weak_trinomial(tri):
     # +-1 steps: reflecting at the first visit to -1 pairs each killed path
     # ending at x with a free path ending at -2-x
     n = 16
-    rows, _ = oc.killed_table(tri, n, "weak", mode="exact-rational")
-    free = oc.free_pmf(tri, n, mode="exact-rational").nonzero()
+    rows, _ = oc.killed_rows_at(tri, range(1, n + 1), "weak", mode="exact-rational")
+    free = free_pmf(tri, n, mode="exact-rational").nonzero()
     for x in range(0, n + 1):
         assert rows[n].get(x) == free[x] - free.get(-x - 2, F(0))
 
 
 def test_horizon_cap_exact_mode(tri):
     with pytest.raises(InputError, match="exact mode capped at n=64"):
-        oc.killed_table(tri, 65, "strict", mode="exact-rational")
+        oc.killed_rows_at(tri, range(1, 66), "strict", mode="exact-rational")
 
 
 def test_conditioned_interval_total_and_empty(tri):
-    rows = oc.killed_rows_at(tri, [4, 30], "strict", mode="exact-rational")
+    rows = oc.killed_rows_at(tri, [4, 30], "strict", mode="exact-rational")[0]
     full = oc.conditioned_interval_prob(tri, 30, 1e-9, 1e9, rows[30])
     assert full == 1
     none = oc.conditioned_interval_prob(tri, 4, 5.0, 6.0, rows[4])
@@ -208,14 +212,14 @@ def test_conditioned_interval_total_and_empty(tri):
 
 
 def test_conditioned_interval_near_gaussian(tri):
-    row = oc.killed_rows_at(tri, [100], "strict")[100]
+    row = oc.killed_rows_at(tri, [100], "strict")[0][100]
     p = oc.conditioned_interval_prob(tri, 100, 0.5, 1.5, row)
     assert abs(p - (math.exp(-0.125) - math.exp(-1.125))) < 0.2
 
 
 def test_conditioned_interval_requires_valid_band(tri):
     with pytest.raises(InputError):
-        oc.conditioned_interval_prob(tri, 10, 1.5, 0.5, oc.killed_rows_at(tri, [10])[10])
+        oc.conditioned_interval_prob(tri, 10, 1.5, 0.5, oc.killed_rows_at(tri, [10])[0][10])
 
 
 def test_degenerate_conditioning_guard(tri):
@@ -231,7 +235,7 @@ def test_row_get_and_total(asym, rich):
     # float totals are the numpy pairwise sum over the nonzero cells, bit for bit
     for dist in (asym, rich):
         for barrier in ("strict", "weak"):
-            row = oc.killed_rows_at(dist, [4096], barrier)[4096]
+            row = oc.killed_rows_at(dist, [4096], barrier)[0][4096]
             cells = row.nonzero()
             assert row.total().hex() == float(np.sum(np.array(list(cells.values())))).hex()
             lo, hi = 60, 180
@@ -245,7 +249,7 @@ def test_tau_statistics_survivor_columns(tri, asym, rich, barrier):
     floor = oc.Barrier.parse(barrier).floor
     for dist in (tri, asym, rich):
         stats = oc.tau_statistics(dist, 64, barrier)
-        rows, _ = oc.killed_table(dist, 64, barrier, mode="float64")
+        rows, _ = oc.killed_rows_at(dist, range(1, 65), barrier, mode="float64")
         for u in range(floor, oc.U_MAX + 1):
             expected = [rows[k].get(u, 0.0) for k in range(1, 65)]
             assert stats.column(u).tolist() == expected
@@ -272,7 +276,7 @@ def test_tau_statistics_keeps_the_rows_of_its_sweep(tri, asym, rich, barrier):
     ns = [10, 64, 100, 150]
     for dist in (tri, asym, rich):
         stats = oc.tau_statistics(dist, 64, barrier, rows_at=ns)
-        alone = oc.killed_rows_at(dist, ns, barrier)
+        alone, _ = oc.killed_rows_at(dist, ns, barrier)
         assert sorted(stats.rows) == ns
         for n in ns:
             assert stats.rows[n].offset == alone[n].offset

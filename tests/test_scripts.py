@@ -11,10 +11,10 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, *args):
+def run_script(name, *args, rc=0):
     proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
                           capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == rc, proc.stderr
     return proc.stdout.splitlines()
 
 
@@ -24,4 +24,9 @@ def test_accuracy_study():
     # three walks, two barriers, three orders
     assert len(lines) == 1 + 3 * 2 * 3
     assert all("E(n) =" in line and "exponents" in line for line in lines[1:])
+
+
+def test_accuracy_study_needs_two_horizons():
+    # below --nmax 400 there is at most one horizon, so no decay exponent
+    assert run_script("accuracy_study.py", "--kmax", "64", "--nmax", "399", rc=2) == []
 
