@@ -107,11 +107,17 @@ def test_laurent_no_zero_coeffs_stored():
     assert -1 not in q.terms
 
 
+def test_laurent_evaluation():
+    assert Poly({0: F(2), 2: F(1)})(F(2)) == F(6)
+    # a Laurent polynomial is evaluated by clearing its denominator first
+    assert Poly({-1: F(2), 1: F(1)}).shift(1)(F(2)) / F(2) == F(3)
+    with pytest.raises(ValueError):  # evaluation is Horner over the dense form
+        Poly({-1: F(2), 1: F(1)})(F(2))
+
+
 def test_dense_coeffs_require_nonnegative_exponents():
     with pytest.raises(ValueError):
         Poly({-1: F(1)}).coeffs
-    with pytest.raises(ValueError):  # evaluation is Horner over the dense form
-        Poly({-1: F(2), 1: F(1)})(F(2))
     assert Poly({0: 2, 3: 1}).coeffs == [2, 0, 0, 1]
 
 
