@@ -20,6 +20,7 @@ import click
 
 from . import increments
 from .constants import compute_constants
+from .edgeworth import PARTITION_NU_CAP
 from .errors import InputError, NumericFailure
 from .expansion import ExpansionSet, b_range, expansion_polys
 from .integral import integral_check
@@ -72,8 +73,9 @@ def _lattice_rayleigh(sigma: float, n: int, u: float, v: float) -> float:
 def _common(f):
     f = click.option("--dist", "dist_path", required=True, type=click.Path(exists=True),
                      help="distribution JSON file")(f)
-    f = click.option("--r", "r", type=click.IntRange(min=1), default=2, show_default=True,
-                     help="expansion order")(f)
+    # order r reads ghat_nu up to nu = r + 1, and the partitions stop at the cap
+    f = click.option("--r", "r", type=click.IntRange(1, PARTITION_NU_CAP - 1), default=2,
+                     show_default=True, help="expansion order")(f)
     f = click.option("--barrier", type=click.Choice(["strict", "weak"]), default="strict",
                      show_default=True)(f)
     f = click.option("--kmax", type=int, default=4096, show_default=True,
@@ -98,11 +100,13 @@ def _polys_and_rows(dist, r: int, barrier: str, kmax: int, mode: str = "float",
 
     The constant fits always run float64.  In float mode the sweep to kmax
     runs on to max(ns) and keeps the rows; --mode exact reads exact-rational
-    rows from a sweep of their own (feasible up to the exact cap).
+    rows from a sweep of their own (feasible up to the exact cap), run first so
+    that an over-cap horizon fails before any float work.
     """
     exact = mode == "exact"
+    rows = killed_rows_at(dist, ns, barrier, mode="exact-rational")[0] if exact else None
     stats = tau_statistics(dist, kmax, barrier, hmax=b_range(r), rows_at=() if exact else ns)
-    rows = killed_rows_at(dist, ns, barrier, mode="exact-rational")[0] if exact else stats.rows
+    rows = rows if exact else stats.rows
     return expansion_polys(dist, r, compute_constants(stats)), rows
 
 
@@ -262,15 +266,11 @@ def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     es, rows_by_n = _polys_and_rows(dist, r, barrier, kmax, mode, ns)
     sigma = es.sigma
 
+    profiles = {}
     for n in ns:
-        row = rows_by_n[n]
-        prof = []
-        hi = int(3.5 * sigma * math.sqrt(n))
-        for x in range(1, hi + 1):
-            exact = float(row.get(x, 0.0))
-            prof.append([x / (sigma * math.sqrt(n)), exact, es.evaluate(n, x)])
-        _write_csv(out_dir / f"report_profile_n{n}.csv",
-                   ["t", "exact", "approx"], prof)
+        row, hi = rows_by_n[n], int(3.5 * sigma * math.sqrt(n))
+        profiles[n] = [[x / (sigma * math.sqrt(n)), float(row.get(x, 0.0)), es.evaluate(n, x)]
+                       for x in range(1, hi + 1)]
 
     curves = []
     for r_cur in range(1, r + 1):
@@ -280,12 +280,16 @@ def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
         for n in ns:
             err = es_r.window_error(rows_by_n[n], n)
             curves.append([r_cur, n, err, err * n ** power])
-    _write_csv(out_dir / "report_scaled_err.csv",
-               ["r", "n", "max_abs_err", "max_scaled_err"], curves)
 
     # U1 grows linearly with slope 2 theta0 / sigma^2 (oracle-validated)
     slope = 2.0 * es.constants.theta0 / sigma**2
     u1_rows = [[u, v, slope * u] for u, v in sorted(es.constants.u1_table.items())]
+
+    # every file is computed before the first is written: an input error leaves none
+    for n, prof in profiles.items():
+        _write_csv(out_dir / f"report_profile_n{n}.csv", ["t", "exact", "approx"], prof)
+    _write_csv(out_dir / "report_scaled_err.csv",
+               ["r", "n", "max_abs_err", "max_scaled_err"], curves)
     _write_csv(out_dir / "report_u1.csv", ["u", "u1", "linear_ref"], u1_rows)
     click.echo(f"wrote report files to {out_dir}")
     return 0

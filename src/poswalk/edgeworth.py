@@ -82,42 +82,18 @@ def ghat(lambdas, nu: int) -> Poly:
     return out
 
 
-def scaled_a_table(lambdas, nu_max: int) -> dict[tuple[int, int], object]:
-    """A[(nu, i)] = [t^{3 nu - 2 i}] ghat_nu, for nu = 1..nu_max."""
-    table: dict[tuple[int, int], object] = {}
-    for nu in range(1, nu_max + 1):
-        g = ghat(lambdas, nu)
-        for i in range(0, (3 * nu) // 2 + 1):
-            c = g.coeff(3 * nu - 2 * i)
-            if c != 0:
-                table[(nu, i)] = c
-    return table
-
-
-def scaled_a(table: dict, q: int, j: int, r: int):
-    """sigma * sqrt(2 pi) * a_{q,j} with the order-r truncation rule.
-
-    a_{q,j} is the z^q coefficient of P0_j; the (0,0) entry is the Gaussian
-    weight itself.  Entries vanish outside 1 <= 2j - q <= r + 1.
-    """
-    if q == 0 and j == 0:
-        return 1
-    nu = 2 * j - q
-    i = 3 * j - 2 * q
-    if nu < 1 or nu > r + 1 or i < 0:
-        return 0
-    return table.get((nu, i), 0)
-
-
 def lclt_coefficients(dist: IncrementDistribution, r: int) -> list[Poly]:
-    """P0_0..P0_{2r+2} for a concrete walk, floats in z = x/sigma; a_{q,j} = [z^q] P0_j."""
+    """P0_0..P0_{2r+2} for a concrete walk, floats in z = x/sigma.
+
+    a_{q,j} = [z^q] P0_j = [t^q] ghat_{2j-q} / (sigma sqrt(2 pi)) for
+    q = 0..3j/2, with ghat_0 = 1 giving the Gaussian weight a_{0,0}; every
+    j >= 1 has 2j - q >= 1.  Order r truncates: a_{q,j} = 0 where 2j - q > r + 1.
+    """
     if r < 1:
         raise InputError("r must be >= 1")
-    sigma = dist.sigma()
     lam = cumulant_ratios(dist, r + 1)
-    table = scaled_a_table(lam, r + 1)
-    root = math.sqrt(2 * math.pi)
-    return [Poly([float(scaled_a(table, q, j, r)) / (sigma * root)
+    g = [Poly([1])] + [ghat(lam, nu) for nu in range(1, r + 2)]
+    scale = dist.sigma() * math.sqrt(2 * math.pi)
+    return [Poly([float(g[2 * j - q].coeff(q)) / scale if 2 * j - q <= r + 1 else 0.0
                   for q in range(0, (3 * j) // 2 + 1)])
             for j in range(0, 2 * r + 3)]
-

@@ -147,7 +147,8 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str):
     exact = mode == "exact-rational"
     if exact and n > EXACT_HORIZON_CAP:
         raise InputError(
-            f"exact mode capped at n={EXACT_HORIZON_CAP} (requested {n}); use float64"
+            f"exact mode capped at n={EXACT_HORIZON_CAP} (requested {n}); "
+            "use float rows (--mode float)"
         )
     probs = dist.probs if exact else dist.probs_float()
     p0, *rest = probs  # the support is sorted, so shift 0 comes first

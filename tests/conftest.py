@@ -15,7 +15,7 @@ import pytest
 
 from poswalk import increments
 from poswalk.constants import compute_constants
-from poswalk.edgeworth import scaled_a, scaled_a_table
+from poswalk.edgeworth import ghat
 from poswalk.errors import InputError
 from poswalk.expansion import DEFAULT_R_CAP, assemble_Q, b_range, negative_residue
 from poswalk.laurent import Poly
@@ -189,11 +189,12 @@ def placeholder_polys(*, sigma: Fraction, m3: Fraction, theta0: Fraction,
     lam1 = Fraction(m3) / (6 * sigma**3)
     # orders eta <= 3 only consume free-walk coefficients with 2j - q <= 1,
     # so lambda_1 (the third-moment ratio) is the only ingredient needed
-    table = scaled_a_table([lam1], 1)
+    g = [Poly([1]), ghat([lam1], 1)]
     bmap = {(0, 0): Fraction(theta0), (0, 1): Fraction(theta1)}
 
     def ahat(q: int, j: int):
-        return scaled_a(table, q, j, r)
+        # sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q}
+        return g[2 * j - q].coeff(q) if 2 * j - q < len(g) else 0
 
     def b(l: int, h: int):
         return bmap.get((l, h), Fraction(0))

@@ -284,13 +284,40 @@ def test_kmax_below_one_exit_two(tri_file, tmp_path, command):
 @pytest.mark.parametrize("command, nmax", [("verify", "4"), ("report", "30")])
 def test_horizon_without_lattice_points_exit_two(tmp_path, capsys, command, nmax):
     # sigma = 0.045: verify's grid at n = 4 and report's window at n = 30
-    # hold no lattice point x >= 1, which is an input error, not a FAIL
+    # hold no lattice point x >= 1, which is an input error, not a FAIL, and
+    # the run writes no file
     lazy = tmp_path / "lazy.json"
     lazy.write_text('{"support": [-1, 0, 1], "probs": ["1/1000", "998/1000", "1/1000"]}')
+    out = tmp_path / "out"
+    out.mkdir()
     rc = run([command, "--dist", str(lazy), "--nmax", nmax, "--kmax", "64",
-              "--out", str(tmp_path)])
+              "--out", str(out)])
     assert rc == 2
     assert f"at n={nmax}; use a larger --nmax" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_order_above_partition_cap_is_usage_error(tmp_path, capsys, monkeypatch):
+    # order r reads ghat_{r+1}, and the partitions stop at nu = 8: --r 8 is
+    # refused before any sweep, naming the option
+    steps = _kill_steps(monkeypatch)
+    rc = run(["polys", "--dist", str(DISTS / "skewed.json"), "--r", "8",
+              "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--r" in capsys.readouterr().err
+    assert steps == {False: 0, True: 0}
+
+
+def test_exact_mode_over_cap_fails_before_float_sweep(tmp_path, capsys, monkeypatch):
+    # the exact rows are swept first, so an over-cap horizon costs no float
+    # steps and the message names a --mode value that exists
+    steps = _kill_steps(monkeypatch)
+    rc = run(["verify", "--dist", str(DISTS / "skewed.json"), "--mode", "exact",
+              "--nmax", "100", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "exact mode capped at n=64" in err and "(--mode float)" in err
+    assert steps == {False: 0, True: 0}
 
 
 def test_usage_error_exit_two(tmp_path):

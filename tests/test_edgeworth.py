@@ -85,11 +85,31 @@ def test_lclt_pinned_coefficients(asym):
 
 
 def test_lclt_degree_bound(asym):
-    p0_polys = lclt_coefficients(asym, 2)
-    for j, p in enumerate(p0_polys):
-        if p:
-            assert p.degree() <= (3 * j) // 2
-    assert p0_polys[0] == Poly([1.0 / (asym.sigma() * ROOT2PI)])
+    for r in range(1, 8):
+        p0_polys = lclt_coefficients(asym, r)
+        assert len(p0_polys) == 2 * r + 3
+        for j, p in enumerate(p0_polys):
+            if p:
+                assert p.degree() <= (3 * j) // 2
+        assert p0_polys[0] == Poly([1.0 / (asym.sigma() * ROOT2PI)])
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("dist_name", ["asym", "rich"])
+def test_lclt_truncation_rule(dist_name, r, request):
+    # a_{q,j} = [t^q] ghat_{2j-q} / (sigma sqrt(2 pi)): order r keeps exactly
+    # the entries with 2j - q <= r + 1, and they do not depend on r
+    dist = request.getfixturevalue(dist_name)
+    low, high = lclt_coefficients(dist, r), lclt_coefficients(dist, r + 1)
+    boundary = 0
+    for j, p in enumerate(low):
+        for q in range((3 * j) // 2 + 1):
+            if 2 * j - q <= r + 1:
+                assert p.coeff(q) == high[j].coeff(q)
+            else:
+                assert p.coeff(q) == 0
+                boundary += 2 * j - q == r + 2 and high[j].coeff(q) != 0
+    assert boundary > 0  # order r + 1 does fill the entries order r drops
 
 
 def test_first_correction_measured_from_oracle(asym):
