@@ -2,18 +2,20 @@
 
 The free local probability expands as
 
-    P(S_n = x) ~ e^{-z^2/2n} * sum_j  P0_j(z) / n^{j+1/2},     z = x/sigma,
+    P(S_n = x) ~ e^{-z^2/2n} / (sigma sqrt(2 pi)) * sum_{q,j} ahat_{q,j} z^q / n^{j+1/2},
 
-where P0_0 = 1/(sigma sqrt(2 pi)) and the higher P0_j regroup the classical
-Hermite/cumulant correction polynomials.  The building block is a series of
-polynomials indexed by partitions of nu,
+with z = x/sigma, where the weights regroup the classical Hermite/cumulant
+correction polynomials.  The building block is a series of polynomials
+indexed by partitions of nu,
 
     ghat_nu(t) = sum_{k_1 + 2 k_2 + ... = nu}  H_{nu+2s}(t) * prod_m lam_m^{k_m} / k_m!,
 
-with lam_m = gamma_{m+2} / ((m+2)! sigma^{m+2}) and s = sum k_m.  ghat_nu is
-sqrt(2 pi) times the usual correction polynomial; keeping the sqrt(2 pi) out
-makes every coefficient exactly rational whenever the lam_m are rational, so
-the same code drives both the float pipeline and the exact placeholder tests.
+with lam_m = gamma_{m+2} / ((m+2)! sigma^{m+2}) and s = sum k_m, and the
+weight of z^q / n^{j+1/2} is ahat_{q,j} = [t^q] ghat_{2j-q} (ghat_0 = 1).
+ghat_nu is sqrt(2 pi) times the usual correction polynomial; keeping the
+sqrt(2 pi) out makes every coefficient exactly rational whenever the lam_m
+are rational, so the same code drives both the float pipeline and the exact
+placeholder tests.
 """
 
 from __future__ import annotations
@@ -22,10 +24,7 @@ import math
 from functools import lru_cache
 
 from .errors import InputError
-from .increments import IncrementDistribution, cumulant_ratios
 from .laurent import Poly
-
-PARTITION_NU_CAP = 8
 
 
 @lru_cache(maxsize=None)
@@ -45,8 +44,6 @@ def partitions(nu: int) -> list[tuple[int, ...]]:
     """All nonnegative (k_1..k_nu) with sum m*k_m = nu, by recursive descent."""
     if nu < 1:
         raise InputError("nu must be >= 1")
-    if nu > PARTITION_NU_CAP:
-        raise InputError(f"nu capped at {PARTITION_NU_CAP}")
     out: list[tuple[int, ...]] = []
 
     def descend(m: int, remaining: int, acc: list[int]) -> None:
@@ -80,20 +77,3 @@ def ghat(lambdas, nu: int) -> Poly:
             continue
         out = out + hermite(nu + 2 * s).scale(weight)
     return out
-
-
-def lclt_coefficients(dist: IncrementDistribution, r: int) -> list[Poly]:
-    """P0_0..P0_{2r+2} for a concrete walk, floats in z = x/sigma.
-
-    a_{q,j} = [z^q] P0_j = [t^q] ghat_{2j-q} / (sigma sqrt(2 pi)) for
-    q = 0..3j/2, with ghat_0 = 1 giving the Gaussian weight a_{0,0}; every
-    j >= 1 has 2j - q >= 1.  Order r truncates: a_{q,j} = 0 where 2j - q > r + 1.
-    """
-    if r < 1:
-        raise InputError("r must be >= 1")
-    lam = cumulant_ratios(dist, r + 1)
-    g = [Poly([1])] + [ghat(lam, nu) for nu in range(1, r + 2)]
-    scale = dist.sigma() * math.sqrt(2 * math.pi)
-    return [Poly([float(g[2 * j - q].coeff(q)) / scale if 2 * j - q <= r + 1 else 0.0
-                  for q in range(0, (3 * j) // 2 + 1)])
-            for j in range(0, 2 * r + 3)]

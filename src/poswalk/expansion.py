@@ -13,8 +13,9 @@ over index tuples (j, q, s, nu, mu, l) subject to
 of  a_{q,j} C(q,s) (-1)^{nu+mu} / (2^mu nu! mu!) b[l, s+nu+2mu]
     * q_jlm(l+1, j+nu+mu, q-s+nu),
 
-times sqrt(2 pi).  The a_{q,j} are free-walk expansion coefficients
-(edgeworth), the b[l,h] are overshoot-moment constants (constants), and
+times sqrt(2 pi).  The a_{q,j} are the free walk's local-CLT weights, read
+as sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q} (edgeworth; ghat_0 = 1), the
+b[l,h] are overshoot-moment constants (constants), and
 q_jlm are exact Laurent polynomials whose negative powers must cancel in
 the sum.  The assembled closed forms at the lowest orders are
 
@@ -34,9 +35,9 @@ import warnings
 from dataclasses import dataclass
 
 from .constants import ConstantSet
-from .edgeworth import lclt_coefficients
+from .edgeworth import ghat
 from .errors import CancellationFailure, InputError
-from .increments import IncrementDistribution
+from .increments import IncrementDistribution, cumulant_ratios
 from .laurent import Poly, q_jlm
 from .oracle import Barrier
 
@@ -93,30 +94,26 @@ def enumerate_tuples(eta: int) -> list[IndexTuple]:
     return out
 
 
-def required_b_indices(r: int) -> set[tuple[int, int]]:
-    """(l, h) pairs consumed by Q_2..Q_{r+1}."""
-    need: set[tuple[int, int]] = set()
-    for eta in range(2, r + 2):
-        for t in enumerate_tuples(eta):
-            need.add((t.l, t.h))
-    return need
-
-
 def b_range(r: int) -> int:
     """The sweep's hmax behind order r: the largest h of a b[l, h] that
     Q_2..Q_{r+1} read, and at least 1, since theta1 = b[0,1] is part of every
-    constant set.  ``compute_constants`` fits l = 0..hmax//2 for each h, which
-    covers every l that order reads.
+    constant set.
+
+    The index constraint eta - 2 = 2 (j + mu + l) + nu + s - q splits as
+    (2j - q) + h + 2 l with h = s + nu + 2 mu, and q <= floor(3j/2) makes
+    2j - q >= 0, so h + 2 l <= eta - 2 <= r - 1.  ``compute_constants`` fits
+    l = 0..hmax//2 for each h, which covers every l that order reads.  The
+    same bound gives 2j - q <= r - 1: order r reads ghat_0..ghat_{r-1}.
     """
-    return max(1, *(h for _, h in required_b_indices(r)))
+    return max(1, r - 1)
 
 
 def tuple_weight(t: IndexTuple, ahat, b, sigma):
     """Scalar multiplying q_jlm for one tuple.
 
-    ``ahat(q, j)`` must return sigma * sqrt(2 pi) * a_{q,j}; the sqrt(2 pi)
-    prefactor of the Q_eta sum then cancels and the weight is exactly
-    rational whenever the inputs are.
+    ``ahat(q, j)`` must return sigma * sqrt(2 pi) * a_{q,j} = [t^q] ghat_{2j-q};
+    the sqrt(2 pi) prefactor of the Q_eta sum then cancels and the weight is
+    exactly rational whenever the inputs are.
     """
     a = ahat(t.q, t.j)
     if a == 0:
@@ -187,11 +184,12 @@ class ExpansionSet:
     sigma: float
     P: dict[int, Poly]  # P_nu = -2 Q_nu
     constants: ConstantSet
-    p0_polys: list[Poly]  # free-walk P0_0..P0_{2r+2}, edgeworth.lclt_coefficients
+    ghats: list[Poly]  # ghat_0 = 1, ghat_1..ghat_{r-1}: all that Q_2..Q_{r+1} read
 
     def ahat(self, q: int, j: int) -> float:
-        """sigma * sqrt(2 pi) * a_{q,j}, the free-walk weight the Q_eta sum reads."""
-        return self.p0_polys[j].coeff(q) * self.sigma * math.sqrt(2 * math.pi)
+        """sigma * sqrt(2 pi) * a_{q,j} = [t^q] ghat_{2j-q}, the free-walk
+        weight the Q_eta sum reads."""
+        return float(self.ghats[2 * j - q].coeff(q))
 
     def evaluate(self, n: int, x: int) -> float:
         """Truncated series value for P(S_n = x, tau > n); may go <= 0 in tails."""
@@ -244,8 +242,10 @@ def expansion_polys(dist: IncrementDistribution, r: int,
     if r > DEFAULT_R_CAP:
         warnings.warn(f"r={r} above the validated range (r <= {DEFAULT_R_CAP})",
                       stacklevel=2)
+    lam = cumulant_ratios(dist, r - 1)
     es = ExpansionSet(r=r, barrier=constants.barrier, sigma=dist.sigma(), P={},
-                      constants=constants, p0_polys=lclt_coefficients(dist, r))
+                      constants=constants,
+                      ghats=[Poly([1])] + [ghat(lam, nu) for nu in range(1, r)])
     for eta in range(2, r + 2):
         es.P[eta] = assemble_Q(eta, es.ahat, constants.b_value, es.sigma).scale(-2.0)
     return es

@@ -1,7 +1,7 @@
 """Shared fixtures: test walks, brute-force oracles, cached constant sets, and
 the second routes the library is checked against (free-walk law by
-convolution, gamma recursion, free-walk series sum, exact placeholder
-assembly, the quoted closed forms of P_2, P_3)."""
+convolution, gamma recursion, free-walk series coefficients and their sum,
+exact placeholder assembly, the quoted closed forms of P_2, P_3)."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from poswalk.constants import compute_constants
 from poswalk.edgeworth import ghat
 from poswalk.errors import InputError
 from poswalk.expansion import DEFAULT_R_CAP, assemble_Q, b_range, negative_residue
+from poswalk.increments import IncrementDistribution, cumulant_ratios
 from poswalk.laurent import Poly
 from poswalk.oracle import Barrier, Row, tau_statistics
 
@@ -158,6 +159,23 @@ def gamma_recursive(q: int, j: int, l: int) -> Fraction:
     if q == 0:
         return a
     return a - gamma_recursive(q - 1, j - 1, l + 2) / (2 * (j - half))
+
+
+def lclt_coefficients(dist: IncrementDistribution, r: int) -> list[Poly]:
+    """P0_0..P0_{2r+2} for a concrete walk, floats in z = x/sigma.
+
+    a_{q,j} = [z^q] P0_j = [t^q] ghat_{2j-q} / (sigma sqrt(2 pi)) for
+    q = 0..3j/2, with ghat_0 = 1 giving the Gaussian weight a_{0,0}; every
+    j >= 1 has 2j - q >= 1.  Order r truncates: a_{q,j} = 0 where 2j - q > r + 1.
+    """
+    if r < 1:
+        raise InputError("r must be >= 1")
+    lam = cumulant_ratios(dist, r + 1)
+    g = [Poly([1])] + [ghat(lam, nu) for nu in range(1, r + 2)]
+    scale = dist.sigma() * math.sqrt(2 * math.pi)
+    return [Poly([float(g[2 * j - q].coeff(q)) / scale if 2 * j - q <= r + 1 else 0.0
+                  for q in range(0, (3 * j) // 2 + 1)])
+            for j in range(0, 2 * r + 3)]
 
 
 def lclt_evaluate(p0_polys: list[Poly], sigma: float, n: int, x: int) -> float:

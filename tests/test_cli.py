@@ -298,8 +298,8 @@ def test_horizon_without_lattice_points_exit_two(tmp_path, capsys, command, nmax
 
 
 def test_order_above_partition_cap_is_usage_error(tmp_path, capsys, monkeypatch):
-    # order r reads ghat_{r+1}, and the partitions stop at nu = 8: --r 8 is
-    # refused before any sweep, naming the option
+    # --r stops at cli.R_MAX = 7, where the cancellation residue is still far
+    # below its bound: --r 8 is refused before any sweep, naming the option
     steps = _kill_steps(monkeypatch)
     rc = run(["polys", "--dist", str(DISTS / "skewed.json"), "--r", "8",
               "--out", str(tmp_path)])

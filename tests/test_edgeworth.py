@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import free_pmf, lclt_evaluate
-from poswalk.edgeworth import ghat, hermite, lclt_coefficients, partitions
+from conftest import free_pmf, lclt_coefficients, lclt_evaluate
+from poswalk.edgeworth import ghat, hermite, partitions
 from poswalk.increments import cumulant_ratios
 from poswalk.laurent import Poly
 

@@ -7,10 +7,12 @@ import pytest
 from conftest import CORRECTED, constants_for, placeholder_polys, quoted_p2, quoted_p3
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
+from poswalk.edgeworth import ghat
 from poswalk.errors import CancellationFailure, InputError
 from poswalk.expansion import (IndexTuple, assemble_Q, b_range, enumerate_tuples,
-                               expansion_polys, negative_residue, required_b_indices,
-                               tuple_weight, uj_polynomial_part)
+                               expansion_polys, negative_residue, tuple_weight,
+                               uj_polynomial_part)
+from poswalk.increments import cumulant_ratios
 from poswalk.laurent import Poly
 from poswalk.oracle import Barrier
 
@@ -36,6 +38,16 @@ def test_enumerated_tuples_satisfy_constraint():
             assert t.s <= t.q <= (3 * t.j) // 2
 
 
+def read_tuples(r):
+    """Every index tuple of Q_2..Q_{r+1}, the sum behind order r."""
+    return [t for eta in range(2, r + 2) for t in enumerate_tuples(eta)]
+
+
+def required_b_indices(r: int) -> set[tuple[int, int]]:
+    """(l, h) pairs consumed by Q_2..Q_{r+1}."""
+    return {(t.l, t.h) for t in read_tuples(r)}
+
+
 def test_required_b_indices_r4():
     assert required_b_indices(4) == {(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1)}
     # the sweep behind an order: hmax >= 1 even where Q_2 alone reads b[0,0] only
@@ -43,11 +55,29 @@ def test_required_b_indices_r4():
     assert b_range(1) == 1
 
 
-@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("r", range(1, 8))
 def test_sweep_to_b_range_holds_every_b_its_order_reads(tri, r):
-    # compute_constants fits l = 0..hmax//2, which b_range's hmax must cover
+    # compute_constants fits l = 0..hmax//2, which b_range's hmax must cover;
+    # the index constraint gives h + 2l <= r - 1 and 2j - q <= r - 1, and
+    # both bounds are attained (r = 7 is the CLI's largest order)
     b = compute_constants(oc.tau_statistics(tri, 256, hmax=b_range(r))).b
     assert required_b_indices(r) <= set(b)
+    assert b_range(r) == max(1, r - 1) == max(1, *(h for _, h in required_b_indices(r)))
+    assert max(2 * t.j - t.q for t in read_tuples(r)) == r - 1
+
+
+@pytest.mark.parametrize("dist_name", ["asym", "tri"])
+def test_ahat_reads_ghat_bit_for_bit(dist_name, request):
+    # the Q_eta sum reads sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q} as it
+    # stands, with no division by sigma sqrt(2 pi) and multiplication back
+    dist = request.getfixturevalue(dist_name)
+    es = expansion_polys(dist, 4, compute_constants(oc.tau_statistics(dist, 256, hmax=b_range(4))))
+    pairs = {(t.q, t.j) for t in read_tuples(4)}
+    for q, j in pairs:
+        nu = 2 * j - q
+        want = ghat(cumulant_ratios(dist, nu), nu).coeff(q) if nu else 1
+        assert es.ahat(q, j) == float(want)
+    assert any(es.ahat(q, j) not in (0.0, 1.0) for q, j in pairs)
 
 
 def test_expansion_takes_the_barrier_of_its_constants(tri, tri_constants_weak):
@@ -114,7 +144,8 @@ def test_negative_power_cancellation(asym):
 def test_cancellation_failure_diagnoses_corrupted_coefficients(asym, asym_constants_strict):
     # the eta = 4 balance ties the free-walk coefficients together across
     # four Laurent blocks; poisoning one of them must be caught and reported
-    es = expansion_polys(asym, 2, asym_constants_strict)
+    # (order 3 is the lowest whose weights cover Q_4)
+    es = expansion_polys(asym, 3, asym_constants_strict)
     cs = asym_constants_strict
     sigma = es.sigma
 
@@ -139,16 +170,15 @@ def test_ballot_walk_expansion_matches_free_coefficients(ballot_walk):
     # pins every piece of the assembly (signs, sigma powers, b wiring)
     cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4)
     es = expansion_polys(ballot_walk, 3, cs)
-    sigma = es.sigma
     for nu in range(2, 5):
         want = Poly()
         for j in range(0, 2 * nu):
             q = 2 * j + 2 - nu
             if q < 0:
                 continue
-            a = es.p0_polys[j].coeff(q)
+            a = es.ahat(q, j)  # sigma sqrt(2 pi) a_{q,j}
             if a:
-                want = want + Poly([0] * (q + 1) + [sigma * a])
+                want = want + Poly([0] * (q + 1) + [a / ROOT2PI])
         have = es.P[nu]
         scale = max(abs(c) for c in want.coeffs) if want else 1.0
         n_terms = max(len(want.coeffs), len(have.coeffs))
