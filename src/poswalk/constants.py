@@ -42,7 +42,7 @@ from .oracle import U_MAX, Barrier, TauStatistics
 
 def _tail_fit(ks: np.ndarray, a: np.ndarray, lmax: int = 0) -> ExtrapolationResult:
     """Fit a_k over {k^0, ..., k^-max(lmax+1, 3)}; c_l for l <= lmax is the k^-l term."""
-    return fit_power_tail(ks, a, range(max(lmax + 2, 4)))
+    return fit_power_tail(ks, a, max(lmax + 2, 4))
 
 
 def u1_tabulate(stats: TauStatistics) -> dict[int, ExtrapolationResult]:
@@ -115,10 +115,10 @@ class ConstantSet:
 def _prov(fit: ExtrapolationResult, l: int = 0) -> dict:
     """Provenance of the k^-l coefficient of ``fit`` (l = 0: the limit)."""
     return {
-        "value": ((fit.limit,) + fit.coefficients)[l],
-        "error_estimate": ((fit.error_estimate,) + fit.coefficient_errors)[l],
+        "value": fit.coefficients[l],
+        "error_estimate": fit.errors[l],
         "window": list(fit.window),
-        "model": list(fit.model),
+        "model": [float(e) for e in range(len(fit.coefficients))],
     }
 
 

@@ -5,27 +5,29 @@ For integer b >= 0 and z != 0,
     I(b, z) = int_0^1 (1-u)^{-1/2} u^{-b-3/2} exp(-z^2/(2u)) du
             = sgn(z) sqrt(2 pi) e^{-z^2/2} sum_{k=0}^{b} (2k-1)!! C(b,k) / z^{2k+1},
 
-with the convention (-1)!! = 1.  The quadrature side substitutes u = s^2
-on (0, 1/2] and 1 - u = s^2 on [1/2, 1), removing the endpoint singularities,
-and integrates the sum of the two smooth pieces over s in (0, sqrt(1/2)) by
-one fixed composite Gauss-Legendre rule: 32 nodes per panel, panel edges 0,
-sqrt(1/2) 2^-12, sqrt(1/2) 2^-11, ..., sqrt(1/2) (dense near s = 0, where the
-Gaussian factor turns on); 16 nodes on the same panels give the error
-estimate.  Against the closed form: 2.0e-16 relative on the (BS, ZS) grid,
-within 1.3e-14 for b <= 22, z in [0.02, 16]; beyond that (z -> 0, or b >~ 25
-at small z) the estimate misses its target and `quadrature` raises.
+with the convention (-1)!! = 1.  The closed form reads the sum from
+``laurent.tail_block(b)``, the same S_b block that ``laurent.q_jlm`` builds the
+expansion from, so ``integral-check`` checks the block the assembly multiplies.
+The quadrature side substitutes u = s^2 on (0, 1/2] and 1 - u = s^2 on
+[1/2, 1), removing the endpoint singularities, and integrates the sum of the
+two smooth pieces over s in (0, sqrt(1/2)) by one fixed composite
+Gauss-Legendre rule: 32 nodes per panel, panel edges 0, sqrt(1/2) 2^-12,
+sqrt(1/2) 2^-11, ..., sqrt(1/2) (dense near s = 0, where the Gaussian factor
+turns on); 16 nodes on the same panels give the error estimate.  Against the
+closed form: 2.0e-16 relative on the (BS, ZS) grid, within 1.3e-14 for
+b <= 22, z in [0.02, 16]; beyond that (z -> 0, or b >~ 25 at small z) the
+estimate misses its target and `quadrature` raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .errors import NumericFailure
-from .laurent import double_factorial
+from .laurent import tail_block
 
 BS = (0, 1, 2, 3)
 ZS = (0.5, 1.0, 2.0, 4.0)
@@ -44,12 +46,10 @@ RULES = (_composite_rule(32), _composite_rule(16))  # value, then error estimate
 
 
 def closed_form(b: int, z: float) -> float:
-    """sgn(z) sqrt(2 pi) e^{-z^2/2} * sum_k (2k-1)!! C(b,k) / z^{2k+1}."""
-    if b < 0:
-        raise ValueError("b must be >= 0")
+    """sgn(z) sqrt(2 pi) e^{-z^2/2} * S_b(1/z), S_b the ``tail_block(b)`` sum."""
     if z == 0:
         raise ValueError("z must be nonzero")
-    s = sum(double_factorial(2 * k - 1) * comb(b, k) / z ** (2 * k + 1) for k in range(b + 1))
+    s = sum(c / z ** -e for e, c in tail_block(b).terms.items())  # k order
     return math.copysign(1.0, z) * math.sqrt(2 * math.pi) * math.exp(-z * z / 2.0) * s
 
 

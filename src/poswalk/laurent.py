@@ -4,12 +4,15 @@
 their weighted sums, the Hermite and free-walk polynomials and the assembled
 Q_eta and P_nu are all instances.  It stores exponent -> coefficient and only
 needs ``+`` and ``*`` of its coefficients, so ``fractions.Fraction`` keeps it
-exact and floats run the numeric pipeline through the same code.  The two
+exact and floats run the numeric pipeline through the same code.  The
 coefficient families are
 
-* ``gamma_closed(q, j, l)`` -- rationals given by a closed-form sum over
-  ascending subsets of ``{1..j}``; the tests hold the two-term recursion it
-  must agree with exactly,
+* ``gamma_recursive(q, j, l)`` -- rationals from a two-term recursion in
+  (j-1, l+1) and (j-1, l+2), memoised by ``functools.lru_cache``; the tests
+  hold the closed-form subset sum it must agree with exactly,
+* ``tail_block(b)`` -- the tail sum S_b(1/t) = sum_k (2k-1)!! C(b,k) t^(-2k-1)
+  with integer coefficients, the one source of these sums: the blocks below
+  and ``integral.closed_form`` both read it,
 * ``q_jlm(j, l, m)`` -- Laurent polynomials mixing powers ``t^(m+2q)`` with
   ``t^(-2k-1)``; a single block may keep negative powers, but in the
   assembled expansion they cancel (``expansion.assemble_Q`` checks it).
@@ -17,8 +20,8 @@ coefficient families are
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 
@@ -129,33 +132,32 @@ class Poly:
         return f"Poly({dict(sorted(self.terms.items()))})"
 
 
-def gamma_closed(q: int, j: int, l: int) -> Fraction:
-    """Closed-form gamma(q,j,l): prefactor times a sum over ascending subsets.
-
-    Each (j-q)-element ascending subset (a_1 < ... < a_{j-q}) of {1..j}
-    contributes prod_i (l + 2*a_i - i - 1/2); the empty product (q = j)
-    counts as 1, and q > j gives 0.
-    """
+@lru_cache(maxsize=None)
+def gamma_recursive(q: int, j: int, l: int) -> Fraction:
+    """gamma via the two-term recursion in (j-1, l+1) and (j-1, l+2)."""
     if q < 0 or j < 0 or l < 0:
         raise ValueError("indices must be nonnegative")
-    if j > 16:
-        raise ValueError("subset enumeration capped at j = 16")
     if q > j:
         return Fraction(0)
-    pref = Fraction((-1) ** q * 2**j, 2**q * double_factorial(2 * j - 1))
-    total = Fraction(0)
-    for subset in itertools.combinations(range(1, j + 1), j - q):
-        prod = Fraction(1)
-        for i, a in enumerate(subset, start=1):
-            prod *= Fraction(2 * (l + 2 * a - i) - 1, 2)
-        total += prod
-    return pref * total
+    if j == 0:
+        return Fraction(1)  # q == 0 here
+    half = Fraction(1, 2)
+    a = (l + half) / (j - half) * gamma_recursive(q, j - 1, l + 1)
+    if q == 0:
+        return a
+    return a - gamma_recursive(q - 1, j - 1, l + 2) / (2 * (j - half))
+
+
+def tail_block(b: int) -> Poly:
+    """S_b(1/t) = sum_{k=0}^{b} (2k-1)!! C(b, k) t^{-(2k+1)}, terms in k order."""
+    if b < 0:
+        raise ValueError("b must be >= 0")
+    return Poly({-(2 * k + 1): double_factorial(2 * k - 1) * comb(b, k) for k in range(b + 1)})
 
 
 def q_jlm(j: int, l: int, m: int) -> Poly:
-    """The Laurent polynomial t^m * sum_q gamma(q,j,l) t^{2q} * S_q(1/t).
+    """The Laurent polynomial t^m * sum_q gamma(q,j,l) t^{2q} * S_{l+j+q-1}(1/t).
 
-    S_q(1/t) = sum_{k=0}^{l+j+q-1} (2k-1)!! C(l+j+q-1, k) / t^{2k+1}.
     Highest exponent is m + 2j - 1 whenever the top gamma is nonzero.
     """
     if j < 0 or l < 0 or m < 0:
@@ -164,15 +166,8 @@ def q_jlm(j: int, l: int, m: int) -> Poly:
         raise ValueError("need j + l >= 1")
     out = Poly()
     for q in range(j + 1):
-        g = gamma_closed(q, j, l)
+        g = gamma_recursive(q, j, l)
         if g == 0:
             continue
-        top = l + j + q - 1
-        inner = Poly(
-            {
-                -(2 * k + 1): Fraction(double_factorial(2 * k - 1) * comb(top, k))
-                for k in range(top + 1)
-            }
-        )
-        out = out + inner.scale(g).shift(m + 2 * q)
+        out = out + tail_block(l + j + q - 1).scale(g).shift(m + 2 * q)
     return out

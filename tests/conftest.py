@@ -1,6 +1,6 @@
 """Shared fixtures: test walks, brute-force oracles, cached constant sets, and
 the second routes the library is checked against (free-walk law by
-convolution, gamma recursion, free-walk series coefficients and their sum,
+convolution, gamma closed form, free-walk series coefficients and their sum,
 exact placeholder assembly, the quoted closed forms of P_2, P_3)."""
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from poswalk.edgeworth import ghat
 from poswalk.errors import InputError
 from poswalk.expansion import DEFAULT_R_CAP, assemble_Q, b_range, negative_residue
 from poswalk.increments import IncrementDistribution, cumulant_ratios
-from poswalk.laurent import Poly
+from poswalk.laurent import Poly, double_factorial
 from poswalk.oracle import Barrier, Row, tau_statistics
 
 
@@ -145,20 +144,25 @@ def asym_constants_weak(asym):
     return constants_for(asym, Barrier.WEAK)
 
 
-@lru_cache(maxsize=None)
-def gamma_recursive(q: int, j: int, l: int) -> Fraction:
-    """gamma via the two-term recursion in (j-1, l+1) and (j-1, l+2)."""
+def gamma_closed(q: int, j: int, l: int) -> Fraction:
+    """Closed-form gamma(q,j,l): prefactor times a sum over ascending subsets.
+
+    Each (j-q)-element ascending subset (a_1 < ... < a_{j-q}) of {1..j}
+    contributes prod_i (l + 2*a_i - i - 1/2); the empty product (q = j)
+    counts as 1, and q > j gives 0.
+    """
     if q < 0 or j < 0 or l < 0:
         raise ValueError("indices must be nonnegative")
     if q > j:
         return Fraction(0)
-    if j == 0:
-        return Fraction(1)  # q == 0 here
-    half = Fraction(1, 2)
-    a = (l + half) / (j - half) * gamma_recursive(q, j - 1, l + 1)
-    if q == 0:
-        return a
-    return a - gamma_recursive(q - 1, j - 1, l + 2) / (2 * (j - half))
+    pref = Fraction((-1) ** q * 2**j, 2**q * double_factorial(2 * j - 1))
+    total = Fraction(0)
+    for subset in itertools.combinations(range(1, j + 1), j - q):
+        prod = Fraction(1)
+        for i, a in enumerate(subset, start=1):
+            prod *= Fraction(2 * (l + 2 * a - i) - 1, 2)
+        total += prod
+    return pref * total
 
 
 def lclt_coefficients(dist: IncrementDistribution, r: int) -> list[Poly]:

@@ -31,12 +31,12 @@ import time
 from fractions import Fraction as F
 
 from conftest import (CORRECTED, brute_force_killed, constants_for, downskip, free_pmf,
-                      gamma_recursive, lclt_coefficients, lclt_evaluate, placeholder_polys,
+                      gamma_closed, lclt_coefficients, lclt_evaluate, placeholder_polys,
                       quoted_p2, quoted_p3, skewed, trinomial, upskip_narrow)
 from poswalk import oracle as oc
 from poswalk.expansion import expansion_polys, negative_residue
 from poswalk.integral import integral_check
-from poswalk.laurent import Poly, gamma_closed, q_jlm
+from poswalk.laurent import Poly, gamma_recursive, q_jlm
 from poswalk.oracle import Barrier
 
 ROOT2PI = math.sqrt(2 * math.pi)

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gamma_recursive
+from conftest import gamma_closed
 from poswalk.expansion import expansion_polys
-from poswalk.laurent import Poly, double_factorial, gamma_closed, q_jlm
+from poswalk.laurent import Poly, double_factorial, gamma_recursive, q_jlm, tail_block
 
 
 def test_double_factorial():
@@ -42,8 +42,24 @@ def test_gamma_base_cases():
 def test_gamma_closed_equals_recursive_full_grid():
     for j in range(7):
         for q in range(j + 1):
-            for l in range(7):
+            for l in range(13):  # q_jlm reads l <= 12 at R_MAX = 7
                 assert gamma_closed(q, j, l) == gamma_recursive(q, j, l)
+
+
+def test_gamma_memoised_across_an_assembly(asym, asym_constants_strict):
+    # perfbench's laurent.gamma_cache_hit_ratio reads this object's counters
+    gamma_recursive.cache_clear()
+    expansion_polys(asym, 4, asym_constants_strict)
+    assert gamma_recursive.cache_info().hits > 0
+
+
+def test_tail_block_pinned():
+    # S_b(1/t) = sum_k (2k-1)!! C(b, k) t^{-(2k+1)}, exact integers
+    assert tail_block(0) == Poly({-1: 1})
+    assert tail_block(3) == Poly({-1: 1, -3: 3, -5: 9, -7: 15})
+    assert all(type(c) is int for c in tail_block(5).terms.values())
+    with pytest.raises(ValueError):
+        tail_block(-1)
 
 
 def test_q_jlm_pinned():
