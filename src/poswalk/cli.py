@@ -22,7 +22,6 @@ from . import increments
 from .constants import compute_constants
 from .errors import InputError, NumericFailure
 from .expansion import ExpansionSet, b_range, expansion_polys
-from .integral import integral_check
 from .laurent import Poly
 from .oracle import Row, conditioned_interval_prob, killed_rows_at, tau_statistics
 
@@ -248,6 +247,10 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
               show_default=True)
 def cmd_integral_check(out_dir):
     """Quadrature vs closed form for the half-line Gaussian-tail integral."""
+    # imported here: its Gauss-Legendre rules (and numpy.polynomial) load on
+    # import, and no other command reads them
+    from .integral import integral_check
+
     rows = integral_check()
     out = [[r.b, r.z, r.closed, r.quadrature, r.rel_error] for r in rows]
     _write_csv(Path(out_dir) / "integral_check.csv",

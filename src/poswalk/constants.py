@@ -8,7 +8,7 @@ All constants are limits of exactly computed oracle sequences:
   theta1 = b[0,1] = lim k^{3/2} E[-S_tau / sigma; tau = k],
 * U1(u)  = lim (n+1)^{3/2} P(S_n = u, tau > n) for small u.
 
-Each sequence is fitted once (``_tail_fit``) over {k^0, ..., k^-m} with
+Each sequence is fitted once (``_tail_fits``) over {k^0, ..., k^-m} with
 m = max(lmax + 1, 3) and lmax = hmax // 2 for a sweep to hmax: one fit per h
 gives b[0..lmax, h], so a sweep to ``expansion.b_range(r)`` holds every
 b[l, h] that order r reads.  Each error estimate is its coefficient's shift
@@ -35,21 +35,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .extrapolation import ExtrapolationResult, fit_power_tail
+from .extrapolation import ExtrapolationResult, fit_power_tails
 from .increments import IncrementDistribution
 from .oracle import U_MAX, Barrier, TauStatistics
 
 
-def _tail_fit(ks: np.ndarray, a: np.ndarray, lmax: int = 0) -> ExtrapolationResult:
-    """Fit a_k over {k^0, ..., k^-max(lmax+1, 3)}; c_l for l <= lmax is the k^-l term."""
-    return fit_power_tail(ks, a, max(lmax + 2, 4))
+def _tail_fits(ks: np.ndarray, sequences, lmax: int = 0) -> list[ExtrapolationResult]:
+    """Fit each a_k over {k^0, ..., k^-max(lmax+1, 3)}; c_l for l <= lmax is the k^-l term."""
+    return fit_power_tails(ks, sequences, max(lmax + 2, 4))
 
 
 def u1_tabulate(stats: TauStatistics) -> dict[int, ExtrapolationResult]:
     """U1(u) = lim (n+1)^{3/2} P(S_n = u, tau > n), per-column extrapolation."""
     ns = np.arange(1, stats.kmax + 1, dtype=float) + 1.0
-    return {u: _tail_fit(ns, ns**1.5 * stats.column(u))
-            for u in range(stats.barrier.floor, U_MAX + 1)}
+    scale = ns**1.5
+    us = range(stats.barrier.floor, U_MAX + 1)
+    return dict(zip(us, _tail_fits(ns, (scale * stats.column(u) for u in us))))
 
 
 def _renewal_sum(dist: IncrementDistribution, u1: dict[int, ExtrapolationResult],
@@ -132,9 +133,10 @@ def compute_constants(stats: TauStatistics) -> ConstantSet:
 
     b: dict[tuple[int, int], float] = {}
     prov: dict[str, dict] = {}
-    for h, theta in stats.theta.items():
+    scale = ks**1.5
+    fits = _tail_fits(ks, (scale * theta for theta in stats.theta.values()), lmax)
+    for h, fit in zip(stats.theta, fits):
         # the coefficient of k^-l is b[l, h]
-        fit = _tail_fit(ks, ks**1.5 * theta, lmax)
         for l in range(lmax + 1):
             prov[f"b_{l}_{h}"] = _prov(fit, l)
             b[(l, h)] = prov[f"b_{l}_{h}"]["value"]

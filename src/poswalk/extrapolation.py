@@ -4,7 +4,9 @@ Linear least squares over the basis {k^0, k^-1, ..., k^-(terms-1)}, solved by
 SVD with column scaling.  Preferred over Richardson elimination because the
 target sequences carry slowly varying (log-contaminated) remainders that break
 pure elimination tables.  The limit estimate is c0; each coefficient's error
-estimate is its shift between fits on two staggered windows.
+estimate is its shift between fits on two staggered windows.  Sequences over
+the same ks (the theta moments, the U1 columns) share each window's design
+(``fit_power_tails``) but keep one solve each, so sharing changes no bit.
 """
 
 from __future__ import annotations
@@ -29,20 +31,62 @@ class ExtrapolationResult:
         return self.coefficients[0]
 
 
-def _fit_window(ks: np.ndarray, a: np.ndarray, terms: int, lo: float, hi: float) -> np.ndarray:
+def _window(ks: np.ndarray, terms: int, lo: float, hi: float):
+    """The fit window's (mask, column-scaled design, column norms)."""
     mask = (ks >= lo) & (ks <= hi)
     npts = int(mask.sum())
     if npts < terms + 2:
         raise InsufficientPoints(f"window [{lo}, {hi}] holds {npts} points, need >= {terms + 2}")
     kw = ks[mask]
-    aw = a[mask]
     design = np.column_stack([kw ** (-e) for e in range(terms)])
     norms = np.linalg.norm(design, axis=0)
-    coef, _, _, sv = np.linalg.lstsq(design / norms, aw, rcond=None)
+    return mask, design / norms, norms
+
+
+def _solve(window, a: np.ndarray) -> np.ndarray:
+    mask, scaled, norms = window
+    coef, _, _, sv = np.linalg.lstsq(scaled, a[mask], rcond=None)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf  # the 2-norm condition number
     if cond > COND_GUARD:
         raise IllConditioned(f"condition number {cond:.3e} exceeds {COND_GUARD:.0e}")
     return coef / norms
+
+
+def fit_power_tails(ks: np.ndarray, sequences, terms: int,
+                    window: tuple[float, float] | None = None) -> list[ExtrapolationResult]:
+    """``fit_power_tail`` of each array in ``sequences``, all over the same ``ks``.
+
+    The window designs are built once and shared; each sequence still gets a
+    least-squares solve of its own, so every result is bit for bit the one
+    ``fit_power_tail`` gives.  ``sequences`` is consumed one array at a time.
+    """
+    if terms < 1:
+        raise ValueError("need at least one term (the limit)")
+    ks = np.asarray(ks, dtype=float)
+    if ks.ndim != 1 or not ks.size:
+        raise ValueError("ks and a must be nonempty 1-d arrays of equal length")
+    if np.any(np.diff(ks) <= 0):
+        raise ValueError("ks must be strictly increasing")
+    span = ks[-1] - ks[0]
+    if window is None:
+        window = (ks[-1] - span / 3.0, ks[-1])
+    lo, hi = window
+    lo2 = max(ks[0], lo - 0.10 * span)
+    main = _window(ks, terms, lo, hi)
+    wide = _window(ks, terms, lo2, hi) if lo2 < lo else None
+    results = []
+    for a in sequences:
+        a = np.asarray(a, dtype=float)
+        if ks.shape != a.shape:
+            raise ValueError("ks and a must be nonempty 1-d arrays of equal length")
+        coef = _solve(main, a)
+        shift = np.abs(coef - _solve(wide, a)) if wide is not None else np.zeros_like(coef)
+        results.append(ExtrapolationResult(
+            coefficients=tuple(float(c) for c in coef),
+            errors=tuple(float(e) for e in shift),
+            window=(float(lo), float(hi)),
+        ))
+    return results
 
 
 def fit_power_tail(ks: np.ndarray, a: np.ndarray, terms: int,
@@ -54,26 +98,4 @@ def fit_power_tail(ks: np.ndarray, a: np.ndarray, terms: int,
     estimates refit on a window starting 10% earlier and report each
     coefficient's shift.
     """
-    if terms < 1:
-        raise ValueError("need at least one term (the limit)")
-    ks = np.asarray(ks, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if ks.ndim != 1 or ks.shape != a.shape or not ks.size:
-        raise ValueError("ks and a must be nonempty 1-d arrays of equal length")
-    if np.any(np.diff(ks) <= 0):
-        raise ValueError("ks must be strictly increasing")
-    span = ks[-1] - ks[0]
-    if window is None:
-        window = (ks[-1] - span / 3.0, ks[-1])
-    lo, hi = window
-    coef = _fit_window(ks, a, terms, lo, hi)
-    lo2 = max(ks[0], lo - 0.10 * span)
-    if lo2 < lo:
-        shift = np.abs(coef - _fit_window(ks, a, terms, lo2, hi))
-    else:
-        shift = np.zeros_like(coef)
-    return ExtrapolationResult(
-        coefficients=tuple(float(c) for c in coef),
-        errors=tuple(float(e) for e in shift),
-        window=(float(lo), float(hi)),
-    )
+    return fit_power_tails(ks, [a], terms, window)[0]

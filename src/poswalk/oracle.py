@@ -11,17 +11,36 @@ instead of O(n^2 * |support|).  The cells that remain are bit for bit those
 of the untrimmed rows: a dropped cell only ever added +0.0.
 
 A step allocates one array, its output row, because collectors keep the
-rows it yields.  The first shift's product is written straight into that
-row; every further product goes to one scratch buffer allocated once per
-sweep.  A fresh temporary per product, once rows pass the allocator's mmap
-threshold, is a fresh mapping whose pages fault on first touch, and those
-faults, not the arithmetic, used to dominate a deep sweep.  What the trim
-cannot drop is the subnormal band at the far tail, cells below 2.2e-308
-that have not yet rounded to zero: about 90-135 cells at k = 16384 for the
-walks in ``dists/``, but a plateau that keeps widening for some laws
-(about 2840 cells at k = 16384 for (2, 3, 1, 3, 2)/11).  Subnormal
-arithmetic is slow, yet flushing those cells would change ``Row.total``'s
-pairwise-sum bits, so they stay.
+rows it yields.  The products go to one scratch block allocated once per
+sweep, one row per distinct weight, filled by one broadcast multiply: a law
+that repeats a weight (trinomial 3/10, skewed 2/5) reuses the same float
+product.  The first shift's product is copied into the output row and every
+further one added to it, in support order.  A fresh temporary per product,
+once rows pass the allocator's mmap threshold, is a fresh mapping whose
+pages fault on first touch, and those faults, not the arithmetic, used to
+dominate a deep sweep.  What the trim cannot drop is the subnormal band at
+the far tail, cells below 2.2e-308 that have not yet rounded to zero: about
+90-165 cells at k = 16384 for the walks in ``dists/`` and the benchmark's
+seed walks, but a plateau that keeps widening for some laws (about 2840
+cells at k = 16384 for (2, 3, 1, 3, 2)/11).  Subnormal arithmetic is slow,
+yet flushing those cells would change ``Row.total``'s pairwise-sum bits, so
+they stay.
+
+The dependency cone drops what the trim keeps but no output reads.  A step
+moves mass down by at most a = -min_step, so once the last row a collector
+keeps is behind it, a survivor cell at step k above ``top + a (n - k)`` can
+never reach a position <= ``top`` by step n.  ``_sweep(..., cone=(after,
+top))`` cuts every stepped row after step ``after`` at that bound, before
+the kill split.  The cut is exact by dependency alone: a dropped cell's
+products land only above the next step's bound, so every kept cell gets the
+same operands in the same support order, and the killed cells are those of
+the uncut sweep.  Only ``tau_statistics`` asks for the cut, with ``top =
+U_MAX`` and ``after`` its last kept row; it drops 15.4% of the stepped cells
+on trinomial strict and 21.3% on skewed weak at kmax 16384, and the dropped
+cells are those of the widest steps, with the subnormal band.  The rows
+yielded after the cut are therefore not survivor rows: they hold only the
+cells up to the bound (the last one, at step n, only floor..``top``).  A
+sweep that keeps a row at step n, and ``killed_rows_at``, never cut.
 
 There is one sweep, the generator ``_sweep``, and it sweeps only the killed
 walk.  Its two collectors, ``tau_statistics`` and ``killed_rows_at``, read
@@ -34,7 +53,8 @@ A command sweeps each walk once.  Row k never depends on later steps, so
 the constants (steps up to kmax) and the checked rows (horizons up to nmax)
 are prefixes of one float sweep to max(kmax, nmax): ``tau_statistics``
 collects the killed cells and survivor columns to kmax and keeps the rows
-named in ``rows_at`` on the way.  Only exact rows need a sweep of their own.
+named in ``rows_at`` on the way; the cone cuts only the steps after the
+last of them.  Only exact rows need a sweep of their own.
 
 Float results are deterministic and byte-stable.  Each step adds the shifted
 rows in the fixed support order.  ``Row.total`` is numpy's pairwise sum over
@@ -47,7 +67,9 @@ cells too, or in another order, would change the CLI artifacts' bytes.
 row by row, after the sweep.  numpy sums a run of fewer than 8 cells in a
 plain loop, so a block row of at most 7 cells (strict ``|min_step| <= 6``,
 weak ``|min_step| <= 7``) gives the per-step sum over its nonzero cells bit
-for bit; wider rows are summed pairwise and the last bit may differ.
+for bit; wider rows are summed pairwise and the last bit may differ.  The
+survivor columns are stored step-major too, ``(kmax, U_MAX - floor + 1)``,
+so each step writes one contiguous slice.
 """
 
 from __future__ import annotations
@@ -119,8 +141,9 @@ def _split_killed(row: Row, barrier: Barrier) -> tuple[Row, Row]:
     Every law has a negative step, so a stepped row starts below the floor
     and the survivors start exactly at it.
     """
-    cut = barrier.floor - row.offset  # first surviving index, >= 1
-    return Row(barrier.floor, row.values[cut:]), Row(row.offset, row.values[:cut])
+    floor = barrier.floor
+    cut = floor - row.offset  # first surviving index, >= 1
+    return Row(floor, row.values[cut:]), Row(row.offset, row.values[:cut])
 
 
 def _trim_zeros(values: np.ndarray, tail: int) -> np.ndarray:
@@ -128,18 +151,24 @@ def _trim_zeros(values: np.ndarray, tail: int) -> np.ndarray:
 
     Only the last ``tail`` cells are scanned, unless all of them are zero.
     """
-    start = max(len(values) - tail, 0)
-    cells = values[start:].tolist()  # a few Python scalars: cheaper than a numpy scan
-    while cells and not cells[-1]:
-        cells.pop()
-    if cells:
-        return values[: start + len(cells)]
+    end = len(values)
+    start = max(end - tail, 0)
+    while end > start and not values.item(end - 1):  # cell by cell: cheaper than a numpy scan
+        end -= 1
+    if end > start:
+        return values[:end]
     live = np.flatnonzero(values[:start])
     return values[: live[-1] + 1] if len(live) else values[:0]
 
 
-def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str):
-    """Step the walk from 0 and yield (k, survivors, killed) for k = 1..n."""
+def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str, cone=None):
+    """Step the walk from 0 and yield (k, survivors, killed) for k = 1..n.
+
+    ``cone = (after, top)`` cuts each stepped row after step ``after`` at
+    position ``top + a (n - k)``, a = -min_step: a cell above it cannot reach
+    a position <= ``top`` by step n.  The rows yielded after the cut are
+    then only the cone's part of the survivor rows.
+    """
     if n < 1:
         raise InputError("horizon must be >= 1")
     if mode not in ("exact-rational", "float64"):
@@ -151,25 +180,32 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str):
             "use float rows (--mode float)"
         )
     probs = dist.probs if exact else dist.probs_float()
-    p0, *rest = probs  # the support is sorted, so shift 0 comes first
+    weights = list(dict.fromkeys(probs))  # one product row per distinct weight
+    first, *rest = [weights.index(p) for p in probs]  # each support point's product row
     step = dist.min_step
-    shifts = [(x - step, p) for x, p in zip(dist.support[1:], rest)]
+    # the support is sorted, so shift 0 (the first point) comes first
+    shifts = [(x - step, i) for x, i in zip(dist.support[1:], rest)]
     spread = dist.max_step - step
+    after, top = cone if cone is not None else (n, 0)
     dtype = object if exact else np.float64
+    column = np.array(weights, dtype=dtype)[:, None]
     row = Row(0, np.array([Fraction(1)] if exact else [1.0], dtype=dtype))
-    tmp = np.empty(1 + (n - 1) * spread, dtype=dtype)  # input rows never grow past this
+    # input rows never grow past the product rows' length
+    prods = np.empty((len(weights), 1 + (n - 1) * spread), dtype=dtype)
     for k in range(1, n + 1):
-        v = row.values
+        # in the cone, keep the stepped row's positions <= top + a (n - k); the
+        # kept cells read no input cell at or beyond the same index
+        stop = top - step * (n - k) - (row.offset + step) + 1 if k > after else None
+        v = row.values[:stop]
         width = len(v)
+        prod = np.multiply(column, v, out=prods[:, :width])
         out = np.empty(width + spread, dtype=dtype)
-        np.multiply(p0, v, out=out[:width])  # exactly the dense step's 0 + p0 * v
+        out[:width] = prod[first]  # exactly the dense step's 0 + p0 * v
         out[width:] = 0
-        prod = tmp[:width]
-        for s, p in shifts:  # then product and add per shift, in support order
+        for s, i in shifts:  # then add per shift, in support order
             seg = out[s : s + width]
-            np.multiply(p, v, out=prod)
-            np.add(seg, prod, out=seg)
-        row, killed = _split_killed(Row(row.offset + step, out), barrier)
+            seg += prod[i]
+        row, killed = _split_killed(Row(row.offset + step, out[:stop]), barrier)
         row.values = _trim_zeros(row.values, 2 * spread)
         yield k, row, killed
 
@@ -201,7 +237,9 @@ class TauStatistics:
     sum_y (y/sigma)^h P(S_k = -y, tau = k); h = 0 recovers P(tau = k) and
     sigma * theta[1] is the overshoot mean E[-S_tau; tau = k].
     ``columns[i][k-1]`` is the low-lattice survivor mass
-    P(S_k = floor + i, tau > k) for floor + i <= U_MAX.
+    P(S_k = floor + i, tau > k) for floor + i <= U_MAX; ``columns`` is the
+    transposed view of a step-major ``(kmax, U_MAX - floor + 1)`` block, so
+    ``column(u)`` is a strided view of one column of it.
     ``rows[n]`` is the survivor row at each horizon n the sweep was asked to
     keep, below or beyond kmax.
     """
@@ -224,6 +262,8 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
 
     The sweep runs on to the largest horizon in ``rows_at`` and keeps the
     survivor rows there, so one sweep serves the constants and the rows.
+    After the last kept row it sweeps only the dependency cone of the
+    positions <= U_MAX (see the module docstring).
     """
     if kmax < 1:
         raise InputError("kmax must be >= 1")
@@ -234,19 +274,20 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
     floor = barrier.floor
     width = floor - dist.min_step  # killed positions min_step .. floor-1
     block = np.zeros((kmax, width))
-    cols = np.zeros((U_MAX - floor + 1, kmax))
+    cols = np.zeros((kmax, U_MAX - floor + 1))
     rows = {}
-    for k, row, dead in _sweep(dist, max(wanted | {kmax}), barrier, "float64"):
+    cone = (max(wanted, default=0), U_MAX)
+    for k, row, dead in _sweep(dist, max(wanted | {kmax}), barrier, "float64", cone):
         if k <= kmax:
             block[k - 1, width - len(dead.values):] = dead.values  # rows end at floor-1
             low = row.values[: U_MAX + 1 - floor]  # survivor rows start at the floor
-            cols[: len(low), k - 1] = low
+            cols[k - 1, : len(low)] = low
         if k in wanted:
             rows[k] = row
     ys = -np.arange(dist.min_step, floor, dtype=float) / dist.sigma()  # overshoots in sigma units
     theta = {h: (ys**h * block).sum(axis=1) for h in range(hmax + 1)}
     return TauStatistics(dist=dist, barrier=barrier, kmax=kmax, theta=theta,
-                         columns=cols, rows=rows)
+                         columns=cols.T, rows=rows)
 
 
 def conditioned_interval_prob(dist: IncrementDistribution, n: int, u: float, v: float,

@@ -429,6 +429,15 @@ def test_submodule_import_loads_only_its_dependencies():
     assert out.strip() == "False False"
 
 
+def test_cli_import_leaves_integral_unloaded():
+    # only integral-check reads the quadrature rules, so the other commands
+    # do not pay for building them (or for importing numpy.polynomial)
+    out = _fresh_python("import sys, poswalk.cli\n"
+                        "print('poswalk.integral' in sys.modules, "
+                        "'numpy.polynomial' in sys.modules)")
+    assert out.strip() == "False False"
+
+
 def test_numeric_failure_exit_three(tri_file, tmp_path):
     # kmax too small for the fit window: internal numeric failure, not input
     rc = run(["constants", "--dist", tri_file, "--kmax", "12", "--out", str(tmp_path)])

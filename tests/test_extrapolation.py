@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poswalk.errors import IllConditioned, InsufficientPoints
-from poswalk.extrapolation import fit_power_tail
+from poswalk.extrapolation import fit_power_tail, fit_power_tails
 
 KS = np.arange(8, 1500, dtype=float)
 
@@ -99,6 +101,49 @@ def test_deterministic_refit():
     a = fit_power_tail(KS, 1 + 1 / KS, 3)
     b = fit_power_tail(KS, 1 + 1 / KS, 3)
     assert a == b
+
+
+def _bits(res):
+    return ([c.hex() for c in res.coefficients], [e.hex() for e in res.errors],
+            [w.hex() for w in res.window])
+
+
+def _fresh_fit(ks, a, terms, lo, hi):
+    """One window's fit with a design built for this sequence alone."""
+    mask = (ks >= lo) & (ks <= hi)
+    design = np.column_stack([ks[mask] ** (-e) for e in range(terms)])
+    norms = np.linalg.norm(design, axis=0)
+    return np.linalg.lstsq(design / norms, a[mask], rcond=None)[0] / norms
+
+
+def test_shared_design_fit_matches_single_fits():
+    # one design per window serves every sequence; each result is bit for bit
+    # the single fit, and that one a fresh per-sequence design's solve
+    seqs = [_model([1.5, -2.0, 0.25, 7.0]), 1 + np.log(KS) / KS**2, 2 + 3 / KS,
+            np.full(len(KS), 5.0)]
+    for terms, window in ((4, None), (3, (50.0, KS[-1])), (2, (KS[0], KS[-1]))):
+        many = fit_power_tails(KS, iter(seqs), terms, window)
+        assert len(many) == len(seqs)
+        for a, res in zip(seqs, many):
+            single = fit_power_tail(KS, a, terms, window)
+            assert _bits(res) == _bits(single)
+            lo, hi = res.window
+            coef = _fresh_fit(KS, a, terms, lo, hi)
+            assert [c.hex() for c in res.coefficients] == [float(c).hex() for c in coef]
+            lo2 = max(KS[0], lo - 0.10 * (KS[-1] - KS[0]))
+            shift = (np.abs(coef - _fresh_fit(KS, a, terms, lo2, hi)) if lo2 < lo
+                     else np.zeros(terms))
+            assert [e.hex() for e in res.errors] == [float(e).hex() for e in shift]
+
+
+def test_shared_design_fit_raises_as_single_fits():
+    ks = np.arange(1000, 1100, dtype=float)
+    for args in ((np.arange(1, 5), np.ones(4), 3, (1, 4)), (ks, 1 + 1 / ks, 8, None)):
+        ks_, a, terms, window = args
+        with pytest.raises((InsufficientPoints, IllConditioned)) as single:
+            fit_power_tail(ks_, a, terms, window)
+        with pytest.raises(single.type, match=f"^{re.escape(str(single.value))}$"):
+            fit_power_tails(ks_, [a, a], terms, window)
 
 
 def test_insufficient_points():

@@ -100,9 +100,10 @@ def _plateau_law():
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
 @pytest.mark.parametrize("mode,n", [("float64", 4096), ("exact-rational", 64)])
 def test_sweep_matches_dense_reference(tri, asym, rich, ballot_walk, barrier, mode, n):
-    # the sweep writes the first product into the fresh row, reuses one product
-    # buffer and trims trailing zeros; its cells are the dense step's bit for
-    # bit, through the far tail's underflow to zero and its subnormal cells
+    # the sweep makes one product per distinct weight, copies the first into
+    # the fresh row and trims trailing zeros; its cells are the dense step's
+    # bit for bit, through the far tail's underflow to zero and its subnormal
+    # cells
     laws = [tri, asym, rich, ballot_walk, upskip_narrow()]
     if mode == "float64":
         laws.append(_plateau_law())
@@ -287,6 +288,79 @@ def test_tau_statistics_keeps_the_rows_of_its_sweep(tri, asym, rich, barrier):
         assert stats.columns.tobytes() == bare.columns.tobytes()
         for h in bare.theta:
             assert stats.theta[h].tobytes() == bare.theta[h].tobytes()
+
+
+TINY = np.finfo(float).tiny  # the smallest normal float
+
+
+def _cone_laws():
+    """Downskip {-2,0,1}, upskip {-1,0,3}, wide {-3,-1,0,2,4} (complex roots), plateau."""
+    return {
+        "downskip": increments.validate([-2, 0, 1], ["1/4", "1/4", "1/2"]),
+        "upskip": increments.validate([-1, 0, 3], ["3/5", "1/5", "1/5"]),
+        "wide": increments.validate([-3, -1, 0, 2, 4], ["2/10", "2/10", "3/10", "2/10", "1/10"]),
+        "plateau": _plateau_law(),
+    }
+
+
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+@pytest.mark.parametrize("rows_at", [(), (300, 700)])
+@pytest.mark.parametrize("law", sorted(_cone_laws()))
+def test_cone_cut_keeps_every_output_bit(law, barrier, rows_at):
+    # after its last kept row the constants' sweep drops the cells that cannot
+    # reach a killed cell or a column by kmax; theta, the columns and the kept
+    # rows are still the reductions of the uncut rows, bit for bit, also where
+    # the dropped cells include the far tail's subnormal band
+    dist = _cone_laws()[law]
+    kmax = 1024
+    floor = oc.Barrier.parse(barrier).floor
+    stats = oc.tau_statistics(dist, kmax, barrier, hmax=3, rows_at=rows_at)
+    rows, killed = oc.killed_rows_at(dist, range(1, kmax + 1), barrier)
+    sigma = dist.sigma()
+    for k in range(1, kmax + 1):
+        cells = killed[k].nonzero()
+        ys = -np.array(list(cells), dtype=float) / sigma
+        ms = np.array(list(cells.values()), dtype=float)
+        for h in range(4):
+            assert stats.theta[h][k - 1].hex() == float((ys**h * ms).sum()).hex()
+    for u in range(floor, oc.U_MAX + 1):
+        want = np.array([rows[k].get(u, 0.0) for k in range(1, kmax + 1)])
+        assert stats.column(u).tobytes() == want.tobytes()
+    assert sorted(stats.rows) == list(rows_at)
+    for n in rows_at:
+        assert stats.rows[n].offset == rows[n].offset
+        assert stats.rows[n].values.tobytes() == rows[n].values.tobytes()
+    # the cut ran over subnormal cells: some uncut row past the last kept one
+    # holds a subnormal cell above the cone's edge U_MAX + a (kmax - k)
+    a = -dist.min_step
+    assert any(0 < v < TINY
+               for k in range(max(rows_at, default=0) + 1, kmax + 1)
+               for y, v in rows[k].nonzero().items() if y > oc.U_MAX + a * (kmax - k))
+
+
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+def test_cone_cut_engages_only_after_the_last_kept_row(tri, monkeypatch, barrier):
+    # the constants' sweep ends on a row cut to the columns' cells; a sweep
+    # that keeps a row at kmax, and killed_rows_at, never cut
+    widths = []
+    split = oc._split_killed
+
+    def counting(row, bar):
+        out = split(row, bar)
+        widths.append(len(out[0].values))
+        return out
+
+    monkeypatch.setattr(oc, "_split_killed", counting)
+    floor = oc.Barrier.parse(barrier).floor
+    oc.tau_statistics(tri, 1024, barrier)
+    assert len(widths) == 1024 and widths[-1] <= oc.U_MAX - floor + 1
+    widths.clear()
+    oc.tau_statistics(tri, 1024, barrier, rows_at=[1024])
+    full = widths[-1]
+    assert full > oc.U_MAX
+    widths.clear()
+    oc.killed_rows_at(tri, [1024], barrier)
+    assert widths[-1] == full
 
 
 def test_tau_statistics_rejects_horizons_below_one(tri):
