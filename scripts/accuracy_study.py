@@ -10,7 +10,6 @@ Usage: python scripts/accuracy_study.py [--kmax 4096] [--nmax 1600]
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from poswalk import increments  # noqa: E402
 from poswalk import oracle as oc  # noqa: E402
 from poswalk.constants import compute_constants  # noqa: E402
-from poswalk.expansion import b_range, expansion_polys  # noqa: E402
+from poswalk.expansion import b_range, error_ladder, expansion_polys, window  # noqa: E402
 
 WALKS = {
     "lazy-simple": ([-1, 0, 1], ["3/10", "2/5", "3/10"]),
@@ -33,12 +32,9 @@ def study(name, dist, barrier, rs, ns, kmax):
     stats = oc.tau_statistics(dist, kmax, barrier, hmax=b_range(max(rs)), rows_at=ns)
     cs = compute_constants(stats)
     for r in rs:
-        es = expansion_polys(dist, r, cs)
-        errs = [es.window_error(stats.rows[n], n) for n in ns]
-        expo = [math.log(errs[i] / errs[i + 1], ns[i + 1] / ns[i])
-                for i in range(len(errs) - 1)]
-        err_str = "  ".join(f"{e:.2e}" for e in errs)
-        exp_str = "  ".join(f"{e:.3f}" for e in expo)
+        ladder = error_ladder(expansion_polys(dist, r, cs), stats.rows, ns, window, (r + 2) / 2)
+        err_str = "  ".join(f"{e:.2e}" for e in ladder.max_err.values())
+        exp_str = "  ".join(f"{e:.3f}" for e in ladder.decay.values())
         print(f"{name:12s} {barrier:6s} r={r}:  E(n) = {err_str}   exponents {exp_str}")
 
 

@@ -21,11 +21,11 @@ The renewal identity P(tau = n+1) = sum_u P(S_n = u, tau > n) P(kill from u)
 gives a second route: theta0 = sum_u U1(u) P(step from u is killed) and
 theta1 = (1/sigma) sum_u U1(u) E[overshoot from u], where finite support
 truncates the sums exactly.  Both routes fit the same sweep with a linear
-fit, so they agree to rounding (relative 5e-16 to 4e-14 on the test walks):
-the check catches errors in the kill and overshoot bookkeeping, not the
-extrapolation error.  The kernel-method closed forms for theta0, theta1 and
-U1, which need no killed sweep and no tail fit, are the independent route
-(ROADMAP item 1).
+fit, so at large kmax they agree to rounding (at most 5.5e-14 relative) and
+the check catches errors in the kill and overshoot bookkeeping; at small kmax
+the gap is fit error (``cli.RENEWAL_AGREEMENT_TOL``).  The kernel-method
+closed forms for theta0, theta1 and U1, which need no killed sweep and no
+tail fit, are the independent route (ROADMAP item 1).
 """
 
 from __future__ import annotations

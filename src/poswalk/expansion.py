@@ -43,6 +43,7 @@ from .oracle import Barrier
 
 DEFAULT_R_CAP = 4
 CANCELLATION_TOL = 1e-9
+GRID_RATIOS = (0.2, 0.5, 1.0, 1.5, 2.0, 3.0)  # verify's points, in units of sigma sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -204,17 +205,6 @@ class ExpansionSet:
             total += self.P[nu](t) / n ** (nu / 2.0)
         return gauss * total
 
-    def window_error(self, row, n: int) -> float:
-        """max |row - series| over the normal-deviation window: lattice x from
-        max(1, int(0.2 sigma sqrt n)) to int(3 sigma sqrt n); ``row`` is the
-        survivor row at step n."""
-        lo = max(1, int(0.2 * self.sigma * math.sqrt(n)))
-        hi = int(3.0 * self.sigma * math.sqrt(n))
-        if hi < lo:
-            raise InputError(f"no lattice point in the window at n={n}; use a larger --nmax")
-        return max(abs(float(row.get(x, 0.0)) - self.evaluate(n, x))
-                   for x in range(lo, hi + 1))
-
     def to_json_dict(self) -> dict:
         def coeffs(p: Poly) -> list:
             return [float(c) for c in p.coeffs]
@@ -249,6 +239,52 @@ def expansion_polys(dist: IncrementDistribution, r: int,
     for eta in range(2, r + 2):
         es.P[eta] = assemble_Q(eta, es.ahat, constants.b_value, es.sigma).scale(-2.0)
     return es
+
+
+def snapped_grid(sigma: float, n: int) -> list[int]:
+    """verify's points: GRID_RATIOS of sigma sqrt(n) snapped to lattice x >= 1, deduplicated."""
+    xs = [x for x in dict.fromkeys(round(t * sigma * math.sqrt(n)) for t in GRID_RATIOS) if x >= 1]
+    if not xs:
+        raise InputError(f"no lattice point x >= 1 on the grid at n={n}; use a larger --nmax")
+    return xs
+
+
+def window(sigma: float, n: int) -> range:
+    """report's points: lattice x from max(1, int(0.2 sigma sqrt n)) to int(3 sigma sqrt n)."""
+    xs = range(max(1, int(0.2 * sigma * math.sqrt(n))), int(3.0 * sigma * math.sqrt(n)) + 1)
+    if not xs:
+        raise InputError(f"no lattice point in the window at n={n}; use a larger --nmax")
+    return xs
+
+
+@dataclass
+class ErrorLadder:
+    """The order-r error |exact - series| over horizons, scaled by n^power."""
+
+    table: list[list]  # [n, x, exact, approx, abs_err, scaled_err] per point
+    max_err: dict[int, float]
+    max_scaled: dict[int, float]  # S_n = max abs_err * n^power
+    decay: dict[str, float]  # "a->b": log((S_a / a^p) / (S_b / b^p)) / log(b / a)
+    flatness: float  # max S_n / min S_n
+
+
+def error_ladder(es: ExpansionSet, rows, ns, points, power: float) -> ErrorLadder:
+    """``es`` against the survivor rows ``rows[n]`` at ``points(sigma, n)``
+    (``snapped_grid`` or ``window``) per horizon n.  With an error of order n^-power
+    the scaled maxima are flat and the exponents read power; up to rounding the
+    exponents do not depend on power.  max(abs_err n^p) = max(abs_err) n^p bit for bit."""
+    table, max_err, max_scaled = [], {}, {}
+    for n in ns:
+        pairs = [(x, float(rows[n].get(x, 0.0)), es.evaluate(n, x)) for x in points(es.sigma, n)]
+        here = [[n, x, ex, ap, abs(ex - ap), abs(ex - ap) * n ** power] for x, ex, ap in pairs]
+        table += here
+        max_err[n] = max(entry[4] for entry in here)
+        max_scaled[n] = max(entry[5] for entry in here)
+    e = {n: max_scaled[n] / n ** power for n in ns}  # S_n / n^p, not max_err: verify's bits
+    decay = {f"{a}->{b}": math.log(e[a] / e[b]) / math.log(b / a) if e[b] > 0 else float("inf")
+             for a, b in zip(ns, ns[1:])}
+    lo, hi = min(max_scaled.values()), max(max_scaled.values())
+    return ErrorLadder(table, max_err, max_scaled, decay, hi / lo if lo > 0 else float("inf"))
 
 
 def uj_polynomial_part(expansion: ExpansionSet, j: int) -> Poly:

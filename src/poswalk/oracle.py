@@ -12,10 +12,10 @@ of the untrimmed rows: a dropped cell only ever added +0.0.
 
 A step allocates one array, its output row, because collectors keep the
 rows it yields.  The products go to one scratch block allocated once per
-sweep, one row per distinct weight, filled by one broadcast multiply: a law
-that repeats a weight (trinomial 3/10, skewed 2/5) reuses the same float
-product.  The first shift's product is copied into the output row and every
-further one added to it, in support order.  A fresh temporary per product,
+sweep, one row per distinct weight, filled by one broadcast multiply between
+zero margins: a law that repeats a weight (trinomial 3/10, skewed 2/5) reuses
+the same product.  The output row sums each shift's slice of the block in
+support order (a margin cell adds 0).  A fresh temporary per product,
 once rows pass the allocator's mmap threshold, is a fresh mapping whose
 pages fault on first touch, and those faults, not the arithmetic, used to
 dominate a deep sweep.  What the trim cannot drop is the subnormal band at
@@ -181,30 +181,31 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str, con
         )
     probs = dist.probs if exact else dist.probs_float()
     weights = list(dict.fromkeys(probs))  # one product row per distinct weight
-    first, *rest = [weights.index(p) for p in probs]  # each support point's product row
     step = dist.min_step
-    # the support is sorted, so shift 0 (the first point) comes first
-    shifts = [(x - step, i) for x, i in zip(dist.support[1:], rest)]
+    (s0, i0), (s1, i1), *more = [(x - step, weights.index(p)) for x, p in zip(dist.support, probs)]
     spread = dist.max_step - step
     after, top = cone if cone is not None else (n, 0)
     dtype = object if exact else np.float64
     column = np.array(weights, dtype=dtype)[:, None]
     row = Row(0, np.array([Fraction(1)] if exact else [1.0], dtype=dtype))
-    # input rows never grow past the product rows' length
-    prods = np.empty((len(weights), 1 + (n - 1) * spread), dtype=dtype)
+    # rows never exceed 1 + (n - 1) spread cells; shift s reads the products at spread - s
+    prods = np.zeros((len(weights), 1 + (n + 1) * spread), dtype=dtype)
+    last = 0
     for k in range(1, n + 1):
         # in the cone, keep the stepped row's positions <= top + a (n - k); the
         # kept cells read no input cell at or beyond the same index
         stop = top - step * (n - k) - (row.offset + step) + 1 if k > after else None
         v = row.values[:stop]
         width = len(v)
-        prod = np.multiply(column, v, out=prods[:, :width])
-        out = np.empty(width + spread, dtype=dtype)
-        out[:width] = prod[first]  # exactly the dense step's 0 + p0 * v
-        out[width:] = 0
-        for s, i in shifts:  # then add per shift, in support order
-            seg = out[s : s + width]
-            seg += prod[i]
+        np.multiply(column, v, out=prods[:, spread : spread + width])
+        if last > width:  # zero what a wider row left behind
+            prods[:, spread + width : spread + last] = 0
+        last = width
+        # cell j sums product cell j - s per shift, in support order; x + 0 is x for x >= 0
+        end = 2 * spread + width
+        out = np.add(prods[i0, spread - s0 : end - s0], prods[i1, spread - s1 : end - s1])
+        for s, i in more:
+            out += prods[i, spread - s : end - s]
         row, killed = _split_killed(Row(row.offset + step, out[:stop]), barrier)
         row.values = _trim_zeros(row.values, 2 * spread)
         yield k, row, killed

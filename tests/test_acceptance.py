@@ -34,7 +34,7 @@ from conftest import (CORRECTED, brute_force_killed, constants_for, downskip, fr
                       gamma_closed, lclt_coefficients, lclt_evaluate, placeholder_polys,
                       quoted_p2, quoted_p3, skewed, trinomial, upskip_narrow)
 from poswalk import oracle as oc
-from poswalk.expansion import expansion_polys, negative_residue
+from poswalk.expansion import error_ladder, expansion_polys, negative_residue, window
 from poswalk.integral import integral_check
 from poswalk.laurent import Poly, gamma_recursive, q_jlm
 from poswalk.oracle import Barrier
@@ -221,8 +221,7 @@ def _decay_exponents(dist, barrier, r, ns=(100, 400, 1600)):
     cs = constants_for(dist, barrier)
     es = expansion_polys(dist, r, cs)
     rows = oc.killed_rows_at(dist, list(ns), barrier)[0]
-    errs = [es.window_error(rows[n], n) for n in ns]
-    return [math.log(errs[i] / errs[i + 1], 4) for i in range(len(errs) - 1)]
+    return list(error_ladder(es, rows, ns, window, (r + 2) / 2).decay.values())
 
 
 # Strict-barrier walks and whether their P_3 vanishes identically.  The

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -213,6 +214,44 @@ def test_verify_scales_interval_deviation_by_n_where_p3_vanishes(tri_file, tmp_p
     scale, values = _lattice_corrected(capsys, tri_file, r, tmp_path)
     assert scale == "n"
     assert max(values) / min(values) <= 2.0
+
+
+def _csv_numbers(path):
+    return [[float(v) for v in row] for row in csv.reader(path.read_text().splitlines()[1:])]
+
+
+@pytest.mark.parametrize("name, barrier", [("trinomial", "weak"), ("skewed", "strict")])
+@pytest.mark.parametrize("r", [1, 2])
+def test_error_ladder_is_what_verify_and_report_write(tmp_path, name, barrier, r):
+    # from one sweep, the ladder gives verify's summary and error table and
+    # report's curves bit for bit: both commands measure through it alone
+    from poswalk import increments
+    from poswalk.cli import _p3_and_power
+    from poswalk.constants import compute_constants
+    from poswalk.expansion import b_range, error_ladder, expansion_polys, snapped_grid, window
+    from poswalk.oracle import tau_statistics
+
+    path, ns = str(DISTS / f"{name}.json"), [100, 400, 1600]
+    args = ["--dist", path, "--r", str(r), "--barrier", barrier, "--kmax", "1024",
+            "--nmax", "1600", "--out", str(tmp_path)]
+    # skewed strict r = 2 fails verify's gate (flatness 3.40, ROADMAP item 2)
+    assert run(["verify", *args]) in (0, 1) and run(["report", *args]) == 0
+    dist = increments.load(path)
+    stats = tau_statistics(dist, 1024, barrier, hmax=b_range(r), rows_at=ns)
+    es = expansion_polys(dist, r, compute_constants(stats))
+
+    grid = error_ladder(es, stats.rows, ns, snapped_grid, _p3_and_power(dist, es, r)[1])
+    summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    assert summary["max_scaled_err"] == {str(n): v for n, v in grid.max_scaled.items()}
+    assert summary["decay_exponents"] == grid.decay
+    assert summary["scaled_err_flatness"] == grid.flatness
+    assert _csv_numbers(tmp_path / "error_table.csv") == grid.table
+    curves = []
+    for r_cur in range(1, r + 1):
+        ladder = error_ladder(dataclasses.replace(es, r=r_cur), stats.rows, ns, window,
+                              _p3_and_power(dist, es, r_cur)[1])
+        curves += [[r_cur, n, ladder.max_err[n], ladder.max_scaled[n]] for n in ns]
+    assert _csv_numbers(tmp_path / "report_scaled_err.csv") == curves
 
 
 def test_report_files(tri_file, tmp_path):
@@ -461,10 +500,11 @@ def test_verify_says_when_flatness_is_untested(tri_file, tmp_path, capsys, nmax,
 
 
 def test_config_invariants_and_default_grid():
-    from poswalk.cli import DEFAULT_RATIOS, _n_list, _snap_grid
+    from poswalk.cli import _n_list
+    from poswalk.expansion import snapped_grid
 
     assert _n_list(1600) == [100, 400, 1600] and _n_list(64) == [64]
-    assert _snap_grid(DEFAULT_RATIOS, sigma=1.0, n=100) == [2, 5, 10, 15, 20, 30]
+    assert snapped_grid(sigma=1.0, n=100) == [2, 5, 10, 15, 20, 30]
 
 
 def test_expansion_order_below_one_exit_two(tri_file, tmp_path):

@@ -10,8 +10,8 @@ from poswalk.constants import compute_constants
 from poswalk.edgeworth import ghat
 from poswalk.errors import CancellationFailure, InputError
 from poswalk.expansion import (IndexTuple, assemble_Q, b_range, enumerate_tuples,
-                               expansion_polys, negative_residue, tuple_weight,
-                               uj_polynomial_part)
+                               error_ladder, expansion_polys, negative_residue, tuple_weight,
+                               uj_polynomial_part, window)
 from poswalk.increments import cumulant_ratios
 from poswalk.laurent import Poly
 from poswalk.oracle import Barrier
@@ -193,8 +193,7 @@ def test_full_order_decay_at_cap(ballot_walk):
     cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4)
     es = expansion_polys(ballot_walk, 4, cs)
     rows = oc.killed_rows_at(ballot_walk, [100, 400], Barrier.STRICT)[0]
-    errs = [es.window_error(rows[n], n) for n in (100, 400)]
-    exponent = math.log(errs[0] / errs[1], 4)
+    exponent = error_ladder(es, rows, (100, 400), window, 3.0).decay["100->400"]
     assert 2.5 <= exponent <= 3.5
 
 
@@ -220,12 +219,11 @@ def test_evaluate_decay_weak_trinomial(tri, tri_constants_weak):
     es2 = expansion_polys(tri, 2, tri_constants_weak)
     rows = oc.killed_rows_at(tri, [100, 400], Barrier.WEAK)[0]
 
-    def max_err(es, n):
-        return es.window_error(rows[n], n)
-
+    e1 = error_ladder(es1, rows, (100, 400), window, 1.5).max_err
+    e2 = error_ladder(es2, rows, (100, 400), window, 2.0).max_err
     # r = 1 error falls ~ n^{-3/2}; adding the next polynomial pushes it to ~ n^{-2}
-    assert max_err(es1, 400) < max_err(es1, 100) / 5.5
-    assert max_err(es2, 100) < max_err(es1, 100) / 4.0
+    assert e1[400] < e1[100] / 5.5
+    assert e2[100] < e1[100] / 4.0
 
 
 def test_error_decay_band_both_walks(tri, asym, tri_constants_strict,
@@ -240,10 +238,9 @@ def test_error_decay_band_both_walks(tri, asym, tri_constants_strict,
         rows = oc.killed_rows_at(dist, [100, 400], barrier)[0]
         for r in (1, 2):
             es = expansion_polys(dist, r, cs)
-            errs = [es.window_error(rows[n], n) for n in (100, 400)]
-            ratio = errs[0] / errs[1]
-            target = 4.0 ** ((r + 2) / 2.0)
-            assert target / 3.0 <= ratio <= 3.0 * target
+            # E(100)/E(400) within a factor 3 of 4^p is S_100/S_400 within 3 of 1
+            ladder = error_ladder(es, rows, (100, 400), window, (r + 2) / 2.0)
+            assert ladder.flatness <= 3.0
 
 
 def test_evaluate_relative_error_at_sigma_sqrt_n(tri, tri_constants_strict):
