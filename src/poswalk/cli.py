@@ -33,9 +33,8 @@ INTEGRAL_TOL = 1e-8
 # 5.4e-9 at kmax 64 and 1.6e-10 at 128 fail; 5.2e-12 at 256, 1.7e-13 at 512)
 RENEWAL_AGREEMENT_TOL = 1e-10
 SCHEMA_VERSION = 1
-# the largest order --r accepts: the float residue of the cancelling negative
-# powers grows about 25-fold per order (skewed: 8.7e-13 at r = 7, 4.5e-10 at
-# r = 9), toward the 1e-9 bound at which assembly fails
+# the largest order --r accepts: the highest order that the tests and CI exercise
+# (assembly is exact at every order, so this is a validation bound, not a numeric one)
 R_MAX = 7
 
 

@@ -14,8 +14,8 @@ with lam_m = gamma_{m+2} / ((m+2)! sigma^{m+2}) and s = sum k_m, and the
 weight of z^q / n^{j+1/2} is ahat_{q,j} = [t^q] ghat_{2j-q} (ghat_0 = 1).
 ghat_nu is sqrt(2 pi) times the usual correction polynomial; keeping the
 sqrt(2 pi) out makes every coefficient exactly rational whenever the lam_m
-are rational, so the same code drives both the float pipeline and the exact
-placeholder tests.
+are rational: the assembly runs it on the exact values of the float lam_m,
+the placeholder tests on rational stand-ins.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .constants import ConstantSet
 from .edgeworth import ghat
@@ -42,7 +43,6 @@ from .laurent import Poly, q_jlm
 from .oracle import Barrier
 
 DEFAULT_R_CAP = 4
-CANCELLATION_TOL = 1e-9
 GRID_RATIOS = (0.2, 0.5, 1.0, 1.5, 2.0, 3.0)  # verify's points, in units of sigma sqrt(n)
 
 
@@ -113,8 +113,9 @@ def tuple_weight(t: IndexTuple, ahat, b, sigma):
     """Scalar multiplying q_jlm for one tuple.
 
     ``ahat(q, j)`` must return sigma * sqrt(2 pi) * a_{q,j} = [t^q] ghat_{2j-q};
-    the sqrt(2 pi) prefactor of the Q_eta sum then cancels and the weight is
-    exactly rational whenever the inputs are.
+    the sqrt(2 pi) prefactor of the Q_eta sum then cancels, and with
+    ``Fraction`` inputs, as ``expansion_polys`` passes them, the weight is an
+    exact ``Fraction``.
     """
     a = ahat(t.q, t.j)
     if a == 0:
@@ -127,8 +128,13 @@ def tuple_weight(t: IndexTuple, ahat, b, sigma):
     return a * math.comb(t.q, t.s) * sign * bval / (sigma * denom)
 
 
-def _laurent_sum(eta: int, ahat, b, sigma) -> tuple[Poly, list]:
-    """Weighted q_jlm sum of Q_eta, with its nonzero (tuple, weight, q_jlm) terms."""
+def assemble_Q(eta: int, ahat, b, sigma) -> Poly:
+    """Assemble Q_eta; its negative Laurent exponents must cancel.
+
+    With exact inputs the cancellation is an identity, so any negative
+    exponent that keeps a nonzero coefficient raises CancellationFailure,
+    with per-tuple diagnostics.
+    """
     contributions: list[tuple[IndexTuple, object, Poly]] = []
     total = Poly()
     for t in enumerate_tuples(eta):
@@ -138,42 +144,16 @@ def _laurent_sum(eta: int, ahat, b, sigma) -> tuple[Poly, list]:
         base = q_jlm(t.l + 1, t.j + t.nu + t.mu, t.q - t.s + t.nu)
         contributions.append((t, w, base))
         total = total + base.scale(w)
-    return total, contributions
-
-
-def _residue(total: Poly) -> float:
-    """Largest negative-exponent coefficient of ``total`` relative to its
-    largest polynomial coefficient; 0.0 when every negative exponent cancelled."""
     neg = total.negative_part()
-    if not neg:
-        return 0.0
-    scale = max((abs(float(c)) for c in total.polynomial_part().terms.values()), default=0.0)
-    return max(abs(float(c)) for c in neg.terms.values()) / max(scale, 1e-300)
-
-
-def assemble_Q(eta: int, ahat, b, sigma) -> Poly:
-    """Assemble Q_eta; negative Laurent exponents must cancel.
-
-    Raises CancellationFailure (with per-tuple diagnostics) if any negative
-    exponent keeps a coefficient above ``CANCELLATION_TOL`` relative to the
-    largest polynomial coefficient.
-    """
-    total, contributions = _laurent_sum(eta, ahat, b, sigma)
-    residue = _residue(total)
-    if residue > CANCELLATION_TOL:
-        lines = [f"eta={eta}: negative exponents survive assembly "
-                 f"(relative residue {residue:.3e}, tolerance {CANCELLATION_TOL:.0e})"]
+    if neg:
+        worst = max(abs(float(c)) for c in neg.terms.values())
+        lines = [f"eta={eta}: negative exponents survive assembly (largest {worst:.3e})"]
         for t, w, base in contributions:
             if base.negative_part():
                 lines.append(f"  tuple {t} weight {float(w):.6e} "
                              f"min exponent {base.min_exponent()}")
         raise CancellationFailure("\n".join(lines))
     return total.polynomial_part()
-
-
-def negative_residue(eta: int, ahat, b, sigma) -> float:
-    """Largest surviving negative-exponent coefficient, relative (diagnostic)."""
-    return _residue(_laurent_sum(eta, ahat, b, sigma)[0])
 
 
 @dataclass
@@ -185,12 +165,13 @@ class ExpansionSet:
     sigma: float
     P: dict[int, Poly]  # P_nu = -2 Q_nu
     constants: ConstantSet
-    ghats: list[Poly]  # ghat_0 = 1, ghat_1..ghat_{r-1}: all that Q_2..Q_{r+1} read
+    ghats: list[Poly]  # ghat_0 = 1, ghat_1..ghat_{r-1}: all that Q_2..Q_{r+1} read, exact
 
-    def ahat(self, q: int, j: int) -> float:
+    def ahat(self, q: int, j: int) -> Fraction:
         """sigma * sqrt(2 pi) * a_{q,j} = [t^q] ghat_{2j-q}, the free-walk
-        weight the Q_eta sum reads."""
-        return float(self.ghats[2 * j - q].coeff(q))
+        weight the Q_eta sum reads: exact in the exact conversions of the
+        float lambda_m."""
+        return self.ghats[2 * j - q].coeff(q)
 
     def evaluate(self, n: int, x: int) -> float:
         """Truncated series value for P(S_n = x, tau > n); may go <= 0 in tails."""
@@ -224,6 +205,9 @@ def expansion_polys(dist: IncrementDistribution, r: int,
                     constants: ConstantSet) -> ExpansionSet:
     """Compute P_nu = -2 Q_nu for nu = 2..r+1 from the walk's constant set.
 
+    The float inputs (the lambda_m, sigma and each b[l, h]) enter as their
+    exact ``Fraction`` values, so every negative Laurent power cancels exactly
+    and each P_nu coefficient is the correctly rounded float of the exact sum.
     ``constants`` must come from a sweep with hmax >= ``b_range(r)``; reading
     a missing b[l, h] raises InputError (``ConstantSet.b_value``).
     """
@@ -232,21 +216,28 @@ def expansion_polys(dist: IncrementDistribution, r: int,
     if r > DEFAULT_R_CAP:
         warnings.warn(f"r={r} above the validated range (r <= {DEFAULT_R_CAP})",
                       stacklevel=2)
-    lam = cumulant_ratios(dist, r - 1)
+    lam = [Fraction(x) for x in cumulant_ratios(dist, r - 1)]
     es = ExpansionSet(r=r, barrier=constants.barrier, sigma=dist.sigma(), P={},
                       constants=constants,
                       ghats=[Poly([1])] + [ghat(lam, nu) for nu in range(1, r)])
+
+    def b(l: int, h: int) -> Fraction:
+        return Fraction(constants.b_value(l, h))
+
     for eta in range(2, r + 2):
-        es.P[eta] = assemble_Q(eta, es.ahat, constants.b_value, es.sigma).scale(-2.0)
+        q = assemble_Q(eta, es.ahat, b, Fraction(es.sigma))
+        es.P[eta] = Poly({e: float(-2 * c) for e, c in q.terms.items()})
     return es
 
 
 def snapped_grid(sigma: float, n: int) -> list[int]:
-    """verify's points: GRID_RATIOS of sigma sqrt(n) snapped to lattice x >= 1, deduplicated."""
-    xs = [x for x in dict.fromkeys(round(t * sigma * math.sqrt(n)) for t in GRID_RATIOS) if x >= 1]
-    if not xs:
-        raise InputError(f"no lattice point x >= 1 on the grid at n={n}; use a larger --nmax")
-    return xs
+    """verify's points: GRID_RATIOS of sigma sqrt(n) snapped to lattice x >= 1, deduplicated.
+
+    A horizon is refused exactly where report's ``window`` is empty
+    (3 sigma sqrt(n) < 1); from there on the top point rounds to x >= 1.
+    """
+    window(sigma, n)  # InputError at a horizon without lattice points
+    return [x for x in dict.fromkeys(round(t * sigma * math.sqrt(n)) for t in GRID_RATIOS) if x >= 1]
 
 
 def window(sigma: float, n: int) -> range:

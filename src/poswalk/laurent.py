@@ -3,9 +3,9 @@
 ``Poly`` is the one polynomial type of the package: the exact Laurent blocks,
 their weighted sums, the Hermite and free-walk polynomials and the assembled
 Q_eta and P_nu are all instances.  It stores exponent -> coefficient and only
-needs ``+`` and ``*`` of its coefficients, so ``fractions.Fraction`` keeps it
-exact and floats run the numeric pipeline through the same code.  The
-coefficient families are
+needs ``+`` and ``*`` of its coefficients, so ``fractions.Fraction`` keeps the
+assembly exact and the rounded P_nu evaluate in floats through the same code.
+The coefficient families are
 
 * ``gamma_recursive(q, j, l)`` -- rationals from a two-term recursion in
   (j-1, l+1) and (j-1, l+2), memoised by ``functools.lru_cache``; the tests

@@ -16,7 +16,7 @@ from poswalk import increments
 from poswalk.constants import compute_constants
 from poswalk.edgeworth import ghat
 from poswalk.errors import InputError
-from poswalk.expansion import DEFAULT_R_CAP, assemble_Q, b_range, negative_residue
+from poswalk.expansion import DEFAULT_R_CAP, assemble_Q, b_range
 from poswalk.increments import IncrementDistribution, cumulant_ratios
 from poswalk.laurent import Poly, double_factorial
 from poswalk.oracle import Barrier, Row, tau_statistics
@@ -202,8 +202,8 @@ def placeholder_polys(*, sigma: Fraction, m3: Fraction, theta0: Fraction,
 
     Valid for r <= 2: those orders consume only b[0,0], b[0,1] and the
     third-moment part of the free-walk coefficients, so rational
-    placeholders for (sigma, m3, theta0, theta1) keep everything exact, and
-    every negative Laurent exponent must cancel exactly.
+    placeholders for (sigma, m3, theta0, theta1) keep everything exact
+    (``assemble_Q`` raises unless every negative Laurent exponent cancels).
     """
     if r > 2:
         raise InputError("placeholder assembly supports r <= 2 only")
@@ -223,7 +223,6 @@ def placeholder_polys(*, sigma: Fraction, m3: Fraction, theta0: Fraction,
 
     out: dict[int, Poly] = {}
     for eta in range(2, r + 2):
-        assert negative_residue(eta, ahat, b, sigma) == 0
         out[eta] = assemble_Q(eta, ahat, b, sigma).scale(Fraction(-2))
     return out
 

@@ -320,11 +320,12 @@ def test_kmax_below_one_exit_two(tri_file, tmp_path, command):
     assert run([command, "--dist", tri_file, "--kmax", "0", "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("command, nmax", [("verify", "4"), ("report", "30")])
+@pytest.mark.parametrize("command, nmax", [("verify", "4"), ("verify", "30"), ("report", "30")])
 def test_horizon_without_lattice_points_exit_two(tmp_path, capsys, command, nmax):
-    # sigma = 0.045: verify's grid at n = 4 and report's window at n = 30
-    # hold no lattice point x >= 1, which is an input error, not a FAIL, and
-    # the run writes no file
+    # sigma = 0.045: report's window [0.2, 3] sigma sqrt(n) holds no lattice
+    # point x >= 1 at n = 4 or n = 30, which is an input error, not a FAIL,
+    # in both commands (at n = 30 verify's grid would snap t = 4.08 to x = 1),
+    # and the run writes no file
     lazy = tmp_path / "lazy.json"
     lazy.write_text('{"support": [-1, 0, 1], "probs": ["1/1000", "998/1000", "1/1000"]}')
     out = tmp_path / "out"
@@ -337,8 +338,8 @@ def test_horizon_without_lattice_points_exit_two(tmp_path, capsys, command, nmax
 
 
 def test_order_above_partition_cap_is_usage_error(tmp_path, capsys, monkeypatch):
-    # --r stops at cli.R_MAX = 7, where the cancellation residue is still far
-    # below its bound: --r 8 is refused before any sweep, naming the option
+    # --r stops at cli.R_MAX = 7, the highest order the tests and CI
+    # exercise: --r 8 is refused before any sweep, naming the option
     steps = _kill_steps(monkeypatch)
     rc = run(["polys", "--dist", str(DISTS / "skewed.json"), "--r", "8",
               "--out", str(tmp_path)])

@@ -1,16 +1,18 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import CORRECTED, constants_for, placeholder_polys, quoted_p2, quoted_p3
+from conftest import (CORRECTED, constants_for, downskip, placeholder_polys, quoted_p2,
+                      quoted_p3, skewed)
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
 from poswalk.edgeworth import ghat
 from poswalk.errors import CancellationFailure, InputError
 from poswalk.expansion import (IndexTuple, assemble_Q, b_range, enumerate_tuples,
-                               error_ladder, expansion_polys, negative_residue, tuple_weight,
+                               error_ladder, expansion_polys, tuple_weight,
                                uj_polynomial_part, window)
 from poswalk.increments import cumulant_ratios
 from poswalk.laurent import Poly
@@ -69,14 +71,15 @@ def test_sweep_to_b_range_holds_every_b_its_order_reads(tri, r):
 @pytest.mark.parametrize("dist_name", ["asym", "tri"])
 def test_ahat_reads_ghat_bit_for_bit(dist_name, request):
     # the Q_eta sum reads sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q} as it
-    # stands, with no division by sigma sqrt(2 pi) and multiplication back
+    # stands, with no division by sigma sqrt(2 pi) and multiplication back,
+    # exactly in the exact values of the float lambda_m
     dist = request.getfixturevalue(dist_name)
     es = expansion_polys(dist, 4, compute_constants(oc.tau_statistics(dist, 256, hmax=b_range(4))))
     pairs = {(t.q, t.j) for t in read_tuples(4)}
     for q, j in pairs:
         nu = 2 * j - q
-        want = ghat(cumulant_ratios(dist, nu), nu).coeff(q) if nu else 1
-        assert es.ahat(q, j) == float(want)
+        want = ghat([F(x) for x in cumulant_ratios(dist, nu)], nu).coeff(q) if nu else 1
+        assert es.ahat(q, j) == want
     assert any(es.ahat(q, j) not in (0.0, 1.0) for q, j in pairs)
 
 
@@ -135,10 +138,35 @@ def test_parity_of_p2_p3(asym, asym_constants_strict):
 
 
 def test_negative_power_cancellation(asym):
-    cs = constants_for(asym, Barrier.STRICT, hmax=4)
-    es = expansion_polys(asym, 4, cs)
-    for eta in range(2, 6):
-        assert negative_residue(eta, es.ahat, cs.b_value, es.sigma) <= 1e-9
+    # the assembly raises on any nonzero negative coefficient, so reaching
+    # the top order of the CLI (cli.R_MAX = 7) is an exact cancellation
+    cs = constants_for(asym, Barrier.STRICT, hmax=b_range(7))
+    with pytest.warns(UserWarning, match="validated range"):
+        es = expansion_polys(asym, 7, cs)
+    assert sorted(es.P) == list(range(2, 9))
+
+
+def exact_assembly(dist, r, cs) -> dict[int, Poly]:
+    """Q_2..Q_{r+1} from the exact values of the float lambda_m, sigma and b[l, h]."""
+    lam = [F(x) for x in cumulant_ratios(dist, r - 1)]
+    ghats = [Poly([1])] + [ghat(lam, nu) for nu in range(1, r)]
+    return {eta: assemble_Q(eta, lambda q, j: ghats[2 * j - q].coeff(q),
+                            lambda l, h: F(cs.b_value(l, h)), F(dist.sigma()))
+            for eta in range(2, r + 2)}
+
+
+def test_polys_are_the_rounded_exact_assembly():
+    # each P_nu coefficient is float(-2 c) of the exact coefficient c, rounded
+    # once; a float sum of the same terms misses it by up to 3.6e-15 of the
+    # largest coefficient at r = 7 on skewed
+    for dist, barrier, r in ((skewed(), Barrier.STRICT, 7), (downskip(), Barrier.WEAK, 4)):
+        cs = constants_for(dist, barrier, hmax=b_range(r))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # r = 7 is above DEFAULT_R_CAP
+            es = expansion_polys(dist, r, cs)
+        for eta, q in exact_assembly(dist, r, cs).items():
+            want = {e: float(-2 * c) for e, c in q.terms.items()}
+            assert es.P[eta].terms == want, (dist.support, barrier, eta)
 
 
 def test_cancellation_failure_diagnoses_corrupted_coefficients(asym, asym_constants_strict):
