@@ -19,19 +19,14 @@ from pathlib import Path
 import click
 
 from . import increments
-from .constants import compute_constants
+from .constants import compute_constants, two_pipeline_agreement
 from .errors import InputError, NumericFailure
-from .expansion import ExpansionSet, b_range, error_ladder, expansion_polys, snapped_grid, window
-from .laurent import Poly
+from .expansion import (ExpansionSet, b_range, error_ladder, expansion_polys, horizons,
+                        p3_and_power, snapped_grid, window)
 from .oracle import Row, conditioned_interval_prob, killed_rows_at, tau_statistics
 
 FLATNESS_BAND = 3.0
 INTEGRAL_TOL = 1e-8
-# a wider gap is a bookkeeping fault only at large kmax, where the renewal sums and the
-# limit fits agree to rounding (at most 5.5e-14 relative).  The U1 fits read a window one
-# step after the theta fits, so at small kmax the gap is fit error (trinomial strict:
-# 5.4e-9 at kmax 64 and 1.6e-10 at 128 fail; 5.2e-12 at 256, 1.7e-13 at 512)
-RENEWAL_AGREEMENT_TOL = 1e-10
 SCHEMA_VERSION = 1
 # the largest order --r accepts: the highest order that the tests and CI exercise
 # (assembly is exact at every order, so this is a validation bound, not a numeric one)
@@ -80,36 +75,23 @@ _mode = click.option("--mode", type=click.Choice(["exact", "float"]), default="f
                      show_default=True, help="arithmetic of the oracle rows")
 
 
-def _n_list(nmax: int) -> list[int]:
-    """The horizons 100, 400, 1600, 6400 up to nmax; nmax alone below 100."""
-    return [n for n in (100, 400, 1600, 6400) if n <= nmax] or [nmax]
+def _polys_and_rows(dist_path, r: int, barrier: str, kmax: int, mode: str = "float", ns=()
+                    ) -> tuple[increments.IncrementDistribution, ExpansionSet, dict[int, Row]]:
+    """The law, P_2..P_{r+1} and the survivor rows at ``ns``: load, sweep, fits, assembly.
 
-
-def _polys_and_rows(dist, r: int, barrier: str, kmax: int, mode: str = "float",
-                    ns=()) -> tuple[ExpansionSet, dict[int, Row]]:
-    """P_2..P_{r+1} and the survivor rows at ``ns``: sweep, fits, assembly.
-
-    The constant fits always run float64.  In float mode the sweep to kmax
-    runs on to max(ns) and keeps the rows; --mode exact reads exact-rational
-    rows from a sweep of their own (feasible up to the exact cap), run first so
-    that an over-cap horizon fails before any float work.
+    --mode exact loads the law exactly (float probabilities must then sum to
+    1 and have mean 0 exactly).  The constant fits always run float64.  In
+    float mode the sweep to kmax runs on to max(ns) and keeps the rows; --mode
+    exact reads exact-rational rows from a sweep of their own (feasible up to
+    the exact cap), run first so that an over-cap horizon fails before any
+    float work.
     """
     exact = mode == "exact"
+    dist = increments.load(dist_path, exact)
     rows = killed_rows_at(dist, ns, barrier, mode="exact-rational")[0] if exact else None
     stats = tau_statistics(dist, kmax, barrier, hmax=b_range(r), rows_at=() if exact else ns)
     rows = rows if exact else stats.rows
-    return expansion_polys(dist, r, compute_constants(stats)), rows
-
-
-def _p3_and_power(dist, es: ExpansionSet, r: int) -> tuple[Poly, float]:
-    """P_3 and the power of n that makes the order-r error flat.
-
-    The error beyond P_{r+1} is of order n^{-(r+2)/2}, or n^{-2} at r = 1
-    where P_3 vanishes.  Order 1 assembles P_3 from the same constants (they
-    always cover it); r >= 2 would need constants beyond those computed.
-    """
-    p3 = (es if es.r >= 2 else expansion_polys(dist, 2, es.constants)).P[3]
-    return p3, 2.0 if r == 1 and not p3 else (r + 2) / 2.0
+    return dist, expansion_polys(dist, r, compute_constants(stats)), rows
 
 
 @click.group()
@@ -121,28 +103,20 @@ def cli():
 @_common
 def cmd_constants(dist_path, r, barrier, kmax, out_dir):
     """Compute theta0, theta1, b and the U1 table; write constants.json."""
-    dist = increments.load(dist_path)
-    cs = compute_constants(tau_statistics(dist, kmax, barrier, hmax=b_range(r)))
-    t0x = cs.theta0_cross_check()
-    agree = all(abs(a - b) <= RENEWAL_AGREEMENT_TOL * max(abs(a), abs(b))
-                for a, b in ((cs.theta0, t0x), (cs.theta1, cs.theta1_cross_check())))
-    report = cs.to_json_dict()
-    report["two_pipeline_agreement"] = {
-        "theta0_limit": cs.theta0,
-        "theta0_from_u1": t0x,
-        "pass": bool(agree),
-    }
-    _write_json(out_dir / "constants.json", report)
+    cs = compute_constants(tau_statistics(increments.load(dist_path), kmax, barrier,
+                                          hmax=b_range(r)))
+    agree = two_pipeline_agreement(cs)
+    _write_json(out_dir / "constants.json", {**cs.to_json_dict(), "two_pipeline_agreement": agree})
     click.echo(f"theta0={cs.theta0!r} theta1={cs.theta1!r} "
-               f"two-pipeline agreement: {'pass' if agree else 'FAIL'}")
-    return 0 if agree else 1
+               f"two-pipeline agreement: {'pass' if agree['pass'] else 'FAIL'}")
+    return 0 if agree["pass"] else 1
 
 
 @cli.command("polys")
 @_common
 def cmd_polys(dist_path, r, barrier, kmax, out_dir):
     """Assemble P_2..P_{r+1}; write polys.json."""
-    es, _ = _polys_and_rows(increments.load(dist_path), r, barrier, kmax)
+    _, es, _ = _polys_and_rows(dist_path, r, barrier, kmax)
     _write_json(out_dir / "polys.json", es.to_json_dict())
     for nu in range(2, r + 2):
         p = es.P[nu]
@@ -158,10 +132,9 @@ def cmd_polys(dist_path, r, barrier, kmax, out_dir):
               help="largest horizon in the n list 100,400,...")
 def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     """Exact-vs-expansion error table, decay exponents and interval check."""
-    dist = increments.load(dist_path, mode="exact-rational" if mode == "exact" else None)
-    ns = _n_list(nmax)
-    es, rows_by_n = _polys_and_rows(dist, r, barrier, kmax, mode, ns)
-    p3, power = _p3_and_power(dist, es, r)
+    ns = horizons(nmax)
+    dist, es, rows_by_n = _polys_and_rows(dist_path, r, barrier, kmax, mode, ns)
+    p3, power = p3_and_power(dist, es, r)
     # p_n - R_n is of the order of the first nonzero polynomial: n^{-1/2}
     # through P_3, or n^{-1} where P_3 vanishes
     lattice_scale = "sqrt(n)" if p3 else "n"
@@ -234,9 +207,8 @@ def cmd_integral_check(out_dir):
 @click.option("--nmax", type=int, default=1600, show_default=True)
 def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     """Plot-ready data: profiles per n, scaled-error curves, U1 table."""
-    dist = increments.load(dist_path, mode="exact-rational" if mode == "exact" else None)
-    ns = _n_list(nmax)
-    es, rows_by_n = _polys_and_rows(dist, r, barrier, kmax, mode, ns)
+    ns = horizons(nmax)
+    dist, es, rows_by_n = _polys_and_rows(dist_path, r, barrier, kmax, mode, ns)
     sigma = es.sigma
 
     profiles = {}
@@ -250,7 +222,7 @@ def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
         # P_nu does not depend on the order: Q_nu reads only ghat_{2j-q} and b[l,h] with
         # 2j - q, h <= nu - 2, the same inputs at every order that assembles it
         es_r = dataclasses.replace(es, r=r_cur)
-        ladder = error_ladder(es_r, rows_by_n, ns, window, _p3_and_power(dist, es, r_cur)[1])
+        ladder = error_ladder(es_r, rows_by_n, ns, window, p3_and_power(dist, es, r_cur)[1])
         curves += [[r_cur, n, ladder.max_err[n], ladder.max_scaled[n]] for n in ns]
 
     # U1 grows linearly with slope 2 theta0 / sigma^2 (oracle-validated)

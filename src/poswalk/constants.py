@@ -23,9 +23,10 @@ theta1 = (1/sigma) sum_u U1(u) E[overshoot from u], where finite support
 truncates the sums exactly.  Both routes fit the same sweep with a linear
 fit, so at large kmax they agree to rounding (at most 5.5e-14 relative) and
 the check catches errors in the kill and overshoot bookkeeping; at small kmax
-the gap is fit error (``cli.RENEWAL_AGREEMENT_TOL``).  The kernel-method
-closed forms for theta0, theta1 and U1, which need no killed sweep and no
-tail fit, are the independent route (ROADMAP item 1).
+the gap is fit error.  ``two_pipeline_agreement`` is that gate, at
+``RENEWAL_AGREEMENT_TOL``.  The kernel-method closed forms for theta0, theta1
+and U1, which need no killed sweep and no tail fit, are the independent route
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ from .errors import InputError
 from .extrapolation import ExtrapolationResult, fit_power_tails
 from .increments import IncrementDistribution
 from .oracle import U_MAX, Barrier, TauStatistics
+
+# a wider gap is a bookkeeping fault only at large kmax, where the renewal sums and the
+# limit fits agree to rounding (at most 5.5e-14 relative).  The U1 fits read a window one
+# step after the theta fits, so at small kmax the gap is fit error (trinomial strict:
+# 5.4e-9 at kmax 64 and 1.6e-10 at 128 fail; 5.2e-12 at 256, 1.7e-13 at 512)
+RENEWAL_AGREEMENT_TOL = 1e-10
 
 
 def _tail_fits(ks: np.ndarray, sequences, lmax: int = 0) -> list[ExtrapolationResult]:
@@ -57,15 +64,28 @@ def _renewal_sum(dist: IncrementDistribution, u1: dict[int, ExtrapolationResult]
                  barrier: Barrier, h: int) -> float:
     """sum_u U1(u) E[(-X - u)^h ; step from u is killed]; exact truncation.
 
-    h = 0 weights by the kill probability, h = 1 by the one-step overshoot.
+    h = 0 weights by the kill probability, h = 1 by the one-step overshoot
+    (0^0 = 1).
     """
     total = 0.0
     for u, res in sorted(u1.items()):
         # a step X from u is killed when u + X < floor
-        m = float(dist.restricted_moment(h, u, barrier.floor - 1 - u))
+        m = float(sum(p * (-x - u) ** h for x, p in zip(dist.support, dist.probs)
+                      if u + x < barrier.floor))
         if m:
             total += res.limit * m
     return total
+
+
+def two_pipeline_agreement(cs: ConstantSet) -> dict:
+    """The renewal gate: theta0 and theta1 against their renewal sums, each
+    within RENEWAL_AGREEMENT_TOL relative; constants.json's
+    ``two_pipeline_agreement`` block."""
+    t0x = cs.provenance["theta0_from_u1"]["value"]
+    t1x = cs.provenance["theta1_from_u1"]["value"]
+    agree = all(abs(a - b) <= RENEWAL_AGREEMENT_TOL * max(abs(a), abs(b))
+                for a, b in ((cs.theta0, t0x), (cs.theta1, t1x)))
+    return {"theta0_limit": cs.theta0, "theta0_from_u1": t0x, "pass": bool(agree)}
 
 
 @dataclass
@@ -92,12 +112,6 @@ class ConstantSet:
             return self.b[(l, h)]
         except KeyError:
             raise InputError(f"b[{l},{h}] not computed; raise hmax") from None
-
-    def theta0_cross_check(self) -> float:
-        return self.provenance["theta0_from_u1"]["value"]
-
-    def theta1_cross_check(self) -> float:
-        return self.provenance["theta1_from_u1"]["value"]
 
     def to_json_dict(self) -> dict:
         return {

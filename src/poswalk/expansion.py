@@ -248,6 +248,22 @@ def window(sigma: float, n: int) -> range:
     return xs
 
 
+def horizons(nmax: int) -> list[int]:
+    """The error ladder's horizons: 100, 400, 1600, 6400 up to nmax; nmax alone below 100."""
+    return [n for n in (100, 400, 1600, 6400) if n <= nmax] or [nmax]
+
+
+def p3_and_power(dist: IncrementDistribution, es: ExpansionSet, r: int) -> tuple[Poly, float]:
+    """P_3 and the power of n that makes the order-r error flat.
+
+    The error beyond P_{r+1} is of order n^{-(r+2)/2}, or n^{-2} at r = 1
+    where P_3 vanishes.  Order 1 assembles P_3 from the same constants (they
+    always cover it); r >= 2 would need constants beyond those computed.
+    """
+    p3 = (es if es.r >= 2 else expansion_polys(dist, 2, es.constants)).P[3]
+    return p3, 2.0 if r == 1 and not p3 else (r + 2) / 2.0
+
+
 @dataclass
 class ErrorLadder:
     """The order-r error |exact - series| over horizons, scaled by n^power."""

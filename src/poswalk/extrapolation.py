@@ -54,11 +54,15 @@ def _solve(window, a: np.ndarray) -> np.ndarray:
 
 def fit_power_tails(ks: np.ndarray, sequences, terms: int,
                     window: tuple[float, float] | None = None) -> list[ExtrapolationResult]:
-    """``fit_power_tail`` of each array in ``sequences``, all over the same ``ks``.
+    """Fit c_0..c_{terms-1} over the basis {k^-e} to each array in ``sequences``.
 
-    The window designs are built once and shared; each sequence still gets a
-    least-squares solve of its own, so every result is bit for bit the one
-    ``fit_power_tail`` gives.  ``sequences`` is consumed one array at a time.
+    Every array is a sequence over the same ``ks`` (strictly increasing, of
+    equal length); c_0 is its limit.  The default window is the last third
+    of the k range; the error estimates refit on a window starting 10% of
+    the range earlier and report each coefficient's shift.  The window
+    designs are built once and shared; each sequence gets a least-squares
+    solve of its own, so its result does not depend on the others.
+    ``sequences`` is consumed one array at a time.
     """
     if terms < 1:
         raise ValueError("need at least one term (the limit)")
@@ -88,14 +92,3 @@ def fit_power_tails(ks: np.ndarray, sequences, terms: int,
         ))
     return results
 
-
-def fit_power_tail(ks: np.ndarray, a: np.ndarray, terms: int,
-                   window: tuple[float, float] | None = None) -> ExtrapolationResult:
-    """Fit c_0..c_{terms-1} over the basis {k^-e}; c_0 is the limit.
-
-    ``ks`` (strictly increasing) and ``a`` are equal-length arrays of the
-    sequence.  Default window is the last third of the k range; the error
-    estimates refit on a window starting 10% earlier and report each
-    coefficient's shift.
-    """
-    return fit_power_tails(ks, [a], terms, window)[0]

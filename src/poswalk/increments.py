@@ -4,9 +4,9 @@ A walk increment is a finite-support integer random variable with mean zero
 and maximal span 1 (gcd of support differences equals 1).  Probabilities are
 rationalized on input -- decimal strings parse exactly, floats keep their
 exact binary value -- so the structural checks (sum, mean, span) always run
-in exact arithmetic.  ``arithmetic_mode`` records how the inputs arrived and
-picks the tolerance regime: exact equality for rational inputs, 1e-12 for
-float inputs.
+in exact arithmetic.  ``arithmetic_mode`` records the tolerance regime:
+exact equality for rational inputs, or for any inputs when the caller asks
+for it (``exact=True``), and 1e-12 for float inputs.
 """
 
 from __future__ import annotations
@@ -69,22 +69,14 @@ class IncrementDistribution:
     def raw_moment(self, k: int) -> Fraction:
         return sum(p * Fraction(x) ** k for x, p in zip(self.support, self.probs))
 
-    def restricted_moment(self, h: int, shift: int, cutoff: int) -> Fraction:
-        """E[(-X - shift)^h ; X <= cutoff] with 0^0 = 1."""
-        out = Fraction(0)
-        for x, p in zip(self.support, self.probs):
-            if x <= cutoff:
-                out += p * Fraction(-x - shift) ** h
-        return out
 
-
-def validate(support: Sequence[int], probs: Sequence, mode: str | None = None) -> IncrementDistribution:
+def validate(support: Sequence[int], probs: Sequence, exact: bool = False) -> IncrementDistribution:
     """Validate and build an increment distribution.
 
-    ``mode`` may force "exact-rational" or "float64"; by default float inputs
-    select float64 and everything else exact-rational.  Raises InputError on
-    a non-integer support point, a sum other than 1, a nonzero mean, a span
-    other than 1 or an empty side.
+    Float inputs select float64 and everything else exact-rational;
+    ``exact`` forces exact-rational, so float inputs must then sum to 1 and
+    have mean 0 exactly.  Raises InputError on a non-integer support point, a
+    sum other than 1, a nonzero mean, a span other than 1 or an empty side.
     """
     if len(support) == 0 or len(support) != len(probs):
         raise InputError("support and probs must be nonempty and of equal length")
@@ -97,16 +89,12 @@ def validate(support: Sequence[int], probs: Sequence, mode: str | None = None) -
 
     parsed = [_parse_prob(p) for _, p in pairs]
     ps = tuple(v for v, _ in parsed)
-    all_exact = all(flag for _, flag in parsed)
-    if mode is None:
-        mode = "exact-rational" if all_exact else "float64"
-    if mode not in ("exact-rational", "float64"):
-        raise InputError(f"unknown arithmetic mode {mode!r}")
+    exact = exact or all(flag for _, flag in parsed)
 
     if any(p <= 0 or p > 1 for p in ps):
         raise InputError("probabilities must lie in (0, 1]")
 
-    tol = Fraction(0) if mode == "exact-rational" else FLOAT_TOL
+    tol = Fraction(0) if exact else FLOAT_TOL
     total = sum(ps)
     if abs(total - 1) > tol:
         raise InputError(f"probabilities sum to {total}, not 1")
@@ -122,25 +110,26 @@ def validate(support: Sequence[int], probs: Sequence, mode: str | None = None) -
     if span != 1:
         raise InputError(f"gcd of support differences is {span}, not 1")
 
-    return IncrementDistribution(support=xs, probs=ps, arithmetic_mode=mode)
+    return IncrementDistribution(support=xs, probs=ps,
+                                 arithmetic_mode="exact-rational" if exact else "float64")
 
 
-def from_json_dict(obj: dict, mode: str | None = None) -> IncrementDistribution:
+def from_json_dict(obj: dict, exact: bool = False) -> IncrementDistribution:
     """Build from the file schema {"support": [ints], "probs": [entries]}."""
     if not isinstance(obj, dict) or "support" not in obj or "probs" not in obj:
         raise InputError('distribution file needs "support" and "probs" keys')
     if not isinstance(obj["support"], list) or not isinstance(obj["probs"], list):
         raise InputError('"support" and "probs" must be lists')
-    return validate(obj["support"], obj["probs"], mode=mode)
+    return validate(obj["support"], obj["probs"], exact)
 
 
-def load(path, mode: str | None = None) -> IncrementDistribution:
+def load(path, exact: bool = False) -> IncrementDistribution:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return from_json_dict(obj, mode=mode)
+    return from_json_dict(obj, exact)
 
 
 def _cumulants_from_raw(raw: list[Fraction]) -> list[Fraction]:

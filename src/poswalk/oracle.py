@@ -28,19 +28,20 @@ they stay.
 
 The dependency cone drops what the trim keeps but no output reads.  A step
 moves mass down by at most a = -min_step, so once the last row a collector
-keeps is behind it, a survivor cell at step k above ``top + a (n - k)`` can
-never reach a position <= ``top`` by step n.  ``_sweep(..., cone=(after,
-top))`` cuts every stepped row after step ``after`` at that bound, before
-the kill split.  The cut is exact by dependency alone: a dropped cell's
-products land only above the next step's bound, so every kept cell gets the
-same operands in the same support order, and the killed cells are those of
-the uncut sweep.  Only ``tau_statistics`` asks for the cut, with ``top =
-U_MAX`` and ``after`` its last kept row; it drops 15.4% of the stepped cells
-on trinomial strict and 21.3% on skewed weak at kmax 16384, and the dropped
-cells are those of the widest steps, with the subnormal band.  The rows
-yielded after the cut are therefore not survivor rows: they hold only the
-cells up to the bound (the last one, at step n, only floor..``top``).  A
-sweep that keeps a row at step n, and ``killed_rows_at``, never cut.
+keeps is behind it, a survivor cell at step k above ``U_MAX + a (n - k)``
+can never reach a position <= ``U_MAX`` (a survivor column or a killed
+cell) by step n.  ``_sweep(..., cone_after=after)`` cuts every stepped row
+after step ``after`` at that bound, before the kill split.  The cut is
+exact by dependency alone: a dropped cell's products land only above the
+next step's bound, so every kept cell gets the same operands in the same
+support order, and the killed cells are those of the uncut sweep.  Only
+``tau_statistics`` asks for the cut, after its last kept row; it drops
+15.4% of the stepped cells on trinomial strict and 21.3% on skewed weak at
+kmax 16384, and the dropped cells are those of the widest steps, with the
+subnormal band.  The rows yielded after the cut are therefore not survivor
+rows: they hold only the cells up to the bound (the last one, at step n,
+only floor..``U_MAX``).  A sweep that keeps a row at step n, and
+``killed_rows_at``, never cut.
 
 There is one sweep, the generator ``_sweep``, and it sweeps only the killed
 walk.  Its two collectors, ``tau_statistics`` and ``killed_rows_at``, read
@@ -161,12 +162,13 @@ def _trim_zeros(values: np.ndarray, tail: int) -> np.ndarray:
     return values[: live[-1] + 1] if len(live) else values[:0]
 
 
-def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str, cone=None):
+def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str,
+           cone_after: int | None = None):
     """Step the walk from 0 and yield (k, survivors, killed) for k = 1..n.
 
-    ``cone = (after, top)`` cuts each stepped row after step ``after`` at
-    position ``top + a (n - k)``, a = -min_step: a cell above it cannot reach
-    a position <= ``top`` by step n.  The rows yielded after the cut are
+    ``cone_after`` cuts each stepped row after that step at position
+    ``U_MAX + a (n - k)``, a = -min_step: a cell above it cannot reach a
+    position <= ``U_MAX`` by step n.  The rows yielded after the cut are
     then only the cone's part of the survivor rows.
     """
     if n < 1:
@@ -184,7 +186,7 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str, con
     step = dist.min_step
     (s0, i0), (s1, i1), *more = [(x - step, weights.index(p)) for x, p in zip(dist.support, probs)]
     spread = dist.max_step - step
-    after, top = cone if cone is not None else (n, 0)
+    after, top = n if cone_after is None else cone_after, U_MAX
     dtype = object if exact else np.float64
     column = np.array(weights, dtype=dtype)[:, None]
     row = Row(0, np.array([Fraction(1)] if exact else [1.0], dtype=dtype))
@@ -277,8 +279,8 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
     block = np.zeros((kmax, width))
     cols = np.zeros((kmax, U_MAX - floor + 1))
     rows = {}
-    cone = (max(wanted, default=0), U_MAX)
-    for k, row, dead in _sweep(dist, max(wanted | {kmax}), barrier, "float64", cone):
+    cone_after = max(wanted, default=0)
+    for k, row, dead in _sweep(dist, max(wanted | {kmax}), barrier, "float64", cone_after):
         if k <= kmax:
             block[k - 1, width - len(dead.values):] = dead.values  # rows end at floor-1
             low = row.values[: U_MAX + 1 - floor]  # survivor rows start at the floor

@@ -36,7 +36,8 @@ from conftest import (CORRECTED, brute_force_killed, constants_for, downskip, fr
                       quoted_p2, quoted_p3, skewed, trinomial, upskip_narrow)
 from poswalk import oracle as oc
 from poswalk.errors import CancellationFailure
-from poswalk.expansion import b_range, error_ladder, expansion_polys, window
+from poswalk.expansion import (b_range, error_ladder, expansion_polys, horizons, p3_and_power,
+                               window)
 from poswalk.integral import integral_check
 from poswalk.laurent import Poly, gamma_recursive, q_jlm
 from poswalk.oracle import Barrier
@@ -178,27 +179,29 @@ def test_criterion_05_negative_power_cancellation():
 
 # -- criterion 6: oracle correctness -------------------------------------------
 
-def test_criterion_06_oracle_correctness():
-    start = time.time()
-    dists = [trinomial(), skewed(), downskip()]
+def _oracle_identities(barrier) -> bool:
+    """Brute force (n <= 8), conservation (n <= 20) and float agreement
+    (n <= 64), all read from one exact and one float sweep to 64 per law."""
     ok = True
-    for dist in dists:
-        dp_rows, dp_killed = oc.killed_rows_at(dist, range(1, 9), Barrier.STRICT,
-                                               mode="exact-rational")
-        rows, killed = brute_force_killed(dist, 8, Barrier.STRICT)
-        ok &= all(dp_rows[k].nonzero() == rows[k] and dp_killed[k].nonzero() == killed[k]
+    ks = range(1, 65)
+    for dist in (trinomial(), skewed(), downskip()):
+        exact, exact_killed = oc.killed_rows_at(dist, ks, barrier, mode="exact-rational")
+        fl, _ = oc.killed_rows_at(dist, ks, barrier, mode="float64")
+        rows, killed = brute_force_killed(dist, 8, barrier)
+        ok &= all(exact[k].nonzero() == rows[k] and exact_killed[k].nonzero() == killed[k]
                   for k in range(1, 9))
-    for dist in dists:
-        rows, killed = oc.killed_rows_at(dist, range(1, 21), Barrier.STRICT, mode="exact-rational")
-        ok &= all(rows[k].total() + sum(killed[j].total() for j in range(1, k + 1)) == 1
+        ok &= all(exact[k].total() + sum(exact_killed[j].total() for j in range(1, k + 1)) == 1
                   for k in range(1, 21))
-    for dist in dists:
-        exact, _ = oc.killed_rows_at(dist, range(1, 65), Barrier.STRICT, mode="exact-rational")
-        fl, _ = oc.killed_rows_at(dist, range(1, 65), Barrier.STRICT, mode="float64")
-        for k in range(1, 65):
+        for k in ks:
             for y, v in exact[k].nonzero().items():
                 ref = float(v)
                 ok &= abs(fl[k].get(y, 0.0) - ref) <= 1e-10 * ref
+    return ok
+
+
+def test_criterion_06_oracle_correctness():
+    start = time.time()
+    ok = _oracle_identities(Barrier.STRICT)
     elapsed = time.time() - start
     assert report("6", ok and elapsed < 60,
                   f"brute force n<=8, conservation n<=20, float agreement n<=64 "
@@ -212,7 +215,7 @@ def _constant_consistency(barrier) -> tuple[bool, str]:
     ok = True
     for dist in (trinomial(), skewed()):
         cs = constants_for(dist, barrier)
-        t0x = cs.theta0_cross_check()
+        t0x = cs.provenance["theta0_from_u1"]["value"]
         rel = abs(cs.theta0 - t0x) / abs(cs.theta0)
         ok &= rel <= 1e-3
         ok &= cs.b_value(0, 0) == cs.theta0 and cs.b_value(0, 1) == cs.theta1
@@ -227,11 +230,11 @@ def test_criterion_07_constant_consistency():
 
 # -- criterion 8: error decay at normal deviations ------------------------------
 
-def _decay_exponents(dist, barrier, r, ns=(100, 400, 1600)):
-    cs = constants_for(dist, barrier)
-    es = expansion_polys(dist, r, cs)
-    rows = oc.killed_rows_at(dist, list(ns), barrier)[0]
-    return list(error_ladder(es, rows, ns, window, (r + 2) / 2).decay.values())
+def _decay_exponents(dist, barrier, r):
+    es = expansion_polys(dist, r, constants_for(dist, barrier))
+    ns = horizons(1600)
+    rows = oc.killed_rows_at(dist, ns, barrier)[0]
+    return list(error_ladder(es, rows, ns, window, p3_and_power(dist, es, r)[1]).decay.values())
 
 
 # Strict-barrier walks and whether their P_3 vanishes identically.  The
@@ -367,23 +370,7 @@ def test_criterion_13a_weak_cancellation():
 
 
 def test_criterion_13b_weak_oracle():
-    ok = True
-    for dist in (trinomial(), skewed(), downskip()):
-        dp_rows, dp_killed = oc.killed_rows_at(dist, range(1, 9), Barrier.WEAK,
-                                               mode="exact-rational")
-        rows, killed = brute_force_killed(dist, 8, Barrier.WEAK)
-        ok &= all(dp_rows[k].nonzero() == rows[k] and dp_killed[k].nonzero() == killed[k]
-                  for k in range(1, 9))
-        rows, killed = oc.killed_rows_at(dist, range(1, 21), Barrier.WEAK, mode="exact-rational")
-        ok &= all(rows[k].total() + sum(killed[j].total() for j in range(1, k + 1)) == 1
-                  for k in range(1, 21))
-        exact, _ = oc.killed_rows_at(dist, range(1, 65), Barrier.WEAK, mode="exact-rational")
-        fl, _ = oc.killed_rows_at(dist, range(1, 65), Barrier.WEAK, mode="float64")
-        for k in range(1, 65):
-            for y, v in exact[k].nonzero().items():
-                ref = float(v)
-                ok &= abs(fl[k].get(y, 0.0) - ref) <= 1e-10 * ref
-    assert report("13b", ok, "weak-barrier oracle identities")
+    assert report("13b", _oracle_identities(Barrier.WEAK), "weak-barrier oracle identities")
 
 
 def test_criterion_13c_weak_constants():

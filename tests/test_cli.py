@@ -226,9 +226,9 @@ def test_error_ladder_is_what_verify_and_report_write(tmp_path, name, barrier, r
     # from one sweep, the ladder gives verify's summary and error table and
     # report's curves bit for bit: both commands measure through it alone
     from poswalk import increments
-    from poswalk.cli import _p3_and_power
     from poswalk.constants import compute_constants
-    from poswalk.expansion import b_range, error_ladder, expansion_polys, snapped_grid, window
+    from poswalk.expansion import (b_range, error_ladder, expansion_polys, p3_and_power,
+                                   snapped_grid, window)
     from poswalk.oracle import tau_statistics
 
     path, ns = str(DISTS / f"{name}.json"), [100, 400, 1600]
@@ -240,7 +240,7 @@ def test_error_ladder_is_what_verify_and_report_write(tmp_path, name, barrier, r
     stats = tau_statistics(dist, 1024, barrier, hmax=b_range(r), rows_at=ns)
     es = expansion_polys(dist, r, compute_constants(stats))
 
-    grid = error_ladder(es, stats.rows, ns, snapped_grid, _p3_and_power(dist, es, r)[1])
+    grid = error_ladder(es, stats.rows, ns, snapped_grid, p3_and_power(dist, es, r)[1])
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
     assert summary["max_scaled_err"] == {str(n): v for n, v in grid.max_scaled.items()}
     assert summary["decay_exponents"] == grid.decay
@@ -249,7 +249,7 @@ def test_error_ladder_is_what_verify_and_report_write(tmp_path, name, barrier, r
     curves = []
     for r_cur in range(1, r + 1):
         ladder = error_ladder(dataclasses.replace(es, r=r_cur), stats.rows, ns, window,
-                              _p3_and_power(dist, es, r_cur)[1])
+                              p3_and_power(dist, es, r_cur)[1])
         curves += [[r_cur, n, ladder.max_err[n], ladder.max_scaled[n]] for n in ns]
     assert _csv_numbers(tmp_path / "report_scaled_err.csv") == curves
 
@@ -358,6 +358,22 @@ def test_exact_mode_over_cap_fails_before_float_sweep(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert "exact mode capped at n=64" in err and "(--mode float)" in err
     assert steps == {False: 0, True: 0}
+
+
+def test_exact_mode_takes_float_probabilities_exactly(tmp_path, capsys):
+    # 0.1 + 0.8 + 0.1 is 1 only to rounding: --mode exact loads the law
+    # exactly and refuses it, writing nothing, while float mode accepts it
+    law = tmp_path / "floats.json"
+    law.write_text('{"support": [-1, 0, 1], "probs": [0.1, 0.8, 0.1]}')
+    out = tmp_path / "out"
+    rc = run(["verify", "--dist", str(law), "--mode", "exact", "--nmax", "64", "--kmax", "512",
+              "--out", str(out)])
+    assert rc == 2
+    assert ("probabilities sum to 18014398509481985/18014398509481984, not 1"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert run(["verify", "--dist", str(law), "--mode", "float", "--nmax", "400", "--kmax", "512",
+                "--out", str(out)]) == 0
 
 
 def test_usage_error_exit_two(tmp_path):
@@ -501,10 +517,9 @@ def test_verify_says_when_flatness_is_untested(tri_file, tmp_path, capsys, nmax,
 
 
 def test_config_invariants_and_default_grid():
-    from poswalk.cli import _n_list
-    from poswalk.expansion import snapped_grid
+    from poswalk.expansion import horizons, snapped_grid
 
-    assert _n_list(1600) == [100, 400, 1600] and _n_list(64) == [64]
+    assert horizons(1600) == [100, 400, 1600] and horizons(64) == [64]
     assert snapped_grid(sigma=1.0, n=100) == [2, 5, 10, 15, 20, 30]
 
 

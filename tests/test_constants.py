@@ -8,7 +8,7 @@ from conftest import constants_for
 from poswalk import constants as cn
 from poswalk.cli import _write_json
 from poswalk.errors import InputError
-from poswalk.extrapolation import fit_power_tail
+from poswalk.extrapolation import fit_power_tails
 from poswalk.oracle import Barrier, tau_statistics
 
 ROOT2PI = math.sqrt(2 * math.pi)
@@ -74,12 +74,12 @@ def test_two_pipeline_theta0_agreement(tri, asym, tri_constants_strict,
                                        asym_constants_weak):
     for cs in (tri_constants_strict, tri_constants_weak,
                asym_constants_strict, asym_constants_weak):
-        assert cs.theta0_cross_check() == pytest.approx(cs.theta0, rel=1e-3)
+        assert cs.provenance["theta0_from_u1"]["value"] == pytest.approx(cs.theta0, rel=1e-3)
 
 
 def test_two_pipeline_theta1_agreement(tri_constants_weak):
     cs = tri_constants_weak
-    assert cs.theta1_cross_check() == pytest.approx(cs.theta1, rel=1e-3)
+    assert cs.provenance["theta1_from_u1"]["value"] == pytest.approx(cs.theta1, rel=1e-3)
 
 
 def test_renewal_route_matches_limit_route_to_rounding(rich, asym):
@@ -91,8 +91,8 @@ def test_renewal_route_matches_limit_route_to_rounding(rich, asym):
                           (asym, Barrier.WEAK)):
         cs = constants_for(dist, barrier)
         assert cs.theta1 > 0
-        assert cs.theta1_cross_check() == pytest.approx(cs.theta1, rel=1e-10)
-        assert cs.theta0_cross_check() == pytest.approx(cs.theta0, rel=1e-10)
+        assert cs.provenance["theta1_from_u1"]["value"] == pytest.approx(cs.theta1, rel=1e-10)
+        assert cs.provenance["theta0_from_u1"]["value"] == pytest.approx(cs.theta0, rel=1e-10)
 
 
 def test_barrier_ordering(tri_constants_strict, tri_constants_weak,
@@ -181,9 +181,9 @@ def test_b_fit_error_estimate_is_staggered_window_shift(tri):
     cs = cn.compute_constants(stats)
     ks = np.arange(1, kmax + 1, dtype=float)
     a = ks**1.5 * stats.theta[0]
-    default = fit_power_tail(ks, a, 4)
+    default = fit_power_tails(ks, [a], 4)[0]
     lo, hi = default.window
-    earlier = fit_power_tail(ks, a, 4, window=(lo - 0.10 * (kmax - 1), hi))
+    earlier = fit_power_tails(ks, [a], 4, window=(lo - 0.10 * (kmax - 1), hi))[0]
     for l in (0, 1):
         c_default = default.coefficients[l]
         c_earlier = earlier.coefficients[l]

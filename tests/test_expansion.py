@@ -12,8 +12,8 @@ from poswalk.constants import compute_constants
 from poswalk.edgeworth import ghat
 from poswalk.errors import CancellationFailure, InputError
 from poswalk.expansion import (IndexTuple, assemble_Q, b_range, enumerate_tuples,
-                               error_ladder, expansion_polys, tuple_weight,
-                               uj_polynomial_part, window)
+                               error_ladder, expansion_polys, horizons, p3_and_power,
+                               tuple_weight, uj_polynomial_part, window)
 from poswalk.increments import cumulant_ratios
 from poswalk.laurent import Poly
 from poswalk.oracle import Barrier
@@ -256,19 +256,36 @@ def test_evaluate_decay_weak_trinomial(tri, tri_constants_weak):
 
 def test_error_decay_band_both_walks(tri, asym, tri_constants_strict,
                                      tri_constants_weak, asym_constants_strict):
-    # the quadrupling ratio E(n)/E(4n) stays within a factor 3 of 4^{(r+2)/2}
+    # the quadrupling ratio E(n)/E(4n) stays within a factor 3 of 4^p, with p
+    # the order-r error power
     cases = [
         (tri, Barrier.STRICT, tri_constants_strict),
         (tri, Barrier.WEAK, tri_constants_weak),
         (asym, Barrier.STRICT, asym_constants_strict),
     ]
+    ns = horizons(400)
     for dist, barrier, cs in cases:
-        rows = oc.killed_rows_at(dist, [100, 400], barrier)[0]
+        rows = oc.killed_rows_at(dist, ns, barrier)[0]
         for r in (1, 2):
             es = expansion_polys(dist, r, cs)
             # E(100)/E(400) within a factor 3 of 4^p is S_100/S_400 within 3 of 1
-            ladder = error_ladder(es, rows, (100, 400), window, (r + 2) / 2.0)
+            ladder = error_ladder(es, rows, ns, window, p3_and_power(dist, es, r)[1])
             assert ladder.flatness <= 3.0
+
+
+def test_p3_and_power_is_the_order_r_error_power(tri, asym, tri_constants_strict,
+                                                 tri_constants_weak, asym_constants_strict):
+    # the error beyond P_{r+1} is of order n^-(r+2)/2, except at r = 1 where
+    # P_3 vanishes (trinomial strict: m3 = 0 and theta1 = 0) and the first
+    # omitted polynomial is P_4: n^-2
+    cases = [(tri, tri_constants_strict, 2.0), (asym, asym_constants_strict, 1.5),
+             (tri, tri_constants_weak, 1.5)]
+    for dist, cs, r1_power in cases:
+        p3, power = p3_and_power(dist, expansion_polys(dist, 1, cs), 1)
+        assert (not p3) == (r1_power == 2.0) and power == r1_power
+        for r in (2, 3, 4):
+            es = expansion_polys(dist, r, cs)
+            assert p3_and_power(dist, es, r) == (es.P[3], (r + 2) / 2)
 
 
 def test_evaluate_relative_error_at_sigma_sqrt_n(tri, tri_constants_strict):

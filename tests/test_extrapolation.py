@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poswalk.errors import IllConditioned, InsufficientPoints
-from poswalk.extrapolation import fit_power_tail, fit_power_tails
+from poswalk.extrapolation import fit_power_tails
 
 KS = np.arange(8, 1500, dtype=float)
 
@@ -17,25 +17,25 @@ def _model(coeffs):
 
 
 def test_exact_two_term_model():
-    res = fit_power_tail(KS, 2 + 3 / KS, 2)
+    res = fit_power_tails(KS, [2 + 3 / KS], 2)[0]
     assert abs(res.limit - 2) < 1e-12
     assert abs(res.coefficients[1] - 3) < 1e-9
     assert res.errors[0] < 1e-12
 
 
 def test_exact_three_term_model():
-    res = fit_power_tail(KS, 1 + 1 / KS + 1 / KS**2, 3)
+    res = fit_power_tails(KS, [1 + 1 / KS + 1 / KS**2], 3)[0]
     assert abs(res.limit - 1) < 1e-10
 
 
 def test_constant_sequence():
-    res = fit_power_tail(KS, np.full(len(KS), 5.0), 2)
+    res = fit_power_tails(KS, [np.full(len(KS), 5.0)], 2)[0]
     assert abs(res.limit - 5) < 1e-10
     assert abs(res.coefficients[1]) < 1e-8
 
 
 def test_log_contamination_degraded_tolerance():
-    res = fit_power_tail(KS, 1 + np.log(KS) / KS**2, 4)
+    res = fit_power_tails(KS, [1 + np.log(KS) / KS**2], 4)[0]
     assert abs(res.limit - 1) < 1e-4
     assert len(res.coefficients) == len(res.errors) == 4
 
@@ -44,7 +44,7 @@ def test_exact_model_recovers_all_coefficients():
     # full-range window: small k carries the information on the higher
     # coefficients, a tail window only pins the limit
     coeffs = [1.5, -2.0, 0.25, 7.0]
-    res = fit_power_tail(KS, _model(coeffs), 4, window=(KS[0], KS[-1]))
+    res = fit_power_tails(KS, [_model(coeffs)], 4, window=(KS[0], KS[-1]))[0]
     for want, have in zip(coeffs, res.coefficients, strict=True):
         assert abs(want - have) <= 1e-10 * max(1.0, abs(want))
 
@@ -53,8 +53,8 @@ def test_exact_model_recovers_all_coefficients():
 @settings(max_examples=40, deadline=None)
 def test_limit_scales_linearly(c):
     base = _model([1, 2, 5])
-    r1 = fit_power_tail(KS, base, 3)
-    r2 = fit_power_tail(KS, c * base, 3)
+    r1 = fit_power_tails(KS, [base], 3)[0]
+    r2 = fit_power_tails(KS, [c * base], 3)[0]
     assert r2.limit == pytest.approx(c * r1.limit, rel=1e-9, abs=1e-12)
 
 
@@ -65,14 +65,14 @@ def test_error_estimate_bounds_exact_models():
         (1.0, 3, _model([1, -2, 4])),
     ]
     for truth, terms, a in cases:
-        res = fit_power_tail(KS, a, terms)
+        res = fit_power_tails(KS, [a], terms)[0]
         assert abs(res.limit - truth) <= res.errors[0] + 1e-10
 
 
 def test_error_estimate_calibrated_under_misspecification():
     # fit {0,1} against data carrying an unmodelled 1/k^2 term: the
     # staggered-window spread tracks the true error within a small factor
-    res = fit_power_tail(KS, _model([3, 1, 4]), 2)
+    res = fit_power_tails(KS, [_model([3, 1, 4])], 2)[0]
     true_err = abs(res.limit - 3)
     assert res.errors[0] <= 10 * true_err
     assert true_err <= 10 * res.errors[0]
@@ -91,15 +91,15 @@ def test_coefficient_errors_vanish_for_exact_models():
         ([1.5, -2.0, 0.25, 7.0], (50, KS[-1])),
     ]
     for coeffs, window in cases:
-        res = fit_power_tail(KS, _model(coeffs), len(coeffs), window=window)
+        res = fit_power_tails(KS, [_model(coeffs)], len(coeffs), window=window)[0]
         assert len(res.errors) == len(coeffs)
         for c, shift in zip(coeffs, res.errors):
             assert shift <= 1e-9 * max(1.0, abs(c))
 
 
 def test_deterministic_refit():
-    a = fit_power_tail(KS, 1 + 1 / KS, 3)
-    b = fit_power_tail(KS, 1 + 1 / KS, 3)
+    a = fit_power_tails(KS, [1 + 1 / KS], 3)[0]
+    b = fit_power_tails(KS, [1 + 1 / KS], 3)[0]
     assert a == b
 
 
@@ -118,14 +118,14 @@ def _fresh_fit(ks, a, terms, lo, hi):
 
 def test_shared_design_fit_matches_single_fits():
     # one design per window serves every sequence; each result is bit for bit
-    # the single fit, and that one a fresh per-sequence design's solve
+    # the sequence's fit on its own, and that one a fresh per-sequence design's solve
     seqs = [_model([1.5, -2.0, 0.25, 7.0]), 1 + np.log(KS) / KS**2, 2 + 3 / KS,
             np.full(len(KS), 5.0)]
     for terms, window in ((4, None), (3, (50.0, KS[-1])), (2, (KS[0], KS[-1]))):
         many = fit_power_tails(KS, iter(seqs), terms, window)
         assert len(many) == len(seqs)
         for a, res in zip(seqs, many):
-            single = fit_power_tail(KS, a, terms, window)
+            single = fit_power_tails(KS, [a], terms, window)[0]
             assert _bits(res) == _bits(single)
             lo, hi = res.window
             coef = _fresh_fit(KS, a, terms, lo, hi)
@@ -141,14 +141,14 @@ def test_shared_design_fit_raises_as_single_fits():
     for args in ((np.arange(1, 5), np.ones(4), 3, (1, 4)), (ks, 1 + 1 / ks, 8, None)):
         ks_, a, terms, window = args
         with pytest.raises((InsufficientPoints, IllConditioned)) as single:
-            fit_power_tail(ks_, a, terms, window)
+            fit_power_tails(ks_, [a], terms, window)
         with pytest.raises(single.type, match=f"^{re.escape(str(single.value))}$"):
             fit_power_tails(ks_, [a, a], terms, window)
 
 
 def test_insufficient_points():
     with pytest.raises(InsufficientPoints):
-        fit_power_tail(np.arange(1, 5), np.ones(4), 3, window=(1, 4))
+        fit_power_tails(np.arange(1, 5), [np.ones(4)], 3, window=(1, 4))
 
 
 def test_ill_conditioned_guard():
@@ -156,20 +156,20 @@ def test_ill_conditioned_guard():
     # scaled design's condition number is ~5e16
     ks = np.arange(1000, 1100, dtype=float)
     with pytest.raises(IllConditioned):
-        fit_power_tail(ks, 1 + 1 / ks, 8)
+        fit_power_tails(ks, [1 + 1 / ks], 8)
 
 
 def test_exponent_validation():
     ones = np.ones(len(KS))
     for terms in (0, -1):  # the basis always holds the limit term k^0
         with pytest.raises(ValueError):
-            fit_power_tail(KS, ones, terms)
+            fit_power_tails(KS, [ones], terms)
 
 
 def test_sample_validation():
     # ks must be strictly increasing and match a; nothing is sorted silently
     a = 2 + 3 / KS
-    fit_power_tail(KS, a, 2)
+    fit_power_tails(KS, [a], 2)
     bad = [
         (KS[::-1], a[::-1]),  # decreasing
         (np.concatenate([KS[:100], KS[99:]]), np.concatenate([a[:100], a[99:]])),  # repeated k
@@ -179,8 +179,8 @@ def test_sample_validation():
     ]
     for ks, vals in bad:
         with pytest.raises(ValueError):
-            fit_power_tail(ks, vals, 2)
+            fit_power_tails(ks, [vals], 2)
     swapped = KS.copy()
     swapped[[10, 11]] = swapped[[11, 10]]
     with pytest.raises(ValueError):
-        fit_power_tail(swapped, a, 2)
+        fit_power_tails(swapped, [a], 2)

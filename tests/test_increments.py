@@ -49,6 +49,16 @@ def test_float_inputs_select_float_mode():
     assert d.probs[0] == F(0.3)
 
 
+def test_exact_validation_takes_floats_at_their_binary_value():
+    # 0.1 + 0.8 + 0.1 is 1 within the float tolerance, not exactly; binary
+    # fractions that sum to 1 exactly pass
+    assert increments.validate([-1, 0, 1], [0.1, 0.8, 0.1]).arithmetic_mode == "float64"
+    with pytest.raises(InputError, match="sum to 18014398509481985/18014398509481984, not 1"):
+        increments.validate([-1, 0, 1], [0.1, 0.8, 0.1], exact=True)
+    forced = increments.validate([-1, 0, 1], [0.25, 0.5, 0.25], exact=True)
+    assert forced.arithmetic_mode == "exact-rational"
+
+
 def test_float_mode_tolerance_is_tight():
     with pytest.raises(InputError, match="probabilities sum to .*, not 1"):
         increments.validate([-1, 0, 1], [0.3, 0.4, 0.3 + 1e-9])
