@@ -21,8 +21,8 @@ import click
 from . import increments
 from .constants import compute_constants, two_pipeline_agreement
 from .errors import InputError, NumericFailure
-from .expansion import (ExpansionSet, b_range, error_ladder, expansion_polys, horizons,
-                        p3_and_power, snapped_grid, window)
+from .expansion import (DEFAULT_R_CAP, ExpansionSet, b_range, error_ladder, expansion_polys,
+                        horizons, p3_and_power, snapped_grid, window)
 from .oracle import Row, conditioned_interval_prob, killed_rows_at, tau_statistics
 
 FLATNESS_BAND = 3.0
@@ -84,14 +84,18 @@ def _polys_and_rows(dist_path, r: int, barrier: str, kmax: int, mode: str = "flo
     float mode the sweep to kmax runs on to max(ns) and keeps the rows; --mode
     exact reads exact-rational rows from a sweep of their own (feasible up to
     the exact cap), run first so that an over-cap horizon fails before any
-    float work.
+    float work.  An order above the validated range (``DEFAULT_R_CAP``) runs
+    on after one warning line on stderr.
     """
     exact = mode == "exact"
     dist = increments.load(dist_path, exact)
     rows = killed_rows_at(dist, ns, barrier, mode="exact-rational")[0] if exact else None
     stats = tau_statistics(dist, kmax, barrier, hmax=b_range(r), rows_at=() if exact else ns)
     rows = rows if exact else stats.rows
-    return dist, expansion_polys(dist, r, compute_constants(stats)), rows
+    cs = compute_constants(stats)
+    if r > DEFAULT_R_CAP:
+        click.echo(f"warning: r={r} above the validated range (r <= {DEFAULT_R_CAP})", err=True)
+    return dist, expansion_polys(dist, r, cs), rows
 
 
 @click.group()

@@ -31,7 +31,6 @@ survival probabilities (ballot-type and reflection identities).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +41,7 @@ from .increments import IncrementDistribution, cumulant_ratios
 from .laurent import Poly, q_jlm
 from .oracle import Barrier
 
-DEFAULT_R_CAP = 4
+DEFAULT_R_CAP = 4  # the validated orders; the CLI warns above it
 GRID_RATIOS = (0.2, 0.5, 1.0, 1.5, 2.0, 3.0)  # verify's points, in units of sigma sqrt(n)
 
 
@@ -213,9 +212,6 @@ def expansion_polys(dist: IncrementDistribution, r: int,
     """
     if r < 1:
         raise InputError("r must be >= 1")
-    if r > DEFAULT_R_CAP:
-        warnings.warn(f"r={r} above the validated range (r <= {DEFAULT_R_CAP})",
-                      stacklevel=2)
     lam = [Fraction(x) for x in cumulant_ratios(dist, r - 1)]
     es = ExpansionSet(r=r, barrier=constants.barrier, sigma=dist.sigma(), P={},
                       constants=constants,

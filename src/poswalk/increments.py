@@ -114,22 +114,18 @@ def validate(support: Sequence[int], probs: Sequence, exact: bool = False) -> In
                                  arithmetic_mode="exact-rational" if exact else "float64")
 
 
-def from_json_dict(obj: dict, exact: bool = False) -> IncrementDistribution:
-    """Build from the file schema {"support": [ints], "probs": [entries]}."""
-    if not isinstance(obj, dict) or "support" not in obj or "probs" not in obj:
-        raise InputError('distribution file needs "support" and "probs" keys')
-    if not isinstance(obj["support"], list) or not isinstance(obj["probs"], list):
-        raise InputError('"support" and "probs" must be lists')
-    return validate(obj["support"], obj["probs"], exact)
-
-
 def load(path, exact: bool = False) -> IncrementDistribution:
+    """Read and validate the file schema {"support": [ints], "probs": [entries]}."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return from_json_dict(obj, exact)
+    if not isinstance(obj, dict) or "support" not in obj or "probs" not in obj:
+        raise InputError('distribution file needs "support" and "probs" keys')
+    if not isinstance(obj["support"], list) or not isinstance(obj["probs"], list):
+        raise InputError('"support" and "probs" must be lists')
+    return validate(obj["support"], obj["probs"], exact)
 
 
 def _cumulants_from_raw(raw: list[Fraction]) -> list[Fraction]:

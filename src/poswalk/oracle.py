@@ -10,8 +10,8 @@ k * max_step reachable ones, and a horizon-n sweep costs O(n^1.5 * |support|)
 instead of O(n^2 * |support|).  The cells that remain are bit for bit those
 of the untrimmed rows: a dropped cell only ever added +0.0.
 
-A step allocates one array, its output row, because collectors keep the
-rows it yields.  The products go to one scratch block allocated once per
+A step allocates one array, its output row, because collectors keep views
+of its cells.  The products go to one scratch block allocated once per
 sweep, one row per distinct weight, filled by one broadcast multiply between
 zero margins: a law that repeats a weight (trinomial 3/10, skewed 2/5) reuses
 the same product.  The output row sums each shift's slice of the block in
@@ -31,29 +31,33 @@ moves mass down by at most a = -min_step, so once the last row a collector
 keeps is behind it, a survivor cell at step k above ``U_MAX + a (n - k)``
 can never reach a position <= ``U_MAX`` (a survivor column or a killed
 cell) by step n.  ``_sweep(..., cone_after=after)`` cuts every stepped row
-after step ``after`` at that bound, before the kill split.  The cut is
+after step ``after`` at that bound, before the zero trim.  The cut is
 exact by dependency alone: a dropped cell's products land only above the
 next step's bound, so every kept cell gets the same operands in the same
 support order, and the killed cells are those of the uncut sweep.  Only
 ``tau_statistics`` asks for the cut, after its last kept row; it drops
 15.4% of the stepped cells on trinomial strict and 21.3% on skewed weak at
 kmax 16384, and the dropped cells are those of the widest steps, with the
-subnormal band.  The rows yielded after the cut are therefore not survivor
-rows: they hold only the cells up to the bound (the last one, at step n,
-only floor..``U_MAX``).  A sweep that keeps a row at step n, and
+subnormal band.  The survivors yielded after the cut are therefore not
+survivor rows: they hold only the cells up to the bound (the last ones, at
+step n, only floor..``U_MAX``).  A sweep that keeps a row at step n, and
 ``killed_rows_at``, never cut.
 
 There is one sweep, the generator ``_sweep``, and it sweeps only the killed
-walk.  Its two collectors, ``tau_statistics`` and ``killed_rows_at``, read
-the ``(k, survivors, killed)`` it yields.  Its single step serves both
-arithmetic modes: rows are float64 arrays, or ``object`` arrays of
-``Fraction`` (exact reference, capped horizon).  Its ``Row``, an offset plus
-a dense array, is the one row type every collector returns.
+walk.  A step yields ``(k, cells, cut)``: one array, the stepped row after
+the cone cut and the zero trim, and one index, the floor's.  ``cells[:cut]``
+are the cells killed at step k and ``cells[cut:]`` the survivors, which
+start at the floor; the first cell is at position floor - cut.  Its two
+collectors, ``tau_statistics`` and ``killed_rows_at``, read that and build a
+``Row``, an offset plus a dense array, only for a step they keep: ``Row`` is
+the one row type every collector returns.  The single step serves both
+arithmetic modes: cells are float64 arrays, or ``object`` arrays of
+``Fraction`` (exact reference, capped horizon).
 
 A command sweeps each walk once.  Row k never depends on later steps, so
 the constants (steps up to kmax) and the checked rows (horizons up to nmax)
 are prefixes of one float sweep to max(kmax, nmax): ``tau_statistics``
-collects the killed cells and survivor columns to kmax and keeps the rows
+collects the cells at positions <= ``U_MAX`` to kmax and keeps the rows
 named in ``rows_at`` on the way; the cone cuts only the steps after the
 last of them.  Only exact rows need a sweep of their own.
 
@@ -63,14 +67,15 @@ the nonzero cells only, in position order.  Pairwise summation rounds
 differently when the element count changes, so a total that summed zero
 cells too, or in another order, would change the CLI artifacts' bytes.
 
-``tau_statistics`` copies each step's killed cells, right-aligned, into one
-``(kmax, floor - min_step)`` block and reduces the overshoot moments once,
-row by row, after the sweep.  numpy sums a run of fewer than 8 cells in a
-plain loop, so a block row of at most 7 cells (strict ``|min_step| <= 6``,
-weak ``|min_step| <= 7``) gives the per-step sum over its nonzero cells bit
-for bit; wider rows are summed pairwise and the last bit may differ.  The
-survivor columns are stored step-major too, ``(kmax, U_MAX - floor + 1)``,
-so each step writes one contiguous slice.
+``tau_statistics`` copies each step's cells at positions min_step..U_MAX,
+one contiguous slice, into one step-major ``(kmax, U_MAX + 1 - min_step)``
+block.  Its killed part, the ``floor - min_step`` cells below the floor,
+gives the overshoot moments, reduced once, row by row, after the sweep;
+its survivor part, floor..``U_MAX``, is the survivor columns.  numpy sums a
+run of fewer than 8 cells in a plain loop, so a killed part of at most 7
+cells (strict ``|min_step| <= 6``, weak ``|min_step| <= 7``) gives the
+per-step sum over its nonzero cells bit for bit; wider parts are summed
+pairwise and the last bit may differ.
 """
 
 from __future__ import annotations
@@ -136,17 +141,6 @@ class Row:
         return {self.offset + i: v for i, v in enumerate(self.values.tolist()) if v}
 
 
-def _split_killed(row: Row, barrier: Barrier) -> tuple[Row, Row]:
-    """Cut a freshly stepped row at the barrier floor: (survivors, killed cells).
-
-    Every law has a negative step, so a stepped row starts below the floor
-    and the survivors start exactly at it.
-    """
-    floor = barrier.floor
-    cut = floor - row.offset  # first surviving index, >= 1
-    return Row(floor, row.values[cut:]), Row(row.offset, row.values[:cut])
-
-
 def _trim_zeros(values: np.ndarray, tail: int) -> np.ndarray:
     """``values`` without its trailing exact-zero cells.
 
@@ -164,12 +158,16 @@ def _trim_zeros(values: np.ndarray, tail: int) -> np.ndarray:
 
 def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str,
            cone_after: int | None = None):
-    """Step the walk from 0 and yield (k, survivors, killed) for k = 1..n.
+    """Step the walk from 0 and yield (k, cells, cut) for k = 1..n.
 
+    ``cells`` is the stepped row k, its first cell at position floor - cut:
+    ``cells[:cut]`` are the cells killed at step k and ``cells[cut:]`` is
+    the survivor row, which starts at the floor and ends at its last nonzero
+    cell.  ``cut`` is floor - min_step at k = 1 and -min_step after that.
     ``cone_after`` cuts each stepped row after that step at position
     ``U_MAX + a (n - k)``, a = -min_step: a cell above it cannot reach a
-    position <= ``U_MAX`` by step n.  The rows yielded after the cut are
-    then only the cone's part of the survivor rows.
+    position <= ``U_MAX`` by step n.  The survivors yielded after the cut
+    are then only the cone's part of the survivor rows.
     """
     if n < 1:
         raise InputError("horizon must be >= 1")
@@ -186,18 +184,19 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str,
     step = dist.min_step
     (s0, i0), (s1, i1), *more = [(x - step, weights.index(p)) for x, p in zip(dist.support, probs)]
     spread = dist.max_step - step
-    after, top = n if cone_after is None else cone_after, U_MAX
+    after, top, floor = n if cone_after is None else cone_after, U_MAX, barrier.floor
     dtype = object if exact else np.float64
     column = np.array(weights, dtype=dtype)[:, None]
-    row = Row(0, np.array([Fraction(1)] if exact else [1.0], dtype=dtype))
+    v = np.array([Fraction(1)] if exact else [1.0], dtype=dtype)  # the walk at 0
+    cut = floor - step  # every law has a negative step: row k starts below the floor
     # rows never exceed 1 + (n - 1) spread cells; shift s reads the products at spread - s
     prods = np.zeros((len(weights), 1 + (n + 1) * spread), dtype=dtype)
     last = 0
     for k in range(1, n + 1):
         # in the cone, keep the stepped row's positions <= top + a (n - k); the
         # kept cells read no input cell at or beyond the same index
-        stop = top - step * (n - k) - (row.offset + step) + 1 if k > after else None
-        v = row.values[:stop]
+        stop = top - step * (n - k) - (floor - cut) + 1 if k > after else None
+        v = v[:stop]
         width = len(v)
         np.multiply(column, v, out=prods[:, spread : spread + width])
         if last > width:  # zero what a wider row left behind
@@ -208,9 +207,10 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str,
         out = np.add(prods[i0, spread - s0 : end - s0], prods[i1, spread - s1 : end - s1])
         for s, i in more:
             out += prods[i, spread - s : end - s]
-        row, killed = _split_killed(Row(row.offset + step, out[:stop]), barrier)
-        row.values = _trim_zeros(row.values, 2 * spread)
-        yield k, row, killed
+        # trim the survivors' trailing zeros; the killed cells stay whole
+        cells = out[: cut + len(_trim_zeros(out[cut:stop], 2 * spread))]
+        yield k, cells, cut
+        v, cut = cells[cut:], -step
 
 
 def killed_rows_at(dist: IncrementDistribution, ns, barrier=Barrier.STRICT,
@@ -225,10 +225,12 @@ def killed_rows_at(dist: IncrementDistribution, ns, barrier=Barrier.STRICT,
     if not ns or min(ns) < 1:
         raise InputError("horizons must be >= 1")
     wanted = set(ns)
+    barrier = Barrier.parse(barrier)
+    floor = barrier.floor
     rows, killed = {}, {}
-    for k, row, dead in _sweep(dist, max(ns), Barrier.parse(barrier), mode):
+    for k, cells, cut in _sweep(dist, max(ns), barrier, mode):
         if k in wanted:
-            rows[k], killed[k] = row, dead
+            rows[k], killed[k] = Row(floor, cells[cut:]), Row(floor - cut, cells[:cut])
     return rows, killed
 
 
@@ -240,9 +242,11 @@ class TauStatistics:
     sum_y (y/sigma)^h P(S_k = -y, tau = k); h = 0 recovers P(tau = k) and
     sigma * theta[1] is the overshoot mean E[-S_tau; tau = k].
     ``columns[i][k-1]`` is the low-lattice survivor mass
-    P(S_k = floor + i, tau > k) for floor + i <= U_MAX; ``columns`` is the
-    transposed view of a step-major ``(kmax, U_MAX - floor + 1)`` block, so
-    ``column(u)`` is a strided view of one column of it.
+    P(S_k = floor + i, tau > k) for floor + i <= U_MAX.  Both come from one
+    step-major ``(kmax, U_MAX + 1 - min_step)`` block over the positions
+    min_step..U_MAX: ``theta`` reduces its killed part, below the floor, and
+    ``columns`` is the transposed view of its survivor part, so
+    ``column(u)`` is a strided view of one column of the block.
     ``rows[n]`` is the survivor row at each horizon n the sweep was asked to
     keep, below or beyond kmax.
     """
@@ -261,12 +265,14 @@ class TauStatistics:
 
 def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRICT,
                    hmax: int = 3, rows_at=()) -> TauStatistics:
-    """Float sweep collecting the killed cells and survivor columns, then the moments.
+    """Float sweep collecting the cells at positions <= U_MAX, then the moments.
 
-    The sweep runs on to the largest horizon in ``rows_at`` and keeps the
-    survivor rows there, so one sweep serves the constants and the rows.
-    After the last kept row it sweeps only the dependency cone of the
-    positions <= U_MAX (see the module docstring).
+    Each step up to kmax copies its cells at positions min_step..U_MAX, the
+    killed cells and the low survivor columns alike, into one row of a
+    step-major block.  The sweep runs on to the largest horizon in
+    ``rows_at`` and keeps the survivor rows there, so one sweep serves the
+    constants and the rows.  After the last kept row it sweeps only the
+    dependency cone of the positions <= U_MAX (see the module docstring).
     """
     if kmax < 1:
         raise InputError("kmax must be >= 1")
@@ -274,23 +280,21 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
     if wanted and min(wanted) < 1:
         raise InputError("horizons must be >= 1")
     barrier = Barrier.parse(barrier)
-    floor = barrier.floor
-    width = floor - dist.min_step  # killed positions min_step .. floor-1
-    block = np.zeros((kmax, width))
-    cols = np.zeros((kmax, U_MAX - floor + 1))
+    floor, lo = barrier.floor, dist.min_step
+    block = np.zeros((kmax, U_MAX + 1 - lo))  # positions lo..U_MAX
     rows = {}
     cone_after = max(wanted, default=0)
-    for k, row, dead in _sweep(dist, max(wanted | {kmax}), barrier, "float64", cone_after):
+    for k, cells, cut in _sweep(dist, max(wanted | {kmax}), barrier, "float64", cone_after):
         if k <= kmax:
-            block[k - 1, width - len(dead.values):] = dead.values  # rows end at floor-1
-            low = row.values[: U_MAX + 1 - floor]  # survivor rows start at the floor
-            cols[k - 1, : len(low)] = low
+            start = floor - cut - lo  # row k starts at floor - cut
+            low = cells[: U_MAX + 1 - lo - start]
+            block[k - 1, start : start + len(low)] = low
         if k in wanted:
-            rows[k] = row
-    ys = -np.arange(dist.min_step, floor, dtype=float) / dist.sigma()  # overshoots in sigma units
-    theta = {h: (ys**h * block).sum(axis=1) for h in range(hmax + 1)}
+            rows[k] = Row(floor, cells[cut:])
+    ys = -np.arange(lo, floor, dtype=float) / dist.sigma()  # overshoots in sigma units
+    theta = {h: (ys**h * block[:, : floor - lo]).sum(axis=1) for h in range(hmax + 1)}
     return TauStatistics(dist=dist, barrier=barrier, kmax=kmax, theta=theta,
-                         columns=cols.T, rows=rows)
+                         columns=block[:, floor - lo :].T, rows=rows)
 
 
 def conditioned_interval_prob(dist: IncrementDistribution, n: int, u: float, v: float,

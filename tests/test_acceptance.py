@@ -28,7 +28,6 @@ its printed line carries the evidence:
 
 import math
 import time
-import warnings
 from fractions import Fraction as F
 
 from conftest import (CORRECTED, brute_force_killed, constants_for, downskip, free_pmf,
@@ -163,9 +162,7 @@ def _cancellation_failures(barrier, r=7) -> list[str]:
         dist = make()
         cs = constants_for(dist, barrier, hmax=b_range(r))
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # r above DEFAULT_R_CAP
-                expansion_polys(dist, r, cs)
+            expansion_polys(dist, r, cs)
         except CancellationFailure as err:
             failed.append(f"{make.__name__}: {str(err).splitlines()[0]}")
     return failed

@@ -138,6 +138,27 @@ def test_polys_json_q_is_minus_half_p(tmp_path, barrier):
         assert blob["Q"][nu] == [-c / 2 for c in p]
 
 
+@pytest.mark.parametrize("r, err", [
+    pytest.param(4, "", id="r4"),
+    pytest.param(5, "warning: r=5 above the validated range (r <= 4)\n", id="r5")])
+def test_order_above_validated_range_is_one_stderr_line(tmp_path, capsys, r, err):
+    # the CLI names an order above the validated range in one line of its
+    # own; the library assembles it silently and polys.json is its assembly
+    from poswalk import increments
+    from poswalk.constants import compute_constants
+    from poswalk.expansion import b_range, expansion_polys
+    from poswalk.oracle import tau_statistics
+
+    skewed = str(DISTS / "skewed.json")
+    rc = run(["polys", "--dist", skewed, "--r", str(r), "--kmax", "512", "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().err == err
+    dist = increments.load(skewed)
+    es = expansion_polys(dist, r, compute_constants(tau_statistics(dist, 512, hmax=b_range(r))))
+    want = json.dumps(es.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "polys.json").read_text() == want
+
+
 def test_verify_exact_mode_matches_float(tri_file, tmp_path):
     # --mode exact swaps the oracle rows for exact rationals and keeps the
     # float64 constant fits, so the series column cannot move; the float
@@ -269,17 +290,18 @@ def test_report_files(tri_file, tmp_path):
 
 
 def _kill_steps(monkeypatch):
-    """Count the sweep's kill steps: (float steps, exact steps)."""
+    """Count the sweep's steps by row dtype: (float steps, exact steps)."""
     from poswalk import oracle as oc
 
     steps = {False: 0, True: 0}
-    split = oc._split_killed
+    sweep = oc._sweep
 
-    def counting(row, barrier):
-        steps[row.values.dtype == object] += 1
-        return split(row, barrier)
+    def counting(*args, **kwargs):
+        for k, cells, cut in sweep(*args, **kwargs):
+            steps[cells.dtype == object] += 1
+            yield k, cells, cut
 
-    monkeypatch.setattr(oc, "_split_killed", counting)
+    monkeypatch.setattr(oc, "_sweep", counting)
     return steps
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -141,8 +140,7 @@ def test_negative_power_cancellation(asym):
     # the assembly raises on any nonzero negative coefficient, so reaching
     # the top order of the CLI (cli.R_MAX = 7) is an exact cancellation
     cs = constants_for(asym, Barrier.STRICT, hmax=b_range(7))
-    with pytest.warns(UserWarning, match="validated range"):
-        es = expansion_polys(asym, 7, cs)
+    es = expansion_polys(asym, 7, cs)
     assert sorted(es.P) == list(range(2, 9))
 
 
@@ -161,9 +159,7 @@ def test_polys_are_the_rounded_exact_assembly():
     # largest coefficient at r = 7 on skewed
     for dist, barrier, r in ((skewed(), Barrier.STRICT, 7), (downskip(), Barrier.WEAK, 4)):
         cs = constants_for(dist, barrier, hmax=b_range(r))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # r = 7 is above DEFAULT_R_CAP
-            es = expansion_polys(dist, r, cs)
+        es = expansion_polys(dist, r, cs)
         for eta, q in exact_assembly(dist, r, cs).items():
             want = {e: float(-2 * c) for e, c in q.terms.items()}
             assert es.P[eta].terms == want, (dist.support, barrier, eta)
@@ -351,11 +347,3 @@ def test_expansion_json_export(asym, asym_constants_strict):
     assert blob["schema_version"] == 1
     assert set(blob["P"]) == {"2", "3"}
     assert blob["constants"]["barrier"] == "strict"
-
-
-def test_r_above_validated_range_warns(tri, tri_constants_strict):
-    with pytest.warns(UserWarning, match="validated range"):
-        try:
-            expansion_polys(tri, 5, tri_constants_strict)
-        except Exception:
-            pass

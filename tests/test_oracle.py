@@ -54,10 +54,10 @@ def test_tau_pinned_values(tri):
 
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
 def test_tau_statistics_theta_matches_killed_cells(tri, asym, rich, ballot_walk, barrier):
-    # the moments reduced from the killed-cell block after the sweep equal the
-    # per-step sum over each killed row's nonzero cells in position order, bit
-    # for bit: these laws' block rows hold at most 7 cells, which numpy sums
-    # in a plain loop
+    # the moments reduced from the block's killed part after the sweep equal
+    # the per-step sum over each killed row's nonzero cells in position order,
+    # bit for bit: these laws' killed parts hold at most 7 cells, which numpy
+    # sums in a plain loop
     kmax = 256
     for dist in (tri, asym, rich, ballot_walk):
         stats = oc.tau_statistics(dist, kmax, barrier, hmax=3)
@@ -107,19 +107,23 @@ def test_sweep_matches_dense_reference(tri, asym, rich, ballot_walk, barrier, mo
     laws = [tri, asym, rich, ballot_walk, upskip_narrow()]
     if mode == "float64":
         laws.append(_plateau_law())
+    floor = oc.Barrier.parse(barrier).floor
     for dist in laws:
         ref = _dense_reference(dist, n, barrier, mode)
-        for (k, row, dead), (want, want_dead) in zip(
+        for (k, cells, cut), (want, want_dead) in zip(
                 oc._sweep(dist, n, oc.Barrier.parse(barrier), mode), ref):
-            w = len(row.values)
-            assert w and row.values[-1] != 0
+            # row k starts at min_step, then at floor + min_step
+            assert cut == (floor if k == 1 else 0) - dist.min_step
+            row, dead = cells[cut:], cells[:cut]
+            w = len(row)
+            assert w and row[-1] != 0
             assert not want[w:].any()
             if mode == "float64":
-                assert row.values.tobytes() == want[:w].tobytes()
-                assert dead.values.tobytes() == want_dead.tobytes()
+                assert row.tobytes() == want[:w].tobytes()
+                assert dead.tobytes() == want_dead.tobytes()
             else:
-                assert row.values.tolist() == want[:w].tolist()
-                assert dead.values.tolist() == want_dead.tolist()
+                assert row.tolist() == want[:w].tolist()
+                assert dead.tolist() == want_dead.tolist()
         assert k == n
 
 
@@ -259,13 +263,14 @@ def test_tau_statistics_survivor_columns(tri, asym, rich, barrier):
 def test_compute_constants_is_one_sweep(tri, monkeypatch):
     # theta, b and U1 all come from one sweep: one kill step per horizon
     calls = []
-    split = oc._split_killed
+    sweep = oc._sweep
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return split(*args, **kwargs)
+        for step in sweep(*args, **kwargs):
+            calls.append(1)
+            yield step
 
-    monkeypatch.setattr(oc, "_split_killed", counting)
+    monkeypatch.setattr(oc, "_sweep", counting)
     compute_constants(oc.tau_statistics(tri, 256))
     assert len(calls) == 256
 
@@ -343,14 +348,14 @@ def test_cone_cut_engages_only_after_the_last_kept_row(tri, monkeypatch, barrier
     # the constants' sweep ends on a row cut to the columns' cells; a sweep
     # that keeps a row at kmax, and killed_rows_at, never cut
     widths = []
-    split = oc._split_killed
+    sweep = oc._sweep
 
-    def counting(row, bar):
-        out = split(row, bar)
-        widths.append(len(out[0].values))
-        return out
+    def counting(*args, **kwargs):
+        for k, cells, cut in sweep(*args, **kwargs):
+            widths.append(len(cells) - cut)  # the survivors' cells
+            yield k, cells, cut
 
-    monkeypatch.setattr(oc, "_split_killed", counting)
+    monkeypatch.setattr(oc, "_sweep", counting)
     floor = oc.Barrier.parse(barrier).floor
     oc.tau_statistics(tri, 1024, barrier)
     assert len(widths) == 1024 and widths[-1] <= oc.U_MAX - floor + 1
