@@ -22,8 +22,8 @@ from . import increments
 from .constants import compute_constants, two_pipeline_agreement
 from .errors import InputError, NumericFailure
 from .expansion import (DEFAULT_R_CAP, ExpansionSet, b_range, error_ladder, expansion_polys,
-                        horizons, p3_and_power, snapped_grid, window)
-from .oracle import Row, conditioned_interval_prob, killed_rows_at, tau_statistics
+                        horizons, interval_deviations, p3_and_power, snapped_grid, window)
+from .oracle import Row, killed_rows_at, tau_statistics
 
 FLATNESS_BAND = 3.0
 INTEGRAL_TOL = 1e-8
@@ -47,14 +47,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerow(header)
         for row in rows:
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def _lattice_rayleigh(sigma: float, n: int, u: float, v: float) -> float:
-    """Rayleigh density x / (sigma^2 n) e^{-x^2 / (2 sigma^2 n)} summed over the
-    lattice points of [u, v] sigma sqrt(n): the limit law placed on the lattice."""
-    scale = sigma * math.sqrt(n)
-    return sum(x / (sigma**2 * n) * math.exp(-x * x / (2 * sigma**2 * n))
-               for x in range(math.ceil(u * scale), math.floor(v * scale) + 1))
 
 
 def _common(f):
@@ -139,20 +131,10 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     ns = horizons(nmax)
     dist, es, rows_by_n = _polys_and_rows(dist_path, r, barrier, kmax, mode, ns)
     p3, power = p3_and_power(dist, es, r)
-    # p_n - R_n is of the order of the first nonzero polynomial: n^{-1/2}
-    # through P_3, or n^{-1} where P_3 vanishes
-    lattice_scale = "sqrt(n)" if p3 else "n"
-
     ladder = error_ladder(es, rows_by_n, ns, snapped_grid, power)
-    be2_dev, be2_lattice_dev = {}, {}
-    target = math.exp(-0.125) - math.exp(-1.125)
-    for n in ns:
-        be2 = float(conditioned_interval_prob(dist, n, 0.5, 1.5, rows_by_n[n]))
-        be2_dev[n] = abs(be2 - target) * math.sqrt(n)
-        # be2_dev swings with the lattice term R_n - target, which comes from
-        # the limit law alone; the stdout line also shows p_n - R_n
-        order = math.sqrt(n) if p3 else n
-        be2_lattice_dev[n] = abs(be2 - _lattice_rayleigh(es.sigma, n, 0.5, 1.5)) * order
+    # be2_dev swings with the lattice term R_n - target, which comes from the
+    # limit law alone; the stdout line also shows p_n - R_n at its order
+    be2_dev, be2_lattice_dev = interval_deviations(es.sigma, rows_by_n, ns, p3)
     _write_csv(out_dir / "error_table.csv",
                ["n", "x", "exact", "approx", "abs_err", "scaled_err"], ladder.table)
     be2_ratio = (max(be2_dev.values()) / min(be2_dev.values())
@@ -180,7 +162,7 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     click.echo(f"decay exponents: { {k: f'{v:.3f}' for k, v in ladder.decay.items()} }")
     click.echo(f"flatness {ladder.flatness:.2f} (band {FLATNESS_BAND}), "
                f"BE2 scaled deviations { {n: f'{v:.3f}' for n, v in be2_dev.items()} } "
-               f"lattice-corrected {lattice_scale}|p_n - R_n| "
+               f"lattice-corrected {'sqrt(n)' if p3 else 'n'}|p_n - R_n| "
                f"{ {n: f'{v:.3f}' for n, v in be2_lattice_dev.items()} } "
                f"-> {'pass' if ok else 'FAIL'}"
                + ("; one horizon: flatness not tested" if len(ns) == 1 else ""))

@@ -43,6 +43,7 @@ from .oracle import Barrier
 
 DEFAULT_R_CAP = 4  # the validated orders; the CLI warns above it
 GRID_RATIOS = (0.2, 0.5, 1.0, 1.5, 2.0, 3.0)  # verify's points, in units of sigma sqrt(n)
+INTERVAL = (0.5, 1.5)  # verify's interval check, in units of sigma sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def tuple_weight(t: IndexTuple, ahat, b, sigma):
 
     ``ahat(q, j)`` must return sigma * sqrt(2 pi) * a_{q,j} = [t^q] ghat_{2j-q};
     the sqrt(2 pi) prefactor of the Q_eta sum then cancels, and with
-    ``Fraction`` inputs, as ``expansion_polys`` passes them, the weight is an
+    ``Fraction`` inputs, as ``exact_polys`` receives them, the weight is an
     exact ``Fraction``.
     """
     a = ahat(t.q, t.j)
@@ -155,22 +156,31 @@ def assemble_Q(eta: int, ahat, b, sigma) -> Poly:
     return total.polynomial_part()
 
 
+def exact_polys(lam, b, sigma, r: int) -> dict[int, Poly]:
+    """P_nu = -2 Q_nu for nu = 2..r+1, exact in exact inputs: the cumulant ratios
+    ``lam`` (lambda_1..lambda_{r-1}), ``b(l, h)`` and ``sigma``.
+
+    Q_eta reads sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q} as it stands
+    (ghat_0 = 1), with no division by sigma sqrt(2 pi) and multiplication
+    back; order r reads ghat_0..ghat_{r-1} (``b_range``).
+    """
+    ghats = [Poly([1])] + [ghat(lam, nu) for nu in range(1, r)]
+
+    def ahat(q: int, j: int):
+        return ghats[2 * j - q].coeff(q)
+
+    return {eta: assemble_Q(eta, ahat, b, sigma).scale(Fraction(-2)) for eta in range(2, r + 2)}
+
+
 @dataclass
 class ExpansionSet:
-    """Expansion polynomials P_2..P_{r+1} plus everything they were built from."""
+    """Expansion polynomials P_2..P_{r+1} with the sigma and constant set they were built from."""
 
     r: int
     barrier: Barrier
     sigma: float
     P: dict[int, Poly]  # P_nu = -2 Q_nu
     constants: ConstantSet
-    ghats: list[Poly]  # ghat_0 = 1, ghat_1..ghat_{r-1}: all that Q_2..Q_{r+1} read, exact
-
-    def ahat(self, q: int, j: int) -> Fraction:
-        """sigma * sqrt(2 pi) * a_{q,j} = [t^q] ghat_{2j-q}, the free-walk
-        weight the Q_eta sum reads: exact in the exact conversions of the
-        float lambda_m."""
-        return self.ghats[2 * j - q].coeff(q)
 
     def evaluate(self, n: int, x: int) -> float:
         """Truncated series value for P(S_n = x, tau > n); may go <= 0 in tails."""
@@ -213,17 +223,11 @@ def expansion_polys(dist: IncrementDistribution, r: int,
     if r < 1:
         raise InputError("r must be >= 1")
     lam = [Fraction(x) for x in cumulant_ratios(dist, r - 1)]
-    es = ExpansionSet(r=r, barrier=constants.barrier, sigma=dist.sigma(), P={},
-                      constants=constants,
-                      ghats=[Poly([1])] + [ghat(lam, nu) for nu in range(1, r)])
-
-    def b(l: int, h: int) -> Fraction:
-        return Fraction(constants.b_value(l, h))
-
-    for eta in range(2, r + 2):
-        q = assemble_Q(eta, es.ahat, b, Fraction(es.sigma))
-        es.P[eta] = Poly({e: float(-2 * c) for e, c in q.terms.items()})
-    return es
+    exact = exact_polys(lam, lambda l, h: Fraction(constants.b_value(l, h)),
+                        Fraction(dist.sigma()), r)
+    return ExpansionSet(r=r, barrier=constants.barrier, sigma=dist.sigma(), constants=constants,
+                        P={nu: Poly({e: float(c) for e, c in p.terms.items()})
+                           for nu, p in exact.items()})
 
 
 def snapped_grid(sigma: float, n: int) -> list[int]:
@@ -288,6 +292,33 @@ def error_ladder(es: ExpansionSet, rows, ns, points, power: float) -> ErrorLadde
              for a, b in zip(ns, ns[1:])}
     lo, hi = min(max_scaled.values()), max(max_scaled.values())
     return ErrorLadder(table, max_err, max_scaled, decay, hi / lo if lo > 0 else float("inf"))
+
+
+def interval_deviations(sigma: float, rows, ns, p3: Poly
+                        ) -> tuple[dict[int, float], dict[int, float]]:
+    """verify's interval check: the conditioned mass p_n = P(S_n in INTERVAL sigma sqrt(n)
+    | tau > n), the float of the exact ratio of sums of the survivor row ``rows[n]``, per
+    horizon n.  Returns sqrt(n) |p_n - target|, target = e^{-u^2/2} - e^{-v^2/2}, and
+    order |p_n - R_n|, where R_n is the Rayleigh density x / (sigma^2 n) e^{-x^2 / (2 sigma^2 n)}
+    summed over the same lattice points: the limit law placed on the lattice.  The first
+    swings with the lattice term R_n - target, which comes from the limit law alone; the
+    rest, p_n - R_n, is of order n^{-1/2} through P_3, or n^{-1} where ``p3`` vanishes,
+    and ``order`` is sqrt(n) or n to match."""
+    u, v = INTERVAL
+    target = math.exp(-u * u / 2) - math.exp(-v * v / 2)
+    raw, lattice = {}, {}
+    for n in ns:
+        scale = sigma * math.sqrt(n)
+        lo, hi = math.ceil(u * scale), math.floor(v * scale)
+        total = rows[n].total()
+        if total == 0:
+            raise InputError(f"P(tau > {n}) = 0")
+        p = float(rows[n].total(lo, hi) / total)
+        rayleigh = sum(x / (sigma**2 * n) * math.exp(-x * x / (2 * sigma**2 * n))
+                       for x in range(lo, hi + 1))
+        raw[n] = abs(p - target) * math.sqrt(n)
+        lattice[n] = abs(p - rayleigh) * (math.sqrt(n) if p3 else n)
+    return raw, lattice
 
 
 def uj_polynomial_part(expansion: ExpansionSet, j: int) -> Poly:

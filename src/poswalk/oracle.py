@@ -81,7 +81,6 @@ pairwise and the last bit may differ.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -296,17 +295,3 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
     return TauStatistics(dist=dist, barrier=barrier, kmax=kmax, theta=theta,
                          columns=block[:, floor - lo :].T, rows=rows)
 
-
-def conditioned_interval_prob(dist: IncrementDistribution, n: int, u: float, v: float,
-                              row: Row):
-    """P(S_n / (sigma sqrt n) in [u, v] | tau > n), exact ratio of sums of ``row``,
-    the survivor row at step n."""
-    if not (0 < u < v):
-        raise InputError("need 0 < u < v")
-    scale = dist.sigma() * math.sqrt(n)
-    lo = math.ceil(u * scale)
-    hi = math.floor(v * scale)
-    total = row.total()
-    if total == 0:
-        raise InputError(f"P(tau > {n}) = 0")
-    return row.total(lo, hi) / total

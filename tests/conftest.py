@@ -16,7 +16,7 @@ from poswalk import increments
 from poswalk.constants import compute_constants
 from poswalk.edgeworth import ghat
 from poswalk.errors import InputError
-from poswalk.expansion import DEFAULT_R_CAP, assemble_Q, b_range
+from poswalk.expansion import DEFAULT_R_CAP, b_range, exact_polys
 from poswalk.increments import IncrementDistribution, cumulant_ratios
 from poswalk.laurent import Poly, double_factorial
 from poswalk.oracle import Barrier, Row, tau_statistics
@@ -208,23 +208,11 @@ def placeholder_polys(*, sigma: Fraction, m3: Fraction, theta0: Fraction,
     if r > 2:
         raise InputError("placeholder assembly supports r <= 2 only")
     sigma = Fraction(sigma)
-    lam1 = Fraction(m3) / (6 * sigma**3)
     # orders eta <= 3 only consume free-walk coefficients with 2j - q <= 1,
     # so lambda_1 (the third-moment ratio) is the only ingredient needed
-    g = [Poly([1]), ghat([lam1], 1)]
+    lam = [Fraction(m3) / (6 * sigma**3)]
     bmap = {(0, 0): Fraction(theta0), (0, 1): Fraction(theta1)}
-
-    def ahat(q: int, j: int):
-        # sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q}
-        return g[2 * j - q].coeff(q) if 2 * j - q < len(g) else 0
-
-    def b(l: int, h: int):
-        return bmap.get((l, h), Fraction(0))
-
-    out: dict[int, Poly] = {}
-    for eta in range(2, r + 2):
-        out[eta] = assemble_Q(eta, ahat, b, sigma).scale(Fraction(-2))
-    return out
+    return exact_polys(lam, lambda l, h: bmap.get((l, h), Fraction(0)), sigma, r)
 
 
 def quoted_p2(sigma, theta0, **_):

@@ -35,8 +35,8 @@ from conftest import (CORRECTED, brute_force_killed, constants_for, downskip, fr
                       quoted_p2, quoted_p3, skewed, trinomial, upskip_narrow)
 from poswalk import oracle as oc
 from poswalk.errors import CancellationFailure
-from poswalk.expansion import (b_range, error_ladder, expansion_polys, horizons, p3_and_power,
-                               window)
+from poswalk.expansion import (b_range, error_ladder, expansion_polys, horizons,
+                               interval_deviations, p3_and_power, window)
 from poswalk.integral import integral_check
 from poswalk.laurent import Poly, gamma_recursive, q_jlm
 from poswalk.oracle import Barrier
@@ -292,35 +292,22 @@ def test_criterion_09_leading_order_ratio():
 
 # -- criterion 10: interval probability rate ------------------------------------
 
-def _lattice_rayleigh(sigma, n, u, v):
-    """Rayleigh density x / (sigma^2 n) e^{-x^2 / (2 sigma^2 n)} summed over the
-    lattice points of [u, v] sigma sqrt(n): the limit law placed on the lattice."""
-    scale = sigma * math.sqrt(n)
-    return sum(x / (sigma**2 * n) * math.exp(-x * x / (2 * sigma**2 * n))
-               for x in range(math.ceil(u * scale), math.floor(v * scale) + 1))
-
-
 def test_criterion_10_interval_rate():
     # Against the Rayleigh mass, sqrt(n) |p_n - target| is bounded but swings
     # with where the interval ends fall on the lattice.  That swing is the
     # lattice term R_n - target, which comes from the limit law alone.  The
     # rest, p_n - R_n, is of order n^{-1/2} where P_3 != 0 and n^{-1} where
     # P_3 vanishes; scaled by that order it must stay within a factor 2.
-    target = math.exp(-0.125) - math.exp(-1.125)
     ok = True
     details = []
     for make, vanishes in STRICT_WALKS:
         dist = make()
-        sigma = dist.sigma()
-        raw, devs = [], []
+        p3 = _p3(dist, Barrier.STRICT)
         rows = oc.killed_rows_at(dist, [100, 400, 1600], Barrier.STRICT)[0]
-        for n in (100, 400, 1600):
-            p = oc.conditioned_interval_prob(dist, n, 0.5, 1.5, rows[n])
-            raw.append(abs(p - target) * math.sqrt(n))
-            order = n if vanishes else math.sqrt(n)
-            devs.append(abs(p - _lattice_rayleigh(sigma, n, 0.5, 1.5)) * order)
+        raw, devs = (list(d.values())
+                     for d in interval_deviations(dist.sigma(), rows, [100, 400, 1600], p3))
         band = max(devs) / min(devs)
-        ok &= band <= 2.0
+        ok &= (not p3) == vanishes and band <= 2.0
         details.append(f"{make.__name__} raw sqrt(n)|p - target| "
                        f"{[f'{d:.3f}' for d in raw]}, "
                        f"{'n' if vanishes else 'sqrt(n)'}|p - R_n| "

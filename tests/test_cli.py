@@ -275,6 +275,31 @@ def test_error_ladder_is_what_verify_and_report_write(tmp_path, name, barrier, r
     assert _csv_numbers(tmp_path / "report_scaled_err.csv") == curves
 
 
+@pytest.mark.parametrize("name, r", [("trinomial", 1), ("skewed", 2)])
+def test_interval_deviations_are_what_verify_writes(tmp_path, capsys, name, r):
+    # verify's summary and its lattice-corrected stdout values come from the
+    # one interval measurement: trinomial strict (P_3 = 0) scales p_n - R_n
+    # by n, skewed strict by sqrt(n)
+    from poswalk import increments
+    from poswalk.constants import compute_constants
+    from poswalk.expansion import b_range, expansion_polys, interval_deviations, p3_and_power
+    from poswalk.oracle import tau_statistics
+
+    path, ns = str(DISTS / f"{name}.json"), [100, 400, 1600]
+    # skewed strict r = 2 fails verify's gate (flatness 3.40, ROADMAP item 2)
+    # and still writes its files
+    scale, printed = _lattice_corrected(capsys, path, str(r), tmp_path)
+    dist = increments.load(path)
+    stats = tau_statistics(dist, 4096, "strict", hmax=b_range(r), rows_at=ns)
+    es = expansion_polys(dist, r, compute_constants(stats))
+    p3 = p3_and_power(dist, es, r)[0]
+    raw, lattice = interval_deviations(es.sigma, stats.rows, ns, p3)
+    summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    assert summary["be2_scaled_deviation"] == {str(n): v for n, v in raw.items()}
+    assert printed == [float(f"{v:.3f}") for v in lattice.values()]
+    assert scale == ("sqrt(n)" if p3 else "n") == ("n" if name == "trinomial" else "sqrt(n)")
+
+
 def test_report_files(tri_file, tmp_path):
     rc = run(["report", "--dist", tri_file, "--r", "2", "--barrier", "weak",
               "--kmax", "1024", "--nmax", "400", "--out", str(tmp_path)])

@@ -11,8 +11,8 @@ from poswalk.constants import compute_constants
 from poswalk.edgeworth import ghat
 from poswalk.errors import CancellationFailure, InputError
 from poswalk.expansion import (IndexTuple, assemble_Q, b_range, enumerate_tuples,
-                               error_ladder, expansion_polys, horizons, p3_and_power,
-                               tuple_weight, uj_polynomial_part, window)
+                               error_ladder, exact_polys, expansion_polys, horizons,
+                               p3_and_power, tuple_weight, uj_polynomial_part, window)
 from poswalk.increments import cumulant_ratios
 from poswalk.laurent import Poly
 from poswalk.oracle import Barrier
@@ -71,15 +71,13 @@ def test_sweep_to_b_range_holds_every_b_its_order_reads(tri, r):
 def test_ahat_reads_ghat_bit_for_bit(dist_name, request):
     # the Q_eta sum reads sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q} as it
     # stands, with no division by sigma sqrt(2 pi) and multiplication back,
-    # exactly in the exact values of the float lambda_m
+    # exactly in the exact values of the float lambda_m, sigma and b[l, h]
     dist = request.getfixturevalue(dist_name)
-    es = expansion_polys(dist, 4, compute_constants(oc.tau_statistics(dist, 256, hmax=b_range(4))))
-    pairs = {(t.q, t.j) for t in read_tuples(4)}
-    for q, j in pairs:
-        nu = 2 * j - q
-        want = ghat([F(x) for x in cumulant_ratios(dist, nu)], nu).coeff(q) if nu else 1
-        assert es.ahat(q, j) == want
-    assert any(es.ahat(q, j) not in (0.0, 1.0) for q, j in pairs)
+    cs = compute_constants(oc.tau_statistics(dist, 256, hmax=b_range(4)))
+    lam = [F(x) for x in cumulant_ratios(dist, 3)]
+    have = exact_polys(lam, lambda l, h: F(cs.b_value(l, h)), F(dist.sigma()), 4)
+    assert have == {eta: q.scale(F(-2)) for eta, q in exact_assembly(dist, 4, cs).items()}
+    assert any(c not in (0, 1) for nu in range(1, 4) for c in ghat(lam, nu).coeffs)
 
 
 def test_expansion_takes_the_barrier_of_its_constants(tri, tri_constants_weak):
@@ -169,16 +167,15 @@ def test_cancellation_failure_diagnoses_corrupted_coefficients(asym, asym_consta
     # the eta = 4 balance ties the free-walk coefficients together across
     # four Laurent blocks; poisoning one of them must be caught and reported
     # (order 3 is the lowest whose weights cover Q_4)
-    es = expansion_polys(asym, 3, asym_constants_strict)
-    cs = asym_constants_strict
-    sigma = es.sigma
+    lam = [F(x) for x in cumulant_ratios(asym, 2)]
+    ghats = [Poly([1])] + [ghat(lam, nu) for nu in (1, 2)]
 
     def bad_ahat(q, j):
-        a = es.ahat(q, j)
+        a = ghats[2 * j - q].coeff(q)
         return 2.0 * a if (q, j) == (0, 1) else a
 
     with pytest.raises(CancellationFailure) as err:
-        assemble_Q(4, bad_ahat, cs.b_value, sigma)
+        assemble_Q(4, bad_ahat, asym_constants_strict.b_value, asym.sigma())
     assert "eta=4" in str(err.value)
     assert "min exponent" in str(err.value)
 
@@ -194,13 +191,15 @@ def test_ballot_walk_expansion_matches_free_coefficients(ballot_walk):
     # pins every piece of the assembly (signs, sigma powers, b wiring)
     cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4)
     es = expansion_polys(ballot_walk, 3, cs)
+    lam = [F(x) for x in cumulant_ratios(ballot_walk, 2)]
+    ghats = [Poly([1])] + [ghat(lam, nu) for nu in (1, 2)]
     for nu in range(2, 5):
         want = Poly()
         for j in range(0, 2 * nu):
             q = 2 * j + 2 - nu
             if q < 0:
                 continue
-            a = es.ahat(q, j)  # sigma sqrt(2 pi) a_{q,j}
+            a = ghats[2 * j - q].coeff(q)  # sigma sqrt(2 pi) a_{q,j}
             if a:
                 want = want + Poly([0] * (q + 1) + [a / ROOT2PI])
         have = es.P[nu]

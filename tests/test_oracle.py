@@ -9,6 +9,8 @@ from poswalk import increments
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
 from poswalk.errors import InputError
+from poswalk.expansion import interval_deviations
+from poswalk.laurent import Poly
 
 
 def test_free_pmf_n1_is_increment(tri):
@@ -208,28 +210,28 @@ def test_horizon_cap_exact_mode(tri):
         oc.killed_rows_at(tri, range(1, 66), "strict", mode="exact-rational")
 
 
-def test_conditioned_interval_total_and_empty(tri):
-    rows = oc.killed_rows_at(tri, [4, 30], "strict", mode="exact-rational")[0]
-    full = oc.conditioned_interval_prob(tri, 30, 1e-9, 1e9, rows[30])
-    assert full == 1
-    none = oc.conditioned_interval_prob(tri, 4, 5.0, 6.0, rows[4])
-    assert none == 0
+TARGET = math.exp(-0.125) - math.exp(-1.125)  # the limit mass of [0.5, 1.5] sigma sqrt(n)
+
+
+def test_conditioned_interval_total_and_empty():
+    # sigma = 1, n = 100: the interval holds the lattice points 5..15
+    inside = oc.Row(5, np.full(11, 0.25))
+    outside = oc.Row(1, np.array([0.5, 0.25, 0.0, 0.5] + [0.0] * 12 + [0.25]))
+    raw, _ = interval_deviations(1.0, {100: inside}, [100], Poly([1]))
+    assert raw[100] == abs(1.0 - TARGET) * 10
+    raw, _ = interval_deviations(1.0, {100: outside}, [100], Poly([1]))
+    assert raw[100] == TARGET * 10
 
 
 def test_conditioned_interval_near_gaussian(tri):
     row = oc.killed_rows_at(tri, [100], "strict")[0][100]
-    p = oc.conditioned_interval_prob(tri, 100, 0.5, 1.5, row)
-    assert abs(p - (math.exp(-0.125) - math.exp(-1.125))) < 0.2
-
-
-def test_conditioned_interval_requires_valid_band(tri):
-    with pytest.raises(InputError):
-        oc.conditioned_interval_prob(tri, 10, 1.5, 0.5, oc.killed_rows_at(tri, [10])[0][10])
+    raw, _ = interval_deviations(tri.sigma(), {100: row}, [100], Poly())
+    assert raw[100] / math.sqrt(100) < 0.2
 
 
 def test_degenerate_conditioning_guard(tri):
     with pytest.raises(InputError, match=r"P\(tau > 5\) = 0"):
-        oc.conditioned_interval_prob(tri, 5, 0.5, 1.5, oc.Row(1, np.zeros(6)))
+        interval_deviations(tri.sigma(), {5: oc.Row(1, np.zeros(6))}, [5], Poly())
 
 
 def test_row_get_and_total(asym, rich):
