@@ -5,12 +5,17 @@ The free local probability expands as
     P(S_n = x) ~ e^{-z^2/2n} / (sigma sqrt(2 pi)) * sum_{q,j} ahat_{q,j} z^q / n^{j+1/2},
 
 with z = x/sigma, where the weights regroup the classical Hermite/cumulant
-correction polynomials.  The building block is a series of polynomials
-indexed by partitions of nu,
+correction polynomials.  The building blocks ghat_nu are the u^nu
+coefficients of
 
-    ghat_nu(t) = sum_{k_1 + 2 k_2 + ... = nu}  H_{nu+2s}(t) * prod_m lam_m^{k_m} / k_m!,
+    exp(sum_{m >= 1} lam_m u^m x^{m+2}) = sum_nu g_nu(x) u^nu,
 
-with lam_m = gamma_{m+2} / ((m+2)! sigma^{m+2}) and s = sum k_m, and the
+with lam_m = gamma_{m+2} / ((m+2)! sigma^{m+2}), each x^k read as H_k(t).
+Differentiating in u gives the recurrence
+
+    g_0 = 1,    nu g_nu = sum_{m=1}^{nu} m lam_m x^{m+2} g_{nu-m},
+
+which ``ghats`` runs; it needs only int * lam, Poly sums and * 1/nu.  The
 weight of z^q / n^{j+1/2} is ahat_{q,j} = [t^q] ghat_{2j-q} (ghat_0 = 1).
 ghat_nu is sqrt(2 pi) times the usual correction polynomial; keeping the
 sqrt(2 pi) out makes every coefficient exactly rational whenever the lam_m
@@ -20,7 +25,7 @@ the placeholder tests on rational stand-ins.
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError
@@ -40,40 +45,20 @@ def hermite(m: int) -> Poly:
     return cur.shift(1) - prev.scale(m - 1)
 
 
-def partitions(nu: int) -> list[tuple[int, ...]]:
-    """All nonnegative (k_1..k_nu) with sum m*k_m = nu, by recursive descent."""
-    if nu < 1:
-        raise InputError("nu must be >= 1")
-    out: list[tuple[int, ...]] = []
+def ghats(lambdas, count: int) -> list[Poly]:
+    """[ghat_0, ..., ghat_count]; exact iff the lambdas are exact.
 
-    def descend(m: int, remaining: int, acc: list[int]) -> None:
-        if m == nu:
-            if remaining % nu == 0:
-                out.append(tuple(acc + [remaining // nu]))
-            return
-        for k in range(remaining // m, -1, -1):
-            descend(m + 1, remaining - m * k, acc + [k])
-
-    descend(1, nu, [])
-    return out
-
-
-def ghat(lambdas, nu: int) -> Poly:
-    """sqrt(2 pi) * qhat_nu as a polynomial; exact iff the lambdas are exact.
-
-    ``lambdas[m-1]`` holds lam_m for m = 1..nu.  Degree is 3 nu (attained when
-    lam_1 != 0) and only powers with the parity of nu occur.
+    ``lambdas[m-1]`` holds lam_m for m = 1..count.  The recurrence builds g_nu
+    in a formal x, whose x^k is then read as H_k; g_nu holds only the powers
+    x^nu, x^{nu+2}, ..., x^{3 nu}, so ghat_nu has degree 3 nu (attained when
+    lam_1 != 0) and the parity of nu.
     """
-    if len(lambdas) < nu:
-        raise InputError(f"need lambda_1..lambda_{nu}")
-    out = Poly()
-    for ks in partitions(nu):
-        s = sum(ks)
-        weight = 1
-        for m, k in enumerate(ks, start=1):
-            if k:
-                weight = weight * lambdas[m - 1] ** k / math.factorial(k)
-        if weight == 0:
-            continue
-        out = out + hermite(nu + 2 * s).scale(weight)
-    return out
+    if len(lambdas) < count:
+        raise InputError(f"need lambda_1..lambda_{count}")
+    g = [Poly([1])]
+    for nu in range(1, count + 1):
+        acc = Poly()
+        for m in range(1, nu + 1):
+            acc = acc + g[nu - m].shift(m + 2).scale(m * lambdas[m - 1])
+        g.append(acc.scale(Fraction(1, nu)))
+    return [sum((hermite(k).scale(c) for k, c in p.terms.items()), Poly()) for p in g]

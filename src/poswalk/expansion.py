@@ -14,7 +14,7 @@ of  a_{q,j} C(q,s) (-1)^{nu+mu} / (2^mu nu! mu!) b[l, s+nu+2mu]
     * q_jlm(l+1, j+nu+mu, q-s+nu),
 
 times sqrt(2 pi).  The a_{q,j} are the free walk's local-CLT weights, read
-as sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q} (edgeworth; ghat_0 = 1), the
+as sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q} (``edgeworth.ghats``; ghat_0 = 1), the
 b[l,h] are overshoot-moment constants (constants), and
 q_jlm are exact Laurent polynomials whose negative powers must cancel in
 the sum.  The assembled closed forms at the lowest orders are
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constants import ConstantSet
-from .edgeworth import ghat
+from .edgeworth import ghats
 from .errors import CancellationFailure, InputError
 from .increments import IncrementDistribution, cumulant_ratios
 from .laurent import Poly, q_jlm
@@ -109,15 +109,15 @@ def b_range(r: int) -> int:
     return max(1, r - 1)
 
 
-def tuple_weight(t: IndexTuple, ahat, b, sigma):
+def tuple_weight(t: IndexTuple, g, b, sigma):
     """Scalar multiplying q_jlm for one tuple.
 
-    ``ahat(q, j)`` must return sigma * sqrt(2 pi) * a_{q,j} = [t^q] ghat_{2j-q};
-    the sqrt(2 pi) prefactor of the Q_eta sum then cancels, and with
-    ``Fraction`` inputs, as ``exact_polys`` receives them, the weight is an
-    exact ``Fraction``.
+    It reads sigma * sqrt(2 pi) * a_{q,j} = [t^q] g[2j-q] from the list
+    ``g = ghats(lam, ...)``; the sqrt(2 pi) prefactor of the Q_eta sum then
+    cancels, and with ``Fraction`` inputs, as ``exact_polys`` receives them,
+    the weight is an exact ``Fraction``.
     """
-    a = ahat(t.q, t.j)
+    a = g[2 * t.j - t.q].coeff(t.q)
     if a == 0:
         return 0
     bval = b(t.l, t.h)
@@ -128,8 +128,9 @@ def tuple_weight(t: IndexTuple, ahat, b, sigma):
     return a * math.comb(t.q, t.s) * sign * bval / (sigma * denom)
 
 
-def assemble_Q(eta: int, ahat, b, sigma) -> Poly:
-    """Assemble Q_eta; its negative Laurent exponents must cancel.
+def assemble_Q(eta: int, g, b, sigma) -> Poly:
+    """Assemble Q_eta from the list ``g`` of ghat_0..ghat_{eta-2} and ``b(l, h)``;
+    its negative Laurent exponents must cancel.
 
     With exact inputs the cancellation is an identity, so any negative
     exponent that keeps a nonzero coefficient raises CancellationFailure,
@@ -138,7 +139,7 @@ def assemble_Q(eta: int, ahat, b, sigma) -> Poly:
     contributions: list[tuple[IndexTuple, object, Poly]] = []
     total = Poly()
     for t in enumerate_tuples(eta):
-        w = tuple_weight(t, ahat, b, sigma)
+        w = tuple_weight(t, g, b, sigma)
         if w == 0:
             continue
         base = q_jlm(t.l + 1, t.j + t.nu + t.mu, t.q - t.s + t.nu)
@@ -160,16 +161,12 @@ def exact_polys(lam, b, sigma, r: int) -> dict[int, Poly]:
     """P_nu = -2 Q_nu for nu = 2..r+1, exact in exact inputs: the cumulant ratios
     ``lam`` (lambda_1..lambda_{r-1}), ``b(l, h)`` and ``sigma``.
 
-    Q_eta reads sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q} as it stands
-    (ghat_0 = 1), with no division by sigma sqrt(2 pi) and multiplication
-    back; order r reads ghat_0..ghat_{r-1} (``b_range``).
+    Q_eta reads sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q} from the list
+    ``ghats(lam, r - 1)`` as it stands: order r reads ghat_0..ghat_{r-1}
+    (``b_range``).
     """
-    ghats = [Poly([1])] + [ghat(lam, nu) for nu in range(1, r)]
-
-    def ahat(q: int, j: int):
-        return ghats[2 * j - q].coeff(q)
-
-    return {eta: assemble_Q(eta, ahat, b, sigma).scale(Fraction(-2)) for eta in range(2, r + 2)}
+    g = ghats(lam, r - 1)
+    return {eta: assemble_Q(eta, g, b, sigma).scale(Fraction(-2)) for eta in range(2, r + 2)}
 
 
 @dataclass

@@ -14,7 +14,7 @@ import pytest
 
 from poswalk import increments
 from poswalk.constants import compute_constants
-from poswalk.edgeworth import ghat
+from poswalk.edgeworth import ghats
 from poswalk.errors import InputError
 from poswalk.expansion import DEFAULT_R_CAP, b_range, exact_polys
 from poswalk.increments import IncrementDistribution, cumulant_ratios
@@ -175,7 +175,7 @@ def lclt_coefficients(dist: IncrementDistribution, r: int) -> list[Poly]:
     if r < 1:
         raise InputError("r must be >= 1")
     lam = cumulant_ratios(dist, r + 1)
-    g = [Poly([1])] + [ghat(lam, nu) for nu in range(1, r + 2)]
+    g = ghats(lam, r + 1)
     scale = dist.sigma() * math.sqrt(2 * math.pi)
     return [Poly([float(g[2 * j - q].coeff(q)) / scale if 2 * j - q <= r + 1 else 0.0
                   for q in range(0, (3 * j) // 2 + 1)])

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import free_pmf, lclt_coefficients, lclt_evaluate
-from poswalk.edgeworth import ghat, hermite, partitions
+from poswalk.edgeworth import ghats, hermite
+from poswalk.errors import InputError
 from poswalk.increments import cumulant_ratios
 from poswalk.laurent import Poly
 
@@ -34,22 +35,39 @@ def test_h_even_at_zero():
                                              2**mu * math.factorial(mu))
 
 
-def test_partition_enumeration():
-    assert partitions(1) == [(1,)]
-    assert sorted(partitions(2)) == [(0, 1), (2, 0)]
-    assert len(partitions(3)) == 3
-    assert all(sum((m + 1) * k for m, k in enumerate(ks)) == 5 for ks in partitions(5))
-
-
 def test_ghat1_closed_form():
     lam1 = F(7, 100)
-    g = ghat([lam1], 1)
-    assert g == Poly([0, -3 * lam1, 0, lam1])
+    g = ghats([lam1], 1)
+    assert g == [Poly([1]), Poly([0, -3 * lam1, 0, lam1])]
+
+
+def test_ghats_pinned_to_the_exponential_form():
+    # the u^2 and u^3 coefficients of exp(sum_m lam_m u^m H_{m+2}), term by term
+    l1, l2, l3 = F(7, 100), F(-3, 50), F(11, 200)
+    g = ghats([l1, l2, l3], 3)
+    assert g[2] == hermite(4).scale(l2) + hermite(6).scale(l1**2 / 2)
+    assert g[3] == (hermite(5).scale(l3) + hermite(7).scale(l1 * l2)
+                    + hermite(9).scale(l1**3 / 6))
+
+
+def test_ghats_odd_orders_vanish_without_odd_cumulants():
+    # lam_m = 0 for every odd m: only even u-powers survive the exponential
+    g = ghats([0, F(1, 7), 0, F(-2, 9), 0, F(3, 11)], 6)
+    assert len(g) == 7
+    assert all(g[nu] == Poly() for nu in (1, 3, 5))
+    assert all(g[nu] for nu in (0, 2, 4, 6))
+
+
+def test_ghats_base_and_short_input():
+    assert ghats([F(1, 3)], 0) == [Poly([1])]
+    assert ghats([], 0) == [Poly([1])]
+    with pytest.raises(InputError, match="lambda_1..lambda_3"):
+        ghats([F(1, 3), F(1, 5)], 3)
 
 
 def ghat_of(dist, nu):
     """sqrt(2 pi) times the free-walk correction polynomial qhat_nu of ``dist``."""
-    return ghat(cumulant_ratios(dist, nu), nu)
+    return ghats(cumulant_ratios(dist, nu), nu)[nu]
 
 
 def test_ghat_first_correction(asym):

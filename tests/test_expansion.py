@@ -5,10 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (CORRECTED, constants_for, downskip, placeholder_polys, quoted_p2,
-                      quoted_p3, skewed)
+                      quoted_p3, skewed, upskip, upskip_narrow)
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
-from poswalk.edgeworth import ghat
+from poswalk.edgeworth import ghats
 from poswalk.errors import CancellationFailure, InputError
 from poswalk.expansion import (IndexTuple, assemble_Q, b_range, enumerate_tuples,
                                error_ladder, exact_polys, expansion_polys, horizons,
@@ -68,16 +68,16 @@ def test_sweep_to_b_range_holds_every_b_its_order_reads(tri, r):
 
 
 @pytest.mark.parametrize("dist_name", ["asym", "tri"])
-def test_ahat_reads_ghat_bit_for_bit(dist_name, request):
-    # the Q_eta sum reads sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q} as it
-    # stands, with no division by sigma sqrt(2 pi) and multiplication back,
-    # exactly in the exact values of the float lambda_m, sigma and b[l, h]
+def test_exact_polys_reads_ghats_as_they_stand(dist_name, request):
+    # the Q_eta sum reads sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q} from the
+    # ghats list as it stands, exactly in the exact values of the float
+    # lambda_m, sigma and b[l, h]
     dist = request.getfixturevalue(dist_name)
     cs = compute_constants(oc.tau_statistics(dist, 256, hmax=b_range(4)))
     lam = [F(x) for x in cumulant_ratios(dist, 3)]
     have = exact_polys(lam, lambda l, h: F(cs.b_value(l, h)), F(dist.sigma()), 4)
     assert have == {eta: q.scale(F(-2)) for eta, q in exact_assembly(dist, 4, cs).items()}
-    assert any(c not in (0, 1) for nu in range(1, 4) for c in ghat(lam, nu).coeffs)
+    assert any(c not in (0, 1) for g in ghats(lam, 3) for c in g.coeffs)
 
 
 def test_expansion_takes_the_barrier_of_its_constants(tri, tri_constants_weak):
@@ -142,12 +142,25 @@ def test_negative_power_cancellation(asym):
     assert sorted(es.P) == list(range(2, 9))
 
 
+def test_odd_orders_vanish_exactly_on_the_symmetric_walk(tri):
+    # the trinomial has max step +1 and odd cumulants 0: under the strict
+    # barrier the ballot identity gives P_nu = t ghat_{nu-2} / sqrt(2 pi), and
+    # every odd ghat is exactly zero, so the exact assembly leaves P_3, P_5 and
+    # P_7 empty through the top order (cli.R_MAX = 7); the even orders keep
+    # the nu - 1 terms of t ghat_{nu-2}.  The weak barrier's overshoot fills
+    # every order
+    strict = expansion_polys(tri, 7, constants_for(tri, Barrier.STRICT, hmax=b_range(7))).P
+    assert [strict[nu] for nu in (3, 5, 7)] == [Poly()] * 3
+    assert [len(strict[nu].terms) for nu in (2, 4, 6, 8)] == [1, 3, 5, 7]
+    weak = expansion_polys(tri, 7, constants_for(tri, Barrier.WEAK, hmax=b_range(7))).P
+    assert all(weak[nu] for nu in range(2, 9))
+
+
 def exact_assembly(dist, r, cs) -> dict[int, Poly]:
     """Q_2..Q_{r+1} from the exact values of the float lambda_m, sigma and b[l, h]."""
     lam = [F(x) for x in cumulant_ratios(dist, r - 1)]
-    ghats = [Poly([1])] + [ghat(lam, nu) for nu in range(1, r)]
-    return {eta: assemble_Q(eta, lambda q, j: ghats[2 * j - q].coeff(q),
-                            lambda l, h: F(cs.b_value(l, h)), F(dist.sigma()))
+    g = ghats(lam, r - 1)
+    return {eta: assemble_Q(eta, g, lambda l, h: F(cs.b_value(l, h)), F(dist.sigma()))
             for eta in range(2, r + 2)}
 
 
@@ -166,48 +179,41 @@ def test_polys_are_the_rounded_exact_assembly():
 def test_cancellation_failure_diagnoses_corrupted_coefficients(asym, asym_constants_strict):
     # the eta = 4 balance ties the free-walk coefficients together across
     # four Laurent blocks; poisoning one of them must be caught and reported
-    # (order 3 is the lowest whose weights cover Q_4)
-    lam = [F(x) for x in cumulant_ratios(asym, 2)]
-    ghats = [Poly([1])] + [ghat(lam, nu) for nu in (1, 2)]
-
-    def bad_ahat(q, j):
-        a = ghats[2 * j - q].coeff(q)
-        return 2.0 * a if (q, j) == (0, 1) else a
-
+    # (order 3 is the lowest whose weights cover Q_4); only (q, j) = (0, 1)
+    # reads the poisoned [t^0] ghat_2
+    g = ghats([F(x) for x in cumulant_ratios(asym, 2)], 2)
+    g[2] = Poly({**g[2].terms, 0: 2.0 * g[2].coeff(0)})
     with pytest.raises(CancellationFailure) as err:
-        assemble_Q(4, bad_ahat, asym_constants_strict.b_value, asym.sigma())
+        assemble_Q(4, g, asym_constants_strict.b_value, asym.sigma())
     assert "eta=4" in str(err.value)
     assert "min exponent" in str(err.value)
 
 
 def test_tuple_weight_zero_short_circuits():
     t = IndexTuple(j=0, q=0, s=0, nu=0, mu=0, l=0)
-    assert tuple_weight(t, lambda q, j: 0.0, lambda l, h: 1.0, 1.0) == 0
+    assert tuple_weight(t, [Poly()], lambda l, h: 1.0, 1.0) == 0
 
 
-def test_ballot_walk_expansion_matches_free_coefficients(ballot_walk):
+def test_ballot_walk_expansion_matches_free_coefficients():
     # max step +1, strict barrier: survivors satisfy an exact ballot
-    # identity, so P_nu(t) = sigma * sum_{2j+2-q=nu} a_{q,j} t^{q+1}; this
-    # pins every piece of the assembly (signs, sigma powers, b wiring)
-    cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4)
-    es = expansion_polys(ballot_walk, 3, cs)
-    lam = [F(x) for x in cumulant_ratios(ballot_walk, 2)]
-    ghats = [Poly([1])] + [ghat(lam, nu) for nu in (1, 2)]
-    for nu in range(2, 5):
-        want = Poly()
-        for j in range(0, 2 * nu):
-            q = 2 * j + 2 - nu
-            if q < 0:
-                continue
-            a = ghats[2 * j - q].coeff(q)  # sigma sqrt(2 pi) a_{q,j}
-            if a:
-                want = want + Poly([0] * (q + 1) + [a / ROOT2PI])
-        have = es.P[nu]
-        scale = max(abs(c) for c in want.coeffs) if want else 1.0
-        n_terms = max(len(want.coeffs), len(have.coeffs))
-        for i in range(n_terms):
-            assert float(have.coeff(i)) == pytest.approx(float(want.coeff(i)),
-                                                         abs=2e-4 * scale)
+    # identity, so P_nu(t) = sigma * sum_{2j+2-q=nu} a_{q,j} t^{q+1}
+    # = t ghat_{nu-2}(t) / sqrt(2 pi); this pins every piece of the assembly
+    # (signs, sigma powers, b wiring) through order 5.  Measured gaps, relative
+    # to the largest coefficient at kmax 4096: <= 4.6e-13 for P_2, P_3 and
+    # <= 6.1e-9 for P_4, P_5 (fit error in b[1, .]) on upskip, <= 1.4e-14 and
+    # <= 5.0e-10 on upskip_narrow (sigma != 1); the bounds keep a 16x margin
+    for walk in (upskip(), upskip_narrow()):
+        cs = constants_for(walk, Barrier.STRICT, hmax=4)
+        es = expansion_polys(walk, 4, cs)
+        g = ghats([F(x) for x in cumulant_ratios(walk, 3)], 3)
+        for nu in range(2, 6):
+            want = g[nu - 2].shift(1).scale(1 / ROOT2PI)
+            have = es.P[nu]
+            scale = max(abs(c) for c in want.terms.values())
+            bound = (1e-11 if nu <= 3 else 1e-7) * scale
+            for i in set(want.terms) | set(have.terms):
+                gap = abs(float(have.coeff(i)) - float(want.coeff(i)))
+                assert gap <= bound, (walk.probs, nu, i)
 
 
 def test_full_order_decay_at_cap(ballot_walk):
