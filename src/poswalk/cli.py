@@ -3,20 +3,20 @@
 Every run is deterministic: identical configuration produces byte-identical
 CSV/JSON artifacts, and no environment variable changes what a command does.
 
-Exit codes: 0 success, 1 verification-threshold failure, 2 input error
-(``InputError`` or an unreadable file), 3 numeric failure (``NumericFailure``).
+Exit codes: 0 success, 1 verification-threshold failure, 2 usage error (from
+the parser) or input error (``InputError`` or an unreadable file), 3 numeric
+failure (``NumericFailure``).
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
-
-import click
 
 from . import increments
 from .constants import compute_constants, two_pipeline_agreement
@@ -49,24 +49,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _common(f):
-    f = click.option("--dist", "dist_path", required=True, type=click.Path(exists=True),
-                     help="distribution JSON file")(f)
-    f = click.option("--r", "r", type=click.IntRange(1, R_MAX), default=2,
-                     show_default=True, help="expansion order")(f)
-    f = click.option("--barrier", type=click.Choice(["strict", "weak"]), default="strict",
-                     show_default=True)(f)
-    f = click.option("--kmax", type=int, default=4096, show_default=True,
-                     help="horizon for constant fits")(f)
-    f = click.option("--out", "out_dir", type=click.Path(path_type=Path), default=Path("out"),
-                     show_default=True)(f)
-    return f
-
-
-_mode = click.option("--mode", type=click.Choice(["exact", "float"]), default="float",
-                     show_default=True, help="arithmetic of the oracle rows")
-
-
 def _polys_and_rows(dist_path, r: int, barrier: str, kmax: int, mode: str = "float", ns=()
                     ) -> tuple[increments.IncrementDistribution, ExpansionSet, dict[int, Row]]:
     """The law, P_2..P_{r+1} and the survivor rows at ``ns``: load, sweep, fits, assembly.
@@ -86,46 +68,32 @@ def _polys_and_rows(dist_path, r: int, barrier: str, kmax: int, mode: str = "flo
     rows = rows if exact else stats.rows
     cs = compute_constants(stats)
     if r > DEFAULT_R_CAP:
-        click.echo(f"warning: r={r} above the validated range (r <= {DEFAULT_R_CAP})", err=True)
+        print(f"warning: r={r} above the validated range (r <= {DEFAULT_R_CAP})", file=sys.stderr)
     return dist, expansion_polys(dist, r, cs), rows
 
 
-@click.group()
-def cli():
-    """Expansion polynomials for walks conditioned to stay positive."""
-
-
-@cli.command("constants")
-@_common
 def cmd_constants(dist_path, r, barrier, kmax, out_dir):
     """Compute theta0, theta1, b and the U1 table; write constants.json."""
     cs = compute_constants(tau_statistics(increments.load(dist_path), kmax, barrier,
                                           hmax=b_range(r)))
     agree = two_pipeline_agreement(cs)
     _write_json(out_dir / "constants.json", {**cs.to_json_dict(), "two_pipeline_agreement": agree})
-    click.echo(f"theta0={cs.theta0!r} theta1={cs.theta1!r} "
-               f"two-pipeline agreement: {'pass' if agree['pass'] else 'FAIL'}")
+    print(f"theta0={cs.theta0!r} theta1={cs.theta1!r} "
+          f"two-pipeline agreement: {'pass' if agree['pass'] else 'FAIL'}")
     return 0 if agree["pass"] else 1
 
 
-@cli.command("polys")
-@_common
 def cmd_polys(dist_path, r, barrier, kmax, out_dir):
     """Assemble P_2..P_{r+1}; write polys.json."""
     _, es, _ = _polys_and_rows(dist_path, r, barrier, kmax)
     _write_json(out_dir / "polys.json", es.to_json_dict())
     for nu in range(2, r + 2):
         p = es.P[nu]
-        click.echo(f"P_{nu}: degree {p.degree() if p else 0}, "
-                   f"coeffs {[float(c) for c in p.coeffs]}")
+        print(f"P_{nu}: degree {p.degree() if p else 0}, "
+              f"coeffs {[float(c) for c in p.coeffs]}")
     return 0
 
 
-@cli.command("verify")
-@_common
-@_mode
-@click.option("--nmax", type=int, default=1600, show_default=True,
-              help="largest horizon in the n list 100,400,...")
 def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     """Exact-vs-expansion error table, decay exponents and interval check."""
     ns = horizons(nmax)
@@ -158,20 +126,17 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
         "pass": bool(ok),
     }
     _write_json(out_dir / "verify_summary.json", summary)
-    click.echo(f"max scaled err per n: { {n: f'{v:.4e}' for n, v in ladder.max_scaled.items()} }")
-    click.echo(f"decay exponents: { {k: f'{v:.3f}' for k, v in ladder.decay.items()} }")
-    click.echo(f"flatness {ladder.flatness:.2f} (band {FLATNESS_BAND}), "
-               f"BE2 scaled deviations { {n: f'{v:.3f}' for n, v in be2_dev.items()} } "
-               f"lattice-corrected {'sqrt(n)' if p3 else 'n'}|p_n - R_n| "
-               f"{ {n: f'{v:.3f}' for n, v in be2_lattice_dev.items()} } "
-               f"-> {'pass' if ok else 'FAIL'}"
-               + ("; one horizon: flatness not tested" if len(ns) == 1 else ""))
+    print(f"max scaled err per n: { {n: f'{v:.4e}' for n, v in ladder.max_scaled.items()} }")
+    print(f"decay exponents: { {k: f'{v:.3f}' for k, v in ladder.decay.items()} }")
+    print(f"flatness {ladder.flatness:.2f} (band {FLATNESS_BAND}), "
+          f"BE2 scaled deviations { {n: f'{v:.3f}' for n, v in be2_dev.items()} } "
+          f"lattice-corrected {'sqrt(n)' if p3 else 'n'}|p_n - R_n| "
+          f"{ {n: f'{v:.3f}' for n, v in be2_lattice_dev.items()} } "
+          f"-> {'pass' if ok else 'FAIL'}"
+          + ("; one horizon: flatness not tested" if len(ns) == 1 else ""))
     return 0 if ok else 1
 
 
-@cli.command("integral-check")
-@click.option("--out", "out_dir", type=click.Path(path_type=Path), default=Path("out"),
-              show_default=True)
 def cmd_integral_check(out_dir):
     """Quadrature vs closed form for the half-line Gaussian-tail integral."""
     # imported here: its Gauss-Legendre rules (and numpy.polynomial) load on
@@ -183,14 +148,10 @@ def cmd_integral_check(out_dir):
     _write_csv(Path(out_dir) / "integral_check.csv",
                ["b", "z", "closed_form", "quadrature", "rel_error"], out)
     worst = max(r.rel_error for r in rows)
-    click.echo(f"{len(rows)} cases, worst relative error {worst:.3e}")
+    print(f"{len(rows)} cases, worst relative error {worst:.3e}")
     return 0 if worst <= INTEGRAL_TOL else 1
 
 
-@cli.command("report")
-@_common
-@_mode
-@click.option("--nmax", type=int, default=1600, show_default=True)
 def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     """Plot-ready data: profiles per n, scaled-error curves, U1 table."""
     ns = horizons(nmax)
@@ -221,24 +182,60 @@ def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     _write_csv(out_dir / "report_scaled_err.csv",
                ["r", "n", "max_abs_err", "max_scaled_err"], curves)
     _write_csv(out_dir / "report_u1.csv", ["u", "u1", "linear_ref"], u1_rows)
-    click.echo(f"wrote report files to {out_dir}")
+    print(f"wrote report files to {out_dir}")
     return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The option parser: one subparser per command, whose ``func`` default runs it."""
+    # allow_abbrev=False on every parser: --bar is not --barrier
+    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    # required, so no default to show in --help
+    shared.add_argument("--dist", dest="dist_path", metavar="FILE", required=True,
+                        default=argparse.SUPPRESS, help="distribution JSON file")
+    shared.add_argument("--r", type=int, choices=range(1, R_MAX + 1), default=2,
+                        metavar=f"1..{R_MAX}", help="expansion order")
+    shared.add_argument("--barrier", choices=["strict", "weak"], default="strict",
+                        help="barrier convention")
+    shared.add_argument("--kmax", type=int, default=4096, help="horizon for constant fits")
+    rows = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    rows.add_argument("--mode", choices=["exact", "float"], default="float",
+                      help="arithmetic of the oracle rows")
+    rows.add_argument("--nmax", type=int, default=1600,
+                      help="largest horizon in the n list 100,400,...")
+
+    top = argparse.ArgumentParser(prog="poswalk", allow_abbrev=False, description=(
+        "Expansion polynomials for walks conditioned to stay positive."))
+    commands = top.add_subparsers(metavar="command", required=True)
+    # built on each call of main, so a cmd_* name rebound after import (a
+    # tracer's wrapper, a test's stub) is the one the command runs
+    for name, func, parents, text in [
+            ("constants", cmd_constants, [shared], "theta0, theta1, b, U1; write constants.json"),
+            ("polys", cmd_polys, [shared], "assemble P_2..P_{r+1}; write polys.json"),
+            ("verify", cmd_verify, [shared, rows], "error table, decay exponents, interval check"),
+            ("integral-check", cmd_integral_check, [], "tail-integral quadrature vs closed form"),
+            ("report", cmd_report, [shared, rows], "plot-ready profiles, error curves, U1")]:
+        sub = commands.add_parser(name, parents=parents, help=text, description=text,
+                                  allow_abbrev=False,
+                                  formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        sub.add_argument("--out", dest="out_dir", metavar="DIR", type=Path,
+                         default=Path("out"), help="output directory")
+        sub.set_defaults(func=func)
+    return top
 
 
 def main(argv=None) -> int:
     try:
-        rc = cli.main(args=argv, standalone_mode=False)
-        return int(rc) if isinstance(rc, int) else 0
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 2
-    except click.Abort:
-        return 2
+        args = vars(_parser().parse_args(argv))
+    except SystemExit as exc:  # --help (0) or a usage error (2), already printed
+        return exc.code
+    try:
+        return args.pop("func")(**args)
     except (InputError, OSError) as exc:
-        click.echo(f"input error: {exc}", err=True)
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericFailure as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 
 

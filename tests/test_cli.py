@@ -67,9 +67,13 @@ def test_malformed_file_exit_two(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
-def test_missing_file_exit_two(tmp_path):
-    rc = run(["constants", "--dist", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
+def test_missing_file_exit_two(tmp_path, capsys):
+    # no parser check: the law is loaded before any sweep, and its OSError is an input error
+    out = tmp_path / "out"
+    rc = run(["constants", "--dist", str(tmp_path / "nope.json"), "--out", str(out)])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("input error: [Errno 2] ")
+    assert not out.exists()
 
 
 def test_constants_schema_and_agreement(tri_file, tmp_path):
@@ -384,11 +388,12 @@ def test_horizon_without_lattice_points_exit_two(tmp_path, capsys, command, nmax
     assert list(out.iterdir()) == []
 
 
-def test_order_above_partition_cap_is_usage_error(tmp_path, capsys, monkeypatch):
-    # --r stops at cli.R_MAX = 7, the highest order the tests and CI
-    # exercise: --r 8 is refused before any sweep, naming the option
+@pytest.mark.parametrize("r", ["8", "0"])
+def test_order_above_partition_cap_is_usage_error(tmp_path, capsys, monkeypatch, r):
+    # --r runs from 1 to cli.R_MAX = 7, the highest order the tests and CI
+    # exercise: --r 8 or 0 is refused before any sweep, naming the option
     steps = _kill_steps(monkeypatch)
-    rc = run(["polys", "--dist", str(DISTS / "skewed.json"), "--r", "8",
+    rc = run(["polys", "--dist", str(DISTS / "skewed.json"), "--r", r,
               "--out", str(tmp_path)])
     assert rc == 2
     assert "--r" in capsys.readouterr().err
@@ -423,13 +428,57 @@ def test_exact_mode_takes_float_probabilities_exactly(tmp_path, capsys):
                 "--out", str(out)]) == 0
 
 
-def test_usage_error_exit_two(tmp_path):
-    assert run(["verify"]) == 2  # missing --dist
-    assert run(["no-such-command"]) == 2
+@pytest.mark.parametrize("args, named", [
+    ([], "command"),
+    (["no-such-command"], "no-such-command"),
+    (["verify", "--out", "{out}"], "--dist"),
+    (["polys", "--dist", "{tri}", "--bar", "weak", "--out", "{out}"], "--bar"),
+    (["polys", "--dist", "{tri}", "--barrier", "sideways", "--out", "{out}"], "--barrier"),
+    (["verify", "--dist", "{tri}", "--nmax", "x", "--out", "{out}"], "--nmax"),
     # --mode selects the rows of verify and report; constants and polys have none
-    for command in ("constants", "polys"):
-        assert run([command, "--dist", str(DISTS / "trinomial.json"), "--mode", "exact",
-                    "--out", str(tmp_path)]) == 2
+    (["constants", "--dist", "{tri}", "--mode", "exact", "--out", "{out}"], "--mode"),
+    (["polys", "--dist", "{tri}", "--mode", "exact", "--out", "{out}"], "--mode"),
+], ids=["no-command", "unknown-command", "no-dist", "abbreviation", "bad-choice", "bad-int",
+        "constants-mode", "polys-mode"])
+def test_usage_error_exit_two(tmp_path, capsys, monkeypatch, args, named):
+    # the parser refuses these before any sweep or file, naming what it refused;
+    # options are never abbreviated
+    steps = _kill_steps(monkeypatch)
+    out = tmp_path / "out"
+    rc = run([a.format(out=out, tri=DISTS / "trinomial.json") for a in args])
+    assert rc == 2
+    assert named in capsys.readouterr().err.splitlines()[-1]  # the line below the usage
+    assert not out.exists()
+    assert steps == {False: 0, True: 0}
+
+
+# each command's options and their defaults (None: required)
+LAW_OPTIONS = {"--dist": None, "--r": "2", "--barrier": "strict", "--kmax": "4096", "--out": "out"}
+ROW_OPTIONS = {**LAW_OPTIONS, "--mode": "float", "--nmax": "1600"}
+COMMAND_OPTIONS = {"constants": LAW_OPTIONS, "polys": LAW_OPTIONS, "verify": ROW_OPTIONS,
+                   "integral-check": {"--out": "out"}, "report": ROW_OPTIONS}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_help_lists_every_option_with_its_default(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert run([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo the help's line wrapping
+    options = COMMAND_OPTIONS[command]
+    assert set(re.findall(r"--[a-z]+", text)) == {"--help", *options}
+    for option, default in options.items():
+        if default is not None:
+            assert re.search(rf"{option} [^(]*\(default: {default}\)", text), option
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_group_help_lists_the_commands(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["--help"]) == 0
+    text = capsys.readouterr().out
+    for command in COMMAND_OPTIONS:
+        assert re.search(rf"^ +{command}\s", text, re.M), command
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_threshold_failure_exit_one(tri_file, tmp_path, monkeypatch):
@@ -513,13 +562,20 @@ def _fresh_python(code: str) -> str:
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # nothing needs scipy: with it blocked, integral-check still runs and passes
+    # the package runs on numpy alone: with scipy and click blocked, each
+    # command family still runs and passes, and neither gets loaded
+    tri = str(DISTS / "trinomial.json")
+    commands = [["integral-check", "--out", str(tmp_path)],
+                ["constants", "--dist", tri, "--kmax", "256", "--out", str(tmp_path)],
+                ["verify", "--dist", tri, "--mode", "exact", "--nmax", "64", "--kmax", "256",
+                 "--out", str(tmp_path)]]
     out = _fresh_python(
-        "import sys; sys.modules['scipy'] = None\n"
+        "import sys; sys.modules['scipy'] = sys.modules['click'] = None\n"
         "from poswalk.cli import main\n"
-        f"rc = main(['integral-check', '--out', {str(tmp_path)!r}])\n"
-        "print(rc, any(m.split('.')[0] == 'scipy' and sys.modules[m] for m in sys.modules))")
-    assert out.strip().split("\n")[-1] == "0 False"
+        f"rcs = [main(args) for args in {commands!r}]\n"
+        "print(rcs, any(m.split('.')[0] in ('scipy', 'click') and sys.modules[m]"
+        " for m in sys.modules))")
+    assert out.strip().split("\n")[-1] == "[0, 0, 0] False"
     lines = (tmp_path / "integral_check.csv").read_text().strip().split("\n")
     assert len(lines) == 17  # header and 16 cases
 
