@@ -4,8 +4,8 @@
 For each walk/barrier pair, computes E_r(n) = max |exact - series| over the
 normal-deviation window x in [0.2, 3] sigma sqrt(n) and reports the
 empirical decay exponent between consecutive horizons.  The exponent should
-track the order-r error power (``expansion.p3_and_power``): (r + 2)/2, or 2
-at r = 1 where P_3 vanishes.
+track the order-r error power, whose one home is ``ExpansionSet.error_power``:
+(r + 2)/2, or 2 at r = 1 where P_3 vanishes.
 
 Usage: python scripts/accuracy_study.py [--kmax 4096] [--nmax 1600]
 """
@@ -20,7 +20,7 @@ from poswalk import increments  # noqa: E402
 from poswalk import oracle as oc  # noqa: E402
 from poswalk.constants import compute_constants  # noqa: E402
 from poswalk.expansion import (b_range, error_ladder, expansion_polys, horizons,  # noqa: E402
-                               p3_and_power, window)
+                               window)
 
 WALKS = {
     "lazy-simple": ([-1, 0, 1], ["3/10", "2/5", "3/10"]),
@@ -34,8 +34,7 @@ def study(name, dist, barrier, rs, ns, kmax):
     stats = oc.tau_statistics(dist, kmax, barrier, hmax=b_range(max(rs)), rows_at=ns)
     cs = compute_constants(stats)
     for r in rs:
-        es = expansion_polys(dist, r, cs)
-        ladder = error_ladder(es, stats.rows, ns, window, p3_and_power(dist, es, r)[1])
+        ladder = error_ladder(expansion_polys(dist, r, cs), stats.rows, ns, window)
         err_str = "  ".join(f"{e:.2e}" for e in ladder.max_err.values())
         exp_str = "  ".join(f"{e:.3f}" for e in ladder.decay.values())
         print(f"{name:12s} {barrier:6s} r={r}:  E(n) = {err_str}   exponents {exp_str}")

@@ -22,7 +22,7 @@ from . import increments
 from .constants import compute_constants, two_pipeline_agreement
 from .errors import InputError, NumericFailure
 from .expansion import (DEFAULT_R_CAP, ExpansionSet, b_range, error_ladder, expansion_polys,
-                        horizons, interval_deviations, p3_and_power, snapped_grid, window)
+                        horizons, interval_deviations, snapped_grid, window)
 from .oracle import Row, killed_rows_at, tau_statistics
 
 FLATNESS_BAND = 3.0
@@ -50,8 +50,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _polys_and_rows(dist_path, r: int, barrier: str, kmax: int, mode: str = "float", ns=()
-                    ) -> tuple[increments.IncrementDistribution, ExpansionSet, dict[int, Row]]:
-    """The law, P_2..P_{r+1} and the survivor rows at ``ns``: load, sweep, fits, assembly.
+                    ) -> tuple[ExpansionSet, dict[int, Row]]:
+    """The order-r expansion set and the survivor rows at ``ns``: load, sweep, fits, assembly.
 
     --mode exact loads the law exactly (float probabilities must then sum to
     1 and have mean 0 exactly).  The constant fits always run float64.  In
@@ -69,7 +69,7 @@ def _polys_and_rows(dist_path, r: int, barrier: str, kmax: int, mode: str = "flo
     cs = compute_constants(stats)
     if r > DEFAULT_R_CAP:
         print(f"warning: r={r} above the validated range (r <= {DEFAULT_R_CAP})", file=sys.stderr)
-    return dist, expansion_polys(dist, r, cs), rows
+    return expansion_polys(dist, r, cs), rows
 
 
 def cmd_constants(dist_path, r, barrier, kmax, out_dir):
@@ -85,7 +85,7 @@ def cmd_constants(dist_path, r, barrier, kmax, out_dir):
 
 def cmd_polys(dist_path, r, barrier, kmax, out_dir):
     """Assemble P_2..P_{r+1}; write polys.json."""
-    _, es, _ = _polys_and_rows(dist_path, r, barrier, kmax)
+    es, _ = _polys_and_rows(dist_path, r, barrier, kmax)
     _write_json(out_dir / "polys.json", es.to_json_dict())
     for nu in range(2, r + 2):
         p = es.P[nu]
@@ -97,12 +97,11 @@ def cmd_polys(dist_path, r, barrier, kmax, out_dir):
 def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     """Exact-vs-expansion error table, decay exponents and interval check."""
     ns = horizons(nmax)
-    dist, es, rows_by_n = _polys_and_rows(dist_path, r, barrier, kmax, mode, ns)
-    p3, power = p3_and_power(dist, es, r)
-    ladder = error_ladder(es, rows_by_n, ns, snapped_grid, power)
+    es, rows_by_n = _polys_and_rows(dist_path, r, barrier, kmax, mode, ns)
+    ladder = error_ladder(es, rows_by_n, ns, snapped_grid)
     # be2_dev swings with the lattice term R_n - target, which comes from the
     # limit law alone; the stdout line also shows p_n - R_n at its order
-    be2_dev, be2_lattice_dev = interval_deviations(es.sigma, rows_by_n, ns, p3)
+    be2_dev, be2_lattice_dev = interval_deviations(es.sigma, rows_by_n, ns, es.P[3])
     _write_csv(out_dir / "error_table.csv",
                ["n", "x", "exact", "approx", "abs_err", "scaled_err"], ladder.table)
     be2_ratio = (max(be2_dev.values()) / min(be2_dev.values())
@@ -130,7 +129,7 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     print(f"decay exponents: { {k: f'{v:.3f}' for k, v in ladder.decay.items()} }")
     print(f"flatness {ladder.flatness:.2f} (band {FLATNESS_BAND}), "
           f"BE2 scaled deviations { {n: f'{v:.3f}' for n, v in be2_dev.items()} } "
-          f"lattice-corrected {'sqrt(n)' if p3 else 'n'}|p_n - R_n| "
+          f"lattice-corrected {'sqrt(n)' if es.P[3] else 'n'}|p_n - R_n| "
           f"{ {n: f'{v:.3f}' for n, v in be2_lattice_dev.items()} } "
           f"-> {'pass' if ok else 'FAIL'}"
           + ("; one horizon: flatness not tested" if len(ns) == 1 else ""))
@@ -155,7 +154,7 @@ def cmd_integral_check(out_dir):
 def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     """Plot-ready data: profiles per n, scaled-error curves, U1 table."""
     ns = horizons(nmax)
-    dist, es, rows_by_n = _polys_and_rows(dist_path, r, barrier, kmax, mode, ns)
+    es, rows_by_n = _polys_and_rows(dist_path, r, barrier, kmax, mode, ns)
     sigma = es.sigma
 
     profiles = {}
@@ -166,10 +165,7 @@ def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
 
     curves = []
     for r_cur in range(1, r + 1):
-        # P_nu does not depend on the order: Q_nu reads only ghat_{2j-q} and b[l,h] with
-        # 2j - q, h <= nu - 2, the same inputs at every order that assembles it
-        es_r = dataclasses.replace(es, r=r_cur)
-        ladder = error_ladder(es_r, rows_by_n, ns, window, p3_and_power(dist, es, r_cur)[1])
+        ladder = error_ladder(dataclasses.replace(es, r=r_cur), rows_by_n, ns, window)
         curves += [[r_cur, n, ladder.max_err[n], ladder.max_scaled[n]] for n in ns]
 
     # U1 grows linearly with slope 2 theta0 / sigma^2 (oracle-validated)

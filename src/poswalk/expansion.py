@@ -171,7 +171,14 @@ def exact_polys(lam, b, sigma, r: int) -> dict[int, Poly]:
 
 @dataclass
 class ExpansionSet:
-    """Expansion polynomials P_2..P_{r+1} with the sigma and constant set they were built from."""
+    """Expansion polynomials P_2..P_{max(r, 2)+1} with the sigma and constant set they were
+    built from; the series and the JSON export read P_2..P_{r+1}, and an order-1 set
+    also holds P_3 for its error power.
+
+    P_nu does not depend on the order: Q_nu reads only ghat_{2j-q} and b[l,h] with
+    2j - q, h <= nu - 2, the same inputs at every order that assembles it.  So
+    ``dataclasses.replace(es, r=...)`` with a lower r is that order's set.
+    """
 
     r: int
     barrier: Barrier
@@ -192,6 +199,15 @@ class ExpansionSet:
             total += self.P[nu](t) / n ** (nu / 2.0)
         return gauss * total
 
+    @property
+    def error_power(self) -> float:
+        """The power of n that makes the order-r error flat.
+
+        The error beyond P_{r+1} is of order n^{-(r+2)/2}, or n^{-2} at r = 1
+        where P_3 vanishes.
+        """
+        return 2.0 if self.r == 1 and not self.P[3] else (self.r + 2) / 2
+
     def to_json_dict(self) -> dict:
         def coeffs(p: Poly) -> list:
             return [float(c) for c in p.coeffs]
@@ -201,27 +217,29 @@ class ExpansionSet:
             "r": self.r,
             "barrier": self.barrier.value,
             "sigma": self.sigma,
-            "P": {str(nu): coeffs(p) for nu, p in sorted(self.P.items())},
-            "Q": {str(nu): coeffs(p.scale(-0.5)) for nu, p in sorted(self.P.items())},
+            "P": {str(nu): coeffs(self.P[nu]) for nu in range(2, self.r + 2)},
+            "Q": {str(nu): coeffs(self.P[nu].scale(-0.5)) for nu in range(2, self.r + 2)},
             "constants": self.constants.to_json_dict(),
         }
 
 
 def expansion_polys(dist: IncrementDistribution, r: int,
                     constants: ConstantSet) -> ExpansionSet:
-    """Compute P_nu = -2 Q_nu for nu = 2..r+1 from the walk's constant set.
+    """Compute P_nu = -2 Q_nu for nu = 2..max(r, 2)+1 from the walk's constant set.
 
     The float inputs (the lambda_m, sigma and each b[l, h]) enter as their
     exact ``Fraction`` values, so every negative Laurent power cancels exactly
     and each P_nu coefficient is the correctly rounded float of the exact sum.
     ``constants`` must come from a sweep with hmax >= ``b_range(r)``; reading
-    a missing b[l, h] raises InputError (``ConstantSet.b_value``).
+    a missing b[l, h] raises InputError (``ConstantSet.b_value``).  At r = 1
+    they cover P_3 too, since ``b_range(1) == b_range(2)``.
     """
     if r < 1:
         raise InputError("r must be >= 1")
-    lam = [Fraction(x) for x in cumulant_ratios(dist, r - 1)]
+    top = max(r, 2)
+    lam = [Fraction(x) for x in cumulant_ratios(dist, top - 1)]
     exact = exact_polys(lam, lambda l, h: Fraction(constants.b_value(l, h)),
-                        Fraction(dist.sigma()), r)
+                        Fraction(dist.sigma()), top)
     return ExpansionSet(r=r, barrier=constants.barrier, sigma=dist.sigma(), constants=constants,
                         P={nu: Poly({e: float(c) for e, c in p.terms.items()})
                            for nu, p in exact.items()})
@@ -250,17 +268,6 @@ def horizons(nmax: int) -> list[int]:
     return [n for n in (100, 400, 1600, 6400) if n <= nmax] or [nmax]
 
 
-def p3_and_power(dist: IncrementDistribution, es: ExpansionSet, r: int) -> tuple[Poly, float]:
-    """P_3 and the power of n that makes the order-r error flat.
-
-    The error beyond P_{r+1} is of order n^{-(r+2)/2}, or n^{-2} at r = 1
-    where P_3 vanishes.  Order 1 assembles P_3 from the same constants (they
-    always cover it); r >= 2 would need constants beyond those computed.
-    """
-    p3 = (es if es.r >= 2 else expansion_polys(dist, 2, es.constants)).P[3]
-    return p3, 2.0 if r == 1 and not p3 else (r + 2) / 2.0
-
-
 @dataclass
 class ErrorLadder:
     """The order-r error |exact - series| over horizons, scaled by n^power."""
@@ -272,11 +279,13 @@ class ErrorLadder:
     flatness: float  # max S_n / min S_n
 
 
-def error_ladder(es: ExpansionSet, rows, ns, points, power: float) -> ErrorLadder:
+def error_ladder(es: ExpansionSet, rows, ns, points) -> ErrorLadder:
     """``es`` against the survivor rows ``rows[n]`` at ``points(sigma, n)``
-    (``snapped_grid`` or ``window``) per horizon n.  With an error of order n^-power
-    the scaled maxima are flat and the exponents read power; up to rounding the
-    exponents do not depend on power.  max(abs_err n^p) = max(abs_err) n^p bit for bit."""
+    (``snapped_grid`` or ``window``) per horizon n, scaled by n^p with p = ``es.error_power``.
+    With an error of order n^-p the scaled maxima are flat and the exponents read p;
+    up to rounding the exponents do not depend on p.  max(abs_err n^p) = max(abs_err) n^p
+    bit for bit."""
+    power = es.error_power
     table, max_err, max_scaled = [], {}, {}
     for n in ns:
         pairs = [(x, float(rows[n].get(x, 0.0)), es.evaluate(n, x)) for x in points(es.sigma, n)]
@@ -316,31 +325,3 @@ def interval_deviations(sigma: float, rows, ns, p3: Poly
         raw[n] = abs(p - target) * math.sqrt(n)
         lattice[n] = abs(p - rayleigh) * (math.sqrt(n) if p3 else n)
     return raw, lattice
-
-
-def uj_polynomial_part(expansion: ExpansionSet, j: int) -> Poly:
-    """Polynomial part of the lower-deviation coefficient function W_j.
-
-    W_j(x) is the n^{-j-1/2} coefficient of the fixed-x expansion of the
-    survival probability.  Matching the two expansions at fixed x gives
-
-        [x^k] W_j-poly = sigma^{-k} * sum_{2 mu + q = k}
-                         (-1)^mu / (2^mu mu!) * [t^q] P_{2j+1-k},
-
-    for k = 0..2j-1 (checked against oracle-extrapolated U1 columns: the
-    slope of U1 is 2 theta0 / sigma^2).  Needs P up to order 2j+1, so
-    r >= 2j.
-    """
-    if j < 1:
-        raise InputError("j must be >= 1")
-    if expansion.r < 2 * j:
-        raise InputError(f"W_{j} polynomial part needs r >= {2 * j}")
-    coeffs = []
-    for k in range(2 * j):
-        acc = 0.0
-        for mu in range(k // 2 + 1):
-            q = k - 2 * mu
-            p = expansion.P[2 * j + 1 - k]
-            acc += (-1) ** mu / (2**mu * math.factorial(mu)) * float(p.coeff(q))
-        coeffs.append(acc / expansion.sigma**k)
-    return Poly(coeffs)

@@ -1,12 +1,16 @@
 """Tail extrapolation of sequences a_k = c0 + c1/k + c2/k^2 + ...
 
 Linear least squares over the basis {k^0, k^-1, ..., k^-(terms-1)}, solved by
-SVD with column scaling.  Preferred over Richardson elimination because the
-target sequences carry slowly varying (log-contaminated) remainders that break
-pure elimination tables.  The limit estimate is c0; each coefficient's error
-estimate is its shift between fits on two staggered windows.  Sequences over
-the same ks (the theta moments, the U1 columns) share each window's design
-(``fit_power_tails``) but keep one solve each, so sharing changes no bit.
+SVD with column scaling.  For a finite-support law the generating function of
+tau is algebraic, so these sequences expand in pure powers of 1/k (transfer
+theorem, Flajolet & Sedgewick VI): the basis holds no log terms to miss, and
+the fits are limited by the float sweep's rounding, which the k^-l coefficient
+amplifies roughly as K^l at a window near k = K, not by truncation.
+
+The limit estimate is c0; each coefficient's error estimate is its shift
+between fits on two staggered windows.  Sequences over the same ks (the theta
+moments, the U1 columns) share each window's design (``fit_power_tails``) but
+keep one solve each, so sharing changes no bit.
 """
 
 from __future__ import annotations

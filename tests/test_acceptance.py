@@ -36,7 +36,7 @@ from conftest import (CORRECTED, brute_force_killed, constants_for, downskip, fr
 from poswalk import oracle as oc
 from poswalk.errors import CancellationFailure
 from poswalk.expansion import (b_range, error_ladder, expansion_polys, horizons,
-                               interval_deviations, p3_and_power, window)
+                               interval_deviations, window)
 from poswalk.integral import integral_check
 from poswalk.laurent import Poly, gamma_recursive, q_jlm
 from poswalk.oracle import Barrier
@@ -231,7 +231,7 @@ def _decay_exponents(dist, barrier, r):
     es = expansion_polys(dist, r, constants_for(dist, barrier))
     ns = horizons(1600)
     rows = oc.killed_rows_at(dist, ns, barrier)[0]
-    return list(error_ladder(es, rows, ns, window, p3_and_power(dist, es, r)[1]).decay.values())
+    return list(error_ladder(es, rows, ns, window).decay.values())
 
 
 # Strict-barrier walks and whether their P_3 vanishes identically.  The

@@ -252,8 +252,7 @@ def test_error_ladder_is_what_verify_and_report_write(tmp_path, name, barrier, r
     # report's curves bit for bit: both commands measure through it alone
     from poswalk import increments
     from poswalk.constants import compute_constants
-    from poswalk.expansion import (b_range, error_ladder, expansion_polys, p3_and_power,
-                                   snapped_grid, window)
+    from poswalk.expansion import b_range, error_ladder, expansion_polys, snapped_grid, window
     from poswalk.oracle import tau_statistics
 
     path, ns = str(DISTS / f"{name}.json"), [100, 400, 1600]
@@ -265,7 +264,7 @@ def test_error_ladder_is_what_verify_and_report_write(tmp_path, name, barrier, r
     stats = tau_statistics(dist, 1024, barrier, hmax=b_range(r), rows_at=ns)
     es = expansion_polys(dist, r, compute_constants(stats))
 
-    grid = error_ladder(es, stats.rows, ns, snapped_grid, p3_and_power(dist, es, r)[1])
+    grid = error_ladder(es, stats.rows, ns, snapped_grid)
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
     assert summary["max_scaled_err"] == {str(n): v for n, v in grid.max_scaled.items()}
     assert summary["decay_exponents"] == grid.decay
@@ -273,8 +272,7 @@ def test_error_ladder_is_what_verify_and_report_write(tmp_path, name, barrier, r
     assert _csv_numbers(tmp_path / "error_table.csv") == grid.table
     curves = []
     for r_cur in range(1, r + 1):
-        ladder = error_ladder(dataclasses.replace(es, r=r_cur), stats.rows, ns, window,
-                              p3_and_power(dist, es, r_cur)[1])
+        ladder = error_ladder(dataclasses.replace(es, r=r_cur), stats.rows, ns, window)
         curves += [[r_cur, n, ladder.max_err[n], ladder.max_scaled[n]] for n in ns]
     assert _csv_numbers(tmp_path / "report_scaled_err.csv") == curves
 
@@ -286,7 +284,7 @@ def test_interval_deviations_are_what_verify_writes(tmp_path, capsys, name, r):
     # by n, skewed strict by sqrt(n)
     from poswalk import increments
     from poswalk.constants import compute_constants
-    from poswalk.expansion import b_range, expansion_polys, interval_deviations, p3_and_power
+    from poswalk.expansion import b_range, expansion_polys, interval_deviations
     from poswalk.oracle import tau_statistics
 
     path, ns = str(DISTS / f"{name}.json"), [100, 400, 1600]
@@ -296,7 +294,7 @@ def test_interval_deviations_are_what_verify_writes(tmp_path, capsys, name, r):
     dist = increments.load(path)
     stats = tau_statistics(dist, 4096, "strict", hmax=b_range(r), rows_at=ns)
     es = expansion_polys(dist, r, compute_constants(stats))
-    p3 = p3_and_power(dist, es, r)[0]
+    p3 = es.P[3]
     raw, lattice = interval_deviations(es.sigma, stats.rows, ns, p3)
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
     assert summary["be2_scaled_deviation"] == {str(n): v for n, v in raw.items()}

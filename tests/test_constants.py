@@ -6,6 +6,7 @@ import pytest
 
 from conftest import constants_for
 from poswalk import constants as cn
+from poswalk import increments
 from poswalk.cli import _write_json
 from poswalk.errors import InputError
 from poswalk.extrapolation import fit_power_tails
@@ -93,6 +94,19 @@ def test_renewal_route_matches_limit_route_to_rounding(rich, asym):
         assert cs.theta1 > 0
         assert cs.provenance["theta1_from_u1"]["value"] == pytest.approx(cs.theta1, rel=1e-10)
         assert cs.provenance["theta0_from_u1"]["value"] == pytest.approx(cs.theta0, rel=1e-10)
+
+
+def test_theta0_of_the_two_barriers_multiply_to_one_over_4pi(asym, rich):
+    # Wiener-Hopf pairs the strict ladder of X with the weak ladder of -X
+    # (Feller II, XII.3; Spitzer 17): theta0_strict(X) theta0_weak(-X) = 1/(4 pi).
+    # Largest gap at kmax 1024, over both pairings of each law: 3.25e-12 (skewed)
+    seed1 = increments.validate([-2, -1, 0, 1, 2], ["2/15", "1/3", "1/5", "1/15", "4/15"])
+    for dist in (asym, rich, seed1):
+        mirror = increments.validate([-x for x in dist.support], list(dist.probs))
+        for x, minus_x in ((dist, mirror), (mirror, dist)):
+            strict = constants_for(x, Barrier.STRICT, kmax=1024, hmax=1).theta0
+            weak = constants_for(minus_x, Barrier.WEAK, kmax=1024, hmax=1).theta0
+            assert abs(4 * math.pi * strict * weak - 1) <= 1e-10, x.support
 
 
 def test_barrier_ordering(tri_constants_strict, tri_constants_weak,

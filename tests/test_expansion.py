@@ -10,9 +10,9 @@ from poswalk import oracle as oc
 from poswalk.constants import compute_constants
 from poswalk.edgeworth import ghats
 from poswalk.errors import CancellationFailure, InputError
-from poswalk.expansion import (IndexTuple, assemble_Q, b_range, enumerate_tuples,
+from poswalk.expansion import (ExpansionSet, IndexTuple, assemble_Q, b_range, enumerate_tuples,
                                error_ladder, exact_polys, expansion_polys, horizons,
-                               p3_and_power, tuple_weight, uj_polynomial_part, window)
+                               tuple_weight, window)
 from poswalk.increments import cumulant_ratios
 from poswalk.laurent import Poly
 from poswalk.oracle import Barrier
@@ -222,7 +222,7 @@ def test_full_order_decay_at_cap(ballot_walk):
     cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4)
     es = expansion_polys(ballot_walk, 4, cs)
     rows = oc.killed_rows_at(ballot_walk, [100, 400], Barrier.STRICT)[0]
-    exponent = error_ladder(es, rows, (100, 400), window, 3.0).decay["100->400"]
+    exponent = error_ladder(es, rows, (100, 400), window).decay["100->400"]
     assert 2.5 <= exponent <= 3.5
 
 
@@ -237,7 +237,7 @@ def test_polys_do_not_depend_on_order(tri, asym):
             for r in range(1, 5):
                 es = expansion_polys(dist, r, cs)
                 cut = dataclasses.replace(es4, r=r)
-                assert es.P == {nu: es4.P[nu] for nu in range(2, r + 2)}
+                assert es.P == {nu: es4.P[nu] for nu in range(2, max(r, 2) + 2)}
                 for n in (100, 400, 1600, 6400):
                     for x in range(1, int(3.5 * es.sigma * math.sqrt(n)) + 1):
                         assert cut.evaluate(n, x) == es.evaluate(n, x)
@@ -248,8 +248,8 @@ def test_evaluate_decay_weak_trinomial(tri, tri_constants_weak):
     es2 = expansion_polys(tri, 2, tri_constants_weak)
     rows = oc.killed_rows_at(tri, [100, 400], Barrier.WEAK)[0]
 
-    e1 = error_ladder(es1, rows, (100, 400), window, 1.5).max_err
-    e2 = error_ladder(es2, rows, (100, 400), window, 2.0).max_err
+    e1 = error_ladder(es1, rows, (100, 400), window).max_err
+    e2 = error_ladder(es2, rows, (100, 400), window).max_err
     # r = 1 error falls ~ n^{-3/2}; adding the next polynomial pushes it to ~ n^{-2}
     assert e1[400] < e1[100] / 5.5
     assert e2[100] < e1[100] / 4.0
@@ -270,23 +270,26 @@ def test_error_decay_band_both_walks(tri, asym, tri_constants_strict,
         for r in (1, 2):
             es = expansion_polys(dist, r, cs)
             # E(100)/E(400) within a factor 3 of 4^p is S_100/S_400 within 3 of 1
-            ladder = error_ladder(es, rows, ns, window, p3_and_power(dist, es, r)[1])
+            ladder = error_ladder(es, rows, ns, window)
             assert ladder.flatness <= 3.0
 
 
-def test_p3_and_power_is_the_order_r_error_power(tri, asym, tri_constants_strict,
-                                                 tri_constants_weak, asym_constants_strict):
+def test_error_power_is_the_order_r_error_power(tri, asym, tri_constants_strict,
+                                                tri_constants_weak, asym_constants_strict):
     # the error beyond P_{r+1} is of order n^-(r+2)/2, except at r = 1 where
     # P_3 vanishes (trinomial strict: m3 = 0 and theta1 = 0) and the first
     # omitted polynomial is P_4: n^-2
     cases = [(tri, tri_constants_strict, 2.0), (asym, asym_constants_strict, 1.5),
              (tri, tri_constants_weak, 1.5)]
     for dist, cs, r1_power in cases:
-        p3, power = p3_and_power(dist, expansion_polys(dist, 1, cs), 1)
-        assert (not p3) == (r1_power == 2.0) and power == r1_power
+        es1 = expansion_polys(dist, 1, cs)
+        assert (not es1.P[3]) == (r1_power == 2.0) and es1.error_power == r1_power
         for r in (2, 3, 4):
             es = expansion_polys(dist, r, cs)
-            assert p3_and_power(dist, es, r) == (es.P[3], (r + 2) / 2)
+            assert es.error_power == (r + 2) / 2
+            # the order-1 set holds the P_3 of every higher order, and a cut keeps its power
+            assert es.P[3] == es1.P[3]
+            assert dataclasses.replace(es, r=1).error_power == r1_power
 
 
 def test_evaluate_relative_error_at_sigma_sqrt_n(tri, tri_constants_strict):
@@ -311,6 +314,29 @@ def test_evaluate_far_tail_is_finite(asym, asym_constants_strict):
     v = es.evaluate(100, 10**5)
     assert math.isfinite(v)
     assert abs(v) < 1e-300
+
+
+def uj_polynomial_part(expansion: ExpansionSet, j: int) -> Poly:
+    """Polynomial part of the lower-deviation coefficient function W_j.
+
+    W_j(x) is the n^{-j-1/2} coefficient of the fixed-x expansion of the
+    survival probability.  Matching the two expansions at fixed x gives
+
+        [x^k] W_j-poly = sigma^{-k} * sum_{2 mu + q = k}
+                         (-1)^mu / (2^mu mu!) * [t^q] P_{2j+1-k},
+
+    for k = 0..2j-1 (checked against oracle-extrapolated U1 columns: the
+    slope of U1 is 2 theta0 / sigma^2).  Needs P up to order 2j+1.
+    """
+    coeffs = []
+    for k in range(2 * j):
+        acc = 0.0
+        for mu in range(k // 2 + 1):
+            q = k - 2 * mu
+            p = expansion.P[2 * j + 1 - k]
+            acc += (-1) ** mu / (2**mu * math.factorial(mu)) * float(p.coeff(q))
+        coeffs.append(acc / expansion.sigma**k)
+    return Poly(coeffs)
 
 
 def test_uj_polynomial_part_slope(asym, asym_constants_strict):
@@ -340,15 +366,12 @@ def test_uj_polynomial_closed_form_weak_trinomial(tri, tri_constants_weak):
     assert w1.coeff(1) == pytest.approx(want, rel=1e-8)
 
 
-def test_uj_requires_enough_orders(asym, asym_constants_strict):
-    es = expansion_polys(asym, 1, asym_constants_strict)
-    with pytest.raises(InputError, match=r"W_1 polynomial part needs r >= 2"):
-        uj_polynomial_part(es, 1)
-
-
 def test_expansion_json_export(asym, asym_constants_strict):
     es = expansion_polys(asym, 2, asym_constants_strict)
     blob = es.to_json_dict()
     assert blob["schema_version"] == 1
     assert set(blob["P"]) == {"2", "3"}
     assert blob["constants"]["barrier"] == "strict"
+    # an order-1 set holds P_3 for its error power but exports P_2 alone
+    blob = expansion_polys(asym, 1, asym_constants_strict).to_json_dict()
+    assert set(blob["P"]) == set(blob["Q"]) == {"2"}
