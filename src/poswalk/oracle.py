@@ -18,13 +18,15 @@ the same product.  The output row sums each shift's slice of the block in
 support order (a margin cell adds 0).  A fresh temporary per product,
 once rows pass the allocator's mmap threshold, is a fresh mapping whose
 pages fault on first touch, and those faults, not the arithmetic, used to
-dominate a deep sweep.  What the trim cannot drop is the subnormal band at
-the far tail, cells below 2.2e-308 that have not yet rounded to zero: about
-90-165 cells at k = 16384 for the walks in ``dists/`` and the benchmark's
-seed walks, but a plateau that keeps widening for some laws (about 2840
-cells at k = 16384 for (2, 3, 1, 3, 2)/11).  Subnormal arithmetic is slow,
-yet flushing those cells would change ``Row.total``'s pairwise-sum bits, so
-they stay.
+dominate a deep sweep.  What the zero trim cannot drop is the subnormal
+band at the far tail, cells below ``np.finfo(float).tiny`` (2.2e-308) that
+have not yet rounded to zero: about 90-165 cells at k = 16384 for the walks
+in ``dists/`` and the benchmark's seed walks, but a plateau that keeps
+widening for some laws (about 2840 cells at k = 16384 for
+(2, 3, 1, 3, 2)/11).  Subnormal arithmetic is slow.  Flushing those cells
+from a row a collector keeps would change ``Row.total``'s pairwise-sum bits,
+so every kept row, and every row before it, keeps them; the rows of the
+dependency cone (below) do not.
 
 The dependency cone drops what the trim keeps but no output reads.  A step
 moves mass down by at most a = -min_step, so once the last row a collector
@@ -37,11 +39,24 @@ next step's bound, so every kept cell gets the same operands in the same
 support order, and the killed cells are those of the uncut sweep.  Only
 ``tau_statistics`` asks for the cut, after its last kept row; it drops
 15.4% of the stepped cells on trinomial strict and 21.3% on skewed weak at
-kmax 16384, and the dropped cells are those of the widest steps, with the
-subnormal band.  The survivors yielded after the cut are therefore not
-survivor rows: they hold only the cells up to the bound (the last ones, at
-step n, only floor..``U_MAX``).  A sweep that keeps a row at step n, and
-``killed_rows_at``, never cut.
+kmax 16384, and the dropped cells are those of the widest steps, with their
+subnormal band.  In the cone the trim drops the survivors' trailing
+subnormal cells too, not only their zeros: the band of the rows the cut
+still spans, 2.0% of the cells the cut leaves on trinomial strict at kmax
+16384, 2.1% on seed walk 1 and 11.2% on the plateau law, whose sweep runs
+in 0.21 s instead of 0.48 s.  Unlike the cut this trim is not exact by
+dependency: a dropped cell's products no longer round into the cells they
+fed.  That the outputs keep their bits is measured, not proved.  Against
+the cut alone, to k = 16384 on trinomial, skewed, seed walk 1 and the
+plateau law under both barriers, no cell differs by more than 1.8e-287,
+hundreds of orders of magnitude below any output cell; and ``theta`` and
+the columns hash the same, with and without the trim, over the 38 laws of
+``perfbench/walkgen.py``'s family and its 5 plateau laws, both barriers, at
+kmax 1024, 4096 and 16384.  The survivors yielded after the cut are
+therefore not survivor rows: they hold only the cells up to the bound,
+without a subnormal tail (at step n, only floor..``U_MAX``).  A sweep that
+keeps a row at step n, and ``killed_rows_at``, never cut and trim only
+zeros.
 
 There is one sweep, the generator ``_sweep``, and it sweeps only the killed
 walk.  A step yields ``(k, cells, cut)``: one array, the stepped row after
@@ -81,6 +96,7 @@ pairwise and the last bit may differ.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -140,18 +156,20 @@ class Row:
         return {self.offset + i: v for i, v in enumerate(self.values.tolist()) if v}
 
 
-def _trim_zeros(values: np.ndarray, tail: int) -> np.ndarray:
-    """``values`` without its trailing exact-zero cells.
+def _trim_zeros(values: np.ndarray, tail: int, bound) -> np.ndarray:
+    """``values`` without its trailing cells at or below ``bound``.
 
-    Only the last ``tail`` cells are scanned, unless all of them are zero.
+    ``bound`` 0 drops exact zeros only; the largest subnormal float also
+    drops the subnormal cells.  Only the last ``tail`` cells are scanned,
+    unless all of them are dropped.
     """
     end = len(values)
     start = max(end - tail, 0)
-    while end > start and not values.item(end - 1):  # cell by cell: cheaper than a numpy scan
+    while end > start and values.item(end - 1) <= bound:  # cell by cell: cheaper than a numpy scan
         end -= 1
     if end > start:
         return values[:end]
-    live = np.flatnonzero(values[:start])
+    live = np.flatnonzero(values[:start] > bound)
     return values[: live[-1] + 1] if len(live) else values[:0]
 
 
@@ -165,8 +183,10 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str,
     cell.  ``cut`` is floor - min_step at k = 1 and -min_step after that.
     ``cone_after`` cuts each stepped row after that step at position
     ``U_MAX + a (n - k)``, a = -min_step: a cell above it cannot reach a
-    position <= ``U_MAX`` by step n.  The survivors yielded after the cut
-    are then only the cone's part of the survivor rows.
+    position <= ``U_MAX`` by step n.  Those rows' survivors also lose their
+    trailing subnormal cells, not only their zeros (see the module
+    docstring); the killed cells stay whole.  The survivors yielded after
+    the cut are then only the cone's part of the survivor rows.
     """
     if n < 1:
         raise InputError("horizon must be >= 1")
@@ -190,11 +210,14 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str,
     cut = floor - step  # every law has a negative step: row k starts below the floor
     # rows never exceed 1 + (n - 1) spread cells; shift s reads the products at spread - s
     prods = np.zeros((len(weights), 1 + (n + 1) * spread), dtype=dtype)
-    last = 0
+    last, subnormal = 0, math.nextafter(np.finfo(float).tiny, 0.0)  # the largest subnormal
     for k in range(1, n + 1):
         # in the cone, keep the stepped row's positions <= top + a (n - k); the
         # kept cells read no input cell at or beyond the same index
-        stop = top - step * (n - k) - (floor - cut) + 1 if k > after else None
+        if k > after:
+            stop, bound = top - step * (n - k) - (floor - cut) + 1, subnormal
+        else:
+            stop, bound = None, 0
         v = v[:stop]
         width = len(v)
         np.multiply(column, v, out=prods[:, spread : spread + width])
@@ -206,8 +229,9 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str,
         out = np.add(prods[i0, spread - s0 : end - s0], prods[i1, spread - s1 : end - s1])
         for s, i in more:
             out += prods[i, spread - s : end - s]
-        # trim the survivors' trailing zeros; the killed cells stay whole
-        cells = out[: cut + len(_trim_zeros(out[cut:stop], 2 * spread))]
+        # trim the survivors' trailing zeros, in the cone also their subnormal
+        # cells; the killed cells stay whole
+        cells = out[: cut + len(_trim_zeros(out[cut:stop], 2 * spread, bound))]
         yield k, cells, cut
         v, cut = cells[cut:], -step
 

@@ -51,6 +51,11 @@ def upskip_narrow():
     return increments.validate([-2, -1, 0, 1], ["1/10", "1/10", "1/2", "3/10"])
 
 
+def seed_walk_1():
+    """The benchmark's seed walk 1, (2,5,3,1,4)/15 on -2..2: min step -2, skewed."""
+    return increments.validate([-2, -1, 0, 1, 2], ["2/15", "1/3", "1/5", "1/15", "4/15"])
+
+
 @pytest.fixture(scope="session")
 def tri():
     return trinomial()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import constants_for
+from conftest import constants_for, seed_walk_1
 from poswalk import constants as cn
 from poswalk import increments
 from poswalk.cli import _write_json
@@ -100,8 +100,7 @@ def test_theta0_of_the_two_barriers_multiply_to_one_over_4pi(asym, rich):
     # Wiener-Hopf pairs the strict ladder of X with the weak ladder of -X
     # (Feller II, XII.3; Spitzer 17): theta0_strict(X) theta0_weak(-X) = 1/(4 pi).
     # Largest gap at kmax 1024, over both pairings of each law: 3.25e-12 (skewed)
-    seed1 = increments.validate([-2, -1, 0, 1, 2], ["2/15", "1/3", "1/5", "1/15", "4/15"])
-    for dist in (asym, rich, seed1):
+    for dist in (asym, rich, seed_walk_1()):
         mirror = increments.validate([-x for x in dist.support], list(dist.probs))
         for x, minus_x in ((dist, mirror), (mirror, dist)):
             strict = constants_for(x, Barrier.STRICT, kmax=1024, hmax=1).theta0

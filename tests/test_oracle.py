@@ -1,10 +1,11 @@
+import functools
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_killed, free_pmf, upskip_narrow
+from conftest import brute_force_killed, free_pmf, seed_walk_1, upskip_narrow
 from poswalk import increments
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
@@ -345,6 +346,106 @@ def test_cone_cut_keeps_every_output_bit(law, barrier, rows_at):
                for y, v in rows[k].nonzero().items() if y > oc.U_MAX + a * (kmax - k))
 
 
+def _trim_law(law):
+    """The plateau law, with the widest subnormal band, or the min-step -2 seed walk 1."""
+    return {"plateau": _plateau_law(), "seed walk 1": seed_walk_1()}[law]
+
+
+@functools.lru_cache(maxsize=None)
+def _uncut_outputs(law, barrier, kmax):
+    """(theta, columns, last) streamed from the uncut sweep, no row stored.
+
+    ``last`` is the last step whose survivor row holds a subnormal cell at or
+    below the cone's edge U_MAX + a (kmax - k), a cell the cut alone keeps.
+    """
+    dist = _trim_law(law)
+    floor, a, sigma = oc.Barrier.parse(barrier).floor, -dist.min_step, dist.sigma()
+    theta = np.zeros((4, kmax))
+    columns = np.zeros((oc.U_MAX + 1 - floor, kmax))
+    last = 0
+    for k, cells, cut in oc._sweep(dist, kmax, oc.Barrier.parse(barrier), "float64"):
+        dead = cells[:cut]
+        live = dead != 0
+        ys = -np.arange(floor - cut, floor)[live] / sigma  # overshoots of the nonzero cells
+        for h in range(4):
+            theta[h, k - 1] = (ys**h * dead[live]).sum()
+        row = cells[cut:]
+        low = row[: oc.U_MAX + 1 - floor]
+        columns[: len(low), k - 1] = low
+        cone = row[: oc.U_MAX + a * (kmax - k) + 1 - floor]
+        if ((cone > 0) & (cone < TINY)).any():
+            last = k
+    return theta, columns, last
+
+
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+@pytest.mark.parametrize("rows_at", [(), (700,)])
+@pytest.mark.parametrize("law", ["plateau", "seed walk 1"])
+def test_cone_trim_keeps_every_output_bit(law, barrier, rows_at, monkeypatch):
+    # in the cone the sweep also trims the survivors' trailing subnormal
+    # cells; theta and the columns are still those of the uncut sweep, bit
+    # for bit, and no cone row ends in a subnormal cell
+    kmax = 4096
+    after = max(rows_at, default=0)
+    ends = []
+    sweep = oc._sweep
+
+    def watching(*args, **kwargs):
+        for k, cells, cut in sweep(*args, **kwargs):
+            if k > after and len(cells) > cut:
+                ends.append(cells[-1])
+            yield k, cells, cut
+
+    monkeypatch.setattr(oc, "_sweep", watching)
+    stats = oc.tau_statistics(_trim_law(law), kmax, barrier, hmax=3, rows_at=rows_at)
+    monkeypatch.undo()
+    theta, columns, last = _uncut_outputs(law, barrier, kmax)
+    for h in range(4):
+        assert stats.theta[h].tobytes() == theta[h].tobytes()
+    assert stats.columns.tobytes() == columns.tobytes()
+    assert min(ends) >= TINY
+    # the trim engaged: past the last kept row an uncut row holds a subnormal
+    # cell that the cone cut alone keeps
+    assert last > after
+    for n in rows_at:
+        rows, _ = oc.killed_rows_at(stats.dist, [n], barrier)
+        assert stats.rows[n].values.tobytes() == rows[n].values.tobytes()
+
+
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+def test_kept_row_keeps_its_subnormal_band(barrier):
+    # a row a collector keeps loses only its exact zeros: the plateau law's
+    # row at 4096 keeps its 114 subnormal cells, bit for bit
+    dist = _plateau_law()
+    stats = oc.tau_statistics(dist, 4096, barrier, rows_at=[4096])
+    rows, _ = oc.killed_rows_at(dist, [4096], barrier)
+    kept = stats.rows[4096].values
+    assert kept.tobytes() == rows[4096].values.tobytes()
+    assert ((kept > 0) & (kept < TINY)).sum() > 100
+
+
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+def test_sweep_keeps_the_space_time_martingales(tri, asym, barrier):
+    # 1, S_n and S_n^2 - sigma^2 n are martingales, so the killed cells to
+    # step n plus the survivor row at n conserve them.  On the uncut float
+    # sweep to 4096 the largest residuals, relative to 1, sigma sqrt(n) and
+    # sigma^2 n, are 6.2e-15 (downskip strict), 3.2e-15 and 1.6e-15 (skewed
+    # weak); the bound 1e-13 sits 16 times above the measured floor
+    n = 4096
+    floor = oc.Barrier.parse(barrier).floor
+    for dist in (tri, asym, _cone_laws()["downskip"], seed_walk_1()):
+        var = float(dist.sigma2())
+        absorbed = np.zeros(3)  # sum over k <= n of E[g(S_k, k); tau = k]
+        worst = np.zeros(3)
+        for k, cells, cut in oc._sweep(dist, n, oc.Barrier.parse(barrier), "float64"):
+            ys = np.arange(floor - cut, floor - cut + len(cells), dtype=float)
+            moments = np.stack([cells, ys * cells, (ys * ys - var * k) * cells])
+            absorbed += moments[:, :cut].sum(axis=1)
+            residual = absorbed + moments[:, cut:].sum(axis=1) - [1.0, 0.0, 0.0]
+            worst = np.maximum(worst, abs(residual) / [1.0, math.sqrt(var * k), var * k])
+        assert (worst <= 1e-13).all(), (dist.support, worst)
+
+
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
 def test_cone_cut_engages_only_after_the_last_kept_row(tri, monkeypatch, barrier):
     # the constants' sweep ends on a row cut to the columns' cells; a sweep
@@ -400,13 +501,33 @@ def test_compute_constants_needs_theta1(tri):
 ])
 def test_trim_zeros_edge_cases(cells, tail, kept):
     values = np.array(cells, dtype=float)
-    out = oc._trim_zeros(values, tail)
+    out = oc._trim_zeros(values, tail, 0)
     assert out.tolist() == cells[:kept]
     assert out.base is values  # a view: the trim copies no cells
 
 
 def test_trim_zeros_fraction_row():
+    # a Fraction row loses its exact zeros only, however small its last cell
     values = np.array([F(1, 3), F(0), F(2, 7), F(0), F(0)], dtype=object)
-    assert oc._trim_zeros(values, 2).tolist() == [F(1, 3), F(0), F(2, 7)]
-    assert oc._trim_zeros(values, 3).tolist() == [F(1, 3), F(0), F(2, 7)]
-    assert oc._trim_zeros(np.array([F(0)] * 3, dtype=object), 1).tolist() == []
+    assert oc._trim_zeros(values, 2, 0).tolist() == [F(1, 3), F(0), F(2, 7)]
+    assert oc._trim_zeros(values, 3, 0).tolist() == [F(1, 3), F(0), F(2, 7)]
+    assert oc._trim_zeros(np.array([F(0)] * 3, dtype=object), 1, 0).tolist() == []
+    dust = np.array([F(1, 3), F(1, 10**400), F(0)], dtype=object)
+    assert oc._trim_zeros(dust, 1, 0).tolist() == [F(1, 3), F(1, 10**400)]
+
+
+SUBNORMAL = np.nextafter(TINY, 0.0)  # the cone's bound: the largest subnormal float
+
+
+@pytest.mark.parametrize("cells,tail,kept,kept_in_cone", [
+    ([1.0, 5e-324], 2, 2, 1),                       # a subnormal last cell
+    ([1.0, TINY, 1e-310], 4, 3, 2),                 # the smallest normal float stays
+    ([1.0, 2.0, 0.0, 1e-310, 0.0, 5e-324], 2, 6, 2),  # a subnormal tail: the head scan
+    ([1e-310, 0.0, 5e-324], 1, 3, 0),               # nothing but subnormal cells
+])
+def test_trim_zeros_cone_bound(cells, tail, kept, kept_in_cone):
+    values = np.array(cells, dtype=float)
+    assert oc._trim_zeros(values, tail, 0).tolist() == cells[:kept]
+    out = oc._trim_zeros(values, tail, SUBNORMAL)
+    assert out.tolist() == cells[:kept_in_cone]
+    assert out.base is values
