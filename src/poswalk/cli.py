@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import increments
-from .constants import compute_constants, two_pipeline_agreement
+from .constants import SCHEMA_VERSION, compute_constants, two_pipeline_agreement
 from .errors import InputError, NumericFailure
 from .expansion import (DEFAULT_R_CAP, ExpansionSet, b_range, error_ladder, expansion_polys,
                         horizons, interval_deviations, snapped_grid, window)
@@ -27,7 +27,6 @@ from .oracle import Row, killed_rows_at, tau_statistics
 
 FLATNESS_BAND = 3.0
 INTEGRAL_TOL = 1e-8
-SCHEMA_VERSION = 1
 # the largest order --r accepts: the highest order that the tests and CI exercise
 # (assembly is exact at every order, so this is a validation bound, not a numeric one)
 R_MAX = 7
@@ -63,7 +62,7 @@ def _polys_and_rows(dist_path, r: int, barrier: str, kmax: int, mode: str = "flo
     """
     exact = mode == "exact"
     dist = increments.load(dist_path, exact)
-    rows = killed_rows_at(dist, ns, barrier, mode="exact-rational")[0] if exact else None
+    rows = killed_rows_at(dist, ns, barrier, mode="exact-rational") if exact else None
     stats = tau_statistics(dist, kmax, barrier, hmax=b_range(r), rows_at=() if exact else ns)
     rows = rows if exact else stats.rows
     cs = compute_constants(stats)

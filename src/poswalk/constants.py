@@ -40,6 +40,8 @@ from .extrapolation import ExtrapolationResult, fit_power_tails
 from .increments import IncrementDistribution
 from .oracle import U_MAX, Barrier, TauStatistics
 
+SCHEMA_VERSION = 1  # of every JSON artifact: constants.json, polys.json, verify_summary.json
+
 # a wider gap is a bookkeeping fault only at large kmax, where the renewal sums and the
 # limit fits agree to rounding (at most 5.5e-14 relative).  The U1 fits read a window one
 # step after the theta fits, so at small kmax the gap is fit error (trinomial strict:
@@ -115,7 +117,7 @@ class ConstantSet:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "barrier": self.barrier.value,
             "sigma": self.sigma,
             "kmax": self.kmax,

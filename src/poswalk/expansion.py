@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constants import ConstantSet
+from .constants import SCHEMA_VERSION, ConstantSet
 from .edgeworth import ghats
 from .errors import CancellationFailure, InputError
 from .increments import IncrementDistribution, cumulant_ratios
@@ -213,7 +213,7 @@ class ExpansionSet:
             return [float(c) for c in p.coeffs]
 
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "r": self.r,
             "barrier": self.barrier.value,
             "sigma": self.sigma,

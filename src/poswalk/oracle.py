@@ -63,11 +63,15 @@ walk.  A step yields ``(k, cells, cut)``: one array, the stepped row after
 the cone cut and the zero trim, and one index, the floor's.  ``cells[:cut]``
 are the cells killed at step k and ``cells[cut:]`` the survivors, which
 start at the floor; the first cell is at position floor - cut.  Its two
-collectors, ``tau_statistics`` and ``killed_rows_at``, read that and build a
-``Row``, an offset plus a dense array, only for a step they keep: ``Row`` is
-the one row type every collector returns.  The single step serves both
-arithmetic modes: cells are float64 arrays, or ``object`` arrays of
-``Fraction`` (exact reference, capped horizon).
+collectors read that.  ``tau_statistics`` reduces the killed cells to the
+overshoot moments ``theta`` and keeps the low survivor columns.  Both it
+and ``killed_rows_at`` build a ``Row``, an offset plus a dense array, of the
+survivors only, and only for a step they keep: ``Row`` is the one row type
+every collector returns.  No collector returns killed cells: the expansion
+reads the killed mass only through its constants, so ``theta`` is that
+mass's one output form.  The single step serves both arithmetic modes:
+cells are float64 arrays, or ``object`` arrays of ``Fraction`` (exact
+reference, capped horizon).
 
 A command sweeps each walk once.  Row k never depends on later steps, so
 the constants (steps up to kmax) and the checked rows (horizons up to nmax)
@@ -151,10 +155,6 @@ class Row:
         cells = self.values[start:stop]
         return cells[cells != 0].sum(keepdims=True).item()  # a Python float or Fraction
 
-    def nonzero(self) -> dict[int, object]:
-        """The nonzero cells as {position: mass}, in position order."""
-        return {self.offset + i: v for i, v in enumerate(self.values.tolist()) if v}
-
 
 def _trim_zeros(values: np.ndarray, tail: int, bound) -> np.ndarray:
     """``values`` without its trailing cells at or below ``bound``.
@@ -237,24 +237,23 @@ def _sweep(dist: IncrementDistribution, n: int, barrier: Barrier, mode: str,
 
 
 def killed_rows_at(dist: IncrementDistribution, ns, barrier=Barrier.STRICT,
-                   mode: str = "float64") -> tuple[dict[int, Row], dict[int, Row]]:
-    """Rows of the killed walk at the steps in ``ns``, from one sweep: (rows, killed).
+                   mode: str = "float64") -> dict[int, Row]:
+    """Survivor rows of the killed walk at the steps in ``ns``, from one sweep.
 
-    ``rows[k]`` is the survivor row P(S_k = y, tau > k), so P(tau > k) =
-    ``rows[k].total()``; ``killed[k]`` is the row of killed positions (<= 0
-    strict, < 0 weak) with the mass absorbed at step k, so P(tau = k) =
-    ``killed[k].total()``.
+    ``rows[k]`` is the row P(S_k = y, tau > k), so P(tau > k) =
+    ``rows[k].total()``.  The killed mass is not collected here: P(tau = k)
+    is ``tau_statistics(...).theta[0][k-1]`` in float.
     """
     if not ns or min(ns) < 1:
         raise InputError("horizons must be >= 1")
     wanted = set(ns)
     barrier = Barrier.parse(barrier)
     floor = barrier.floor
-    rows, killed = {}, {}
+    rows = {}
     for k, cells, cut in _sweep(dist, max(ns), barrier, mode):
         if k in wanted:
-            rows[k], killed[k] = Row(floor, cells[cut:]), Row(floor - cut, cells[:cut])
-    return rows, killed
+            rows[k] = Row(floor, cells[cut:])
+    return rows
 
 
 @dataclass

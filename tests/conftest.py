@@ -19,7 +19,7 @@ from poswalk.errors import InputError
 from poswalk.expansion import DEFAULT_R_CAP, b_range, exact_polys
 from poswalk.increments import IncrementDistribution, cumulant_ratios
 from poswalk.laurent import Poly, double_factorial
-from poswalk.oracle import Barrier, Row, tau_statistics
+from poswalk.oracle import Barrier, Row, _sweep, tau_statistics
 
 
 def trinomial():
@@ -80,7 +80,7 @@ def brute_force_killed(dist, n: int, barrier: Barrier):
     """Path enumeration over all |support|^n trajectories (exact rationals).
 
     Returns (rows, killed): rows[k][y] = P(S_k = y, tau > k) and
-    killed[k][z] = P(S_k = z, tau = k), matching the DP rows' ``nonzero()``.
+    killed[k][z] = P(S_k = z, tau = k), the shape ``swept`` gives the sweep's cells.
     """
     barrier = Barrier.parse(barrier)
     floor = barrier.floor
@@ -98,6 +98,26 @@ def brute_force_killed(dist, n: int, barrier: Barrier):
                 killed[k][s] = killed[k].get(s, Fraction(0)) + prob
                 break
             rows[k][s] = rows[k].get(s, Fraction(0)) + prob
+    return rows, killed
+
+
+def nonzero(row: Row) -> dict:
+    """A row's nonzero cells as {position: mass}, in position order."""
+    return {row.offset + i: v for i, v in enumerate(row.values.tolist()) if v}
+
+
+def swept(dist, n: int, barrier, mode: str = "float64"):
+    """Every step 1..n of the uncut sweep as (rows, killed), dicts of ``nonzero`` cells.
+
+    rows[k][y] = P(S_k = y, tau > k) and killed[k][z] = P(S_k = z, tau = k),
+    read straight from ``_sweep``'s ``(k, cells, cut)``: the shape of
+    ``brute_force_killed``.  The library's collectors return no killed cells.
+    """
+    barrier = Barrier.parse(barrier)
+    rows, killed = {}, {}
+    for k, cells, cut in _sweep(dist, n, barrier, mode):
+        rows[k] = nonzero(Row(barrier.floor, cells[cut:]))
+        killed[k] = nonzero(Row(barrier.floor - cut, cells[:cut]))
     return rows, killed
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction as F
 
 from conftest import (CORRECTED, brute_force_killed, constants_for, downskip, free_pmf,
                       gamma_closed, lclt_coefficients, lclt_evaluate, placeholder_polys,
-                      quoted_p2, quoted_p3, skewed, trinomial, upskip_narrow)
+                      quoted_p2, quoted_p3, skewed, swept, trinomial, upskip_narrow)
 from poswalk import oracle as oc
 from poswalk.errors import CancellationFailure
 from poswalk.expansion import (b_range, error_ladder, expansion_polys, horizons,
@@ -182,15 +182,15 @@ def _oracle_identities(barrier) -> bool:
     ok = True
     ks = range(1, 65)
     for dist in (trinomial(), skewed(), downskip()):
-        exact, exact_killed = oc.killed_rows_at(dist, ks, barrier, mode="exact-rational")
-        fl, _ = oc.killed_rows_at(dist, ks, barrier, mode="float64")
+        exact, exact_killed = swept(dist, 64, barrier, mode="exact-rational")
+        fl = oc.killed_rows_at(dist, ks, barrier, mode="float64")
         rows, killed = brute_force_killed(dist, 8, barrier)
-        ok &= all(exact[k].nonzero() == rows[k] and exact_killed[k].nonzero() == killed[k]
-                  for k in range(1, 9))
-        ok &= all(exact[k].total() + sum(exact_killed[j].total() for j in range(1, k + 1)) == 1
+        ok &= all(exact[k] == rows[k] and exact_killed[k] == killed[k] for k in range(1, 9))
+        ok &= all(sum(exact[k].values()) + sum(sum(exact_killed[j].values())
+                                               for j in range(1, k + 1)) == 1
                   for k in range(1, 21))
         for k in ks:
-            for y, v in exact[k].nonzero().items():
+            for y, v in exact[k].items():
                 ref = float(v)
                 ok &= abs(fl[k].get(y, 0.0) - ref) <= 1e-10 * ref
     return ok
@@ -230,7 +230,7 @@ def test_criterion_07_constant_consistency():
 def _decay_exponents(dist, barrier, r):
     es = expansion_polys(dist, r, constants_for(dist, barrier))
     ns = horizons(1600)
-    rows = oc.killed_rows_at(dist, ns, barrier)[0]
+    rows = oc.killed_rows_at(dist, ns, barrier)
     return list(error_ladder(es, rows, ns, window).decay.values())
 
 
@@ -277,7 +277,7 @@ def test_criterion_09_leading_order_ratio():
     cs = constants_for(dist, Barrier.STRICT)
     sigma = dist.sigma()
     ns = [400, 1600, 6400]
-    rows = oc.killed_rows_at(dist, ns, Barrier.STRICT)[0]
+    rows = oc.killed_rows_at(dist, ns, Barrier.STRICT)
     devs = []
     for n in ns:
         x = round(sigma * math.sqrt(n))
@@ -303,7 +303,7 @@ def test_criterion_10_interval_rate():
     for make, vanishes in STRICT_WALKS:
         dist = make()
         p3 = _p3(dist, Barrier.STRICT)
-        rows = oc.killed_rows_at(dist, [100, 400, 1600], Barrier.STRICT)[0]
+        rows = oc.killed_rows_at(dist, [100, 400, 1600], Barrier.STRICT)
         raw, devs = (list(d.values())
                      for d in interval_deviations(dist.sigma(), rows, [100, 400, 1600], p3))
         band = max(devs) / min(devs)

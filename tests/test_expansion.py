@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from conftest import (CORRECTED, constants_for, downskip, placeholder_polys, quoted_p2,
                       quoted_p3, skewed, upskip, upskip_narrow)
+from poswalk import increments
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
 from poswalk.edgeworth import ghats
@@ -176,6 +179,114 @@ def test_polys_are_the_rounded_exact_assembly():
             assert es.P[eta].terms == want, (dist.support, barrier, eta)
 
 
+def _times(a: Poly, b: Poly) -> Poly:
+    out = Poly()
+    for e, c in b.terms.items():
+        out = out + a.scale(c).shift(e)
+    return out
+
+
+def _series_times(a: dict, b: dict, top: int) -> dict:
+    """Product of two series in h, {order: Poly in t}, through h^top."""
+    out = {}
+    for i, p in a.items():
+        for j, q in b.items():
+            if i + j <= top:
+                out[i + j] = out.get(i + j, Poly()) + _times(p, q)
+    return out
+
+
+def forward_residual(P: dict, lam, top: int) -> dict:
+    """Left minus right side of the forward equation f(n+1, x) = sum_y p_y f(n, x - y)
+    for f(n, x) = e^{-t^2/2} sum_nu P_nu(t) h^nu, x = sigma t sqrt(n), h = n^{-1/2}.
+
+    Returns {N: residual at h^N} for N <= top, the Gaussian factor divided out:
+
+        left   exp((t^2/2) h^2/(1+h^2)) sum_nu h^nu (1+h^2)^{-nu/2} P_nu(t (1+h^2)^{-1/2}),
+        right  sum_nu sum_k E_k (-1)^k h^{nu+k} D^k P_nu,
+
+    with D P = P' - t P and E_k = mu_k / k! = [s^k] exp(s^2/2 + sum_m lam_m s^{m+2}),
+    the standardized step's moments.  sigma drops out: it scales every P_nu.
+    """
+    left = {}
+    for nu, p in P.items():
+        for e, a in p.terms.items():
+            c, alpha = F(1), F(nu + e, 2)  # c = C(-alpha, j), the weight of h^{2j}
+            for j in range((top - nu) // 2 + 1):
+                left[nu + 2 * j] = left.get(nu + 2 * j, Poly()) + Poly({e: a * c})
+                c *= (-alpha - j) / (j + 1)
+    # exp(w) with w = (t^2/2)(h^2 - h^4 + h^6 - ...)
+    w = {2 * j: Poly({2: F((-1) ** (j + 1), 2)}) for j in range(1, top // 2 + 1)}
+    term, gauss = {0: Poly([1])}, {0: Poly([1])}
+    for m in range(1, top // 2 + 1):
+        term = {k: p.scale(F(1, m)) for k, p in _series_times(term, w, top).items()}
+        gauss = {k: gauss.get(k, Poly()) + term.get(k, Poly()) for k in set(gauss) | set(term)}
+    left = _series_times(left, gauss, top)
+    g = {2: F(1, 2), **{m + 2: lam[m - 1] for m in range(1, top - 3)}}
+    E = [F(1)]
+    for k in range(1, top - 1):  # k E_k = sum_j j g_j E_{k-j}
+        E.append(sum((j * g[j] * E[k - j] for j in range(2, k + 1)), F(0)) / k)
+    right = {}
+    for nu, p in P.items():
+        d = p
+        for k in range(top - nu + 1):
+            right[nu + k] = right.get(nu + k, Poly()) + d.scale((-1) ** k * E[k])
+            d = Poly({e - 1: e * c for e, c in d.terms.items()}) - d.shift(1)
+    return {N: left.get(N, Poly()) - right.get(N, Poly()) for N in range(top + 1)}
+
+
+def _random_inputs(rng: random.Random, r: int):
+    """Random rational lambda_1..lambda_{r-1} and b[l, h], l, h < r."""
+    def draw():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    lam = [draw() for _ in range(r - 1)]
+    table = {(l, h): draw() for l in range(r) for h in range(r)}
+    return lam, lambda l, h: table[(l, h)]
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_assembly_solves_the_forward_equation(r):
+    # the killed walk solves f(n+1, x) = sum_y p_y f(n, x - y) above the
+    # barrier for any sequence of killed masses, so P_2..P_{r+1} must solve
+    # it formally for any lambda and b.  Each P_N enters order h^N only
+    # through its own leading term, which cancels, so orders through
+    # h^{r+3} are exact without P_{r+2}, P_{r+3}
+    rng = random.Random(r)
+    for _ in range(3):
+        lam, b = _random_inputs(rng, r)
+        res = forward_residual(exact_polys(lam, b, 1, r), lam, r + 3)
+        assert all(p == Poly() for p in res.values()), sorted(N for N, p in res.items() if p)
+
+
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+@pytest.mark.parametrize("name", ["skewed", "trinomial"])
+def test_dists_assembly_solves_the_forward_equation(name, barrier):
+    # the same identity on the exact values of the float lambda_m and fitted
+    # b[l, h] that ``expansion_polys`` assembles from, at R_MAX = 7
+    r = 7
+    dist = increments.load(Path(__file__).resolve().parent.parent / "dists" / f"{name}.json")
+    q = exact_assembly(dist, r, constants_for(dist, barrier, hmax=b_range(r)))
+    lam = [F(x) for x in cumulant_ratios(dist, r - 1)]
+    res = forward_residual({nu: p.scale(-2) for nu, p in q.items()}, lam, r + 3)
+    assert all(p == Poly() for p in res.values()), sorted(N for N, p in res.items() if p)
+
+
+def test_forward_residual_sees_a_wrong_order():
+    # the check is not vacuous: at r = 7, 1e-9 on P_4 shows from h^6 on,
+    # P_2 doubled and lambda read one index off from h^5 on
+    r = 7
+    lam, b = _random_inputs(random.Random(r), r)
+    P = exact_polys(lam, b, 1, r)
+
+    def wrong(P, lam=lam):
+        return [N for N, p in forward_residual(P, lam, r + 3).items() if p]
+
+    assert wrong({**P, 4: P[4] + Poly([F(1e-9)])}) == list(range(6, r + 4))
+    assert wrong({**P, 2: P[2].scale(2)}) == list(range(5, r + 4))
+    assert wrong(P, lam[1:] + [F(0)]) == list(range(5, r + 4))
+
+
 def test_cancellation_failure_diagnoses_corrupted_coefficients(asym, asym_constants_strict):
     # the eta = 4 balance ties the free-walk coefficients together across
     # four Laurent blocks; poisoning one of them must be caught and reported
@@ -221,7 +332,7 @@ def test_full_order_decay_at_cap(ballot_walk):
     # about 4^3, exercising every constant the assembly can consume
     cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4)
     es = expansion_polys(ballot_walk, 4, cs)
-    rows = oc.killed_rows_at(ballot_walk, [100, 400], Barrier.STRICT)[0]
+    rows = oc.killed_rows_at(ballot_walk, [100, 400], Barrier.STRICT)
     exponent = error_ladder(es, rows, (100, 400), window).decay["100->400"]
     assert 2.5 <= exponent <= 3.5
 
@@ -246,7 +357,7 @@ def test_polys_do_not_depend_on_order(tri, asym):
 def test_evaluate_decay_weak_trinomial(tri, tri_constants_weak):
     es1 = expansion_polys(tri, 1, tri_constants_weak)
     es2 = expansion_polys(tri, 2, tri_constants_weak)
-    rows = oc.killed_rows_at(tri, [100, 400], Barrier.WEAK)[0]
+    rows = oc.killed_rows_at(tri, [100, 400], Barrier.WEAK)
 
     e1 = error_ladder(es1, rows, (100, 400), window).max_err
     e2 = error_ladder(es2, rows, (100, 400), window).max_err
@@ -266,7 +377,7 @@ def test_error_decay_band_both_walks(tri, asym, tri_constants_strict,
     ]
     ns = horizons(400)
     for dist, barrier, cs in cases:
-        rows = oc.killed_rows_at(dist, ns, barrier)[0]
+        rows = oc.killed_rows_at(dist, ns, barrier)
         for r in (1, 2):
             es = expansion_polys(dist, r, cs)
             # E(100)/E(400) within a factor 3 of 4^p is S_100/S_400 within 3 of 1
@@ -295,7 +406,7 @@ def test_error_power_is_the_order_r_error_power(tri, asym, tri_constants_strict,
 def test_evaluate_relative_error_at_sigma_sqrt_n(tri, tri_constants_strict):
     es = expansion_polys(tri, 2, tri_constants_strict)
     n = 400
-    row = oc.killed_rows_at(tri, [n], Barrier.STRICT)[0][n]
+    row = oc.killed_rows_at(tri, [n], Barrier.STRICT)[n]
     x = round(tri.sigma() * math.sqrt(n))
     exact = row.get(x)
     assert abs(es.evaluate(n, x) - exact) / exact < 0.03

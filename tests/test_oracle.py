@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import brute_force_killed, free_pmf, seed_walk_1, upskip_narrow
+from conftest import brute_force_killed, free_pmf, nonzero, seed_walk_1, swept, upskip_narrow
 from poswalk import increments
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
@@ -16,7 +16,7 @@ from poswalk.laurent import Poly
 
 def test_free_pmf_n1_is_increment(tri):
     pmf = free_pmf(tri, 1, mode="exact-rational")
-    assert pmf.nonzero() == dict(zip(tri.support, tri.probs))
+    assert nonzero(pmf) == dict(zip(tri.support, tri.probs))
 
 
 def test_free_pmf_two_steps(tri):
@@ -27,28 +27,28 @@ def test_free_pmf_two_steps(tri):
 def test_free_pmf_normalizes(asym):
     pmf = free_pmf(asym, 12, mode="exact-rational")
     assert pmf.total() == 1
-    lo, hi = min(pmf.nonzero()), max(pmf.nonzero())
+    lo, hi = min(nonzero(pmf)), max(nonzero(pmf))
     assert lo >= 12 * asym.min_step and hi <= 12 * asym.max_step
 
 
 def test_killed_single_step(tri):
-    rows, _ = oc.killed_rows_at(tri, [1], "strict", mode="exact-rational")
+    rows = oc.killed_rows_at(tri, [1], "strict", mode="exact-rational")
     assert rows[1].get(1) == F(3, 10)
 
 
 def test_killed_two_steps_strict_vs_weak(tri):
-    strict, killed = oc.killed_rows_at(tri, [2], "strict", mode="exact-rational")
-    weak, _ = oc.killed_rows_at(tri, [2], "weak", mode="exact-rational")
-    assert sorted(strict) == sorted(killed) == [2]  # only the steps asked for
-    assert killed[2].total() == F(9, 100)
+    strict = oc.killed_rows_at(tri, [2], "strict", mode="exact-rational")
+    weak = oc.killed_rows_at(tri, [2], "weak", mode="exact-rational")
+    assert sorted(strict) == sorted(weak) == [2]  # only the steps asked for
+    assert strict[2].total() == F(21, 100)  # 1 - P(tau = 1) - P(tau = 2)
     assert strict[2].get(1) == F(3, 25)  # only 0 -> 1 -> 1
     assert weak[2].get(1) == F(6, 25)  # also 0 -> 0 -> 1
 
 
 def test_tau_pinned_values(tri):
-    _, killed = oc.killed_rows_at(tri, range(1, 3), "strict", mode="exact-rational")
-    assert killed[1].total() == F(7, 10)
-    assert killed[2].total() == F(9, 100)
+    _, killed = swept(tri, 2, "strict", mode="exact-rational")
+    assert sum(killed[1].values()) == F(7, 10)
+    assert sum(killed[2].values()) == F(9, 100)
     stats = oc.tau_statistics(tri, 2, "strict")
     assert stats.theta[0][0] == pytest.approx(0.7)
     assert tri.sigma() * stats.theta[1][0] == pytest.approx(0.3)  # only X = -1 overshoots
@@ -64,16 +64,15 @@ def test_tau_statistics_theta_matches_killed_cells(tri, asym, rich, ballot_walk,
     kmax = 256
     for dist in (tri, asym, rich, ballot_walk):
         stats = oc.tau_statistics(dist, kmax, barrier, hmax=3)
-        _, killed = oc.killed_rows_at(dist, range(1, kmax + 1), barrier, mode="float64")
+        _, killed = swept(dist, kmax, barrier)
         sigma = dist.sigma()
         for k in range(1, kmax + 1):
-            cells = killed[k].nonzero()
+            cells = killed[k]
             ys = -np.array(list(cells), dtype=float)  # overshoots
             ms = np.array(list(cells.values()), dtype=float)
             for h in range(4):
                 want = float((((ys / sigma) ** h) * ms).sum())
                 assert stats.theta[h][k - 1].hex() == want.hex()
-            assert stats.theta[0][k - 1] == killed[k].total()
 
 
 def _dense_reference(dist, n, barrier, mode):
@@ -133,20 +132,16 @@ def test_sweep_matches_dense_reference(tri, asym, rich, ballot_walk, barrier, mo
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
 def test_brute_force_agreement(tri, asym, rich, barrier):
     for dist in (tri, asym, rich):
-        n = 7
-        dp_rows, dp_killed = oc.killed_rows_at(dist, range(1, n + 1), barrier,
-                                               mode="exact-rational")
-        rows, killed = brute_force_killed(dist, n, barrier)
-        for k in range(1, n + 1):
-            assert dp_rows[k].nonzero() == rows[k]
-            assert dp_killed[k].nonzero() == killed[k]
+        assert swept(dist, 7, barrier, "exact-rational") == brute_force_killed(dist, 7, barrier)
 
 
 def test_mass_conservation_exact(tri, asym, rich):
     for dist in (tri, asym, rich):
-        rows, killed = oc.killed_rows_at(dist, range(1, 21), "strict", mode="exact-rational")
+        rows, killed = swept(dist, 20, "strict", mode="exact-rational")
+        absorbed = 0
         for k in range(1, 21):
-            assert rows[k].total() + sum(killed[j].total() for j in range(1, k + 1)) == 1
+            absorbed += sum(killed[k].values())
+            assert sum(rows[k].values()) + absorbed == 1
 
 
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
@@ -156,12 +151,12 @@ def test_first_passage_decomposition_exact(tri, asym, rich, barrier):
     # free law comes from the conftest convolution, not from the sweep
     for dist in (tri, asym, rich):
         n = 20
-        rows, killed = oc.killed_rows_at(dist, range(1, n + 1), barrier, mode="exact-rational")
+        rows, killed = swept(dist, n, barrier, mode="exact-rational")
         free = {k: free_pmf(dist, k, mode="exact-rational") for k in range(1, n + 1)}
-        for y, want in free[n].nonzero().items():
+        for y, want in nonzero(free[n]).items():
             total = rows[n].get(y, F(0))
             for j in range(1, n + 1):
-                for z, mass in killed[j].nonzero().items():
+                for z, mass in killed[j].items():
                     if j == n:
                         total += mass if z == y else 0
                     else:
@@ -171,18 +166,18 @@ def test_first_passage_decomposition_exact(tri, asym, rich, barrier):
 
 def test_weak_survives_at_least_strict(tri, asym):
     for dist in (tri, asym):
-        ts, _ = oc.killed_rows_at(dist, range(1, 31), "strict", mode="exact-rational")
-        tw, _ = oc.killed_rows_at(dist, range(1, 31), "weak", mode="exact-rational")
+        ts = oc.killed_rows_at(dist, range(1, 31), "strict", mode="exact-rational")
+        tw = oc.killed_rows_at(dist, range(1, 31), "weak", mode="exact-rational")
         for k in range(1, 31):
             assert tw[k].total() >= ts[k].total()
 
 
 def test_float_matches_rational_to_1e10(tri, asym, rich):
     for dist in (tri, asym, rich):
-        exact, _ = oc.killed_rows_at(dist, range(1, 65), "strict", mode="exact-rational")
-        fl, _ = oc.killed_rows_at(dist, range(1, 65), "strict", mode="float64")
+        exact = oc.killed_rows_at(dist, range(1, 65), "strict", mode="exact-rational")
+        fl = oc.killed_rows_at(dist, range(1, 65), "strict", mode="float64")
         for k in (1, 2, 16, 33, 64):
-            for y, v in exact[k].nonzero().items():
+            for y, v in nonzero(exact[k]).items():
                 ref = float(v)
                 assert abs(fl[k].get(y, 0.0) - ref) <= 1e-10 * ref
 
@@ -190,8 +185,8 @@ def test_float_matches_rational_to_1e10(tri, asym, rich):
 def test_ballot_identity_trinomial(tri):
     # max step +1: exactly x of n cyclic shifts of a path to x stay positive
     n = 16
-    rows, _ = oc.killed_rows_at(tri, range(1, n + 1), "strict", mode="exact-rational")
-    free = free_pmf(tri, n, mode="exact-rational").nonzero()
+    rows = oc.killed_rows_at(tri, range(1, n + 1), "strict", mode="exact-rational")
+    free = nonzero(free_pmf(tri, n, mode="exact-rational"))
     for x in range(1, n + 1):
         assert rows[n].get(x) == F(x, n) * free[x]
 
@@ -200,8 +195,8 @@ def test_reflection_identity_weak_trinomial(tri):
     # +-1 steps: reflecting at the first visit to -1 pairs each killed path
     # ending at x with a free path ending at -2-x
     n = 16
-    rows, _ = oc.killed_rows_at(tri, range(1, n + 1), "weak", mode="exact-rational")
-    free = free_pmf(tri, n, mode="exact-rational").nonzero()
+    rows = oc.killed_rows_at(tri, range(1, n + 1), "weak", mode="exact-rational")
+    free = nonzero(free_pmf(tri, n, mode="exact-rational"))
     for x in range(0, n + 1):
         assert rows[n].get(x) == free[x] - free.get(-x - 2, F(0))
 
@@ -225,7 +220,7 @@ def test_conditioned_interval_total_and_empty():
 
 
 def test_conditioned_interval_near_gaussian(tri):
-    row = oc.killed_rows_at(tri, [100], "strict")[0][100]
+    row = oc.killed_rows_at(tri, [100], "strict")[100]
     raw, _ = interval_deviations(tri.sigma(), {100: row}, [100], Poly())
     assert raw[100] / math.sqrt(100) < 0.2
 
@@ -243,8 +238,8 @@ def test_row_get_and_total(asym, rich):
     # float totals are the numpy pairwise sum over the nonzero cells, bit for bit
     for dist in (asym, rich):
         for barrier in ("strict", "weak"):
-            row = oc.killed_rows_at(dist, [4096], barrier)[0][4096]
-            cells = row.nonzero()
+            row = oc.killed_rows_at(dist, [4096], barrier)[4096]
+            cells = nonzero(row)
             assert row.total().hex() == float(np.sum(np.array(list(cells.values())))).hex()
             lo, hi = 60, 180
             band = [v for y, v in cells.items() if lo <= y <= hi]
@@ -257,7 +252,7 @@ def test_tau_statistics_survivor_columns(tri, asym, rich, barrier):
     floor = oc.Barrier.parse(barrier).floor
     for dist in (tri, asym, rich):
         stats = oc.tau_statistics(dist, 64, barrier)
-        rows, _ = oc.killed_rows_at(dist, range(1, 65), barrier, mode="float64")
+        rows = oc.killed_rows_at(dist, range(1, 65), barrier, mode="float64")
         for u in range(floor, oc.U_MAX + 1):
             expected = [rows[k].get(u, 0.0) for k in range(1, 65)]
             assert stats.column(u).tolist() == expected
@@ -285,7 +280,7 @@ def test_tau_statistics_keeps_the_rows_of_its_sweep(tri, asym, rich, barrier):
     ns = [10, 64, 100, 150]
     for dist in (tri, asym, rich):
         stats = oc.tau_statistics(dist, 64, barrier, rows_at=ns)
-        alone, _ = oc.killed_rows_at(dist, ns, barrier)
+        alone = oc.killed_rows_at(dist, ns, barrier)
         assert sorted(stats.rows) == ns
         for n in ns:
             assert stats.rows[n].offset == alone[n].offset
@@ -323,10 +318,10 @@ def test_cone_cut_keeps_every_output_bit(law, barrier, rows_at):
     kmax = 1024
     floor = oc.Barrier.parse(barrier).floor
     stats = oc.tau_statistics(dist, kmax, barrier, hmax=3, rows_at=rows_at)
-    rows, killed = oc.killed_rows_at(dist, range(1, kmax + 1), barrier)
+    rows, killed = swept(dist, kmax, barrier)
     sigma = dist.sigma()
     for k in range(1, kmax + 1):
-        cells = killed[k].nonzero()
+        cells = killed[k]
         ys = -np.array(list(cells), dtype=float) / sigma
         ms = np.array(list(cells.values()), dtype=float)
         for h in range(4):
@@ -336,14 +331,15 @@ def test_cone_cut_keeps_every_output_bit(law, barrier, rows_at):
         assert stats.column(u).tobytes() == want.tobytes()
     assert sorted(stats.rows) == list(rows_at)
     for n in rows_at:
-        assert stats.rows[n].offset == rows[n].offset
-        assert stats.rows[n].values.tobytes() == rows[n].values.tobytes()
+        assert stats.rows[n].offset == floor
+        assert len(stats.rows[n].values) == max(rows[n]) + 1 - floor  # ends at its last nonzero
+        assert nonzero(stats.rows[n]) == rows[n]
     # the cut ran over subnormal cells: some uncut row past the last kept one
     # holds a subnormal cell above the cone's edge U_MAX + a (kmax - k)
     a = -dist.min_step
     assert any(0 < v < TINY
                for k in range(max(rows_at, default=0) + 1, kmax + 1)
-               for y, v in rows[k].nonzero().items() if y > oc.U_MAX + a * (kmax - k))
+               for y, v in rows[k].items() if y > oc.U_MAX + a * (kmax - k))
 
 
 def _trim_law(law):
@@ -408,7 +404,7 @@ def test_cone_trim_keeps_every_output_bit(law, barrier, rows_at, monkeypatch):
     # cell that the cone cut alone keeps
     assert last > after
     for n in rows_at:
-        rows, _ = oc.killed_rows_at(stats.dist, [n], barrier)
+        rows = oc.killed_rows_at(stats.dist, [n], barrier)
         assert stats.rows[n].values.tobytes() == rows[n].values.tobytes()
 
 
@@ -418,7 +414,7 @@ def test_kept_row_keeps_its_subnormal_band(barrier):
     # row at 4096 keeps its 114 subnormal cells, bit for bit
     dist = _plateau_law()
     stats = oc.tau_statistics(dist, 4096, barrier, rows_at=[4096])
-    rows, _ = oc.killed_rows_at(dist, [4096], barrier)
+    rows = oc.killed_rows_at(dist, [4096], barrier)
     kept = stats.rows[4096].values
     assert kept.tobytes() == rows[4096].values.tobytes()
     assert ((kept > 0) & (kept < TINY)).sum() > 100
