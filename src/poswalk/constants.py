@@ -12,10 +12,14 @@ Each sequence is fitted once (``_tail_fits``) over {k^0, ..., k^-m} with
 m = max(lmax + 1, 3) and lmax = hmax // 2 for a sweep to hmax: one fit per h
 gives b[0..lmax, h], so a sweep to ``expansion.b_range(r)`` holds every
 b[l, h] that order r reads.  Each error estimate is its coefficient's shift
-when the fit window starts 10% earlier.  On the lazy simple walk it
-understates the true error: 0.33-0.37x for theta0 at kmax 1024, and for
-b[1,0] (read by P_4 and P_5) 0.25x strict / 0.28x weak at kmax 1024 and 0.38x
-weak at kmax 4096.  It is a scale, not a bound.
+when the fit window starts 10% earlier.  It is a scale, not a bound, and it
+runs low.  Against the exact b[l, h] of the two skip-free laws in ``dists/``
+(the hitting-time reference of the tests), the true gap of b[1,0] (read by
+P_4 and P_5) is this many times its estimate at kmax 1024 / 4096: trinomial
+strict 3.96 / 1.07, trinomial weak 3.61 / 2.62, skewed strict 2.94 / 3.12,
+skewed weak 2.42 / 10.8.  For b[0,0] = theta0 the ratio runs from 0.94 to
+22.7 (skewed weak, kmax 4096), and over every b[l, h] with h <= 4 it reaches
+75 (b[0,4], skewed weak, kmax 4096).
 
 The renewal identity P(tau = n+1) = sum_u P(S_n = u, tau > n) P(kill from u)
 gives a second route: theta0 = sum_u U1(u) P(step from u is killed) and

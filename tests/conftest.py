@@ -1,25 +1,30 @@
-"""Shared fixtures: test walks, brute-force oracles, cached constant sets, and
-the second routes the library is checked against (free-walk law by
-convolution, gamma closed form, free-walk series coefficients and their sum,
-exact placeholder assembly, the quoted closed forms of P_2, P_3)."""
+"""Shared fixtures: test walks, brute-force oracles, the uncut sweep's outputs,
+a log of the sweep's steps, cached constant sets, and the second routes the
+library is checked against (free-walk law by convolution, hitting-time
+overshoot constants, gamma closed form, free-walk series coefficients and
+their sum, exact placeholder assembly, the quoted closed forms of P_2, P_3)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from poswalk import increments
+from poswalk import increments, oracle
 from poswalk.constants import compute_constants
 from poswalk.edgeworth import ghats
 from poswalk.errors import InputError
 from poswalk.expansion import DEFAULT_R_CAP, b_range, exact_polys
 from poswalk.increments import IncrementDistribution, cumulant_ratios
 from poswalk.laurent import Poly, double_factorial
-from poswalk.oracle import Barrier, Row, _sweep, tau_statistics
+from poswalk.oracle import U_MAX, Barrier, Row, _sweep, tau_statistics
+
+TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def trinomial():
@@ -106,19 +111,85 @@ def nonzero(row: Row) -> dict:
     return {row.offset + i: v for i, v in enumerate(row.values.tolist()) if v}
 
 
-def swept(dist, n: int, barrier, mode: str = "float64"):
-    """Every step 1..n of the uncut sweep as (rows, killed), dicts of ``nonzero`` cells.
+def swept(dist, n: int, barrier):
+    """Every step 1..n of the exact sweep as (rows, killed), dicts of ``nonzero`` cells.
 
     rows[k][y] = P(S_k = y, tau > k) and killed[k][z] = P(S_k = z, tau = k),
-    read straight from ``_sweep``'s ``(k, cells, cut)``: the shape of
-    ``brute_force_killed``.  The library's collectors return no killed cells.
+    read straight from ``_sweep``'s ``(k, cells, cut)`` in ``Fraction``s
+    (n <= 64): the shape of ``brute_force_killed``.  The library's collectors
+    return no killed cells; ``uncut_outputs`` is the float sweep's reference.
     """
     barrier = Barrier.parse(barrier)
     rows, killed = {}, {}
-    for k, cells, cut in _sweep(dist, n, barrier, mode):
+    for k, cells, cut in _sweep(dist, n, barrier, "exact-rational"):
         rows[k] = nonzero(Row(barrier.floor, cells[cut:]))
         killed[k] = nonzero(Row(barrier.floor - cut, cells[:cut]))
     return rows, killed
+
+
+UncutOutputs = namedtuple("UncutOutputs", "theta columns rows subnormal_above_edge last_subnormal")
+
+
+@functools.lru_cache(maxsize=4)  # a case reads the bare sweep of a case just before it
+def uncut_outputs(dist, kmax: int, barrier, rows_at=(), hmax: int = 3) -> UncutOutputs:
+    """What ``tau_statistics(dist, kmax, barrier, hmax, rows_at)`` must give,
+    streamed from one uncut float ``_sweep`` to max(kmax, rows_at).
+
+    ``theta[h][k-1]`` sums step k's nonzero killed cells in position order, in
+    sigma units, and ``columns`` holds the survivor cells floor..U_MAX, laid
+    out as ``tau_statistics`` lays them; ``rows[n]`` is the survivor row at
+    each n in ``rows_at``.  After the last of them ``tau_statistics`` cuts each
+    row k at the cone's edge U_MAX + a (n - k), a = -min_step, and trims its
+    subnormal tail; two facts on those steps' survivor cells show what the cut
+    and the trim met: whether a cell above the edge is subnormal, and the last
+    step with a subnormal cell at or below it (0 if none).  No other row is
+    kept.
+    """
+    barrier = Barrier.parse(barrier)
+    floor, a, sigma = barrier.floor, -dist.min_step, dist.sigma()
+    n, after = max((kmax, *rows_at)), max(rows_at, default=0)
+    theta = np.zeros((hmax + 1, kmax))
+    columns = np.zeros((U_MAX + 1 - floor, kmax))
+    rows, above, last = {}, False, 0
+    for k, cells, cut in _sweep(dist, n, barrier, "float64"):
+        dead, row = cells[:cut], cells[cut:]
+        if k <= kmax:
+            live = dead != 0
+            ys = -np.arange(floor - cut, floor)[live] / sigma  # overshoots of the nonzero cells
+            for h in range(hmax + 1):
+                theta[h, k - 1] = (ys**h * dead[live]).sum()
+            low = row[: U_MAX + 1 - floor]
+            columns[: len(low), k - 1] = low
+        if k in rows_at:
+            rows[k] = Row(floor, row)
+        if k > after:
+            edge = U_MAX + a * (n - k) + 1 - floor  # the row's cells at or below the edge
+            small = (row > 0) & (row < TINY)
+            above |= bool(small[edge:].any())
+            last = k if small[:edge].any() else last
+    return UncutOutputs(theta, columns, rows, above, last)
+
+
+SweepStep = namedtuple("SweepStep", "k exact width last")
+
+
+@pytest.fixture
+def sweep_log(monkeypatch):
+    """Every step ``oracle._sweep`` yields during the test, as a ``SweepStep``:
+    k, whether the cells are exact, the survivors' width and their last cell
+    (None when there are none).  No array is kept.  The references above
+    hold their own ``_sweep``, so only the library's sweeps are logged."""
+    log = []
+    sweep = oracle._sweep
+
+    def logged(*args, **kwargs):
+        for k, cells, cut in sweep(*args, **kwargs):
+            width = len(cells) - cut
+            log.append(SweepStep(k, cells.dtype == object, width, cells[-1] if width else None))
+            yield k, cells, cut
+
+    monkeypatch.setattr(oracle, "_sweep", logged)
+    return log
 
 
 def free_pmf(dist, n: int, mode: str = "float64") -> Row:
@@ -147,6 +218,50 @@ def constants_for(dist, barrier, kmax=4096, hmax=b_range(DEFAULT_R_CAP)):
         _CONSTANT_CACHE[key] = compute_constants(tau_statistics(dist, kmax, barrier,
                                                                 hmax=hmax))
     return _CONSTANT_CACHE[key]
+
+
+def hitting_time_b(dist, barrier, lmax: int, hmax: int) -> dict[tuple[int, int], float]:
+    """b[l, h] for l <= lmax, h <= hmax on a law with min step -1, from the
+    hitting-time theorem (Kemperman 1961; van der Hofstad & Keane 2008).
+
+    At fixed x the free walk's local law expands in whole powers of 1/n,
+    sigma sqrt(2 pi) sqrt(n) P(S_n = x) = sum_N c_N(x) n^-N, from the
+    ``edgeworth.ghats`` series times the e^{-x^2 / (2 sigma^2 n)} series.
+    Weak: P(tau-bar = k) = P(S_k = -1) / k and every overshoot is one unit,
+    so b[l, 0] = c_l(-1) / (sigma sqrt(2 pi)) and b[l, h] = sigma^-h b[l, 0].
+    Strict: P(tau = k) = sum_y y p_y P(S_{k-1} = -y) / (k - 1) for k >= 2, so
+    k^{3/2} P(tau = k) is (1 - 1/k)^{-3/2} sum_y y p_y sum_N c_N(-y) n^-N
+    over sigma sqrt(2 pi), with 1/n = 1/(k - 1) = sum_{i >= 1} k^-i; the walk
+    stops at 0 after step 1, so b[l, h >= 1] = 0.  Floats throughout.
+    """
+    if dist.min_step != -1:
+        raise InputError("the hitting-time theorem needs min step -1")
+    sigma = dist.sigma()
+    g = ghats(cumulant_ratios(dist, 2 * lmax), 2 * lmax)
+
+    def local(x):
+        """c_0(x)..c_lmax(x)."""
+        z = x / sigma
+        lclt = [sum(float(g[2 * j - q].coeff(q)) * z**q for q in range(3 * j // 2 + 1))
+                for j in range(lmax + 1)]
+        gauss = [(-z * z / 2) ** m / math.factorial(m) for m in range(lmax + 1)]
+        return np.convolve(gauss, lclt)[: lmax + 1]
+
+    strict = Barrier.parse(barrier) is Barrier.STRICT
+    if strict:
+        per_n = sum(y * float(p) * local(-y) for y, p in zip(dist.support, dist.probs) if y > 0)
+        inv_n = np.array([0.0] + [1.0] * lmax)
+        power, series = np.eye(lmax + 1)[0], np.zeros(lmax + 1)
+        for c in per_n:  # sum_N c_N n^-N in powers of 1/k
+            series += c * power
+            power = np.convolve(power, inv_n)[: lmax + 1]
+        pref = np.cumprod([1.0] + [(i + 0.5) / i for i in range(1, lmax + 1)])  # (1 - 1/k)^-3/2
+        series = np.convolve(series, pref)[: lmax + 1]
+    else:
+        series = local(-1)
+    b0 = series / (sigma * math.sqrt(2 * math.pi))
+    return {(l, h): 0.0 if strict and h else b0[l] / sigma**h
+            for l in range(lmax + 1) for h in range(hmax + 1)}
 
 
 @pytest.fixture(scope="session")

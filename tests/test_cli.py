@@ -316,51 +316,32 @@ def test_report_files(tri_file, tmp_path):
     assert abs(float(v) - float(ref)) < 0.1 * float(ref)
 
 
-def _kill_steps(monkeypatch):
-    """Count the sweep's steps by row dtype: (float steps, exact steps)."""
-    from poswalk import oracle as oc
-
-    steps = {False: 0, True: 0}
-    sweep = oc._sweep
-
-    def counting(*args, **kwargs):
-        for k, cells, cut in sweep(*args, **kwargs):
-            steps[cells.dtype == object] += 1
-            yield k, cells, cut
-
-    monkeypatch.setattr(oc, "_sweep", counting)
-    return steps
-
-
 @pytest.mark.parametrize("command", ["verify", "report"])
 @pytest.mark.parametrize("kmax", [256, 512])
-def test_float_verify_and_report_sweep_once(tri_file, tmp_path, monkeypatch, command, kmax):
+def test_float_verify_and_report_sweep_once(tri_file, tmp_path, sweep_log, command, kmax):
     # the constants (steps <= kmax) and the rows (n <= nmax) share one sweep,
     # whichever horizon is the larger
-    steps = _kill_steps(monkeypatch)
     rc = run([command, "--dist", tri_file, "--r", "1", "--kmax", str(kmax), "--nmax", "400",
               "--out", str(tmp_path)])
     assert rc == 0
-    assert steps == {False: max(kmax, 400), True: 0}
+    assert [s.exact for s in sweep_log] == [False] * max(kmax, 400)
 
 
 @pytest.mark.parametrize("command", ["constants", "polys"])
-def test_constants_and_polys_sweep_once(tri_file, tmp_path, monkeypatch, command):
+def test_constants_and_polys_sweep_once(tri_file, tmp_path, sweep_log, command):
     # the fits read one float sweep to kmax, whatever the order
-    steps = _kill_steps(monkeypatch)
     rc = run([command, "--dist", tri_file, "--r", "3", "--kmax", "256", "--out", str(tmp_path)])
     assert rc == 0
-    assert steps == {False: 256, True: 0}
+    assert [s.exact for s in sweep_log] == [False] * 256
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])
-def test_exact_verify_and_report_sweep_rows_apart(tri_file, tmp_path, monkeypatch, command):
+def test_exact_verify_and_report_sweep_rows_apart(tri_file, tmp_path, sweep_log, command):
     # exact rows cannot share the constants' float sweep
-    steps = _kill_steps(monkeypatch)
     rc = run([command, "--dist", tri_file, "--r", "1", "--mode", "exact", "--kmax", "256",
               "--nmax", "48", "--out", str(tmp_path)])
     assert rc == 0
-    assert steps == {False: 256, True: 48}
+    assert [s.exact for s in sweep_log] == [True] * 48 + [False] * 256  # the exact rows first
 
 
 @pytest.mark.parametrize("command", ["polys", "verify", "report"])
@@ -387,27 +368,25 @@ def test_horizon_without_lattice_points_exit_two(tmp_path, capsys, command, nmax
 
 
 @pytest.mark.parametrize("r", ["8", "0"])
-def test_order_above_partition_cap_is_usage_error(tmp_path, capsys, monkeypatch, r):
+def test_order_above_partition_cap_is_usage_error(tmp_path, capsys, sweep_log, r):
     # --r runs from 1 to cli.R_MAX = 7, the highest order the tests and CI
     # exercise: --r 8 or 0 is refused before any sweep, naming the option
-    steps = _kill_steps(monkeypatch)
     rc = run(["polys", "--dist", str(DISTS / "skewed.json"), "--r", r,
               "--out", str(tmp_path)])
     assert rc == 2
     assert "--r" in capsys.readouterr().err
-    assert steps == {False: 0, True: 0}
+    assert not sweep_log
 
 
-def test_exact_mode_over_cap_fails_before_float_sweep(tmp_path, capsys, monkeypatch):
+def test_exact_mode_over_cap_fails_before_float_sweep(tmp_path, capsys, sweep_log):
     # the exact rows are swept first, so an over-cap horizon costs no float
     # steps and the message names a --mode value that exists
-    steps = _kill_steps(monkeypatch)
     rc = run(["verify", "--dist", str(DISTS / "skewed.json"), "--mode", "exact",
               "--nmax", "100", "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "exact mode capped at n=64" in err and "(--mode float)" in err
-    assert steps == {False: 0, True: 0}
+    assert not sweep_log
 
 
 def test_exact_mode_takes_float_probabilities_exactly(tmp_path, capsys):
@@ -438,16 +417,15 @@ def test_exact_mode_takes_float_probabilities_exactly(tmp_path, capsys):
     (["polys", "--dist", "{tri}", "--mode", "exact", "--out", "{out}"], "--mode"),
 ], ids=["no-command", "unknown-command", "no-dist", "abbreviation", "bad-choice", "bad-int",
         "constants-mode", "polys-mode"])
-def test_usage_error_exit_two(tmp_path, capsys, monkeypatch, args, named):
+def test_usage_error_exit_two(tmp_path, capsys, sweep_log, args, named):
     # the parser refuses these before any sweep or file, naming what it refused;
     # options are never abbreviated
-    steps = _kill_steps(monkeypatch)
     out = tmp_path / "out"
     rc = run([a.format(out=out, tri=DISTS / "trinomial.json") for a in args])
     assert rc == 2
     assert named in capsys.readouterr().err.splitlines()[-1]  # the line below the usage
     assert not out.exists()
-    assert steps == {False: 0, True: 0}
+    assert not sweep_log
 
 
 # each command's options and their defaults (None: required)

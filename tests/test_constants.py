@@ -1,10 +1,11 @@
 import json
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from conftest import constants_for, seed_walk_1
+from conftest import constants_for, hitting_time_b, seed_walk_1, skewed, trinomial
 from poswalk import constants as cn
 from poswalk import increments
 from poswalk.cli import _write_json
@@ -149,22 +150,56 @@ def test_b1_prediction_for_ballot_walk(ballot_walk):
 
 
 def test_b1_closed_forms_trinomial(tri, tri_constants_strict, tri_constants_weak):
-    # subleading coefficients via the free-walk series through order m^{-5/2}:
-    # strict from the ballot identity, weak from reflection
-    s = tri.sigma()
-    a0 = 1 / (s * ROOT2PI)
-    g4 = float(tri.raw_moment(4) - 3 * tri.sigma2() ** 2)
-    c2 = g4 / (24 * s**4)
-    p1_const = 3 * c2 / (ROOT2PI * s)
-    z1, z2 = 1 / s, 2 / s
-    pred = {
-        Barrier.STRICT: 0.3 * (p1_const - a0 * z1 * z1 / 2 + 1.5 * a0),
-        Barrier.WEAK: 0.3 * ((6 * c2 / (ROOT2PI * s)) * z2 * z2
-                             + p1_const * z2 * z2 / 2 - a0 * z2**4 / 8
-                             + 1.5 * 2 * a0 / s**2),
-    }
+    # the subleading coefficient against the hitting-time reference: the
+    # fit is 1.0e-9 (strict) and 4.2e-10 (weak) off, relative, at kmax 4096
     for cs in (tri_constants_strict, tri_constants_weak):
-        assert cs.b_value(1, 0) == pytest.approx(pred[cs.barrier], rel=1e-8)
+        want = hitting_time_b(tri, cs.barrier, 1, 0)[(1, 0)]
+        assert cs.b_value(1, 0) == pytest.approx(want, rel=1e-8)
+
+
+# sigma sqrt(2 pi) b[l, 0] for l = 0..3, exact rationals (a symbolic derivation
+# of the hitting-time series); l = 0 is theta0's closed form on the trinomial
+HITTING_TIME_TABLE = {
+    ("trinomial", "strict"): ["3/10", "3/20", "1/8", "49/384"],
+    ("trinomial", "weak"): ["1", "-1", "25/24", "-595/576"],
+    ("skewed", "strict"): ["2/5", "31/180", "749/5184", "249347/1119744"],
+    ("skewed", "weak"): ["1", "-17/72", "1825/10368", "-431585/2239488"],
+}
+SKIP_FREE = {"trinomial": trinomial(), "skewed": skewed()}
+
+
+@pytest.mark.parametrize("law,barrier", list(HITTING_TIME_TABLE))
+def test_hitting_time_reference_gives_the_exact_table(law, barrier):
+    # the float series is the exact table to 6.4e-15 relative at worst (skewed weak, l = 3)
+    dist = SKIP_FREE[law]
+    b = hitting_time_b(dist, barrier, 3, 2)
+    scale = dist.sigma() * ROOT2PI
+    for l, want in enumerate(HITTING_TIME_TABLE[(law, barrier)]):
+        assert b[(l, 0)] * scale == pytest.approx(float(F(want)), rel=1e-13)
+        assert b[(l, 2)] == (0.0 if barrier == "strict" else b[(l, 0)] / dist.sigma() ** 2)
+
+
+# the largest |fit - truth| over h <= 4, per l and kmax, stands about 8-11x
+# below these bounds: at kmax 1024 3.1e-12, 1.0e-8 and 1.3e-5 (trinomial
+# weak); at kmax 4096 2.7e-13, 1.3e-9 and 2.8e-6 (skewed weak)
+B_GAP_BOUNDS = {1024: (3e-11, 1e-7, 1e-4), 4096: (3e-12, 1e-8, 3e-5)}
+
+
+@pytest.mark.parametrize("kmax", sorted(B_GAP_BOUNDS))
+@pytest.mark.parametrize("barrier", [Barrier.STRICT, Barrier.WEAK])
+@pytest.mark.parametrize("law", sorted(SKIP_FREE))
+def test_every_b_matches_the_hitting_time_reference(law, barrier, kmax):
+    # every b[l, h] a sweep to hmax 4 fits, l <= 2, against the truth on a
+    # skip-free law; the strict walk never overshoots after step 1, so its
+    # b[l, h >= 1] are exactly 0
+    dist = SKIP_FREE[law]
+    cs = constants_for(dist, barrier, kmax=kmax, hmax=4)
+    truth = hitting_time_b(dist, barrier, 2, 4)
+    assert sorted(cs.b) == sorted(truth)
+    for (l, h), want in truth.items():
+        if barrier is Barrier.STRICT and h:
+            assert cs.b[(l, h)] == 0.0
+        assert abs(cs.b[(l, h)] - want) <= B_GAP_BOUNDS[kmax][l], (l, h)
 
 
 def test_b00_keeps_four_terms_at_lmax_zero(tri):

@@ -1,11 +1,11 @@
-import functools
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_killed, free_pmf, nonzero, seed_walk_1, swept, upskip_narrow
+from conftest import (TINY, brute_force_killed, downskip, free_pmf, nonzero, seed_walk_1, skewed,
+                      swept, trinomial, uncut_outputs, upskip, upskip_narrow)
 from poswalk import increments
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
@@ -46,33 +46,13 @@ def test_killed_two_steps_strict_vs_weak(tri):
 
 
 def test_tau_pinned_values(tri):
-    _, killed = swept(tri, 2, "strict", mode="exact-rational")
+    _, killed = swept(tri, 2, "strict")
     assert sum(killed[1].values()) == F(7, 10)
     assert sum(killed[2].values()) == F(9, 100)
     stats = oc.tau_statistics(tri, 2, "strict")
     assert stats.theta[0][0] == pytest.approx(0.7)
     assert tri.sigma() * stats.theta[1][0] == pytest.approx(0.3)  # only X = -1 overshoots
     assert stats.theta[0][1] == pytest.approx(0.09)
-
-
-@pytest.mark.parametrize("barrier", ["strict", "weak"])
-def test_tau_statistics_theta_matches_killed_cells(tri, asym, rich, ballot_walk, barrier):
-    # the moments reduced from the block's killed part after the sweep equal
-    # the per-step sum over each killed row's nonzero cells in position order,
-    # bit for bit: these laws' killed parts hold at most 7 cells, which numpy
-    # sums in a plain loop
-    kmax = 256
-    for dist in (tri, asym, rich, ballot_walk):
-        stats = oc.tau_statistics(dist, kmax, barrier, hmax=3)
-        _, killed = swept(dist, kmax, barrier)
-        sigma = dist.sigma()
-        for k in range(1, kmax + 1):
-            cells = killed[k]
-            ys = -np.array(list(cells), dtype=float)  # overshoots
-            ms = np.array(list(cells.values()), dtype=float)
-            for h in range(4):
-                want = float((((ys / sigma) ** h) * ms).sum())
-                assert stats.theta[h][k - 1].hex() == want.hex()
 
 
 def _dense_reference(dist, n, barrier, mode):
@@ -97,6 +77,16 @@ def _dense_reference(dist, n, barrier, mode):
 def _plateau_law():
     """(2,3,1,3,2)/11 on -2..2: at k = 4096 its rows end in about 114 subnormal cells."""
     return increments.validate([-2, -1, 0, 1, 2], ["2/11", "3/11", "1/11", "3/11", "2/11"])
+
+
+def _cone_laws():
+    """Downskip {-2,0,1}, upskip {-1,0,3}, wide {-3,-1,0,2,4} (complex roots), plateau."""
+    return {
+        "downskip": increments.validate([-2, 0, 1], ["1/4", "1/4", "1/2"]),
+        "upskip": increments.validate([-1, 0, 3], ["3/5", "1/5", "1/5"]),
+        "wide": increments.validate([-3, -1, 0, 2, 4], ["2/10", "2/10", "3/10", "2/10", "1/10"]),
+        "plateau": _plateau_law(),
+    }
 
 
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
@@ -132,12 +122,12 @@ def test_sweep_matches_dense_reference(tri, asym, rich, ballot_walk, barrier, mo
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
 def test_brute_force_agreement(tri, asym, rich, barrier):
     for dist in (tri, asym, rich):
-        assert swept(dist, 7, barrier, "exact-rational") == brute_force_killed(dist, 7, barrier)
+        assert swept(dist, 7, barrier) == brute_force_killed(dist, 7, barrier)
 
 
 def test_mass_conservation_exact(tri, asym, rich):
     for dist in (tri, asym, rich):
-        rows, killed = swept(dist, 20, "strict", mode="exact-rational")
+        rows, killed = swept(dist, 20, "strict")
         absorbed = 0
         for k in range(1, 21):
             absorbed += sum(killed[k].values())
@@ -151,7 +141,7 @@ def test_first_passage_decomposition_exact(tri, asym, rich, barrier):
     # free law comes from the conftest convolution, not from the sweep
     for dist in (tri, asym, rich):
         n = 20
-        rows, killed = swept(dist, n, barrier, mode="exact-rational")
+        rows, killed = swept(dist, n, barrier)
         free = {k: free_pmf(dist, k, mode="exact-rational") for k in range(1, n + 1)}
         for y, want in nonzero(free[n]).items():
             total = rows[n].get(y, F(0))
@@ -246,178 +236,76 @@ def test_row_get_and_total(asym, rich):
             assert row.total(lo, hi).hex() == float(np.sum(np.array(band))).hex()
 
 
-@pytest.mark.parametrize("barrier", ["strict", "weak"])
-def test_tau_statistics_survivor_columns(tri, asym, rich, barrier):
-    # the U1 columns ride along the tau sweep; they must be the table's cells
-    floor = oc.Barrier.parse(barrier).floor
-    for dist in (tri, asym, rich):
-        stats = oc.tau_statistics(dist, 64, barrier)
-        rows = oc.killed_rows_at(dist, range(1, 65), barrier, mode="float64")
-        for u in range(floor, oc.U_MAX + 1):
-            expected = [rows[k].get(u, 0.0) for k in range(1, 65)]
-            assert stats.column(u).tolist() == expected
+def _uncut_cases():
+    """(kind, law, kmax, rows_at) of each sweep checked against the uncut one.
 
-
-def test_compute_constants_is_one_sweep(tri, monkeypatch):
-    # theta, b and U1 all come from one sweep: one kill step per horizon
-    calls = []
-    sweep = oc._sweep
-
-    def counting(*args, **kwargs):
-        for step in sweep(*args, **kwargs):
-            calls.append(1)
-            yield step
-
-    monkeypatch.setattr(oc, "_sweep", counting)
-    compute_constants(oc.tau_statistics(tri, 256))
-    assert len(calls) == 256
-
-
-@pytest.mark.parametrize("barrier", ["strict", "weak"])
-def test_tau_statistics_keeps_the_rows_of_its_sweep(tri, asym, rich, barrier):
-    # the constants' sweep runs on past kmax and keeps the survivor rows:
-    # they are the cells a sweep of their own gives, below and above kmax
-    ns = [10, 64, 100, 150]
-    for dist in (tri, asym, rich):
-        stats = oc.tau_statistics(dist, 64, barrier, rows_at=ns)
-        alone = oc.killed_rows_at(dist, ns, barrier)
-        assert sorted(stats.rows) == ns
-        for n in ns:
-            assert stats.rows[n].offset == alone[n].offset
-            assert stats.rows[n].values.tobytes() == alone[n].values.tobytes()
-        # the constants block stops at kmax, wherever the rows end
-        bare = oc.tau_statistics(dist, 64, barrier)
-        assert not bare.rows
-        assert stats.columns.tobytes() == bare.columns.tobytes()
-        for h in bare.theta:
-            assert stats.theta[h].tobytes() == bare.theta[h].tobytes()
-
-
-TINY = np.finfo(float).tiny  # the smallest normal float
-
-
-def _cone_laws():
-    """Downskip {-2,0,1}, upskip {-1,0,3}, wide {-3,-1,0,2,4} (complex roots), plateau."""
-    return {
-        "downskip": increments.validate([-2, 0, 1], ["1/4", "1/4", "1/2"]),
-        "upskip": increments.validate([-1, 0, 3], ["3/5", "1/5", "1/5"]),
-        "wide": increments.validate([-3, -1, 0, 2, 4], ["2/10", "2/10", "3/10", "2/10", "1/10"]),
-        "plateau": _plateau_law(),
-    }
-
-
-@pytest.mark.parametrize("barrier", ["strict", "weak"])
-@pytest.mark.parametrize("rows_at", [(), (300, 700)])
-@pytest.mark.parametrize("law", sorted(_cone_laws()))
-def test_cone_cut_keeps_every_output_bit(law, barrier, rows_at):
-    # after its last kept row the constants' sweep drops the cells that cannot
-    # reach a killed cell or a column by kmax; theta, the columns and the kept
-    # rows are still the reductions of the uncut rows, bit for bit, also where
-    # the dropped cells include the far tail's subnormal band
-    dist = _cone_laws()[law]
-    kmax = 1024
-    floor = oc.Barrier.parse(barrier).floor
-    stats = oc.tau_statistics(dist, kmax, barrier, hmax=3, rows_at=rows_at)
-    rows, killed = swept(dist, kmax, barrier)
-    sigma = dist.sigma()
-    for k in range(1, kmax + 1):
-        cells = killed[k]
-        ys = -np.array(list(cells), dtype=float) / sigma
-        ms = np.array(list(cells.values()), dtype=float)
-        for h in range(4):
-            assert stats.theta[h][k - 1].hex() == float((ys**h * ms).sum()).hex()
-    for u in range(floor, oc.U_MAX + 1):
-        want = np.array([rows[k].get(u, 0.0) for k in range(1, kmax + 1)])
-        assert stats.column(u).tobytes() == want.tobytes()
-    assert sorted(stats.rows) == list(rows_at)
-    for n in rows_at:
-        assert stats.rows[n].offset == floor
-        assert len(stats.rows[n].values) == max(rows[n]) + 1 - floor  # ends at its last nonzero
-        assert nonzero(stats.rows[n]) == rows[n]
-    # the cut ran over subnormal cells: some uncut row past the last kept one
-    # holds a subnormal cell above the cone's edge U_MAX + a (kmax - k)
-    a = -dist.min_step
-    assert any(0 < v < TINY
-               for k in range(max(rows_at, default=0) + 1, kmax + 1)
-               for y, v in rows[k].items() if y > oc.U_MAX + a * (kmax - k))
-
-
-def _trim_law(law):
-    """The plateau law, with the widest subnormal band, or the min-step -2 seed walk 1."""
-    return {"plateau": _plateau_law(), "seed walk 1": seed_walk_1()}[law]
-
-
-@functools.lru_cache(maxsize=None)
-def _uncut_outputs(law, barrier, kmax):
-    """(theta, columns, last) streamed from the uncut sweep, no row stored.
-
-    ``last`` is the last step whose survivor row holds a subnormal cell at or
-    below the cone's edge U_MAX + a (kmax - k), a cell the cut alone keeps.
+    theta: the fixture laws, whose killed parts hold 1 to 3 cells; rows: rows
+    kept below and beyond kmax; cut: laws whose cone cut meets subnormal
+    cells; trim: the widest subnormal bands, which the cone's trim meets;
+    band: a row kept at kmax.
     """
-    dist = _trim_law(law)
-    floor, a, sigma = oc.Barrier.parse(barrier).floor, -dist.min_step, dist.sigma()
-    theta = np.zeros((4, kmax))
-    columns = np.zeros((oc.U_MAX + 1 - floor, kmax))
-    last = 0
-    for k, cells, cut in oc._sweep(dist, kmax, oc.Barrier.parse(barrier), "float64"):
-        dead = cells[:cut]
-        live = dead != 0
-        ys = -np.arange(floor - cut, floor)[live] / sigma  # overshoots of the nonzero cells
-        for h in range(4):
-            theta[h, k - 1] = (ys**h * dead[live]).sum()
-        row = cells[cut:]
-        low = row[: oc.U_MAX + 1 - floor]
-        columns[: len(low), k - 1] = low
-        cone = row[: oc.U_MAX + a * (kmax - k) + 1 - floor]
-        if ((cone > 0) & (cone < TINY)).any():
-            last = k
-    return theta, columns, last
+    cone = _cone_laws()
+    deep = {"plateau": cone["plateau"], "seed walk 1": seed_walk_1()}
+    fixed = {"trinomial": trinomial(), "skewed": skewed(), "downskip": downskip()}
+    cases = [("theta", name, law, 256, ()) for name, law in {**fixed, "ballot": upskip()}.items()]
+    cases += [("rows", name, law, 64, rows_at)
+              for name, law in fixed.items() for rows_at in [(), (10, 64, 100, 150)]]
+    cases += [("cut", name, law, 1024, rows_at)
+              for name, law in cone.items() for rows_at in [(), (300, 700)]]
+    cases += [("trim", name, law, 4096, rows_at)
+              for name, law in deep.items() for rows_at in [(), (700,)]]
+    cases.append(("band", "plateau", cone["plateau"], 4096, (4096,)))
+    return [pytest.param(kind, law, kmax, rows_at,
+                         id=f"{kind}-{name}-{kmax}-rows={','.join(map(str, rows_at)) or 'none'}")
+            for kind, name, law, kmax, rows_at in cases]
 
 
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
-@pytest.mark.parametrize("rows_at", [(), (700,)])
-@pytest.mark.parametrize("law", ["plateau", "seed walk 1"])
-def test_cone_trim_keeps_every_output_bit(law, barrier, rows_at, monkeypatch):
-    # in the cone the sweep also trims the survivors' trailing subnormal
-    # cells; theta and the columns are still those of the uncut sweep, bit
-    # for bit, and no cone row ends in a subnormal cell
-    kmax = 4096
-    after = max(rows_at, default=0)
-    ends = []
-    sweep = oc._sweep
-
-    def watching(*args, **kwargs):
-        for k, cells, cut in sweep(*args, **kwargs):
-            if k > after and len(cells) > cut:
-                ends.append(cells[-1])
-            yield k, cells, cut
-
-    monkeypatch.setattr(oc, "_sweep", watching)
-    stats = oc.tau_statistics(_trim_law(law), kmax, barrier, hmax=3, rows_at=rows_at)
-    monkeypatch.undo()
-    theta, columns, last = _uncut_outputs(law, barrier, kmax)
+@pytest.mark.parametrize("kind,dist,kmax,rows_at", _uncut_cases())
+def test_tau_statistics_is_the_uncut_sweep(kind, dist, kmax, rows_at, barrier, sweep_log):
+    # theta, the columns and the kept rows are those of the uncut sweep, bit
+    # for bit, wherever the rows end and through the cone's cut and subnormal
+    # trim after the last of them.  theta is reduced from the block's killed
+    # part after the sweep, yet it is the per-step sum over the nonzero killed
+    # cells in position order: these laws' killed parts hold at most 7 cells,
+    # which numpy sums in a plain loop
+    stats = oc.tau_statistics(dist, kmax, barrier, hmax=3, rows_at=rows_at)
+    ref = uncut_outputs(dist, kmax, barrier, rows_at)
+    assert stats.columns.tobytes() == ref.columns.tobytes()
     for h in range(4):
-        assert stats.theta[h].tobytes() == theta[h].tobytes()
-    assert stats.columns.tobytes() == columns.tobytes()
-    assert min(ends) >= TINY
-    # the trim engaged: past the last kept row an uncut row holds a subnormal
-    # cell that the cone cut alone keeps
-    assert last > after
-    for n in rows_at:
-        rows = oc.killed_rows_at(stats.dist, [n], barrier)
-        assert stats.rows[n].values.tobytes() == rows[n].values.tobytes()
+        assert stats.theta[h].tobytes() == ref.theta[h].tobytes()
+    assert sorted(stats.rows) == list(rows_at)
+    for n, row in ref.rows.items():
+        kept = stats.rows[n]
+        assert (kept.offset, kept.values.tobytes()) == (row.offset, row.values.tobytes())
+        assert kept.values[-1] != 0  # the row ends at its last nonzero cell
+    # the block stops at kmax, wherever the rows end
+    bare = uncut_outputs(dist, kmax, barrier)
+    assert (bare.theta.tobytes(), bare.columns.tobytes()) == (ref.theta.tobytes(),
+                                                             ref.columns.tobytes())
+    # one sweep, and no row of its cone ends in a subnormal cell
+    after = max(rows_at, default=0)
+    assert [s.k for s in sweep_log] == list(range(1, max(kmax, after) + 1))
+    assert all(s.last >= TINY for s in sweep_log if s.k > after and s.width)
+    if kind in ("cut", "trim"):
+        # the cut ran over subnormal cells: past the last kept row an uncut
+        # row holds a subnormal cell above the cone's edge U_MAX + a (kmax - k)
+        assert ref.subnormal_above_edge
+    if kind == "trim":
+        # the trim engaged: past the last kept row an uncut row holds a
+        # subnormal cell at or below the edge, a cell the cut alone keeps
+        assert ref.last_subnormal > after
+    if kind == "band":
+        # a kept row loses only its exact zeros: the plateau law's row at
+        # 4096 keeps its 114 subnormal cells
+        cells = ref.rows[kmax].values
+        assert ((cells > 0) & (cells < TINY)).sum() > 100
 
 
-@pytest.mark.parametrize("barrier", ["strict", "weak"])
-def test_kept_row_keeps_its_subnormal_band(barrier):
-    # a row a collector keeps loses only its exact zeros: the plateau law's
-    # row at 4096 keeps its 114 subnormal cells, bit for bit
-    dist = _plateau_law()
-    stats = oc.tau_statistics(dist, 4096, barrier, rows_at=[4096])
-    rows = oc.killed_rows_at(dist, [4096], barrier)
-    kept = stats.rows[4096].values
-    assert kept.tobytes() == rows[4096].values.tobytes()
-    assert ((kept > 0) & (kept < TINY)).sum() > 100
+def test_compute_constants_is_one_sweep(tri, sweep_log):
+    # theta, b and U1 all come from one sweep: one kill step per horizon
+    compute_constants(oc.tau_statistics(tri, 256))
+    assert [s.k for s in sweep_log] == list(range(1, 257))
 
 
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
@@ -443,28 +331,17 @@ def test_sweep_keeps_the_space_time_martingales(tri, asym, barrier):
 
 
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
-def test_cone_cut_engages_only_after_the_last_kept_row(tri, monkeypatch, barrier):
+def test_cone_cut_engages_only_after_the_last_kept_row(tri, sweep_log, barrier):
     # the constants' sweep ends on a row cut to the columns' cells; a sweep
     # that keeps a row at kmax, and killed_rows_at, never cut
-    widths = []
-    sweep = oc._sweep
-
-    def counting(*args, **kwargs):
-        for k, cells, cut in sweep(*args, **kwargs):
-            widths.append(len(cells) - cut)  # the survivors' cells
-            yield k, cells, cut
-
-    monkeypatch.setattr(oc, "_sweep", counting)
     floor = oc.Barrier.parse(barrier).floor
     oc.tau_statistics(tri, 1024, barrier)
-    assert len(widths) == 1024 and widths[-1] <= oc.U_MAX - floor + 1
-    widths.clear()
+    assert len(sweep_log) == 1024 and sweep_log[-1].width <= oc.U_MAX - floor + 1
     oc.tau_statistics(tri, 1024, barrier, rows_at=[1024])
-    full = widths[-1]
+    full = sweep_log[-1].width
     assert full > oc.U_MAX
-    widths.clear()
     oc.killed_rows_at(tri, [1024], barrier)
-    assert widths[-1] == full
+    assert len(sweep_log) == 3 * 1024 and sweep_log[-1].width == full
 
 
 def test_tau_statistics_rejects_horizons_below_one(tri):
