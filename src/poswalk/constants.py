@@ -155,6 +155,7 @@ def compute_constants(stats: TauStatistics) -> ConstantSet:
     prov: dict[str, dict] = {}
     scale = ks**1.5
     fits = _tail_fits(ks, (scale * theta for theta in stats.theta.values()), lmax)
+    del ks, scale  # kmax-length: freed before the U1 fits allocate theirs
     for h, fit in zip(stats.theta, fits):
         # the coefficient of k^-l is b[l, h]
         for l in range(lmax + 1):

@@ -36,20 +36,26 @@ class ExtrapolationResult:
 
 
 def _window(ks: np.ndarray, terms: int, lo: float, hi: float):
-    """The fit window's (mask, column-scaled design, column norms)."""
-    mask = (ks >= lo) & (ks <= hi)
-    npts = int(mask.sum())
+    """The fit window's (slice of ``ks``, column-scaled design, column norms).
+
+    ``ks`` is strictly increasing, so the points in [lo, hi] are one slice.
+    """
+    window = slice(np.searchsorted(ks, lo, "left"), np.searchsorted(ks, hi, "right"))
+    kw = ks[window]
+    npts = len(kw)
     if npts < terms + 2:
         raise InsufficientPoints(f"window [{lo}, {hi}] holds {npts} points, need >= {terms + 2}")
-    kw = ks[mask]
-    design = np.column_stack([kw ** (-e) for e in range(terms)])
+    design = np.empty((npts, terms))
+    for e in range(terms):
+        design[:, e] = kw ** (-e)
     norms = np.linalg.norm(design, axis=0)
-    return mask, design / norms, norms
+    design /= norms
+    return window, design, norms
 
 
 def _solve(window, a: np.ndarray) -> np.ndarray:
-    mask, scaled, norms = window
-    coef, _, _, sv = np.linalg.lstsq(scaled, a[mask], rcond=None)
+    rows, scaled, norms = window
+    coef, _, _, sv = np.linalg.lstsq(scaled, a[rows], rcond=None)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf  # the 2-norm condition number
     if cond > COND_GUARD:
         raise IllConditioned(f"condition number {cond:.3e} exceeds {COND_GUARD:.0e}")

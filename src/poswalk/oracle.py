@@ -86,15 +86,22 @@ the nonzero cells only, in position order.  Pairwise summation rounds
 differently when the element count changes, so a total that summed zero
 cells too, or in another order, would change the CLI artifacts' bytes.
 
-``tau_statistics`` copies each step's cells at positions min_step..U_MAX,
-one contiguous slice, into one step-major ``(kmax, U_MAX + 1 - min_step)``
-block.  Its killed part, the ``floor - min_step`` cells below the floor,
-gives the overshoot moments, reduced once, row by row, after the sweep;
-its survivor part, floor..``U_MAX``, is the survivor columns.  numpy sums a
-run of fewer than 8 cells in a plain loop, so a killed part of at most 7
-cells (strict ``|min_step| <= 6``, weak ``|min_step| <= 7``) gives the
-per-step sum over its nonzero cells bit for bit; wider parts are summed
-pairwise and the last bit may differ.
+``tau_statistics`` keeps only what outlives the sweep: ``theta`` and the
+survivor columns floor..``U_MAX``.  Each step copies its cells at positions
+min_step..U_MAX, one contiguous slice, into one row of a step-major ring
+of ``FLUSH_STEPS`` rows.  When the ring is full, and at kmax, its killed
+part, the ``floor - min_step`` cells below the floor, is reduced row by
+row into the overshoot moments, its survivor part is copied into the
+``(kmax, U_MAX + 1 - floor)`` columns, and the ring is zeroed for the next
+run of steps.  So no ``kmax x (floor - min_step)`` block of killed cells
+outlives the sweep, and the constants' fits, where a constants run peaks,
+run without one.  A row's reduction reads that row alone, so the moments
+are those of one whole block reduced after the sweep, bit for bit,
+wherever the flushes fall.  numpy sums a run of fewer than 8 cells in a
+plain loop, so a killed part of at most 7 cells (strict ``|min_step| <=
+6``, weak ``|min_step| <= 7``) gives the per-step sum over its nonzero
+cells bit for bit; wider parts are summed pairwise, zeros included, and
+the last bit may differ from that sum.
 """
 
 from __future__ import annotations
@@ -111,6 +118,7 @@ from .increments import IncrementDistribution
 
 EXACT_HORIZON_CAP = 64
 U_MAX = 30  # tau_statistics keeps the survivor columns floor..U_MAX, U1's lattice points
+FLUSH_STEPS = 256  # tau_statistics reduces the killed cells of this many steps at a time
 
 
 class Barrier(enum.Enum):
@@ -264,13 +272,12 @@ class TauStatistics:
     sum_y (y/sigma)^h P(S_k = -y, tau = k); h = 0 recovers P(tau = k) and
     sigma * theta[1] is the overshoot mean E[-S_tau; tau = k].
     ``columns[i][k-1]`` is the low-lattice survivor mass
-    P(S_k = floor + i, tau > k) for floor + i <= U_MAX.  Both come from one
-    step-major ``(kmax, U_MAX + 1 - min_step)`` block over the positions
-    min_step..U_MAX: ``theta`` reduces its killed part, below the floor, and
-    ``columns`` is the transposed view of its survivor part, so
-    ``column(u)`` is a strided view of one column of the block.
-    ``rows[n]`` is the survivor row at each horizon n the sweep was asked to
-    keep, below or beyond kmax.
+    P(S_k = floor + i, tau > k) for floor + i <= U_MAX: the transposed view
+    of a step-major ``(kmax, U_MAX + 1 - floor)`` array, so ``column(u)`` is
+    a strided view of one of its columns.  No killed cell is kept: the
+    sweep reduces them into ``theta`` as it goes.  ``rows[n]`` is the
+    survivor row at each horizon n the sweep was asked to keep, below or
+    beyond kmax.
     """
 
     dist: IncrementDistribution
@@ -287,11 +294,12 @@ class TauStatistics:
 
 def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRICT,
                    hmax: int = 3, rows_at=()) -> TauStatistics:
-    """Float sweep collecting the cells at positions <= U_MAX, then the moments.
+    """Float sweep reducing the cells at positions <= U_MAX to the moments and columns.
 
     Each step up to kmax copies its cells at positions min_step..U_MAX, the
     killed cells and the low survivor columns alike, into one row of a
-    step-major block.  The sweep runs on to the largest horizon in
+    ring of ``FLUSH_STEPS`` steps, which is reduced into ``theta`` and the
+    columns when full and at kmax.  The sweep runs on to the largest horizon in
     ``rows_at`` and keeps the survivor rows there, so one sweep serves the
     constants and the rows.  After the last kept row it sweeps only the
     dependency cone of the positions <= U_MAX (see the module docstring).
@@ -303,18 +311,28 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
         raise InputError("horizons must be >= 1")
     barrier = Barrier.parse(barrier)
     floor, lo = barrier.floor, dist.min_step
-    block = np.zeros((kmax, U_MAX + 1 - lo))  # positions lo..U_MAX
+    dead = floor - lo  # the killed cells' positions lo..floor - 1
+    ys = -np.arange(lo, floor, dtype=float) / dist.sigma()  # overshoots in sigma units
+    powers = [ys**h for h in range(hmax + 1)]
+    theta = {h: np.empty(kmax) for h in range(hmax + 1)}
+    columns = np.empty((kmax, U_MAX + 1 - floor))  # step-major; the field is its transpose
+    span = min(kmax, FLUSH_STEPS)
+    ring = np.zeros((span, U_MAX + 1 - lo))  # positions lo..U_MAX of steps k - i..k
     rows = {}
     cone_after = max(wanted, default=0)
     for k, cells, cut in _sweep(dist, max(wanted | {kmax}), barrier, "float64", cone_after):
         if k <= kmax:
+            i = (k - 1) % span
             start = floor - cut - lo  # row k starts at floor - cut
             low = cells[: U_MAX + 1 - lo - start]
-            block[k - 1, start : start + len(low)] = low
+            ring[i, start : start + len(low)] = low
+            if i == span - 1 or k == kmax:  # reduce steps k - i..k and start again
+                for h, power in enumerate(powers):
+                    theta[h][k - 1 - i : k] = (power * ring[: i + 1, :dead]).sum(axis=1)
+                columns[k - 1 - i : k] = ring[: i + 1, dead:]
+                ring[: i + 1] = 0
         if k in wanted:
             rows[k] = Row(floor, cells[cut:])
-    ys = -np.arange(lo, floor, dtype=float) / dist.sigma()  # overshoots in sigma units
-    theta = {h: (ys**h * block[:, : floor - lo]).sum(axis=1) for h in range(hmax + 1)}
     return TauStatistics(dist=dist, barrier=barrier, kmax=kmax, theta=theta,
-                         columns=block[:, floor - lo :].T, rows=rows)
+                         columns=columns.T, rows=rows)
 

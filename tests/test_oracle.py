@@ -242,7 +242,9 @@ def _uncut_cases():
     theta: the fixture laws, whose killed parts hold 1 to 3 cells; rows: rows
     kept below and beyond kmax; cut: laws whose cone cut meets subnormal
     cells; trim: the widest subnormal bands, which the cone's trim meets;
-    band: a row kept at kmax.
+    band: a row kept at kmax; flush: kmax below, at, one past and off a
+    multiple of the steps ``tau_statistics`` reduces at a time, with and
+    without a row kept beyond kmax.
     """
     cone = _cone_laws()
     deep = {"plateau": cone["plateau"], "seed walk 1": seed_walk_1()}
@@ -255,6 +257,11 @@ def _uncut_cases():
     cases += [("trim", name, law, 4096, rows_at)
               for name, law in deep.items() for rows_at in [(), (700,)]]
     cases.append(("band", "plateau", cone["plateau"], 4096, (4096,)))
+    flush = oc.FLUSH_STEPS
+    cases += [("flush", name, law, kmax, rows_at)
+              for name, law in [("trinomial", fixed["trinomial"]), ("seed walk 1", seed_walk_1())]
+              for kmax in (1, flush - 1, flush, flush + 1, 1000)
+              for rows_at in [(), (kmax + 50,)]]
     return [pytest.param(kind, law, kmax, rows_at,
                          id=f"{kind}-{name}-{kmax}-rows={','.join(map(str, rows_at)) or 'none'}")
             for kind, name, law, kmax, rows_at in cases]
@@ -264,11 +271,11 @@ def _uncut_cases():
 @pytest.mark.parametrize("kind,dist,kmax,rows_at", _uncut_cases())
 def test_tau_statistics_is_the_uncut_sweep(kind, dist, kmax, rows_at, barrier, sweep_log):
     # theta, the columns and the kept rows are those of the uncut sweep, bit
-    # for bit, wherever the rows end and through the cone's cut and subnormal
-    # trim after the last of them.  theta is reduced from the block's killed
-    # part after the sweep, yet it is the per-step sum over the nonzero killed
-    # cells in position order: these laws' killed parts hold at most 7 cells,
-    # which numpy sums in a plain loop
+    # for bit, wherever the rows end, wherever kmax falls among the flushes
+    # and through the cone's cut and subnormal trim after the last kept row.
+    # theta is reduced from the ring's killed cells, zeros included, yet it is
+    # the per-step sum over the nonzero killed cells in position order: these
+    # laws' killed parts hold at most 7 cells, which numpy sums in a plain loop
     stats = oc.tau_statistics(dist, kmax, barrier, hmax=3, rows_at=rows_at)
     ref = uncut_outputs(dist, kmax, barrier, rows_at)
     assert stats.columns.tobytes() == ref.columns.tobytes()
@@ -300,6 +307,38 @@ def test_tau_statistics_is_the_uncut_sweep(kind, dist, kmax, rows_at, barrier, s
         # 4096 keeps its 114 subnormal cells
         cells = ref.rows[kmax].values
         assert ((cells > 0) & (cells < TINY)).sum() > 100
+
+
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+def test_wide_killed_part_sums_as_a_step_major_block(barrier):
+    # numpy sums a row of 8 or more cells pairwise, so theta is no longer the
+    # plain nonzero sum; it is the reduction of the uncut sweep's killed cells
+    # laid out step-major over positions min_step..floor - 1, zeros included,
+    # row by row with the same (ys**h * block).sum(axis=1), whichever flush
+    # holds the step.  This law kills 9 cells a step (strict) or 8 (weak)
+    dist = increments.validate([-8, 0, 1], ["1/10", "1/10", "4/5"])
+    floor, lo = oc.Barrier.parse(barrier).floor, dist.min_step
+    ys = -np.arange(lo, floor, dtype=float) / dist.sigma()
+    for kmax in (1, 255, 257, 1000, 4096):
+        block = np.zeros((kmax, floor - lo))
+        for k, cells, cut in oc._sweep(dist, kmax, oc.Barrier.parse(barrier), "float64"):
+            block[k - 1, floor - cut - lo :] = cells[:cut]  # row k starts at floor - cut
+        stats = oc.tau_statistics(dist, kmax, barrier)
+        for h in range(4):
+            assert stats.theta[h].tobytes() == (ys**h * block).sum(axis=1).tobytes()
+        assert stats.columns.tobytes() == uncut_outputs(dist, kmax, barrier).columns.tobytes()
+
+
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+def test_tau_statistics_keeps_no_killed_cells(tri, barrier):
+    # what outlives the sweep is theta and the survivor columns: the memory
+    # behind the columns holds floor..U_MAX of each step and no killed cell
+    floor = oc.Barrier.parse(barrier).floor
+    for dist in (tri, seed_walk_1()):
+        for kmax in (1, 300):
+            stats = oc.tau_statistics(dist, kmax, barrier, rows_at=[kmax + 10])
+            assert stats.columns.base.size == kmax * (oc.U_MAX + 1 - floor)
+            assert all(t.size == kmax and t.base is None for t in stats.theta.values())
 
 
 def test_compute_constants_is_one_sweep(tri, sweep_log):
