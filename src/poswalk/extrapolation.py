@@ -62,14 +62,13 @@ def _solve(window, a: np.ndarray) -> np.ndarray:
     return coef / norms
 
 
-def fit_power_tails(ks: np.ndarray, sequences, terms: int,
-                    window: tuple[float, float] | None = None) -> list[ExtrapolationResult]:
+def fit_power_tails(ks: np.ndarray, sequences, terms: int) -> list[ExtrapolationResult]:
     """Fit c_0..c_{terms-1} over the basis {k^-e} to each array in ``sequences``.
 
     Every array is a sequence over the same ``ks`` (strictly increasing, of
-    equal length); c_0 is its limit.  The default window is the last third
-    of the k range; the error estimates refit on a window starting 10% of
-    the range earlier and report each coefficient's shift.  The window
+    equal length); c_0 is its limit.  The window is the last third of the
+    k range; the error estimates refit on a window starting 10% of the
+    range earlier and report each coefficient's shift.  The window
     designs are built once and shared; each sequence gets a least-squares
     solve of its own, so its result does not depend on the others.
     ``sequences`` is consumed one array at a time.
@@ -82,22 +81,18 @@ def fit_power_tails(ks: np.ndarray, sequences, terms: int,
     if np.any(np.diff(ks) <= 0):
         raise ValueError("ks must be strictly increasing")
     span = ks[-1] - ks[0]
-    if window is None:
-        window = (ks[-1] - span / 3.0, ks[-1])
-    lo, hi = window
-    lo2 = max(ks[0], lo - 0.10 * span)
+    lo, hi = ks[-1] - span / 3.0, ks[-1]
     main = _window(ks, terms, lo, hi)
-    wide = _window(ks, terms, lo2, hi) if lo2 < lo else None
+    wide = _window(ks, terms, lo - 0.10 * span, hi)
     results = []
     for a in sequences:
         a = np.asarray(a, dtype=float)
         if ks.shape != a.shape:
             raise ValueError("ks and a must be nonempty 1-d arrays of equal length")
         coef = _solve(main, a)
-        shift = np.abs(coef - _solve(wide, a)) if wide is not None else np.zeros_like(coef)
         results.append(ExtrapolationResult(
             coefficients=tuple(float(c) for c in coef),
-            errors=tuple(float(e) for e in shift),
+            errors=tuple(float(e) for e in np.abs(coef - _solve(wide, a))),
             window=(float(lo), float(hi)),
         ))
     return results

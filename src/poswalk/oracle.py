@@ -15,18 +15,17 @@ of its cells.  The products go to one scratch block allocated once per
 sweep, one row per distinct weight, filled by one broadcast multiply between
 zero margins: a law that repeats a weight (trinomial 3/10, skewed 2/5) reuses
 the same product.  The output row sums each shift's slice of the block in
-support order (a margin cell adds 0).  A fresh temporary per product,
-once rows pass the allocator's mmap threshold, is a fresh mapping whose
-pages fault on first touch, and those faults, not the arithmetic, used to
-dominate a deep sweep.  What the zero trim cannot drop is the subnormal
-band at the far tail, cells below ``np.finfo(float).tiny`` (2.2e-308) that
-have not yet rounded to zero: about 90-165 cells at k = 16384 for the walks
-in ``dists/`` and the benchmark's seed walks, but a plateau that keeps
-widening for some laws (about 2840 cells at k = 16384 for
-(2, 3, 1, 3, 2)/11).  Subnormal arithmetic is slow.  Flushing those cells
-from a row a collector keeps would change ``Row.total``'s pairwise-sum bits,
-so every kept row, and every row before it, keeps them; the rows of the
-dependency cone (below) do not.
+support order (a margin cell adds 0).  One block serves every product
+because a fresh temporary per product, once rows pass the allocator's mmap
+threshold, is a fresh mapping whose pages fault on first touch.  What the
+zero trim cannot drop is the subnormal band at the far tail, cells below
+``np.finfo(float).tiny`` (2.2e-308) that have not yet rounded to zero: about
+90-165 cells at k = 16384 for the walks in ``dists/`` and the benchmark's
+seed walks, but a plateau that keeps widening for some laws (about 2840
+cells at k = 16384 for (2, 3, 1, 3, 2)/11).  Subnormal arithmetic is slow.
+Flushing those cells from a row a collector keeps would change
+``Row.total``'s pairwise-sum bits, so every kept row, and every row before
+it, keeps them; the rows of the dependency cone (below) do not.
 
 The dependency cone drops what the trim keeps but no output reads.  A step
 moves mass down by at most a = -min_step, so once the last row a collector

@@ -473,59 +473,38 @@ def test_verify_threshold_failure_exit_one(tri_file, tmp_path, monkeypatch):
     assert summary["scaled_err_flatness"] > 3.0
 
 
-def test_verify_scales_r1_error_by_n2_where_p3_vanishes(tri_file, tmp_path):
+@pytest.mark.parametrize("command, law, power", [
+    ("verify", "trinomial", 2.0), ("verify", "skewed", 1.5),
+    ("report", "trinomial", 2.0), ("report", "skewed", 1.5)])
+def test_r1_error_scale_follows_p3(command, law, power, tmp_path):
     # trinomial strict: P_3 = 0, so the r = 1 error is of order n^{-2}, not
-    # n^{-3/2}; scaled by n^2 it is flat (5.86e-2 / 5.87e-2 / 5.87e-2) where
-    # n^{3/2} would read flatness 3.99 and fail a correct pipeline
-    rc = run(["verify", "--dist", tri_file, "--r", "1", "--barrier", "strict",
-              "--kmax", "512", "--nmax", "1600", "--out", str(tmp_path)])
+    # n^{-3/2}; verify scales it by n^2 and reads it flat (5.86e-2 / 5.87e-2 /
+    # 5.87e-2) where n^{3/2} would read flatness 3.99 and fail a correct
+    # pipeline, and report scales its r = 1 curve alike, where n^{3/2} would
+    # halve it at every step (a 4x spread).  Skewed strict: P_3 != 0, so
+    # r = 1 keeps the n^{3/2} scale.  report --r 2 writes the r = 1 curve too.
+    options = (["--r", "1", "--kmax", "512", "--nmax", "400" if law == "skewed" else "1600"]
+               if command == "verify" else ["--r", "2", "--kmax", "1024", "--nmax", "1600"])
+    rc = run([command, "--dist", str(DISTS / f"{law}.json"), "--barrier", "strict", *options,
+              "--out", str(tmp_path)])
     assert rc == 0
-    summary = json.loads((tmp_path / "verify_summary.json").read_text())
-    assert summary["pass"] is True
-    assert summary["scaled_err_flatness"] < 1.1
-    assert all(abs(e - 2.0) < 0.01 for e in summary["decay_exponents"].values())
-    table = (tmp_path / "error_table.csv").read_text().strip().split("\n")[1:]
-    for line in table:
-        n, _, _, _, abs_err, scaled = line.split(",")
-        assert float(scaled) == float(abs_err) * int(n) ** 2.0
-
-
-def test_verify_keeps_n32_scale_where_p3_is_nonzero(tmp_path):
-    # skewed strict: P_3 != 0, so r = 1 keeps the n^{3/2} scale
-    rc = run(["verify", "--dist", str(DISTS / "skewed.json"), "--r", "1",
-              "--barrier", "strict", "--kmax", "512", "--nmax", "400", "--out", str(tmp_path)])
-    assert rc == 0
-    table = (tmp_path / "error_table.csv").read_text().strip().split("\n")[1:]
-    for line in table:
-        n, _, _, _, abs_err, scaled = line.split(",")
-        assert float(scaled) == float(abs_err) * int(n) ** 1.5
-
-
-def _report_r1_curve(dist_path, tmp_path):
-    """The r = 1 rows of report_scaled_err.csv: (n, max_abs_err, max_scaled_err)."""
-    rc = run(["report", "--dist", dist_path, "--r", "2", "--barrier", "strict",
-              "--kmax", "1024", "--nmax", "1600", "--out", str(tmp_path)])
-    assert rc == 0
-    with open(tmp_path / "report_scaled_err.csv", encoding="utf-8") as fh:
-        return [(int(row["n"]), float(row["max_abs_err"]), float(row["max_scaled_err"]))
-                for row in csv.DictReader(fh) if row["r"] == "1"]
-
-
-def test_report_scales_r1_curve_by_n2_where_p3_vanishes(tri_file, tmp_path):
-    # trinomial strict: P_3 = 0, so report scales its r = 1 curve as verify
-    # does, by n^2; n^{3/2} would halve it at every step (a 4x spread)
-    curve = _report_r1_curve(tri_file, tmp_path)
-    assert [n for n, _, _ in curve] == [100, 400, 1600]
-    scaled = [s for _, _, s in curve]
-    assert max(scaled) / min(scaled) < 1.1
-    assert all(s == e * n**2.0 for n, e, s in curve)
-
-
-def test_report_keeps_n32_scale_where_p3_is_nonzero(tmp_path):
-    # skewed strict: P_3 != 0, so the r = 1 curve keeps the n^{3/2} scale
-    curve = _report_r1_curve(str(DISTS / "skewed.json"), tmp_path)
-    assert len(curve) == 3
-    assert all(s == e * n**1.5 for n, e, s in curve)
+    name, abs_col, scaled_col = (
+        ("error_table.csv", "abs_err", "scaled_err") if command == "verify"
+        else ("report_scaled_err.csv", "max_abs_err", "max_scaled_err"))
+    with open(tmp_path / name, encoding="utf-8") as fh:  # verify's rows are all r = 1
+        rows = [(int(row["n"]), float(row[abs_col]), float(row[scaled_col]))
+                for row in csv.DictReader(fh) if row.get("r", "1") == "1"]
+    assert all(s == e * n**power for n, e, s in rows)
+    if command == "report":
+        assert [n for n, _, _ in rows] == [100, 400, 1600]
+    if power == 2.0 and command == "verify":
+        summary = json.loads((tmp_path / "verify_summary.json").read_text())
+        assert summary["pass"] is True
+        assert summary["scaled_err_flatness"] < 1.1
+        assert all(abs(e - 2.0) < 0.01 for e in summary["decay_exponents"].values())
+    if power == 2.0 and command == "report":
+        scaled = [s for _, _, s in rows]
+        assert max(scaled) / min(scaled) < 1.1
 
 
 def _fresh_python(code: str) -> str:

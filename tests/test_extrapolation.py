@@ -9,11 +9,14 @@ from poswalk.errors import IllConditioned, InsufficientPoints
 from poswalk.extrapolation import fit_power_tails
 
 KS = np.arange(8, 1500, dtype=float)
+# k of order one, densely sampled: over the last third [3, 4] every power up
+# to k^-3 still varies, so the fit pins the higher coefficients too
+SHORT = np.linspace(1.0, 4.0, 3001)
 
 
-def _model(coeffs):
-    """a_k = sum_e coeffs[e] / k^e over KS."""
-    return sum(c / KS**e for e, c in enumerate(coeffs))
+def _model(coeffs, ks=KS):
+    """a_k = sum_e coeffs[e] / k^e over ``ks``."""
+    return sum(c / ks**e for e, c in enumerate(coeffs))
 
 
 def test_exact_two_term_model():
@@ -41,10 +44,10 @@ def test_log_contamination_degraded_tolerance():
 
 
 def test_exact_model_recovers_all_coefficients():
-    # full-range window: small k carries the information on the higher
-    # coefficients, a tail window only pins the limit
+    # small k carries the information on the higher coefficients: a last
+    # third far out in k pins only the limit, the one of SHORT pins all four
     coeffs = [1.5, -2.0, 0.25, 7.0]
-    res = fit_power_tails(KS, [_model(coeffs)], 4, window=(KS[0], KS[-1]))[0]
+    res = fit_power_tails(SHORT, [_model(coeffs, SHORT)], 4)[0]
     for want, have in zip(coeffs, res.coefficients, strict=True):
         assert abs(want - have) <= 1e-10 * max(1.0, abs(want))
 
@@ -82,16 +85,16 @@ def test_error_estimate_calibrated_under_misspecification():
 
 def test_coefficient_errors_vanish_for_exact_models():
     # every coefficient of a correctly specified model is the same on both
-    # windows up to rounding.  The windows reach down to k = 50 (refit from
-    # k = 8): on the default last-third window the highest coefficient is
-    # pinned only to ~1e-8 relative (c2 of the three-term model shifts 1.1e-8)
+    # windows up to rounding.  Three and four terms are fitted over SHORT: on
+    # the last third of KS the highest coefficient is pinned only to ~1e-8
+    # relative (c2 of the three-term model shifts 1.1e-8)
     cases = [
-        ([2.0, 3.0], None),
-        ([1.0, -2.0, 4.0], (50, KS[-1])),
-        ([1.5, -2.0, 0.25, 7.0], (50, KS[-1])),
+        ([2.0, 3.0], KS),
+        ([1.0, -2.0, 4.0], SHORT),
+        ([1.5, -2.0, 0.25, 7.0], SHORT),
     ]
-    for coeffs, window in cases:
-        res = fit_power_tails(KS, [_model(coeffs)], len(coeffs), window=window)[0]
+    for coeffs, ks in cases:
+        res = fit_power_tails(ks, [_model(coeffs, ks)], len(coeffs))[0]
         assert len(res.errors) == len(coeffs)
         for c, shift in zip(coeffs, res.errors):
             assert shift <= 1e-9 * max(1.0, abs(c))
@@ -119,36 +122,33 @@ def _fresh_fit(ks, a, terms, lo, hi):
 def test_shared_design_fit_matches_single_fits():
     # one design per window serves every sequence; each result is bit for bit
     # the sequence's fit on its own, and that one a fresh per-sequence design's solve
-    seqs = [_model([1.5, -2.0, 0.25, 7.0]), 1 + np.log(KS) / KS**2, 2 + 3 / KS,
-            np.full(len(KS), 5.0)]
-    for terms, window in ((4, None), (3, (50.0, KS[-1])), (2, (KS[0], KS[-1]))):
-        many = fit_power_tails(KS, iter(seqs), terms, window)
+    for terms, ks in ((4, KS), (3, KS[:400]), (2, SHORT)):
+        seqs = [_model([1.5, -2.0, 0.25, 7.0], ks), 1 + np.log(ks) / ks**2, 2 + 3 / ks,
+                np.full(len(ks), 5.0)]
+        many = fit_power_tails(ks, iter(seqs), terms)
         assert len(many) == len(seqs)
         for a, res in zip(seqs, many):
-            single = fit_power_tails(KS, [a], terms, window)[0]
+            single = fit_power_tails(ks, [a], terms)[0]
             assert _bits(res) == _bits(single)
             lo, hi = res.window
-            coef = _fresh_fit(KS, a, terms, lo, hi)
+            coef = _fresh_fit(ks, a, terms, lo, hi)
             assert [c.hex() for c in res.coefficients] == [float(c).hex() for c in coef]
-            lo2 = max(KS[0], lo - 0.10 * (KS[-1] - KS[0]))
-            shift = (np.abs(coef - _fresh_fit(KS, a, terms, lo2, hi)) if lo2 < lo
-                     else np.zeros(terms))
+            shift = np.abs(coef - _fresh_fit(ks, a, terms, lo - 0.10 * (ks[-1] - ks[0]), hi))
             assert [e.hex() for e in res.errors] == [float(e).hex() for e in shift]
 
 
 def test_shared_design_fit_raises_as_single_fits():
     ks = np.arange(1000, 1100, dtype=float)
-    for args in ((np.arange(1, 5), np.ones(4), 3, (1, 4)), (ks, 1 + 1 / ks, 8, None)):
-        ks_, a, terms, window = args
+    for ks_, a, terms in ((np.arange(1, 5), np.ones(4), 3), (ks, 1 + 1 / ks, 8)):
         with pytest.raises((InsufficientPoints, IllConditioned)) as single:
-            fit_power_tails(ks_, [a], terms, window)
+            fit_power_tails(ks_, [a], terms)
         with pytest.raises(single.type, match=f"^{re.escape(str(single.value))}$"):
-            fit_power_tails(ks_, [a, a], terms, window)
+            fit_power_tails(ks_, [a, a], terms)
 
 
 def test_insufficient_points():
     with pytest.raises(InsufficientPoints):
-        fit_power_tails(np.arange(1, 5), [np.ones(4)], 3, window=(1, 4))
+        fit_power_tails(np.arange(1, 5), [np.ones(4)], 3)
 
 
 def test_ill_conditioned_guard():
