@@ -17,10 +17,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from poswalk import increments  # noqa: E402
-from poswalk import oracle as oc  # noqa: E402
-from poswalk.constants import compute_constants  # noqa: E402
-from poswalk.expansion import (b_range, error_ladder, expansion_polys, horizons,  # noqa: E402
-                               window)
+from poswalk.expansion import (constants_for_order, error_ladder, expansion_polys,  # noqa: E402
+                               horizons, window)
 
 WALKS = {
     "lazy-simple": ([-1, 0, 1], ["3/10", "2/5", "3/10"]),
@@ -31,10 +29,9 @@ WALKS = {
 
 def study(name, dist, barrier, rs, ns, kmax):
     # one sweep to max(kmax, ns) feeds both the constant fits and the rows
-    stats = oc.tau_statistics(dist, kmax, barrier, hmax=b_range(max(rs)), rows_at=ns)
-    cs = compute_constants(stats)
+    cs, rows = constants_for_order(dist, max(rs), kmax, barrier, rows_at=ns)
     for r in rs:
-        ladder = error_ladder(expansion_polys(dist, r, cs), stats.rows, ns, window)
+        ladder = error_ladder(expansion_polys(dist, r, cs), rows, window)
         err_str = "  ".join(f"{e:.2e}" for e in ladder.max_err.values())
         exp_str = "  ".join(f"{e:.3f}" for e in ladder.decay.values())
         print(f"{name:12s} {barrier:6s} r={r}:  E(n) = {err_str}   exponents {exp_str}")

@@ -19,11 +19,11 @@ import sys
 from pathlib import Path
 
 from . import increments
-from .constants import SCHEMA_VERSION, compute_constants, two_pipeline_agreement
+from .constants import SCHEMA_VERSION, two_pipeline_agreement
 from .errors import InputError, NumericFailure
-from .expansion import (DEFAULT_R_CAP, ExpansionSet, b_range, error_ladder, expansion_polys,
-                        horizons, interval_deviations, snapped_grid, window)
-from .oracle import Row, killed_rows_at, tau_statistics
+from .expansion import (DEFAULT_R_CAP, ExpansionSet, constants_for_order, error_ladder,
+                        expansion_polys, horizons, interval_deviations, snapped_grid, window)
+from .oracle import Row, killed_rows_at
 
 FLATNESS_BAND = 3.0
 INTEGRAL_TOL = 1e-8
@@ -53,28 +53,25 @@ def _polys_and_rows(dist_path, r: int, barrier: str, kmax: int, mode: str = "flo
     """The order-r expansion set and the survivor rows at ``ns``: load, sweep, fits, assembly.
 
     --mode exact loads the law exactly (float probabilities must then sum to
-    1 and have mean 0 exactly).  The constant fits always run float64.  In
-    float mode the sweep to kmax runs on to max(ns) and keeps the rows; --mode
-    exact reads exact-rational rows from a sweep of their own (feasible up to
-    the exact cap), run first so that an over-cap horizon fails before any
-    float work.  An order above the validated range (``DEFAULT_R_CAP``) runs
-    on after one warning line on stderr.
+    1 and have mean 0 exactly).  The constant fits always run float64, through
+    ``constants_for_order``.  In float mode its sweep to kmax runs on to max(ns)
+    and keeps the rows; --mode exact reads exact-rational rows from a sweep of
+    their own (feasible up to the exact cap), run first so that an over-cap
+    horizon fails before any float work.  An order above the validated range
+    (``DEFAULT_R_CAP``) runs on after one warning line on stderr.
     """
     exact = mode == "exact"
     dist = increments.load(dist_path, exact)
-    rows = killed_rows_at(dist, ns, barrier, mode="exact-rational") if exact else None
-    stats = tau_statistics(dist, kmax, barrier, hmax=b_range(r), rows_at=() if exact else ns)
-    rows = rows if exact else stats.rows
-    cs = compute_constants(stats)
+    exact_rows = killed_rows_at(dist, ns, barrier, mode="exact-rational") if exact else None
+    cs, rows = constants_for_order(dist, r, kmax, barrier, rows_at=() if exact else ns)
     if r > DEFAULT_R_CAP:
         print(f"warning: r={r} above the validated range (r <= {DEFAULT_R_CAP})", file=sys.stderr)
-    return expansion_polys(dist, r, cs), rows
+    return expansion_polys(dist, r, cs), rows if exact_rows is None else exact_rows
 
 
 def cmd_constants(dist_path, r, barrier, kmax, out_dir):
     """Compute theta0, theta1, b and the U1 table; write constants.json."""
-    cs = compute_constants(tau_statistics(increments.load(dist_path), kmax, barrier,
-                                          hmax=b_range(r)))
+    cs, _ = constants_for_order(increments.load(dist_path), r, kmax, barrier)
     agree = two_pipeline_agreement(cs)
     _write_json(out_dir / "constants.json", {**cs.to_json_dict(), "two_pipeline_agreement": agree})
     print(f"theta0={cs.theta0!r} theta1={cs.theta1!r} "
@@ -97,10 +94,10 @@ def cmd_verify(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     """Exact-vs-expansion error table, decay exponents and interval check."""
     ns = horizons(nmax)
     es, rows_by_n = _polys_and_rows(dist_path, r, barrier, kmax, mode, ns)
-    ladder = error_ladder(es, rows_by_n, ns, snapped_grid)
+    ladder = error_ladder(es, rows_by_n, snapped_grid)
     # be2_dev swings with the lattice term R_n - target, which comes from the
     # limit law alone; the stdout line also shows p_n - R_n at its order
-    be2_dev, be2_lattice_dev = interval_deviations(es.sigma, rows_by_n, ns, es.P[3])
+    be2_dev, be2_lattice_dev = interval_deviations(es.constants.sigma, rows_by_n, es.P[3])
     _write_csv(out_dir / "error_table.csv",
                ["n", "x", "exact", "approx", "abs_err", "scaled_err"], ladder.table)
     be2_ratio = (max(be2_dev.values()) / min(be2_dev.values())
@@ -154,7 +151,7 @@ def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
     """Plot-ready data: profiles per n, scaled-error curves, U1 table."""
     ns = horizons(nmax)
     es, rows_by_n = _polys_and_rows(dist_path, r, barrier, kmax, mode, ns)
-    sigma = es.sigma
+    sigma = es.constants.sigma
 
     profiles = {}
     for n in ns:
@@ -164,7 +161,7 @@ def cmd_report(dist_path, r, barrier, kmax, mode, out_dir, nmax):
 
     curves = []
     for r_cur in range(1, r + 1):
-        ladder = error_ladder(dataclasses.replace(es, r=r_cur), rows_by_n, ns, window)
+        ladder = error_ladder(dataclasses.replace(es, r=r_cur), rows_by_n, window)
         curves += [[r_cur, n, ladder.max_err[n], ladder.max_scaled[n]] for n in ns]
 
     # U1 grows linearly with slope 2 theta0 / sigma^2 (oracle-validated)

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import InputError
 from .extrapolation import ExtrapolationResult, fit_power_tails
 from .increments import IncrementDistribution
-from .oracle import U_MAX, Barrier, TauStatistics
+from .oracle import Barrier, TauStatistics
 
 SCHEMA_VERSION = 1  # of every JSON artifact: constants.json, polys.json, verify_summary.json
 
@@ -59,11 +59,12 @@ def _tail_fits(ks: np.ndarray, sequences, lmax: int = 0) -> list[ExtrapolationRe
 
 
 def u1_tabulate(stats: TauStatistics) -> dict[int, ExtrapolationResult]:
-    """U1(u) = lim (n+1)^{3/2} P(S_n = u, tau > n), per-column extrapolation."""
+    """U1(u) = lim (n+1)^{3/2} P(S_n = u, tau > n), per-column extrapolation, at every
+    height whose column the sweep kept: u = floor, floor + 1, ... (up to ``oracle.U_MAX``)."""
     ns = np.arange(1, stats.kmax + 1, dtype=float) + 1.0
     scale = ns**1.5
-    us = range(stats.barrier.floor, U_MAX + 1)
-    return dict(zip(us, _tail_fits(ns, (scale * stats.column(u) for u in us))))
+    fits = _tail_fits(ns, (scale * column for column in stats.columns))
+    return dict(enumerate(fits, start=stats.barrier.floor))
 
 
 def _renewal_sum(dist: IncrementDistribution, u1: dict[int, ExtrapolationResult],

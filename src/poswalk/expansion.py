@@ -34,12 +34,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constants import SCHEMA_VERSION, ConstantSet
+from .constants import SCHEMA_VERSION, ConstantSet, compute_constants
 from .edgeworth import ghats
 from .errors import CancellationFailure, InputError
 from .increments import IncrementDistribution, cumulant_ratios
 from .laurent import Poly, q_jlm
-from .oracle import Barrier
+from .oracle import Row, tau_statistics
 
 DEFAULT_R_CAP = 4  # the validated orders; the CLI warns above it
 GRID_RATIOS = (0.2, 0.5, 1.0, 1.5, 2.0, 3.0)  # verify's points, in units of sigma sqrt(n)
@@ -109,6 +109,18 @@ def b_range(r: int) -> int:
     return max(1, r - 1)
 
 
+def constants_for_order(dist: IncrementDistribution, r: int, kmax: int, barrier, rows_at=()
+                        ) -> tuple[ConstantSet, dict[int, Row]]:
+    """The constant set order r reads and the survivor rows at ``rows_at``, from one sweep.
+
+    The one route from a law to its constants: ``tau_statistics`` to
+    ``hmax=b_range(r)``, run on to the largest horizon in ``rows_at``, then
+    ``compute_constants``.  The rows come back in ascending step order.
+    """
+    stats = tau_statistics(dist, kmax, barrier, hmax=b_range(r), rows_at=rows_at)
+    return compute_constants(stats), stats.rows
+
+
 def tuple_weight(t: IndexTuple, g, b, sigma):
     """Scalar multiplying q_jlm for one tuple.
 
@@ -171,9 +183,9 @@ def exact_polys(lam, b, sigma, r: int) -> dict[int, Poly]:
 
 @dataclass
 class ExpansionSet:
-    """Expansion polynomials P_2..P_{max(r, 2)+1} with the sigma and constant set they were
-    built from; the series and the JSON export read P_2..P_{r+1}, and an order-1 set
-    also holds P_3 for its error power.
+    """Expansion polynomials P_2..P_{max(r, 2)+1} with the constant set they were built
+    from, whose barrier and sigma they take; the series and the JSON export read
+    P_2..P_{r+1}, and an order-1 set also holds P_3 for its error power.
 
     P_nu does not depend on the order: Q_nu reads only ghat_{2j-q} and b[l,h] with
     2j - q, h <= nu - 2, the same inputs at every order that assembles it.  So
@@ -181,8 +193,6 @@ class ExpansionSet:
     """
 
     r: int
-    barrier: Barrier
-    sigma: float
     P: dict[int, Poly]  # P_nu = -2 Q_nu
     constants: ConstantSet
 
@@ -190,7 +200,7 @@ class ExpansionSet:
         """Truncated series value for P(S_n = x, tau > n); may go <= 0 in tails."""
         if n < 1:
             raise InputError("n must be >= 1")
-        t = x / (self.sigma * math.sqrt(n))
+        t = x / (self.constants.sigma * math.sqrt(n))
         gauss = math.exp(-(t * t) / 2.0)
         if gauss == 0.0:
             return 0.0
@@ -215,8 +225,8 @@ class ExpansionSet:
         return {
             "schema_version": SCHEMA_VERSION,
             "r": self.r,
-            "barrier": self.barrier.value,
-            "sigma": self.sigma,
+            "barrier": self.constants.barrier.value,
+            "sigma": self.constants.sigma,
             "P": {str(nu): coeffs(self.P[nu]) for nu in range(2, self.r + 2)},
             "Q": {str(nu): coeffs(self.P[nu].scale(-0.5)) for nu in range(2, self.r + 2)},
             "constants": self.constants.to_json_dict(),
@@ -230,7 +240,8 @@ def expansion_polys(dist: IncrementDistribution, r: int,
     The float inputs (the lambda_m, sigma and each b[l, h]) enter as their
     exact ``Fraction`` values, so every negative Laurent power cancels exactly
     and each P_nu coefficient is the correctly rounded float of the exact sum.
-    ``constants`` must come from a sweep with hmax >= ``b_range(r)``; reading
+    ``constants`` must come from a sweep with hmax >= ``b_range(r)``, as
+    ``constants_for_order`` runs it; reading
     a missing b[l, h] raises InputError (``ConstantSet.b_value``).  At r = 1
     they cover P_3 too, since ``b_range(1) == b_range(2)``.
     """
@@ -240,7 +251,7 @@ def expansion_polys(dist: IncrementDistribution, r: int,
     lam = [Fraction(x) for x in cumulant_ratios(dist, top - 1)]
     exact = exact_polys(lam, lambda l, h: Fraction(constants.b_value(l, h)),
                         Fraction(dist.sigma()), top)
-    return ExpansionSet(r=r, barrier=constants.barrier, sigma=dist.sigma(), constants=constants,
+    return ExpansionSet(r=r, constants=constants,
                         P={nu: Poly({e: float(c) for e, c in p.terms.items()})
                            for nu, p in exact.items()})
 
@@ -279,16 +290,17 @@ class ErrorLadder:
     flatness: float  # max S_n / min S_n
 
 
-def error_ladder(es: ExpansionSet, rows, ns, points) -> ErrorLadder:
+def error_ladder(es: ExpansionSet, rows: dict[int, Row], points) -> ErrorLadder:
     """``es`` against the survivor rows ``rows[n]`` at ``points(sigma, n)``
-    (``snapped_grid`` or ``window``) per horizon n, scaled by n^p with p = ``es.error_power``.
+    (``snapped_grid`` or ``window``) per horizon n, the keys of ``rows`` in ascending
+    order, scaled by n^p with p = ``es.error_power``.
     With an error of order n^-p the scaled maxima are flat and the exponents read p;
     up to rounding the exponents do not depend on p.  max(abs_err n^p) = max(abs_err) n^p
     bit for bit."""
-    power = es.error_power
+    power, sigma, ns = es.error_power, es.constants.sigma, list(rows)
     table, max_err, max_scaled = [], {}, {}
-    for n in ns:
-        pairs = [(x, float(rows[n].get(x, 0.0)), es.evaluate(n, x)) for x in points(es.sigma, n)]
+    for n, row in rows.items():
+        pairs = [(x, float(row.get(x, 0.0)), es.evaluate(n, x)) for x in points(sigma, n)]
         here = [[n, x, ex, ap, abs(ex - ap), abs(ex - ap) * n ** power] for x, ex, ap in pairs]
         table += here
         max_err[n] = max(entry[4] for entry in here)
@@ -300,12 +312,12 @@ def error_ladder(es: ExpansionSet, rows, ns, points) -> ErrorLadder:
     return ErrorLadder(table, max_err, max_scaled, decay, hi / lo if lo > 0 else float("inf"))
 
 
-def interval_deviations(sigma: float, rows, ns, p3: Poly
+def interval_deviations(sigma: float, rows: dict[int, Row], p3: Poly
                         ) -> tuple[dict[int, float], dict[int, float]]:
     """verify's interval check: the conditioned mass p_n = P(S_n in INTERVAL sigma sqrt(n)
     | tau > n), the float of the exact ratio of sums of the survivor row ``rows[n]``, per
-    horizon n.  Returns sqrt(n) |p_n - target|, target = e^{-u^2/2} - e^{-v^2/2}, and
-    order |p_n - R_n|, where R_n is the Rayleigh density x / (sigma^2 n) e^{-x^2 / (2 sigma^2 n)}
+    horizon n, the keys of ``rows``.  Returns sqrt(n) |p_n - target|, target =
+    e^{-u^2/2} - e^{-v^2/2}, and order |p_n - R_n|, where R_n is the Rayleigh density x / (sigma^2 n) e^{-x^2 / (2 sigma^2 n)}
     summed over the same lattice points: the limit law placed on the lattice.  The first
     swings with the lattice term R_n - target, which comes from the limit law alone; the
     rest, p_n - R_n, is of order n^{-1/2} through P_3, or n^{-1} where ``p3`` vanishes,
@@ -313,13 +325,13 @@ def interval_deviations(sigma: float, rows, ns, p3: Poly
     u, v = INTERVAL
     target = math.exp(-u * u / 2) - math.exp(-v * v / 2)
     raw, lattice = {}, {}
-    for n in ns:
+    for n, row in rows.items():
         scale = sigma * math.sqrt(n)
         lo, hi = math.ceil(u * scale), math.floor(v * scale)
-        total = rows[n].total()
+        total = row.total()
         if total == 0:
             raise InputError(f"P(tau > {n}) = 0")
-        p = float(rows[n].total(lo, hi) / total)
+        p = float(row.total(lo, hi) / total)
         rayleigh = sum(x / (sigma**2 * n) * math.exp(-x * x / (2 * sigma**2 * n))
                        for x in range(lo, hi + 1))
         raw[n] = abs(p - target) * math.sqrt(n)

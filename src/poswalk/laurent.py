@@ -158,7 +158,8 @@ def tail_block(b: int) -> Poly:
 def q_jlm(j: int, l: int, m: int) -> Poly:
     """The Laurent polynomial t^m * sum_q gamma(q,j,l) t^{2q} * S_{l+j+q-1}(1/t).
 
-    Highest exponent is m + 2j - 1 whenever the top gamma is nonzero.
+    Highest exponent is m + 2j - 1: no gamma(q, j, l) with q <= j vanishes, since
+    it is a nonzero prefactor times a sum of products of positive factors.
     """
     if j < 0 or l < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
@@ -166,8 +167,5 @@ def q_jlm(j: int, l: int, m: int) -> Poly:
         raise ValueError("need j + l >= 1")
     out = Poly()
     for q in range(j + 1):
-        g = gamma_recursive(q, j, l)
-        if g == 0:
-            continue
-        out = out + tail_block(l + j + q - 1).scale(g).shift(m + 2 * q)
+        out = out + tail_block(l + j + q - 1).scale(gamma_recursive(q, j, l)).shift(m + 2 * q)
     return out

@@ -85,6 +85,19 @@ the nonzero cells only, in position order.  Pairwise summation rounds
 differently when the element count changes, so a total that summed zero
 cells too, or in another order, would change the CLI artifacts' bytes.
 
+Float cells carry a proved rounding bound (Higham, *Accuracy and Stability
+of Numerical Algorithms*, 2nd ed., sections 3-4).  A step computes each
+cell as a sum of m nonnegative products weight * cell, m the support size,
+added in support order: one rounding for the weight's float value, one for
+the product and m - 1 for the sum.  Every term is nonnegative, so by
+induction every normal cell after k steps, killed or survivor, lies within
+gamma_{k(m+1)} = k(m+1)u / (1 - k(m+1)u), u = 2^-53, of the exact cell,
+relative to it.  The bound holds while no product or partial sum on the way
+falls below the smallest normal float (2.2e-308): an operation there rounds
+to an absolute error of up to 2^-1075 instead, and the cone's subnormal
+trim drops such cells outright, so the far tail's subnormal band is outside
+the bound.  At k <= 64 the test laws use at most 0.30 of it.
+
 ``tau_statistics`` keeps only what outlives the sweep: ``theta`` and the
 survivor columns floor..``U_MAX``.  Each step copies its cells at positions
 min_step..U_MAX, one contiguous slice, into one row of a step-major ring
@@ -272,11 +285,11 @@ class TauStatistics:
     sigma * theta[1] is the overshoot mean E[-S_tau; tau = k].
     ``columns[i][k-1]`` is the low-lattice survivor mass
     P(S_k = floor + i, tau > k) for floor + i <= U_MAX: the transposed view
-    of a step-major ``(kmax, U_MAX + 1 - floor)`` array, so ``column(u)`` is
-    a strided view of one of its columns.  No killed cell is kept: the
-    sweep reduces them into ``theta`` as it goes.  ``rows[n]`` is the
-    survivor row at each horizon n the sweep was asked to keep, below or
-    beyond kmax.
+    of a step-major ``(kmax, U_MAX + 1 - floor)`` array, so each row of
+    ``columns`` is a strided view of one of its columns.  No killed cell is
+    kept: the sweep reduces them into ``theta`` as it goes.  ``rows[n]`` is
+    the survivor row at each horizon n the sweep was asked to keep, below or
+    beyond kmax, in ascending n.
     """
 
     dist: IncrementDistribution
@@ -285,10 +298,6 @@ class TauStatistics:
     theta: dict[int, np.ndarray]
     columns: np.ndarray
     rows: dict[int, Row] = field(default_factory=dict, repr=False)
-
-    def column(self, u: int) -> np.ndarray:
-        """P(S_k = u, tau > k) for k = 1..kmax."""
-        return self.columns[u - self.barrier.floor]
 
 
 def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRICT,

@@ -231,7 +231,7 @@ def _decay_exponents(dist, barrier, r):
     es = expansion_polys(dist, r, constants_for(dist, barrier))
     ns = horizons(1600)
     rows = oc.killed_rows_at(dist, ns, barrier)
-    return list(error_ladder(es, rows, ns, window).decay.values())
+    return list(error_ladder(es, rows, window).decay.values())
 
 
 # Strict-barrier walks and whether their P_3 vanishes identically.  The
@@ -305,7 +305,7 @@ def test_criterion_10_interval_rate():
         p3 = _p3(dist, Barrier.STRICT)
         rows = oc.killed_rows_at(dist, [100, 400, 1600], Barrier.STRICT)
         raw, devs = (list(d.values())
-                     for d in interval_deviations(dist.sigma(), rows, [100, 400, 1600], p3))
+                     for d in interval_deviations(dist.sigma(), rows, p3))
         band = max(devs) / min(devs)
         ok &= (not p3) == vanishes and band <= 2.0
         details.append(f"{make.__name__} raw sqrt(n)|p - target| "

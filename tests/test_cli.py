@@ -149,16 +149,14 @@ def test_order_above_validated_range_is_one_stderr_line(tmp_path, capsys, r, err
     # the CLI names an order above the validated range in one line of its
     # own; the library assembles it silently and polys.json is its assembly
     from poswalk import increments
-    from poswalk.constants import compute_constants
-    from poswalk.expansion import b_range, expansion_polys
-    from poswalk.oracle import tau_statistics
+    from poswalk.expansion import constants_for_order, expansion_polys
 
     skewed = str(DISTS / "skewed.json")
     rc = run(["polys", "--dist", skewed, "--r", str(r), "--kmax", "512", "--out", str(tmp_path)])
     assert rc == 0
     assert capsys.readouterr().err == err
     dist = increments.load(skewed)
-    es = expansion_polys(dist, r, compute_constants(tau_statistics(dist, 512, hmax=b_range(r))))
+    es = expansion_polys(dist, r, constants_for_order(dist, r, 512, "strict")[0])
     want = json.dumps(es.to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "polys.json").read_text() == want
 
@@ -251,9 +249,8 @@ def test_error_ladder_is_what_verify_and_report_write(tmp_path, name, barrier, r
     # from one sweep, the ladder gives verify's summary and error table and
     # report's curves bit for bit: both commands measure through it alone
     from poswalk import increments
-    from poswalk.constants import compute_constants
-    from poswalk.expansion import b_range, error_ladder, expansion_polys, snapped_grid, window
-    from poswalk.oracle import tau_statistics
+    from poswalk.expansion import (constants_for_order, error_ladder, expansion_polys,
+                                   snapped_grid, window)
 
     path, ns = str(DISTS / f"{name}.json"), [100, 400, 1600]
     args = ["--dist", path, "--r", str(r), "--barrier", barrier, "--kmax", "1024",
@@ -261,10 +258,10 @@ def test_error_ladder_is_what_verify_and_report_write(tmp_path, name, barrier, r
     # skewed strict r = 2 fails verify's gate (flatness 3.40, ROADMAP item 2)
     assert run(["verify", *args]) in (0, 1) and run(["report", *args]) == 0
     dist = increments.load(path)
-    stats = tau_statistics(dist, 1024, barrier, hmax=b_range(r), rows_at=ns)
-    es = expansion_polys(dist, r, compute_constants(stats))
+    cs, rows = constants_for_order(dist, r, 1024, barrier, rows_at=ns)
+    es = expansion_polys(dist, r, cs)
 
-    grid = error_ladder(es, stats.rows, ns, snapped_grid)
+    grid = error_ladder(es, rows, snapped_grid)
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
     assert summary["max_scaled_err"] == {str(n): v for n, v in grid.max_scaled.items()}
     assert summary["decay_exponents"] == grid.decay
@@ -272,7 +269,7 @@ def test_error_ladder_is_what_verify_and_report_write(tmp_path, name, barrier, r
     assert _csv_numbers(tmp_path / "error_table.csv") == grid.table
     curves = []
     for r_cur in range(1, r + 1):
-        ladder = error_ladder(dataclasses.replace(es, r=r_cur), stats.rows, ns, window)
+        ladder = error_ladder(dataclasses.replace(es, r=r_cur), rows, window)
         curves += [[r_cur, n, ladder.max_err[n], ladder.max_scaled[n]] for n in ns]
     assert _csv_numbers(tmp_path / "report_scaled_err.csv") == curves
 
@@ -283,19 +280,17 @@ def test_interval_deviations_are_what_verify_writes(tmp_path, capsys, name, r):
     # one interval measurement: trinomial strict (P_3 = 0) scales p_n - R_n
     # by n, skewed strict by sqrt(n)
     from poswalk import increments
-    from poswalk.constants import compute_constants
-    from poswalk.expansion import b_range, expansion_polys, interval_deviations
-    from poswalk.oracle import tau_statistics
+    from poswalk.expansion import constants_for_order, expansion_polys, interval_deviations
 
     path, ns = str(DISTS / f"{name}.json"), [100, 400, 1600]
     # skewed strict r = 2 fails verify's gate (flatness 3.40, ROADMAP item 2)
     # and still writes its files
     scale, printed = _lattice_corrected(capsys, path, str(r), tmp_path)
     dist = increments.load(path)
-    stats = tau_statistics(dist, 4096, "strict", hmax=b_range(r), rows_at=ns)
-    es = expansion_polys(dist, r, compute_constants(stats))
+    cs, rows = constants_for_order(dist, r, 4096, "strict", rows_at=ns)
+    es = expansion_polys(dist, r, cs)
     p3 = es.P[3]
-    raw, lattice = interval_deviations(es.sigma, stats.rows, ns, p3)
+    raw, lattice = interval_deviations(cs.sigma, rows, p3)
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
     assert summary["be2_scaled_deviation"] == {str(n): v for n, v in raw.items()}
     assert printed == [float(f"{v:.3f}") for v in lattice.values()]

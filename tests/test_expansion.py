@@ -73,13 +73,11 @@ def test_sweep_to_b_range_holds_every_b_its_order_reads(tri, r):
 @pytest.mark.parametrize("dist_name", ["asym", "tri"])
 def test_exact_polys_reads_ghats_as_they_stand(dist_name, request):
     # the Q_eta sum reads sigma sqrt(2 pi) a_{q,j} = [t^q] ghat_{2j-q} from the
-    # ghats list as it stands, exactly in the exact values of the float
-    # lambda_m, sigma and b[l, h]
+    # ghats list as it stands; on these laws that list is nontrivial (a
+    # coefficient other than 0 and 1), so the exact assemblies checked below
+    # read real free-walk weights
     dist = request.getfixturevalue(dist_name)
-    cs = compute_constants(oc.tau_statistics(dist, 256, hmax=b_range(4)))
     lam = [F(x) for x in cumulant_ratios(dist, 3)]
-    have = exact_polys(lam, lambda l, h: F(cs.b_value(l, h)), F(dist.sigma()), 4)
-    assert have == {eta: q.scale(F(-2)) for eta, q in exact_assembly(dist, 4, cs).items()}
     assert any(c not in (0, 1) for g in ghats(lam, 3) for c in g.coeffs)
 
 
@@ -159,23 +157,18 @@ def test_odd_orders_vanish_exactly_on_the_symmetric_walk(tri):
     assert all(weak[nu] for nu in range(2, 9))
 
 
-def exact_assembly(dist, r, cs) -> dict[int, Poly]:
-    """Q_2..Q_{r+1} from the exact values of the float lambda_m, sigma and b[l, h]."""
-    lam = [F(x) for x in cumulant_ratios(dist, r - 1)]
-    g = ghats(lam, r - 1)
-    return {eta: assemble_Q(eta, g, lambda l, h: F(cs.b_value(l, h)), F(dist.sigma()))
-            for eta in range(2, r + 2)}
-
-
 def test_polys_are_the_rounded_exact_assembly():
-    # each P_nu coefficient is float(-2 c) of the exact coefficient c, rounded
-    # once; a float sum of the same terms misses it by up to 3.6e-15 of the
+    # each P_nu coefficient is float(c) of the exact coefficient c that
+    # exact_polys assembles from the exact values of the float lambda_m, sigma
+    # and b[l, h], rounded once; a float sum of the same terms misses it by up to 3.6e-15 of the
     # largest coefficient at r = 7 on skewed
     for dist, barrier, r in ((skewed(), Barrier.STRICT, 7), (downskip(), Barrier.WEAK, 4)):
         cs = constants_for(dist, barrier, hmax=b_range(r))
         es = expansion_polys(dist, r, cs)
-        for eta, q in exact_assembly(dist, r, cs).items():
-            want = {e: float(-2 * c) for e, c in q.terms.items()}
+        lam = [F(x) for x in cumulant_ratios(dist, r - 1)]
+        exact = exact_polys(lam, lambda l, h: F(cs.b_value(l, h)), F(dist.sigma()), r)
+        for eta, p in exact.items():
+            want = {e: float(c) for e, c in p.terms.items()}
             assert es.P[eta].terms == want, (dist.support, barrier, eta)
 
 
@@ -266,9 +259,10 @@ def test_dists_assembly_solves_the_forward_equation(name, barrier):
     # b[l, h] that ``expansion_polys`` assembles from, at R_MAX = 7
     r = 7
     dist = increments.load(Path(__file__).resolve().parent.parent / "dists" / f"{name}.json")
-    q = exact_assembly(dist, r, constants_for(dist, barrier, hmax=b_range(r)))
+    cs = constants_for(dist, barrier, hmax=b_range(r))
     lam = [F(x) for x in cumulant_ratios(dist, r - 1)]
-    res = forward_residual({nu: p.scale(-2) for nu, p in q.items()}, lam, r + 3)
+    P = exact_polys(lam, lambda l, h: F(cs.b_value(l, h)), F(dist.sigma()), r)
+    res = forward_residual(P, lam, r + 3)
     assert all(p == Poly() for p in res.values()), sorted(N for N, p in res.items() if p)
 
 
@@ -333,7 +327,7 @@ def test_full_order_decay_at_cap(ballot_walk):
     cs = constants_for(ballot_walk, Barrier.STRICT, hmax=4)
     es = expansion_polys(ballot_walk, 4, cs)
     rows = oc.killed_rows_at(ballot_walk, [100, 400], Barrier.STRICT)
-    exponent = error_ladder(es, rows, (100, 400), window).decay["100->400"]
+    exponent = error_ladder(es, rows, window).decay["100->400"]
     assert 2.5 <= exponent <= 3.5
 
 
@@ -350,7 +344,7 @@ def test_polys_do_not_depend_on_order(tri, asym):
                 cut = dataclasses.replace(es4, r=r)
                 assert es.P == {nu: es4.P[nu] for nu in range(2, max(r, 2) + 2)}
                 for n in (100, 400, 1600, 6400):
-                    for x in range(1, int(3.5 * es.sigma * math.sqrt(n)) + 1):
+                    for x in range(1, int(3.5 * cs.sigma * math.sqrt(n)) + 1):
                         assert cut.evaluate(n, x) == es.evaluate(n, x)
 
 
@@ -359,8 +353,8 @@ def test_evaluate_decay_weak_trinomial(tri, tri_constants_weak):
     es2 = expansion_polys(tri, 2, tri_constants_weak)
     rows = oc.killed_rows_at(tri, [100, 400], Barrier.WEAK)
 
-    e1 = error_ladder(es1, rows, (100, 400), window).max_err
-    e2 = error_ladder(es2, rows, (100, 400), window).max_err
+    e1 = error_ladder(es1, rows, window).max_err
+    e2 = error_ladder(es2, rows, window).max_err
     # r = 1 error falls ~ n^{-3/2}; adding the next polynomial pushes it to ~ n^{-2}
     assert e1[400] < e1[100] / 5.5
     assert e2[100] < e1[100] / 4.0
@@ -381,7 +375,7 @@ def test_error_decay_band_both_walks(tri, asym, tri_constants_strict,
         for r in (1, 2):
             es = expansion_polys(dist, r, cs)
             # E(100)/E(400) within a factor 3 of 4^p is S_100/S_400 within 3 of 1
-            ladder = error_ladder(es, rows, ns, window)
+            ladder = error_ladder(es, rows, window)
             assert ladder.flatness <= 3.0
 
 
@@ -446,7 +440,7 @@ def uj_polynomial_part(expansion: ExpansionSet, j: int) -> Poly:
             q = k - 2 * mu
             p = expansion.P[2 * j + 1 - k]
             acc += (-1) ** mu / (2**mu * math.factorial(mu)) * float(p.coeff(q))
-        coeffs.append(acc / expansion.sigma**k)
+        coeffs.append(acc / expansion.constants.sigma**k)
     return Poly(coeffs)
 
 
@@ -454,7 +448,7 @@ def test_uj_polynomial_part_slope(asym, asym_constants_strict):
     es = expansion_polys(asym, 2, asym_constants_strict)
     w1 = uj_polynomial_part(es, 1)
     assert w1.degree() == 1
-    assert w1.coeff(1) == pytest.approx(2 * es.constants.theta0 / es.sigma**2, rel=1e-9)
+    assert w1.coeff(1) == pytest.approx(2 * es.constants.theta0 / es.constants.sigma**2, rel=1e-9)
     # constant term: P_3 constant evaluated through the mu = 0 branch
     assert w1.coeff(0) == pytest.approx(es.P[3].coeff(0), rel=1e-12)
 
@@ -472,7 +466,7 @@ def test_uj_polynomial_closed_form_weak_trinomial(tri, tri_constants_weak):
     # both assembled coefficients must land on it
     es = expansion_polys(tri, 2, tri_constants_weak)
     w1 = uj_polynomial_part(es, 1)
-    want = 2.0 / (es.sigma**3 * ROOT2PI)
+    want = 2.0 / (es.constants.sigma**3 * ROOT2PI)
     assert w1.coeff(0) == pytest.approx(want, rel=1e-8)
     assert w1.coeff(1) == pytest.approx(want, rel=1e-8)
 

@@ -40,10 +40,13 @@ def test_gamma_base_cases():
 
 
 def test_gamma_closed_equals_recursive_full_grid():
+    # and none vanishes, so q_jlm adds a block for every q <= j: for q <= j
+    # the closed form is a nonzero prefactor times a sum of products of
+    # factors l + 2 a_i - i - 1/2 >= l + 1/2 > 0 (a_i >= i)
     for j in range(7):
         for q in range(j + 1):
             for l in range(13):  # q_jlm reads l <= 12 at R_MAX = 7
-                assert gamma_closed(q, j, l) == gamma_recursive(q, j, l)
+                assert gamma_closed(q, j, l) == gamma_recursive(q, j, l) != 0
 
 
 def test_gamma_memoised_across_an_assembly(asym, asym_constants_strict):

@@ -13,6 +13,9 @@ from poswalk.errors import InputError
 from poswalk.expansion import interval_deviations
 from poswalk.laurent import Poly
 
+# the conftest laws, each a zero-argument builder
+CONFTEST_LAWS = (trinomial, skewed, downskip, upskip, upskip_narrow, seed_walk_1)
+
 
 def test_free_pmf_n1_is_increment(tri):
     pmf = free_pmf(tri, 1, mode="exact-rational")
@@ -154,6 +157,37 @@ def test_first_passage_decomposition_exact(tri, asym, rich, barrier):
             assert total == want
 
 
+def _mirror(dist):
+    """The law of -X."""
+    return increments.validate([-x for x in reversed(dist.support)], dist.probs[::-1])
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["X", "-X"])
+@pytest.mark.parametrize("make", CONFTEST_LAWS, ids=lambda make: make.__name__)
+def test_wiener_hopf_factors_the_step_law_at_every_step(make, mirrored):
+    # 1 - s phi(z) = (1 - E[s^tau+ z^S_tau+]) (1 - E[s^tau z^S_tau]) (Feller,
+    # Vol. II, XII.3; Spitzer, section 17), where tau is the strict kill
+    # (S_n <= 0) and tau+ the first n with S_n > 0, which is -X's weak kill
+    # with positions mirrored.  At s^k, cell by cell and exactly:
+    # f_k + g_k - sum_{j<k} g_j * f_{k-j} = [k = 1] law of X, with f_k X's
+    # strict killed cells at step k and g_k -X's weak ones, positions negated
+    n = 24
+    dist = _mirror(make()) if mirrored else make()
+    _, f = swept(dist, n, "strict")
+    _, weak = swept(_mirror(dist), n, "weak")
+    g = {k: {-z: mass for z, mass in cells.items()} for k, cells in weak.items()}
+    for k in range(1, n + 1):
+        total = dict(f[k])
+        for z, mass in g[k].items():
+            total[z] = total.get(z, 0) + mass
+        for j in range(1, k):
+            for y, a in g[j].items():
+                for z, b in f[k - j].items():
+                    total[y + z] = total.get(y + z, 0) - a * b
+        want = dict(zip(dist.support, dist.probs)) if k == 1 else {}
+        assert {z: mass for z, mass in total.items() if mass} == want, k
+
+
 def test_weak_survives_at_least_strict(tri, asym):
     for dist in (tri, asym):
         ts = oc.killed_rows_at(dist, range(1, 31), "strict", mode="exact-rational")
@@ -162,14 +196,30 @@ def test_weak_survives_at_least_strict(tri, asym):
             assert tw[k].total() >= ts[k].total()
 
 
-def test_float_matches_rational_to_1e10(tri, asym, rich):
-    for dist in (tri, asym, rich):
-        exact = oc.killed_rows_at(dist, range(1, 65), "strict", mode="exact-rational")
-        fl = oc.killed_rows_at(dist, range(1, 65), "strict", mode="float64")
-        for k in (1, 2, 16, 33, 64):
-            for y, v in nonzero(exact[k]).items():
-                ref = float(v)
-                assert abs(fl[k].get(y, 0.0) - ref) <= 1e-10 * ref
+def _gamma(n: int) -> F:
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53, exactly."""
+    nu = F(n, 2**53)
+    return nu / (1 - nu)
+
+
+def test_float_cells_within_the_proved_rounding_bound():
+    # a step sums m nonnegative products weight * cell in support order: one
+    # rounding for the weight's float value, one per product, m - 1 for the
+    # sum; so every cell after k steps, killed or survivor, is within
+    # gamma_{k(m+1)} of the exact cell (oracle docstring).  At k <= 64 no cell
+    # of these laws comes near the smallest normal float, where the bound ends
+    for make in CONFTEST_LAWS:
+        dist = make()
+        m = len(dist.support)
+        for barrier in oc.Barrier:
+            steps = zip(oc._sweep(dist, 64, barrier, "float64"),
+                        oc._sweep(dist, 64, barrier, "exact-rational"))
+            for (k, cells, cut), (_, exact, exact_cut) in steps:
+                assert (cut, len(cells)) == (exact_cut, len(exact))
+                bound = _gamma(k * (m + 1))
+                for have, want in zip(cells.tolist(), exact.tolist()):
+                    assert not 0 < have < TINY
+                    assert abs(F(have) - want) <= bound * want, (make.__name__, barrier, k)
 
 
 def test_ballot_identity_trinomial(tri):
@@ -203,21 +253,21 @@ def test_conditioned_interval_total_and_empty():
     # sigma = 1, n = 100: the interval holds the lattice points 5..15
     inside = oc.Row(5, np.full(11, 0.25))
     outside = oc.Row(1, np.array([0.5, 0.25, 0.0, 0.5] + [0.0] * 12 + [0.25]))
-    raw, _ = interval_deviations(1.0, {100: inside}, [100], Poly([1]))
+    raw, _ = interval_deviations(1.0, {100: inside}, Poly([1]))
     assert raw[100] == abs(1.0 - TARGET) * 10
-    raw, _ = interval_deviations(1.0, {100: outside}, [100], Poly([1]))
+    raw, _ = interval_deviations(1.0, {100: outside}, Poly([1]))
     assert raw[100] == TARGET * 10
 
 
 def test_conditioned_interval_near_gaussian(tri):
     row = oc.killed_rows_at(tri, [100], "strict")[100]
-    raw, _ = interval_deviations(tri.sigma(), {100: row}, [100], Poly())
+    raw, _ = interval_deviations(tri.sigma(), {100: row}, Poly())
     assert raw[100] / math.sqrt(100) < 0.2
 
 
 def test_degenerate_conditioning_guard(tri):
     with pytest.raises(InputError, match=r"P\(tau > 5\) = 0"):
-        interval_deviations(tri.sigma(), {5: oc.Row(1, np.zeros(6))}, [5], Poly())
+        interval_deviations(tri.sigma(), {5: oc.Row(1, np.zeros(6))}, Poly())
 
 
 def test_row_get_and_total(asym, rich):
