@@ -11,16 +11,20 @@ code, the sha256 of stdout and the sha256 of every file the case wrote.
 The program is this checkout's ``src/``.  Two runs on one machine must write
 the same digests.  So must a parent checkout and a change that keeps every
 artifact byte: copy this script into the parent's ``scripts/``, run it there
-and here, and diff the two digests.json files.  Float bits may differ
+and here, and compare the two digests.json files with ``--diff`` (CI's
+``base-bytes`` job does this on every pull request).  Float bits may differ
 between BLAS builds, so only digests from one machine compare.
 
 The perfbench workload commands and the seed walk are read from
 perfbench/run.py and perfbench/walkgen.py, so they are listed once.
 
 Usage: python scripts/contract.py OUT     (OUT must not exist yet)
+       python scripts/contract.py --diff A.json B.json
 
 Exit status: 0 when every check passes, 1 when one fails (digests.json is
-still written), 2 on a usage error.
+still written), 2 on a usage error.  ``--diff`` prints the cases whose
+digests differ, with the parts that differ, and exits 0: it reports, it
+does not check.
 """
 
 import argparse
@@ -120,10 +124,40 @@ def argv(case: str, laws: dict[str, str]) -> list[str]:
     return [sys.executable, "-m", "poswalk.cli", *args, *(["--out", "out"] if args else [])]
 
 
+def diff(a_path: Path, b_path: Path) -> None:
+    """Print which cases differ between two digests.json files, and in which parts:
+    exit, stdout or an artifact file's name; a case listed in one file only says so."""
+    for path in (a_path, b_path):
+        if not path.exists():
+            print(f"{path}: no digests (did its run stop early?)")
+            return
+    a, b = (json.loads(path.read_text(encoding="utf-8")) for path in (a_path, b_path))
+    differ = sorted(case for case in a.keys() | b.keys() if a.get(case) != b.get(case))
+    print(f"{len(a)} and {len(b)} cases: "
+          + (f"{len(differ)} differ" if differ else "same digests"))
+    for case in differ:
+        if case not in a or case not in b:
+            print(f"  {case}: only in {a_path if case in a else b_path}")
+            continue
+        x, y = a[case], b[case]
+        parts = [key for key in ("exit", "stdout") if x[key] != y[key]]
+        parts += [f for f in sorted(x["files"].keys() | y["files"].keys())
+                  if x["files"].get(f) != y["files"].get(f)]
+        print(f"  {case}: {', '.join(parts)}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("out", type=Path, help="output directory (must not exist yet)")
-    out = ap.parse_args().out.resolve()
+    ap.add_argument("out", type=Path, nargs="?", help="output directory (must not exist yet)")
+    ap.add_argument("--diff", type=Path, nargs=2, metavar=("A", "B"),
+                    help="compare two digests.json files instead of running the cases")
+    args = ap.parse_args()
+    if args.diff:
+        diff(*args.diff)
+        return 0
+    if args.out is None:
+        ap.error("OUT is required")
+    out = args.out.resolve()
     try:
         out.mkdir(parents=True)
     except FileExistsError:

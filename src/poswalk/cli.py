@@ -4,8 +4,8 @@ Every run is deterministic: identical configuration produces byte-identical
 CSV/JSON artifacts, and no environment variable changes what a command does.
 
 Exit codes: 0 success, 1 verification-threshold failure, 2 usage error (from
-the parser) or input error (``InputError`` or an unreadable file), 3 numeric
-failure (``NumericFailure``).
+the parser) or input error (``InputError``, an unreadable file, or a horizon
+whose arrays exceed memory), 3 numeric failure (``NumericFailure``).
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.pop("func")(**args)
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericFailure as exc:

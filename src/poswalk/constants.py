@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .extrapolation import ExtrapolationResult, fit_power_tails
+from .extrapolation import ExtrapolationResult, first_read, fit_power_tails
 from .increments import IncrementDistribution
 from .oracle import Barrier, TauStatistics
 
@@ -58,11 +58,19 @@ def _tail_fits(ks: np.ndarray, sequences, lmax: int = 0) -> list[ExtrapolationRe
     return fit_power_tails(ks, sequences, max(lmax + 2, 4))
 
 
+def first_fitted_step(kmax: int) -> int:
+    """The first step k = 1..kmax whose value a fit reads: ``first_read`` over
+    theta's ks = 1..kmax and U1's ns = k + 1 = 2..kmax + 1."""
+    if kmax < 1:
+        raise InputError("kmax must be >= 1")
+    return 1 + first_read(range(1, kmax + 1), range(2, kmax + 2))
+
+
 def u1_tabulate(stats: TauStatistics) -> dict[int, ExtrapolationResult]:
     """U1(u) = lim (n+1)^{3/2} P(S_n = u, tau > n), per-column extrapolation, at every
     height whose column the sweep kept: u = floor, floor + 1, ... (up to ``oracle.U_MAX``)."""
     ns = np.arange(1, stats.kmax + 1, dtype=float) + 1.0
-    scale = ns**1.5
+    scale = (ns**1.5)[stats.first - 1 :]  # the stored steps, aligned to the end of ns
     fits = _tail_fits(ns, (scale * column for column in stats.columns))
     return dict(enumerate(fits, start=stats.barrier.floor))
 
@@ -154,7 +162,7 @@ def compute_constants(stats: TauStatistics) -> ConstantSet:
 
     b: dict[tuple[int, int], float] = {}
     prov: dict[str, dict] = {}
-    scale = ks**1.5
+    scale = (ks**1.5)[stats.first - 1 :]  # the stored steps, aligned to the end of ks
     fits = _tail_fits(ks, (scale * theta for theta in stats.theta.values()), lmax)
     del ks, scale  # kmax-length: freed before the U1 fits allocate theirs
     for h, fit in zip(stats.theta, fits):

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constants import SCHEMA_VERSION, ConstantSet, compute_constants
+from .constants import SCHEMA_VERSION, ConstantSet, compute_constants, first_fitted_step
 from .edgeworth import ghats
 from .errors import CancellationFailure, InputError
 from .increments import IncrementDistribution, cumulant_ratios
@@ -114,10 +114,12 @@ def constants_for_order(dist: IncrementDistribution, r: int, kmax: int, barrier,
     """The constant set order r reads and the survivor rows at ``rows_at``, from one sweep.
 
     The one route from a law to its constants: ``tau_statistics`` to
-    ``hmax=b_range(r)``, run on to the largest horizon in ``rows_at``, then
+    ``hmax=b_range(r)``, storing only the steps the fits read
+    (``first_fitted_step``), run on to the largest horizon in ``rows_at``, then
     ``compute_constants``.  The rows come back in ascending step order.
     """
-    stats = tau_statistics(dist, kmax, barrier, hmax=b_range(r), rows_at=rows_at)
+    stats = tau_statistics(dist, kmax, barrier, hmax=b_range(r), rows_at=rows_at,
+                           first=first_fitted_step(kmax))
     return compute_constants(stats), stats.rows
 
 

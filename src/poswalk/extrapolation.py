@@ -11,10 +11,15 @@ The limit estimate is c0; each coefficient's error estimate is its shift
 between fits on two staggered windows.  Sequences over the same ks (the theta
 moments, the U1 columns) share each window's design (``fit_power_tails``) but
 keep one solve each, so sharing changes no bit.
+
+A sequence may hold only the tail of ``ks`` (aligned to its end) from
+``first_read(ks)`` on: no window reads an earlier point, so the oracle
+stores nothing before it on the constants' route.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +58,25 @@ def _window(ks: np.ndarray, terms: int, lo: float, hi: float):
     return window, design, norms
 
 
-def _solve(window, a: np.ndarray) -> np.ndarray:
+def _bounds(ks) -> tuple[float, float, float]:
+    """The window [lo, hi], the last third of the k range, and the start of
+    the error estimate's wide window, 10% of the range earlier."""
+    span = ks[-1] - ks[0]
+    lo = ks[-1] - span / 3.0
+    return lo, ks[-1], lo - 0.10 * span
+
+
+def first_read(*grids) -> int:
+    """The first index, over the strictly increasing ``grids``, of a point that
+    ``fit_power_tails`` reads: the start of its wide window.  A grid may be a
+    ``range``, which is searched without building the array."""
+    return min(bisect.bisect_left(ks, _bounds(ks)[2]) for ks in grids)
+
+
+def _solve(window, a: np.ndarray, skip: int) -> np.ndarray:
+    """The window's fit to ``a``, whose first point is at index ``skip`` of ks."""
     rows, scaled, norms = window
-    coef, _, _, sv = np.linalg.lstsq(scaled, a[rows], rcond=None)
+    coef, _, _, sv = np.linalg.lstsq(scaled, a[rows.start - skip : rows.stop - skip], rcond=None)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf  # the 2-norm condition number
     if cond > COND_GUARD:
         raise IllConditioned(f"condition number {cond:.3e} exceeds {COND_GUARD:.0e}")
@@ -65,8 +86,9 @@ def _solve(window, a: np.ndarray) -> np.ndarray:
 def fit_power_tails(ks: np.ndarray, sequences, terms: int) -> list[ExtrapolationResult]:
     """Fit c_0..c_{terms-1} over the basis {k^-e} to each array in ``sequences``.
 
-    Every array is a sequence over the same ``ks`` (strictly increasing, of
-    equal length); c_0 is its limit.  The window is the last third of the
+    Every array is a sequence over the tail of the same ``ks`` (strictly
+    increasing), aligned to its end, that starts at or before
+    ``first_read(ks)``; c_0 is its limit.  The window is the last third of the
     k range; the error estimates refit on a window starting 10% of the
     range earlier and report each coefficient's shift.  The window
     designs are built once and shared; each sequence gets a least-squares
@@ -77,22 +99,22 @@ def fit_power_tails(ks: np.ndarray, sequences, terms: int) -> list[Extrapolation
         raise ValueError("need at least one term (the limit)")
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or not ks.size:
-        raise ValueError("ks and a must be nonempty 1-d arrays of equal length")
+        raise ValueError("ks must be a nonempty 1-d array")
     if np.any(np.diff(ks) <= 0):
         raise ValueError("ks must be strictly increasing")
-    span = ks[-1] - ks[0]
-    lo, hi = ks[-1] - span / 3.0, ks[-1]
+    lo, hi, wide_lo = _bounds(ks)
     main = _window(ks, terms, lo, hi)
-    wide = _window(ks, terms, lo - 0.10 * span, hi)
+    wide = _window(ks, terms, wide_lo, hi)
     results = []
     for a in sequences:
         a = np.asarray(a, dtype=float)
-        if ks.shape != a.shape:
-            raise ValueError("ks and a must be nonempty 1-d arrays of equal length")
-        coef = _solve(main, a)
+        skip = len(ks) - len(a) if a.ndim == 1 else -1  # a[i] is the value at ks[skip + i]
+        if not 0 <= skip <= wide[0].start:
+            raise ValueError("each a must be a 1-d array over a tail of ks that holds both windows")
+        coef = _solve(main, a, skip)
         results.append(ExtrapolationResult(
             coefficients=tuple(float(c) for c in coef),
-            errors=tuple(float(e) for e in np.abs(coef - _solve(wide, a))),
+            errors=tuple(float(e) for e in np.abs(coef - _solve(wide, a, skip))),
             window=(float(lo), float(hi)),
         ))
     return results

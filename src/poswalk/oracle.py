@@ -99,12 +99,14 @@ trim drops such cells outright, so the far tail's subnormal band is outside
 the bound.  At k <= 64 the test laws use at most 0.30 of it.
 
 ``tau_statistics`` keeps only what outlives the sweep: ``theta`` and the
-survivor columns floor..``U_MAX``.  Each step copies its cells at positions
-min_step..U_MAX, one contiguous slice, into one row of a step-major ring
-of ``FLUSH_STEPS`` rows.  When the ring is full, and at kmax, its killed
-part, the ``floor - min_step`` cells below the floor, is reduced row by
-row into the overshoot moments, its survivor part is copied into the
-``(kmax, U_MAX + 1 - floor)`` columns, and the ring is zeroed for the next
+survivor columns floor..``U_MAX`` at the steps first..kmax (first = 1
+unless asked; the constants' route asks for the steps its fits read).
+Each such step copies its cells at positions min_step..U_MAX, one
+contiguous slice, into one row of a step-major ring of ``FLUSH_STEPS``
+rows.  When the ring is full, and at kmax, its killed part, the ``floor -
+min_step`` cells below the floor, is reduced row by row into the
+overshoot moments, its survivor part is copied into the ``(kmax + 1 -
+first, U_MAX + 1 - floor)`` columns, and the ring is zeroed for the next
 run of steps.  So no ``kmax x (floor - min_step)`` block of killed cells
 outlives the sweep, and the constants' fits, where a constants run peaks,
 run without one.  A row's reduction reads that row alone, so the moments
@@ -262,7 +264,7 @@ def killed_rows_at(dist: IncrementDistribution, ns, barrier=Barrier.STRICT,
 
     ``rows[k]`` is the row P(S_k = y, tau > k), so P(tau > k) =
     ``rows[k].total()``.  The killed mass is not collected here: P(tau = k)
-    is ``tau_statistics(...).theta[0][k-1]`` in float.
+    is ``tau_statistics(...).theta[0][k - first]`` in float (``first`` = 1 by default).
     """
     if not ns or min(ns) < 1:
         raise InputError("horizons must be >= 1")
@@ -278,14 +280,14 @@ def killed_rows_at(dist: IncrementDistribution, ns, barrier=Barrier.STRICT,
 
 @dataclass
 class TauStatistics:
-    """Per-step first-passage statistics up to kmax.
+    """Per-step first-passage statistics at the steps k = first..kmax.
 
-    ``theta[h][k-1]`` is the h-th overshoot moment in units of sigma,
+    ``theta[h][k - first]`` is the h-th overshoot moment in units of sigma,
     sum_y (y/sigma)^h P(S_k = -y, tau = k); h = 0 recovers P(tau = k) and
     sigma * theta[1] is the overshoot mean E[-S_tau; tau = k].
-    ``columns[i][k-1]`` is the low-lattice survivor mass
+    ``columns[i][k - first]`` is the low-lattice survivor mass
     P(S_k = floor + i, tau > k) for floor + i <= U_MAX: the transposed view
-    of a step-major ``(kmax, U_MAX + 1 - floor)`` array, so each row of
+    of a step-major ``(kmax + 1 - first, U_MAX + 1 - floor)`` array, so each row of
     ``columns`` is a strided view of one of its columns.  No killed cell is
     kept: the sweep reduces them into ``theta`` as it goes.  ``rows[n]`` is
     the survivor row at each horizon n the sweep was asked to keep, below or
@@ -295,16 +297,17 @@ class TauStatistics:
     dist: IncrementDistribution
     barrier: Barrier
     kmax: int
+    first: int
     theta: dict[int, np.ndarray]
     columns: np.ndarray
     rows: dict[int, Row] = field(default_factory=dict, repr=False)
 
 
 def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRICT,
-                   hmax: int = 3, rows_at=()) -> TauStatistics:
+                   hmax: int = 3, rows_at=(), first: int = 1) -> TauStatistics:
     """Float sweep reducing the cells at positions <= U_MAX to the moments and columns.
 
-    Each step up to kmax copies its cells at positions min_step..U_MAX, the
+    Each step first..kmax copies its cells at positions min_step..U_MAX, the
     killed cells and the low survivor columns alike, into one row of a
     ring of ``FLUSH_STEPS`` steps, which is reduced into ``theta`` and the
     columns when full and at kmax.  The sweep runs on to the largest horizon in
@@ -314,6 +317,8 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
     """
     if kmax < 1:
         raise InputError("kmax must be >= 1")
+    if not 1 <= first <= kmax:
+        raise InputError(f"first step {first} outside 1..kmax={kmax}")
     wanted = set(rows_at)
     if wanted and min(wanted) < 1:
         raise InputError("horizons must be >= 1")
@@ -322,25 +327,27 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
     dead = floor - lo  # the killed cells' positions lo..floor - 1
     ys = -np.arange(lo, floor, dtype=float) / dist.sigma()  # overshoots in sigma units
     powers = [ys**h for h in range(hmax + 1)]
-    theta = {h: np.empty(kmax) for h in range(hmax + 1)}
-    columns = np.empty((kmax, U_MAX + 1 - floor))  # step-major; the field is its transpose
-    span = min(kmax, FLUSH_STEPS)
+    steps = kmax + 1 - first  # the stored steps first..kmax
+    theta = {h: np.empty(steps) for h in range(hmax + 1)}
+    columns = np.empty((steps, U_MAX + 1 - floor))  # step-major; the field is its transpose
+    span = min(steps, FLUSH_STEPS)
     ring = np.zeros((span, U_MAX + 1 - lo))  # positions lo..U_MAX of steps k - i..k
     rows = {}
     cone_after = max(wanted, default=0)
     for k, cells, cut in _sweep(dist, max(wanted | {kmax}), barrier, "float64", cone_after):
-        if k <= kmax:
-            i = (k - 1) % span
+        if first <= k <= kmax:
+            j = k - first  # step k's index
+            i = j % span
             start = floor - cut - lo  # row k starts at floor - cut
             low = cells[: U_MAX + 1 - lo - start]
             ring[i, start : start + len(low)] = low
             if i == span - 1 or k == kmax:  # reduce steps k - i..k and start again
                 for h, power in enumerate(powers):
-                    theta[h][k - 1 - i : k] = (power * ring[: i + 1, :dead]).sum(axis=1)
-                columns[k - 1 - i : k] = ring[: i + 1, dead:]
+                    theta[h][j - i : j + 1] = (power * ring[: i + 1, :dead]).sum(axis=1)
+                columns[j - i : j + 1] = ring[: i + 1, dead:]
                 ring[: i + 1] = 0
         if k in wanted:
             rows[k] = Row(floor, cells[cut:])
-    return TauStatistics(dist=dist, barrier=barrier, kmax=kmax, theta=theta,
+    return TauStatistics(dist=dist, barrier=barrier, kmax=kmax, first=first, theta=theta,
                          columns=columns.T, rows=rows)
 

@@ -345,6 +345,19 @@ def test_kmax_below_one_exit_two(tri_file, tmp_path, command):
     assert run([command, "--dist", tri_file, "--kmax", "0", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["constants", "polys", "verify", "report"])
+def test_kmax_beyond_memory_exit_two(tri_file, tmp_path, capsys, command):
+    # a --kmax whose arrays cannot be allocated is an input error, not a
+    # verification failure; at 10**15 the first array, theta[0] over the
+    # stored steps (3.5 PB of float64), exceeds every address space, so its
+    # allocation fails at once
+    out = tmp_path / "out"
+    assert run([command, "--dist", tri_file, "--kmax", str(10**15), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, nmax", [("verify", "4"), ("verify", "30"), ("report", "30")])
 def test_horizon_without_lattice_points_exit_two(tmp_path, capsys, command, nmax):
     # sigma = 0.045: report's window [0.2, 3] sigma sqrt(n) holds no lattice

@@ -232,7 +232,7 @@ def test_b_fit_error_estimate_is_staggered_window_shift(tri):
     a = ks**1.5 * stats.theta[0]
     default = fit_power_tails(ks, [a], 4)[0]
     lo, hi = default.window
-    earlier = extrapolation._solve(extrapolation._window(ks, 4, lo - 0.10 * (kmax - 1), hi), a)
+    earlier = extrapolation._solve(extrapolation._window(ks, 4, lo - 0.10 * (kmax - 1), hi), a, 0)
     for l in (0, 1):
         c_default = default.coefficients[l]
         c_earlier = earlier[l]

@@ -1,21 +1,22 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from conftest import (CORRECTED, constants_for, downskip, placeholder_polys, quoted_p2,
-                      quoted_p3, skewed, upskip, upskip_narrow)
+                      quoted_p3, seed_walk_1, skewed, trinomial, upskip, upskip_narrow)
 from poswalk import increments
 from poswalk import oracle as oc
 from poswalk.constants import compute_constants
 from poswalk.edgeworth import ghats
-from poswalk.errors import CancellationFailure, InputError
-from poswalk.expansion import (ExpansionSet, IndexTuple, assemble_Q, b_range, enumerate_tuples,
-                               error_ladder, exact_polys, expansion_polys, horizons,
-                               tuple_weight, window)
+from poswalk.errors import CancellationFailure, InputError, InsufficientPoints
+from poswalk.expansion import (DEFAULT_R_CAP, ExpansionSet, IndexTuple, assemble_Q, b_range,
+                               constants_for_order, enumerate_tuples, error_ladder, exact_polys,
+                               expansion_polys, horizons, tuple_weight, window)
 from poswalk.increments import cumulant_ratios
 from poswalk.laurent import Poly
 from poswalk.oracle import Barrier
@@ -252,13 +253,44 @@ def test_assembly_solves_the_forward_equation(r):
         assert all(p == Poly() for p in res.values()), sorted(N for N, p in res.items() if p)
 
 
+DISTS = Path(__file__).resolve().parent.parent / "dists"
+
+
+@pytest.mark.parametrize("barrier", ["strict", "weak"])
+@pytest.mark.parametrize("law", [*sorted(DISTS.glob("*.json")), trinomial, skewed, downskip,
+                                 upskip, upskip_narrow, seed_walk_1],
+                         ids=lambda law: law.name if isinstance(law, Path) else law.__name__)
+def test_constants_for_order_is_the_full_storage_fit(law, barrier, sweep_log):
+    # the route stores only the steps its fits read, yet its constant set is
+    # that of a sweep that stores every step, and it still sweeps once, to
+    # max(kmax, rows_at); where the fit window is too short both raise alike
+    dist = increments.load(law) if isinstance(law, Path) else law()
+    r = DEFAULT_R_CAP
+    for kmax in (12, 64, 257, 1024, 4096):
+        rows_at = (kmax // 2, kmax + 50)
+        full = oc.tau_statistics(dist, kmax, barrier, hmax=b_range(r), rows_at=rows_at)
+        for at in ((), rows_at):
+            sweep_log.clear()
+            if kmax == 12:
+                with pytest.raises(InsufficientPoints) as want:
+                    compute_constants(full)
+                with pytest.raises(InsufficientPoints, match=f"^{re.escape(str(want.value))}$"):
+                    constants_for_order(dist, r, kmax, barrier, rows_at=at)
+            else:
+                cs, rows = constants_for_order(dist, r, kmax, barrier, rows_at=at)
+                assert cs.to_json_dict() == compute_constants(full).to_json_dict()
+                assert {n: row.values.tobytes() for n, row in rows.items()} == {
+                    n: full.rows[n].values.tobytes() for n in at}
+            assert [s.k for s in sweep_log] == list(range(1, max((kmax, *at)) + 1))
+
+
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
 @pytest.mark.parametrize("name", ["skewed", "trinomial"])
 def test_dists_assembly_solves_the_forward_equation(name, barrier):
     # the same identity on the exact values of the float lambda_m and fitted
     # b[l, h] that ``expansion_polys`` assembles from, at R_MAX = 7
     r = 7
-    dist = increments.load(Path(__file__).resolve().parent.parent / "dists" / f"{name}.json")
+    dist = increments.load(DISTS / f"{name}.json")
     cs = constants_for(dist, barrier, hmax=b_range(r))
     lam = [F(x) for x in cumulant_ratios(dist, r - 1)]
     P = exact_polys(lam, lambda l, h: F(cs.b_value(l, h)), F(dist.sigma()), r)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poswalk.errors import IllConditioned, InsufficientPoints
-from poswalk.extrapolation import fit_power_tails
+from poswalk.extrapolation import first_read, fit_power_tails
 
 KS = np.arange(8, 1500, dtype=float)
 # k of order one, densely sampled: over the last third [3, 4] every power up
@@ -167,15 +167,16 @@ def test_exponent_validation():
 
 
 def test_sample_validation():
-    # ks must be strictly increasing and match a; nothing is sorted silently
+    # ks must be strictly increasing and a no longer; nothing is sorted silently
     a = 2 + 3 / KS
     fit_power_tails(KS, [a], 2)
     bad = [
         (KS[::-1], a[::-1]),  # decreasing
         (np.concatenate([KS[:100], KS[99:]]), np.concatenate([a[:100], a[99:]])),  # repeated k
-        (KS, a[:-1]),  # length mismatch
+        (KS[1:], a),  # a longer than ks
         (KS[:0], a[:0]),  # empty
         (np.vstack([KS, KS]), np.vstack([a, a])),  # not 1-d
+        (KS, np.vstack([a, a])),  # a not 1-d
     ]
     for ks, vals in bad:
         with pytest.raises(ValueError):
@@ -184,3 +185,21 @@ def test_sample_validation():
     swapped[[10, 11]] = swapped[[11, 10]]
     with pytest.raises(ValueError):
         fit_power_tails(swapped, [a], 2)
+
+
+def test_tail_aligned_sequence_fits_as_the_whole():
+    # a sequence over the tail of ks, aligned to its end, fits bit for bit as
+    # the whole one, down to the wide window's first point, first_read(ks);
+    # one that starts inside the wide window is refused
+    for terms, ks in ((4, KS), (3, KS[:400]), (2, SHORT), (2, np.arange(1, 13, dtype=float))):
+        a = _model([1.5, -2.0, 0.25, 7.0], ks)
+        first = first_read(ks)
+        lo, _ = fit_power_tails(ks, [a], terms)[0].window
+        assert ks[first - 1] < lo - 0.10 * (ks[-1] - ks[0]) <= ks[first]
+        whole = _bits(fit_power_tails(ks, [a], terms)[0])
+        for start in (1, first - 1, first):
+            assert _bits(fit_power_tails(ks, [a, a[start:]], terms)[1]) == whole
+        with pytest.raises(ValueError, match="holds both windows"):
+            fit_power_tails(ks, [a[first + 1 :]], terms)
+    # first_read covers every grid it is given
+    assert first_read(KS, SHORT) == min(first_read(KS), first_read(SHORT))

@@ -8,7 +8,7 @@ from conftest import (TINY, brute_force_killed, downskip, free_pmf, nonzero, see
                       swept, trinomial, uncut_outputs, upskip, upskip_narrow)
 from poswalk import increments
 from poswalk import oracle as oc
-from poswalk.constants import compute_constants
+from poswalk.constants import compute_constants, first_fitted_step
 from poswalk.errors import InputError
 from poswalk.expansion import interval_deviations
 from poswalk.laurent import Poly
@@ -287,14 +287,18 @@ def test_row_get_and_total(asym, rich):
 
 
 def _uncut_cases():
-    """(kind, law, kmax, rows_at) of each sweep checked against the uncut one.
+    """(kind, law, kmax, rows_at, first) of each sweep checked against the uncut one.
 
     theta: the fixture laws, whose killed parts hold 1 to 3 cells; rows: rows
     kept below and beyond kmax; cut: laws whose cone cut meets subnormal
     cells; trim: the widest subnormal bands, which the cone's trim meets;
     band: a row kept at kmax; flush: kmax below, at, one past and off a
     multiple of the steps ``tau_statistics`` reduces at a time, with and
-    without a row kept beyond kmax.
+    without a row kept beyond kmax; start: the steps first..kmax alone, from
+    the constants' route's first step, from kmax, from steps on and next to
+    ``FLUSH_STEPS`` and from the steps that leave ``FLUSH_STEPS`` + 1,
+    ``FLUSH_STEPS`` and ``FLUSH_STEPS`` - 1 steps to store; kmax 12 and 64
+    lie below ``FLUSH_STEPS``, and rows are kept before first and beyond kmax.
     """
     cone = _cone_laws()
     deep = {"plateau": cone["plateau"], "seed walk 1": seed_walk_1()}
@@ -312,25 +316,35 @@ def _uncut_cases():
               for name, law in [("trinomial", fixed["trinomial"]), ("seed walk 1", seed_walk_1())]
               for kmax in (1, flush - 1, flush, flush + 1, 1000)
               for rows_at in [(), (kmax + 50,)]]
-    return [pytest.param(kind, law, kmax, rows_at,
+    cases = [(*case, 1) for case in cases]
+    starts = [(kmax, first) for kmax in (12, 64, 1000) for first in (first_fitted_step(kmax), kmax)]
+    starts += [(1000, first) for first in (flush - 1, flush, flush + 1)]
+    starts += [(1000, first) for first in (1000 - flush, 1001 - flush, 1002 - flush)]
+    cases += [("start", f"{name}-from{first}", law, kmax, rows_at, first)
+              for name, law in [("trinomial", fixed["trinomial"]), ("seed walk 1", seed_walk_1())]
+              for kmax, first in starts
+              for rows_at in [(), (max(first - 5, 1), kmax + 50)]]
+    return [pytest.param(kind, law, kmax, rows_at, first,
                          id=f"{kind}-{name}-{kmax}-rows={','.join(map(str, rows_at)) or 'none'}")
-            for kind, name, law, kmax, rows_at in cases]
+            for kind, name, law, kmax, rows_at, first in cases]
 
 
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
-@pytest.mark.parametrize("kind,dist,kmax,rows_at", _uncut_cases())
-def test_tau_statistics_is_the_uncut_sweep(kind, dist, kmax, rows_at, barrier, sweep_log):
+@pytest.mark.parametrize("kind,dist,kmax,rows_at,first", _uncut_cases())
+def test_tau_statistics_is_the_uncut_sweep(kind, dist, kmax, rows_at, first, barrier, sweep_log):
     # theta, the columns and the kept rows are those of the uncut sweep, bit
     # for bit, wherever the rows end, wherever kmax falls among the flushes
-    # and through the cone's cut and subnormal trim after the last kept row.
+    # and through the cone's cut and subnormal trim after the last kept row;
+    # from a later first step they are its tail, steps first..kmax.
     # theta is reduced from the ring's killed cells, zeros included, yet it is
     # the per-step sum over the nonzero killed cells in position order: these
     # laws' killed parts hold at most 7 cells, which numpy sums in a plain loop
-    stats = oc.tau_statistics(dist, kmax, barrier, hmax=3, rows_at=rows_at)
+    stats = oc.tau_statistics(dist, kmax, barrier, hmax=3, rows_at=rows_at, first=first)
     ref = uncut_outputs(dist, kmax, barrier, rows_at)
-    assert stats.columns.tobytes() == ref.columns.tobytes()
+    assert stats.first == first
+    assert stats.columns.tobytes() == ref.columns[:, first - 1 :].tobytes()
     for h in range(4):
-        assert stats.theta[h].tobytes() == ref.theta[h].tobytes()
+        assert stats.theta[h].tobytes() == ref.theta[h][first - 1 :].tobytes()
     assert sorted(stats.rows) == list(rows_at)
     for n, row in ref.rows.items():
         kept = stats.rows[n]
@@ -383,12 +397,15 @@ def test_wide_killed_part_sums_as_a_step_major_block(barrier):
 def test_tau_statistics_keeps_no_killed_cells(tri, barrier):
     # what outlives the sweep is theta and the survivor columns: the memory
     # behind the columns holds floor..U_MAX of each step and no killed cell
+    # at the steps first..kmax alone
     floor = oc.Barrier.parse(barrier).floor
     for dist in (tri, seed_walk_1()):
         for kmax in (1, 300):
-            stats = oc.tau_statistics(dist, kmax, barrier, rows_at=[kmax + 10])
-            assert stats.columns.base.size == kmax * (oc.U_MAX + 1 - floor)
-            assert all(t.size == kmax and t.base is None for t in stats.theta.values())
+            for first in sorted({1, first_fitted_step(kmax), kmax}):
+                stats = oc.tau_statistics(dist, kmax, barrier, rows_at=[kmax + 10], first=first)
+                steps = kmax - first + 1
+                assert stats.columns.base.size == steps * (oc.U_MAX + 1 - floor)
+                assert all(t.size == steps and t.base is None for t in stats.theta.values())
 
 
 def test_compute_constants_is_one_sweep(tri, sweep_log):
@@ -436,6 +453,9 @@ def test_cone_cut_engages_only_after_the_last_kept_row(tri, sweep_log, barrier):
 def test_tau_statistics_rejects_horizons_below_one(tri):
     with pytest.raises(InputError):
         oc.tau_statistics(tri, 16, rows_at=[0, 8])
+    for first in (0, 17):  # the stored steps first..kmax lie in 1..kmax
+        with pytest.raises(InputError):
+            oc.tau_statistics(tri, 16, first=first)
 
 
 @pytest.mark.parametrize("barrier", ["strict", "weak"])

@@ -2,11 +2,13 @@
 
 Besides the CLI the study script is the only consumer of the oracle,
 constants and expansion API outside the tests, so a change to that API must
-keep it running.  The contract's case list is checked without running a case.
+keep it running.  The contract's case list, and its ``--diff`` report, are
+checked without running a case.
 """
 
 import contextlib
 import io
+import json
 import string
 import subprocess
 import sys
@@ -76,3 +78,19 @@ def test_contract_lists_every_workload_command():
         for command, dist, options in commands:
             args = [command, *(["--dist", f"{dist}.json"] if dist else []), *options.split()]
             assert _parsed([*args, "--out", "out"]) in listed, args
+
+
+def test_contract_diff_names_what_differs(tmp_path):
+    case = {"exit": 0, "stdout": "s", "files": {"out/a.json": "1"}}
+    a = {"same": case, "moved": case, "dropped": case}
+    b = {"same": case, "moved": {"exit": 1, "stdout": "s",
+                                 "files": {"out/a.json": "2", "out/b.csv": "3"}}}
+    for name, digests in (("a", a), ("b", b)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(digests))
+    A, B = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_script("contract.py", "--diff", str(A), str(A)) == ["3 and 3 cases: same digests"]
+    assert run_script("contract.py", "--diff", str(A), str(B)) == [
+        "3 and 2 cases: 2 differ", f"  dropped: only in {A}", "  moved: exit, out/a.json, out/b.csv"]
+    missing = tmp_path / "missing.json"
+    assert run_script("contract.py", "--diff", str(A), str(missing)) == [
+        f"{missing}: no digests (did its run stop early?)"]
