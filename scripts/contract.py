@@ -54,6 +54,9 @@ LAWS = {
     # constants' cone trims
     "plateau": b'{"support": [-2, -1, 0, 1, 2], '
                b'"probs": ["2/11", "3/11", "1/11", "3/11", "2/11"]}',
+    # {-8, 0, 1}: 9 (strict) or 8 (weak) killed cells a step, which numpy
+    # sums pairwise into theta
+    "wide": b'{"support": [-8, 0, 1], "probs": ["1/10", "1/10", "4/5"]}',
     "half": b'{"support": [-1.5, 0, 1.5], "probs": ["1/4", "1/2", "1/4"]}',
     "scalar": b'{"support": 5, "probs": ["1/2", "1/2"]}',
     "not-utf8": b"\xff\xfe{}",
@@ -94,6 +97,8 @@ CASES = [
     (OK, "poswalk constants --dist {skewed} --r 3 --barrier weak --kmax 4096"),
     (OK, "poswalk report --dist {skewed} --r 4 --kmax 1024 --nmax 400"),
     (OK, "poswalk constants --dist {plateau} --r 3 --kmax 16384"),
+    (OK, "poswalk constants --dist {wide} --r 3 --kmax 4096"),
+    (OK, "poswalk constants --dist {wide} --r 3 --kmax 4096 --barrier weak"),
     # P_3 = 0: verify scales p_n - R_n by n
     (OK, "poswalk verify --dist {trinomial} --r 1 --nmax 1600"),
     # P_3 != 0 at r = 1: polys.json holds P_2 alone, report scales order 1 by n^1.5

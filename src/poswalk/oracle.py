@@ -101,21 +101,17 @@ the bound.  At k <= 64 the test laws use at most 0.30 of it.
 ``tau_statistics`` keeps only what outlives the sweep: ``theta`` and the
 survivor columns floor..``U_MAX`` at the steps first..kmax (first = 1
 unless asked; the constants' route asks for the steps its fits read).
-Each such step copies its cells at positions min_step..U_MAX, one
-contiguous slice, into one row of a step-major ring of ``FLUSH_STEPS``
-rows.  When the ring is full, and at kmax, its killed part, the ``floor -
-min_step`` cells below the floor, is reduced row by row into the
-overshoot moments, its survivor part is copied into the ``(kmax + 1 -
-first, U_MAX + 1 - floor)`` columns, and the ring is zeroed for the next
-run of steps.  So no ``kmax x (floor - min_step)`` block of killed cells
-outlives the sweep, and the constants' fits, where a constants run peaks,
-run without one.  A row's reduction reads that row alone, so the moments
-are those of one whole block reduced after the sweep, bit for bit,
-wherever the flushes fall.  numpy sums a run of fewer than 8 cells in a
-plain loop, so a killed part of at most 7 cells (strict ``|min_step| <=
-6``, weak ``|min_step| <= 7``) gives the per-step sum over its nonzero
-cells bit for bit; wider parts are summed pairwise, zeros included, and
-the last bit may differ from that sum.
+Each such step writes its killed cells, positions min_step..floor - 1, into
+one row of a step-major ``(kmax + 1 - first, floor - min_step)`` block, and
+its survivor cells floor..``U_MAX`` into one row of the ``(kmax + 1 -
+first, U_MAX + 1 - floor)`` columns.  The block is reduced after the sweep,
+row by row, into the overshoot moments, and is dropped on return: at most
+7100 steps of 3 cells (170 KB) on the benchmark's laws at kmax 16384, so
+the constants' fits, where a constants run peaks, run without it.  numpy
+sums a run of fewer than 8 cells in a plain loop, so a killed part of at
+most 7 cells (strict ``|min_step| <= 6``, weak ``|min_step| <= 7``) gives
+the per-step sum over its nonzero cells bit for bit; wider parts are
+summed pairwise, zeros included, and the last bit may differ from that sum.
 """
 
 from __future__ import annotations
@@ -132,7 +128,6 @@ from .increments import IncrementDistribution
 
 EXACT_HORIZON_CAP = 64
 U_MAX = 30  # tau_statistics keeps the survivor columns floor..U_MAX, U1's lattice points
-FLUSH_STEPS = 256  # tau_statistics reduces the killed cells of this many steps at a time
 
 
 class Barrier(enum.Enum):
@@ -289,7 +284,7 @@ class TauStatistics:
     P(S_k = floor + i, tau > k) for floor + i <= U_MAX: the transposed view
     of a step-major ``(kmax + 1 - first, U_MAX + 1 - floor)`` array, so each row of
     ``columns`` is a strided view of one of its columns.  No killed cell is
-    kept: the sweep reduces them into ``theta`` as it goes.  ``rows[n]`` is
+    kept: they are reduced into ``theta`` after the sweep.  ``rows[n]`` is
     the survivor row at each horizon n the sweep was asked to keep, below or
     beyond kmax, in ascending n.
     """
@@ -307,13 +302,13 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
                    hmax: int = 3, rows_at=(), first: int = 1) -> TauStatistics:
     """Float sweep reducing the cells at positions <= U_MAX to the moments and columns.
 
-    Each step first..kmax copies its cells at positions min_step..U_MAX, the
-    killed cells and the low survivor columns alike, into one row of a
-    ring of ``FLUSH_STEPS`` steps, which is reduced into ``theta`` and the
-    columns when full and at kmax.  The sweep runs on to the largest horizon in
-    ``rows_at`` and keeps the survivor rows there, so one sweep serves the
-    constants and the rows.  After the last kept row it sweeps only the
-    dependency cone of the positions <= U_MAX (see the module docstring).
+    Each step first..kmax writes its killed cells into one row of a
+    step-major block, reduced into ``theta`` after the sweep, and its cells
+    floor..U_MAX into one row of the columns.  The sweep runs on to the
+    largest horizon in ``rows_at`` and keeps the survivor rows there, so one
+    sweep serves the constants and the rows.  After the last kept row it
+    sweeps only the dependency cone of the positions <= U_MAX (see the
+    module docstring).
     """
     if kmax < 1:
         raise InputError("kmax must be >= 1")
@@ -324,30 +319,20 @@ def tau_statistics(dist: IncrementDistribution, kmax: int, barrier=Barrier.STRIC
         raise InputError("horizons must be >= 1")
     barrier = Barrier.parse(barrier)
     floor, lo = barrier.floor, dist.min_step
-    dead = floor - lo  # the killed cells' positions lo..floor - 1
-    ys = -np.arange(lo, floor, dtype=float) / dist.sigma()  # overshoots in sigma units
-    powers = [ys**h for h in range(hmax + 1)]
     steps = kmax + 1 - first  # the stored steps first..kmax
-    theta = {h: np.empty(steps) for h in range(hmax + 1)}
-    columns = np.empty((steps, U_MAX + 1 - floor))  # step-major; the field is its transpose
-    span = min(steps, FLUSH_STEPS)
-    ring = np.zeros((span, U_MAX + 1 - lo))  # positions lo..U_MAX of steps k - i..k
+    killed = np.zeros((steps, floor - lo))  # positions lo..floor - 1, step-major
+    columns = np.zeros((steps, U_MAX + 1 - floor))  # step-major; the field is its transpose
     rows = {}
     cone_after = max(wanted, default=0)
     for k, cells, cut in _sweep(dist, max(wanted | {kmax}), barrier, "float64", cone_after):
         if first <= k <= kmax:
-            j = k - first  # step k's index
-            i = j % span
-            start = floor - cut - lo  # row k starts at floor - cut
-            low = cells[: U_MAX + 1 - lo - start]
-            ring[i, start : start + len(low)] = low
-            if i == span - 1 or k == kmax:  # reduce steps k - i..k and start again
-                for h, power in enumerate(powers):
-                    theta[h][j - i : j + 1] = (power * ring[: i + 1, :dead]).sum(axis=1)
-                columns[j - i : j + 1] = ring[: i + 1, dead:]
-                ring[: i + 1] = 0
+            killed[k - first, floor - cut - lo :] = cells[:cut]  # row k starts at floor - cut
+            low = cells[cut : cut + U_MAX + 1 - floor]
+            columns[k - first, : len(low)] = low
         if k in wanted:
             rows[k] = Row(floor, cells[cut:])
+    ys = -np.arange(lo, floor, dtype=float) / dist.sigma()  # overshoots in sigma units
+    theta = {h: (ys**h * killed).sum(axis=1) for h in range(hmax + 1)}
     return TauStatistics(dist=dist, barrier=barrier, kmax=kmax, first=first, theta=theta,
                          columns=columns.T, rows=rows)
 

@@ -188,6 +188,37 @@ def test_wiener_hopf_factors_the_step_law_at_every_step(make, mirrored):
         assert {z: mass for z, mass in total.items() if mass} == want, k
 
 
+@pytest.mark.parametrize("mirrored", [False, True], ids=["X", "-X"])
+@pytest.mark.parametrize("make", [trinomial, skewed, downskip, upskip, seed_walk_1],
+                         ids=lambda make: make.__name__)
+def test_wiener_hopf_holds_on_the_overshoot_moments(make, mirrored):
+    # the factorization above, with z d/dz applied h times at z = 1 and
+    # divided by sigma^h (Leibniz on the product): for k >= 2
+    # (-1)^h ts[h]_k + tw[h]_k = sum_i C(h,i) (-1)^(h-i) sum_{j<k} tw[i]_j ts[h-i]_{k-j},
+    # and at k = 1 the left side is E[X^h] / sigma^h; ts is X's strict theta
+    # and tw -X's weak one.  Every theta is >= 0, so the sum of the terms'
+    # absolute values is the same sums unsigned.  Largest measured residual
+    # relative to it, for h <= 4 at kmax 4096: 2.6e-15 (skewed); the bound
+    # is 5e-14
+    kmax, hmax = 4096, 4
+    dist = _mirror(make()) if mirrored else make()
+    ts = oc.tau_statistics(dist, kmax, "strict", hmax=hmax).theta
+    tw = oc.tau_statistics(_mirror(dist), kmax, "weak", hmax=hmax).theta
+    assert all((t >= 0).all() for t in (*ts.values(), *tw.values()))
+    x = np.array([float(v) for v in dist.support]) / dist.sigma()
+    probs = np.array(dist.probs_float())
+    for h in range(hmax + 1):
+        # the convolution sums at k = 2..kmax
+        terms = [math.comb(h, i) * np.convolve(tw[i], ts[h - i])[: kmax - 1] for i in range(h + 1)]
+        signed = sum((-1) ** (h - i) * term for i, term in enumerate(terms))
+        moment = probs * x**h  # E[X^h] / sigma^h, term by term
+        left = (-1) ** h * ts[h] + tw[h]
+        residual = np.abs(left - np.concatenate([[moment.sum()], signed]))
+        scale = ts[h] + tw[h] + np.concatenate([[np.abs(moment).sum()], sum(terms)])
+        failed = np.flatnonzero(residual > 5e-14 * scale) + 1  # the steps k that fail
+        assert not len(failed), (h, failed[:5])
+
+
 def test_weak_survives_at_least_strict(tri, asym):
     for dist in (tri, asym):
         ts = oc.killed_rows_at(dist, range(1, 31), "strict", mode="exact-rational")
@@ -292,13 +323,11 @@ def _uncut_cases():
     theta: the fixture laws, whose killed parts hold 1 to 3 cells; rows: rows
     kept below and beyond kmax; cut: laws whose cone cut meets subnormal
     cells; trim: the widest subnormal bands, which the cone's trim meets;
-    band: a row kept at kmax; flush: kmax below, at, one past and off a
-    multiple of the steps ``tau_statistics`` reduces at a time, with and
-    without a row kept beyond kmax; start: the steps first..kmax alone, from
-    the constants' route's first step, from kmax, from steps on and next to
-    ``FLUSH_STEPS`` and from the steps that leave ``FLUSH_STEPS`` + 1,
-    ``FLUSH_STEPS`` and ``FLUSH_STEPS`` - 1 steps to store; kmax 12 and 64
-    lie below ``FLUSH_STEPS``, and rows are kept before first and beyond kmax.
+    band: a row kept at kmax; flush: kmax 1, 255, 256, 257 and 1000, with
+    and without a row kept beyond kmax; start: the steps first..kmax alone,
+    from the constants' route's first step, from kmax, from steps 255, 256
+    and 257 and from the steps that leave 257, 256 and 255 steps to store,
+    with rows kept before first and beyond kmax.
     """
     cone = _cone_laws()
     deep = {"plateau": cone["plateau"], "seed walk 1": seed_walk_1()}
@@ -311,15 +340,14 @@ def _uncut_cases():
     cases += [("trim", name, law, 4096, rows_at)
               for name, law in deep.items() for rows_at in [(), (700,)]]
     cases.append(("band", "plateau", cone["plateau"], 4096, (4096,)))
-    flush = oc.FLUSH_STEPS
     cases += [("flush", name, law, kmax, rows_at)
               for name, law in [("trinomial", fixed["trinomial"]), ("seed walk 1", seed_walk_1())]
-              for kmax in (1, flush - 1, flush, flush + 1, 1000)
+              for kmax in (1, 255, 256, 257, 1000)
               for rows_at in [(), (kmax + 50,)]]
     cases = [(*case, 1) for case in cases]
     starts = [(kmax, first) for kmax in (12, 64, 1000) for first in (first_fitted_step(kmax), kmax)]
-    starts += [(1000, first) for first in (flush - 1, flush, flush + 1)]
-    starts += [(1000, first) for first in (1000 - flush, 1001 - flush, 1002 - flush)]
+    starts += [(1000, first) for first in (255, 256, 257)]
+    starts += [(1000, first) for first in (1000 - 256, 1001 - 256, 1002 - 256)]
     cases += [("start", f"{name}-from{first}", law, kmax, rows_at, first)
               for name, law in [("trinomial", fixed["trinomial"]), ("seed walk 1", seed_walk_1())]
               for kmax, first in starts
@@ -333,10 +361,10 @@ def _uncut_cases():
 @pytest.mark.parametrize("kind,dist,kmax,rows_at,first", _uncut_cases())
 def test_tau_statistics_is_the_uncut_sweep(kind, dist, kmax, rows_at, first, barrier, sweep_log):
     # theta, the columns and the kept rows are those of the uncut sweep, bit
-    # for bit, wherever the rows end, wherever kmax falls among the flushes
-    # and through the cone's cut and subnormal trim after the last kept row;
-    # from a later first step they are its tail, steps first..kmax.
-    # theta is reduced from the ring's killed cells, zeros included, yet it is
+    # for bit, wherever the rows end and wherever kmax falls, and through the
+    # cone's cut and subnormal trim after the last kept row; from a later
+    # first step they are its tail, steps first..kmax.
+    # theta is reduced from a block of killed cells, zeros included, yet it is
     # the per-step sum over the nonzero killed cells in position order: these
     # laws' killed parts hold at most 7 cells, which numpy sums in a plain loop
     stats = oc.tau_statistics(dist, kmax, barrier, hmax=3, rows_at=rows_at, first=first)
@@ -378,8 +406,9 @@ def test_wide_killed_part_sums_as_a_step_major_block(barrier):
     # numpy sums a row of 8 or more cells pairwise, so theta is no longer the
     # plain nonzero sum; it is the reduction of the uncut sweep's killed cells
     # laid out step-major over positions min_step..floor - 1, zeros included,
-    # row by row with the same (ys**h * block).sum(axis=1), whichever flush
-    # holds the step.  This law kills 9 cells a step (strict) or 8 (weak)
+    # row by row with the same (ys**h * block).sum(axis=1); from a later
+    # first step, the tail of that block.  This law kills 9 cells a step
+    # (strict) or 8 (weak)
     dist = increments.validate([-8, 0, 1], ["1/10", "1/10", "4/5"])
     floor, lo = oc.Barrier.parse(barrier).floor, dist.min_step
     ys = -np.arange(lo, floor, dtype=float) / dist.sigma()
@@ -387,10 +416,13 @@ def test_wide_killed_part_sums_as_a_step_major_block(barrier):
         block = np.zeros((kmax, floor - lo))
         for k, cells, cut in oc._sweep(dist, kmax, oc.Barrier.parse(barrier), "float64"):
             block[k - 1, floor - cut - lo :] = cells[:cut]  # row k starts at floor - cut
-        stats = oc.tau_statistics(dist, kmax, barrier)
-        for h in range(4):
-            assert stats.theta[h].tobytes() == (ys**h * block).sum(axis=1).tobytes()
-        assert stats.columns.tobytes() == uncut_outputs(dist, kmax, barrier).columns.tobytes()
+        theta = [(ys**h * block).sum(axis=1) for h in range(4)]
+        columns = uncut_outputs(dist, kmax, barrier).columns
+        for first in sorted({1, first_fitted_step(kmax), kmax}):
+            stats = oc.tau_statistics(dist, kmax, barrier, first=first)
+            for h in range(4):
+                assert stats.theta[h].tobytes() == theta[h][first - 1 :].tobytes(), (kmax, first)
+            assert stats.columns.tobytes() == columns[:, first - 1 :].tobytes()
 
 
 @pytest.mark.parametrize("barrier", ["strict", "weak"])
